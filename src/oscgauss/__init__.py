@@ -2,7 +2,7 @@
 
 The toolkit builds the non-Hermitian orthogonal polynomials attached to
 the weight e^{i z^r} on a two-ray contour, uses their zeros as quadrature
-nodes for integrals \int_a^b f(x) e^{i omega x^r} dx, and, for the cubic
+nodes for integrals int_a^b f(x) e^{i omega x^r} dx, and, for the cubic
 case r = 3, computes the limiting zero curve, its equilibrium measure,
 and explicit strong asymptotics of the rescaled polynomials, each piece
 cross-validated against an independent oracle.

@@ -19,6 +19,7 @@ precision (``exact_pn``); the observed convergence rate is O(1/n).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -277,17 +278,17 @@ def pn_asymptotic(n: int, z: complex, phase: PhaseContext,
 # Exact reference values
 # ---------------------------------------------------------------------------
 
-_REC_CACHE: dict[tuple[int, int], opq.RecurrenceCoefficients] = {}
-
-
 def _recurrence_for(n: int, ctx: PrecisionContext | None = None) -> opq.RecurrenceCoefficients:
     ctx = opq.precision_schedule(n) if ctx is None else ctx
-    key = (n, ctx.decimal_digits)
-    if key not in _REC_CACHE:
-        mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n, ctx)
-        rec = opq.build_recurrence(mom, n)
-        _REC_CACHE[key] = opq.rescale_to_Pn(rec, n, 3)
-    return _REC_CACHE[key]
+    return _rescaled_recurrence(n, ctx.decimal_digits, ctx.guard_digits)
+
+
+@functools.lru_cache(maxsize=64)
+def _rescaled_recurrence(n: int, decimal_digits: int,
+                         guard_digits: int) -> opq.RecurrenceCoefficients:
+    ctx = PrecisionContext(decimal_digits, guard_digits)
+    mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n, ctx)
+    return opq.rescale_to_Pn(opq.build_recurrence(mom, n), n, 3)
 
 
 def exact_pn(n: int, z: complex, ctx: PrecisionContext | None = None):

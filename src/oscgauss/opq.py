@@ -13,10 +13,25 @@ e^{iz^r} = e^{-rho^r}, so every monomial moment has the closed form
 From the moment table we build the monic orthogonal polynomials pi_n via
 a Chebyshev-algorithm recursion on raw moments (the functional is complex
 bilinear and only quasi-definite, so every divisor is checked and a
-vanishing Hankel determinant is reported, not repaired), find their zeros
-by simultaneous Aberth iteration, and solve a Vandermonde system for the
-Gaussian weights.  A separate Hankel-determinant linear solve provides an
-independent construction used for cross-checks at small degree.
+vanishing Hankel determinant is reported, not repaired), classified by the
+involution their root set is closed under: z -> -conj z (odd r), z -> -z
+(even r), z -> conj z (real coefficients).  A Hankel-determinant linear
+solve gives an independent construction for cross-checks at small degree.
+
+Rules come from the recurrence alone (Golub & Welsch, Math. Comp. 23, 1969;
+Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1).  The float64
+eigenvalues of the Jacobi matrix seed simultaneous Aberth sweeps with pi_n
+and pi_n' from the recurrence at working precision, run to 10^-digits; the
+weights are the Christoffel numbers h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)),
+h_{n-1} = M_0 beta_0 ... beta_{n-2}.  Nodes and weights are both paired
+through the involution, so a self-paired node sits exactly on its axis
+(exactly 0 for even r) and, for odd r, carries an exactly real weight.  A
+rule is delivered only if |pi_n(z_j)| <= 10^(-digits/2) times the size of
+the monomial terms and the rule is exact to 10^(-digits/3) through degree
+2n-1.  Nodes come in ascending (Re, Im) order.  Rules are memoised per
+process (functools.lru_cache, 64 entries) keyed on (n, r, decimal_digits,
+guard_digits); QuadratureRule is frozen and holds tuples, so callers share
+the cached objects safely.
 
 All computations run under a PrecisionContext; the default schedule for
 degree n is max(60, 12 + 4n) working digits, doubled (at most twice) if
@@ -25,10 +40,11 @@ residual verification fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import functools
+from dataclasses import dataclass
 
 import mpmath as mp
+import numpy as np
 
 from .errors import (
     DegenerateFunctionalError,
@@ -49,7 +65,7 @@ __all__ = [
     "monic_coefficients",
     "hankel_monic_coefficients",
     "zeros",
-    "gauss_weights",
+    "christoffel_weights",
     "rule_exactness_residual",
     "verify_orthogonality",
     "lambda_n",
@@ -115,7 +131,7 @@ class RecurrenceCoefficients:
     beta: tuple
     n: int
     ctx: PrecisionContext
-    symmetry: str | None = None  # 'neg_conj' | 'real' | None
+    symmetry: str | None = None  # 'neg_conj' | 'real' | 'neg' | None
 
 
 @dataclass(frozen=True)
@@ -138,13 +154,15 @@ def moment(k: int, spec: WeightSpec, ctx: PrecisionContext):
     """Closed-form moment M_k = int_Gamma z^k e^{iz^r} dz.
 
     The two ray contributions reduce to Gamma((k+1)/r)/r times a difference
-    of unit phases at rational multiples of pi, evaluated exactly with
-    expjpi so structural cancellations (e.g. M_{3j+2} = 0 for r = 3) hold
-    to working precision.
+    of unit phases at rational multiples of pi, evaluated with expjpi.  The
+    phases coincide when r divides (k+1)*floor(r/2) (M_{3j+2} for r = 3,
+    every odd moment for even r); those structural zeros are returned exact.
     """
     if k < 0:
         raise ValueError("moment index must be >= 0")
     r = spec.r
+    if (k + 1) * (r // 2) % r == 0:
+        return ctx.finalize(mp.mpc(0))
     with ctx.working():
         g = gamma(mp.mpf(k + 1) / r, ctx)
         ph_hi = mp.expjpi(mp.mpf(k + 1) * mp.mpf(1) / (2 * r))
@@ -204,20 +222,36 @@ def build_recurrence(moments: MomentSequence, n: int) -> RecurrenceCoefficients:
             alpha.append(ctx.finalize(cur[k + 1] / cur[k] - prev[k] / prev[k - 1]))
             prev2, prev = prev, cur
         alpha = [ctx.finalize(a) for a in alpha]
-        sym = _detect_symmetry(alpha, beta, ctx)
+        sym = _detect_symmetry(m[0], alpha, beta, ctx)
     return RecurrenceCoefficients(alpha=tuple(alpha), beta=tuple(beta), n=n, ctx=ctx, symmetry=sym)
 
 
-def _detect_symmetry(alpha, beta, ctx) -> str | None:
-    """Classify the root-set involution implied by the coefficients."""
+def _detect_symmetry(m0, alpha, beta, ctx) -> str | None:
+    """Classify the root-set involution implied by M_0 and the coefficients.
+
+    The conjugating classes also need a real M_0: only then are the weights
+    conjugate under the involution (and a one-point rule is classified right).
+    """
     tol = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
     def small(x, ref):
         return abs(x) <= tol * (ref + 1)
-    if all(small(mp.re(a), abs(a)) for a in alpha) and all(small(mp.im(b), abs(b)) for b in beta):
+    conj = small(mp.im(m0), abs(m0)) and all(small(mp.im(b), abs(b)) for b in beta)
+    if conj and all(small(mp.re(a), abs(a)) for a in alpha):
         return "neg_conj"
-    if all(small(mp.im(a), abs(a)) for a in alpha) and all(small(mp.im(b), abs(b)) for b in beta):
+    if conj and all(small(mp.im(a), abs(a)) for a in alpha):
         return "real"
+    if all(small(a, 0) for a in alpha):
+        return "neg"
     return None
+
+
+# Root-set involution of each symmetry class and its action on the weights:
+# the node invol(z) carries the weight wmap(w(z)).
+_INVOLUTIONS = {
+    "neg_conj": (lambda z: -mp.conj(z), mp.conj),
+    "real": (mp.conj, mp.conj),
+    "neg": (lambda z: -z, lambda w: w),
+}
 
 
 def pi_eval(coeffs: RecurrenceCoefficients, z):
@@ -270,42 +304,45 @@ def hankel_monic_coefficients(moments: MomentSequence, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Zeros (simultaneous Aberth iteration)
+# Zeros (Aberth sweep on the recurrence, seeded by the Jacobi matrix)
 # ---------------------------------------------------------------------------
 
-def _horner_with_derivative(coeffs_ascending, z):
-    """(p(z), p'(z), local scale) for the monic polynomial with given lower coeffs."""
-    p = mp.mpc(1)
-    dp = mp.mpc(0)
-    for j in range(len(coeffs_ascending) - 1, -1, -1):
-        dp = dp * z + p
-        p = p * z + coeffs_ascending[j]
-    az = abs(z)
-    scale = mp.mpf(0)
-    acc = mp.mpf(1)
-    for j in range(len(coeffs_ascending)):
-        scale += abs(coeffs_ascending[j]) * acc
-        acc *= az
-    scale += acc  # the monic leading term |z|^n
-    return p, dp, scale
+def _pi_with_derivative(coeffs: RecurrenceCoefficients, z):
+    """(pi_n(z), pi_n'(z), pi_{n-1}(z)) by the three-term recurrence, n >= 1."""
+    p_prev, p = 1, z - coeffs.alpha[0]
+    dp_prev, dp = 0, 1
+    for k in range(1, coeffs.n):
+        t, b = z - coeffs.alpha[k], coeffs.beta[k - 1]
+        p, p_prev, dp, dp_prev = t * p - b * p_prev, p, p + t * dp - b * dp_prev, dp
+    return p, dp, p_prev
+
+
+def _monomial_residual(coeffs_ascending, z):
+    """(p(z), |z|^n + sum |c_j| |z|^j) for the monic p = z^n + sum c_j z^j, by Horner."""
+    p, scale = mp.mpc(1), mp.mpf(1)
+    for c in reversed(coeffs_ascending):
+        p, scale = p * z + c, scale * abs(z) + abs(c)
+    return p, scale
+
+
+def _jacobi_seeds(coeffs: RecurrenceCoefficients):
+    """float64 eigenvalues of the (complex symmetric) Jacobi matrix of pi_n."""
+    off = np.sqrt(np.array([complex(b) for b in coeffs.beta], dtype=complex))
+    jac = np.diag(np.array([complex(a) for a in coeffs.alpha])) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvals(jac)
 
 
 def symmetrize_roots(roots: list, symmetry: str | None, ctx: PrecisionContext) -> list:
-    """Enforce the root-set involution (z -> -conj z, or z -> conj z) by pairing.
+    """Enforce the root-set involution (z -> -conj z, conj z or -z) by pairing.
 
     Roots are greedily matched against the reflected multiset; matched pairs
     are replaced by their symmetrized average and self-paired roots are
-    projected onto the fixed axis of the involution.
+    projected onto the fixed set of the involution.
     """
     if symmetry is None or not roots:
         return list(roots)
+    invol = _INVOLUTIONS[symmetry][0]
     with ctx.working():
-        if symmetry == "neg_conj":
-            invol = lambda w: -mp.conj(w)
-        elif symmetry == "real":
-            invol = lambda w: mp.conj(w)
-        else:
-            return list(roots)
         out = [None] * len(roots)
         used = [False] * len(roots)
         order = sorted(range(len(roots)), key=lambda i: (mp.re(roots[i]), mp.im(roots[i])))
@@ -313,158 +350,111 @@ def symmetrize_roots(roots: list, symmetry: str | None, ctx: PrecisionContext) -
             if used[i]:
                 continue
             target = invol(roots[i])
-            best, bestd = i, abs(roots[i] - target)
-            for j in range(len(roots)):
-                if not used[j]:
-                    d = abs(roots[j] - target)
-                    if d < bestd:
-                        best, bestd = j, d
-            if best == i:
-                fixed = (roots[i] + invol(roots[i])) / 2
-                out[i] = fixed
-                used[i] = True
-            else:
-                a = (roots[i] + invol(roots[best])) / 2
-                out[i] = a
-                out[best] = invol(a)
-                used[i] = used[best] = True
+            best = min((j for j in order if not used[j]), key=lambda j: abs(roots[j] - target))
+            # a self-paired root (best == i) lands on the fixed set: invol(out[i]) == out[i]
+            out[i] = (roots[i] + invol(roots[best])) / 2
+            out[best] = invol(out[i])
+            used[i] = used[best] = True
         return out
 
 
 def zeros(coeffs: RecurrenceCoefficients, max_iter: int = 250) -> list:
-    """All n zeros of pi_n by Aberth iteration on the monic coefficients.
+    """All n zeros of pi_n, in ascending (Re, Im) order.
 
-    Initial guesses sit on a circle of radius |c_0|^{1/n} (with a Fujiwara
-    root-bound fallback when c_0 is tiny) around the coefficient centroid
-    -c_{n-1}/n.  After convergence the root set's involution symmetry is
-    enforced by pairing, and every root must satisfy
-    |pi_n(root)| <= 10^{-decimal_digits/2} * (local scale).
+    The float64 eigenvalues of the Jacobi matrix seed simultaneous Aberth
+    sweeps in which pi_n and pi_n' come from the three-term recurrence at
+    working precision; the sweeps stop when no root moves by more than
+    10^-decimal_digits (relative).  The root set's involution symmetry is
+    then enforced by pairing, and every root must satisfy
+    |pi_n(root)| <= 10^{-decimal_digits/2} * (local scale) on the monomial form.
     """
-    ctx = coeffs.ctx
-    n = coeffs.n
+    ctx, n = coeffs.ctx, coeffs.n
     if n == 0:
         return []
     with ctx.working():
-        c = monic_coefficients(coeffs)
-        center = -c[-1] / n if n >= 1 else mp.mpc(0)
-        r0 = abs(c[0]) ** (mp.mpf(1) / n) if abs(c[0]) > 0 else mp.mpf(0)
-        fujiwara = 2 * max(abs(c[n - 1 - j]) ** (mp.mpf(1) / (j + 1)) for j in range(n))
-        if not (r0 > fujiwara / 100):
-            r0 = fujiwara
-        zs = [center + r0 * mp.expj(2 * mp.pi * i / n + mp.mpf("0.31007")) for i in range(n)]
+        zs = [mp.mpc(complex(s)) for s in _jacobi_seeds(coeffs)]
         tol = mp.mpf(10) ** (-ctx.decimal_digits)
-        # Below this the iteration may stall on the evaluation roundoff floor;
-        # treat a non-decreasing plateau there as converged (the residual bar
-        # after the loop is the actual acceptance check).
-        stall_bar = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
-        converged = False
-        prev_move = mp.inf
-        stalled = 0
+        tiny = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
         for _ in range(max_iter):
             move = mp.mpf(0)
-            new = list(zs)
             for i in range(n):
-                p, dp, _ = _horner_with_derivative(c, zs[i])
-                if dp == 0:
-                    new[i] = zs[i] * (1 + mp.mpf("1e-3")) + mp.mpf("1e-3")
-                    move = mp.mpf(1)
-                    continue
-                nu = p / dp
-                s = mp.mpc(0)
-                for j in range(n):
-                    if j != i:
-                        d = zs[i] - zs[j]
-                        if d == 0:
-                            d = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
-                        s += 1 / d
-                denom = 1 - nu * s
-                delta = nu / denom if denom != 0 else nu
-                new[i] = zs[i] - delta
-                move = max(move, abs(delta) / (1 + abs(new[i])))
-            zs = new
+                p, dp, _ = _pi_with_derivative(coeffs, zs[i])
+                s = mp.fsum(1 / ((zs[i] - zs[j]) or tiny) for j in range(n) if j != i)
+                denom = dp - p * s
+                delta = p / denom if denom else mp.mpc(0)
+                zs[i] -= delta
+                move = max(move, abs(delta) / (1 + abs(zs[i])))
             if move <= tol:
-                converged = True
                 break
-            if move <= stall_bar and move >= prev_move / 2:
-                stalled += 1
-                if stalled >= 3:
-                    converged = True
-                    break
-            else:
-                stalled = 0
-            prev_move = move
-        if not converged:
+        else:
             raise NonconvergenceError(
                 f"Aberth iteration did not reach {mp.nstr(tol, 3)} in {max_iter} iterations (n={n})"
             )
         zs = symmetrize_roots(zs, coeffs.symmetry, ctx)
+        c = monic_coefficients(coeffs)
         bar = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
         for z in zs:
-            p, _, scale = _horner_with_derivative(c, z)
+            p, scale = _monomial_residual(c, z)
             if not abs(p) <= bar * scale:
                 raise NonconvergenceError(
                     f"root residual {mp.nstr(abs(p) / scale, 3)} exceeds 10^(-digits/2) (n={n})"
                 )
-        return [ctx.finalize(z) for z in zs]
+        return sorted((ctx.finalize(z) for z in zs), key=lambda z: (mp.re(z), mp.im(z)))
 
 
 # ---------------------------------------------------------------------------
 # Weights
 # ---------------------------------------------------------------------------
 
-def gauss_weights(nodes: Sequence, moments: MomentSequence) -> list:
-    """Weights solving the Vandermonde system sum_j w_j z_j^k = M_k, k < n.
+def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSequence) -> list:
+    """Christoffel numbers w_j = h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)) at the zeros of pi_n.
 
-    The delivered rule is additionally checked on k = n..2n-1 (Gaussian
-    exactness); if those residuals exceed 10^(-decimal_digits/3) the solve
-    has lost too many digits and IllConditionedError reports the estimate.
+    h_{n-1} = M_0 beta_0 ... beta_{n-2} is the squared norm of pi_{n-1}.
+    The weights are paired through the root-set involution like the nodes,
+    w(invol z) = wmap(w(z)), so a self-paired node of an odd-r rule carries
+    an exactly real weight.  The rule is then checked on k = 0..2n-1
+    (Gaussian exactness); if those residuals exceed 10^(-decimal_digits/3)
+    IllConditionedError reports the digits lost.
     """
-    ctx = moments.ctx
-    n = len(nodes)
-    if n == 0:
-        return []
+    ctx = coeffs.ctx
     with ctx.working():
-        zs = [mp.mpmathify(z) for z in nodes]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if zs[i] == zs[j]:
-                    raise ValueError("nodes must be pairwise distinct")
-        A = mp.matrix(n, n)
-        b = mp.matrix(n, 1)
-        for k in range(n):
-            for j in range(n):
-                A[k, j] = zs[j] ** k
-            b[k] = moments[k]
-        w = mp.lu_solve(A, b)
-        weights = [w[j] for j in range(n)]
-        hi = min(2 * n - 1, len(moments) - 1)
-        resid = rule_exactness_residual(zs, weights, moments, range(0, hi + 1))
+        h = mp.mpmathify(moments[0]) * mp.fprod(coeffs.beta)
+        ws = []
+        for z in nodes:
+            _, dp, p_prev = _pi_with_derivative(coeffs, mp.mpmathify(z))
+            ws.append(h / (p_prev * dp))
+        if coeffs.symmetry is not None:
+            invol, wmap = _INVOLUTIONS[coeffs.symmetry]
+            where = {z: j for j, z in enumerate(nodes)}
+            ws = [(w + wmap(ws[where[invol(z)]])) / 2 for z, w in zip(nodes, ws)]
+        resid = rule_exactness_residual(nodes, ws, moments, range(2 * len(nodes)))
         bar = mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
         if not resid <= bar:
-            lost = float(ctx.decimal_digits + ctx.guard_digits + mp.log10(resid + mp.mpf(10) ** (-mp.dps)))
+            lost = float(ctx.decimal_digits + ctx.guard_digits + mp.log10(resid + mp.eps))
             raise IllConditionedError(
                 max(lost, 0.0),
                 f"exactness residual {mp.nstr(resid, 3)} exceeds 10^(-digits/3); raise precision",
             )
-        return [ctx.finalize(x) for x in weights]
+        return [ctx.finalize(w) for w in ws]
 
 
 def rule_exactness_residual(nodes, weights, moments: MomentSequence, k_range) -> mp.mpf:
-    """Max relative residual |sum w z^k - M_k| / scale over k_range."""
+    """Max relative residual |sum w z^k - M_k| / scale over k_range.
+
+    The terms w z^k come from running products, one multiplication per node
+    and degree; scale = sum |w z^k| + |M_k|.
+    """
     ctx = moments.ctx
+    ks = set(k_range)
     with ctx.working():
+        zs = [mp.mpmathify(z) for z in nodes]
+        terms = [mp.mpmathify(w) for w in weights]
         worst = mp.mpf(0)
-        for k in k_range:
-            acc = mp.mpc(0)
-            scale = mp.mpf(0)
-            for z, w in zip(nodes, weights):
-                t = w * mp.mpmathify(z) ** k
-                acc += t
-                scale += abs(t)
-            scale += abs(moments[k])
-            if scale == 0:
-                scale = mp.mpf(1)
-            worst = max(worst, abs(acc - moments[k]) / scale)
+        for k in range(max(ks, default=-1) + 1):
+            if k in ks:
+                scale = mp.fsum(abs(t) for t in terms) + abs(moments[k])
+                worst = max(worst, abs(mp.fsum(terms) - moments[k]) / (scale or 1))
+            terms = [t * z for t, z in zip(terms, zs)]
         return worst
 
 
@@ -543,23 +533,29 @@ def precision_schedule(n: int) -> PrecisionContext:
 
 
 def build_rule(n: int, spec: WeightSpec, ctx: PrecisionContext | None = None) -> QuadratureRule:
-    """Full pipeline moments -> recurrence -> zeros -> weights with retries.
+    """Full pipeline moments -> recurrence -> zeros -> weights, memoised per process.
 
     Residual failures (root residuals, weight exactness) double the working
     precision, at most twice.  A degenerate functional aborts immediately
-    with its failing index.
+    with its failing index.  The same (n, r, decimal_digits, guard_digits)
+    returns the same cached rule object.
     """
     base = precision_schedule(n) if ctx is None else ctx
+    return _build_rule(n, spec.r, base.decimal_digits, base.guard_digits)
+
+
+@functools.lru_cache(maxsize=64)
+def _build_rule(n: int, r: int, decimal_digits: int, guard_digits: int) -> QuadratureRule:
     last: Exception | None = None
     for attempt in range(3):
-        actx = PrecisionContext(base.decimal_digits * (2 ** attempt), base.guard_digits)
+        actx = PrecisionContext(decimal_digits * (2 ** attempt), guard_digits)
         try:
-            mom = moment_sequence(spec, 2 * n, actx)
+            mom = moment_sequence(WeightSpec(r=r), 2 * n - 1, actx)
             rec = build_recurrence(mom, n)
             zs = zeros(rec)
-            ws = gauss_weights(zs, mom)
+            ws = christoffel_weights(rec, zs, mom)
             return QuadratureRule(nodes=tuple(zs), weights=tuple(ws), n=n,
-                                  regime="stationary", r=spec.r, scale=1)
+                                  regime="stationary", r=r, scale=1)
         except (NonconvergenceError, IllConditionedError) as exc:
             last = exc
             continue

@@ -17,6 +17,7 @@ real-interval oracle for the full integral at 4x precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,7 +131,7 @@ class OscillatoryIntegralSpec:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint rule (Gauss-Laguerre) through the shared moment pipeline
+# Endpoint rule (Gauss-Laguerre) from its closed-form recurrence
 # ---------------------------------------------------------------------------
 
 def laguerre_moment_sequence(k_max: int, ctx: PrecisionContext) -> opq.MomentSequence:
@@ -143,18 +144,26 @@ def laguerre_moment_sequence(k_max: int, ctx: PrecisionContext) -> opq.MomentSeq
 def laguerre_rule(n: int, ctx: PrecisionContext | None = None) -> opq.QuadratureRule:
     """n-point Gauss-Laguerre rule for int_0^infty p(t) e^{-t} dt.
 
-    Built by the same moments -> recurrence -> roots -> Vandermonde-weights
-    pipeline as the oscillatory rules (the recurrence comes out real:
-    alpha_k = 2k+1, beta_k = k^2).  Nodes and weights are checked positive
-    and sum(w) = 1 before delivery.
+    Built from the closed-form recurrence alpha_k = 2k+1, beta_k = k^2 by
+    the same zeros -> Christoffel-weights path as the oscillatory rules and
+    checked against the moments k! through degree 2n-1.  Nodes and weights
+    are checked positive and sum(w) = 1 before delivery.  Rules are
+    memoised per process like opq.build_rule.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = opq.precision_schedule(n) if ctx is None else ctx
-    mom = laguerre_moment_sequence(2 * n, ctx)
-    rec = opq.build_recurrence(mom, n)
+    return _laguerre_rule(n, ctx.decimal_digits, ctx.guard_digits)
+
+
+@functools.lru_cache(maxsize=64)
+def _laguerre_rule(n: int, decimal_digits: int, guard_digits: int) -> opq.QuadratureRule:
+    ctx = PrecisionContext(decimal_digits, guard_digits)
+    rec = opq.RecurrenceCoefficients(
+        alpha=tuple(mp.mpf(2 * k + 1) for k in range(n)),
+        beta=tuple(mp.mpf(k * k) for k in range(1, n)), n=n, ctx=ctx, symmetry="real")
     roots = opq.zeros(rec)
-    weights = opq.gauss_weights(roots, mom)
+    weights = opq.christoffel_weights(rec, roots, laguerre_moment_sequence(2 * n - 1, ctx))
     with ctx.working():
         tol = mp.mpf(10) ** (-ctx.decimal_digits // 2)
         nodes, ws = [], []

@@ -342,9 +342,22 @@ def _moment_ray_quadrature(k: int, spec: opq.WeightSpec, ctx: PrecisionContext):
         return ctx.finalize(dhi * radial(dhi) - dlo * radial(dlo))
 
 
+def _vandermonde_weights(nodes, moments: opq.MomentSequence) -> list:
+    """Weights solving sum_j w_j z_j^k = M_k, k < n, by LU at working precision.
+
+    Independent of the Christoffel numbers opq.build_rule delivers: it
+    uses only the nodes and the moments.
+    """
+    n = len(nodes)
+    with moments.ctx.working():
+        A = mp.matrix([[mp.mpmathify(z) ** k for z in nodes] for k in range(n)])
+        w = mp.lu_solve(A, mp.matrix([moments[k] for k in range(n)]))
+        return [w[j] for j in range(n)]
+
+
 def criterion_consistency(phase: scurve.PhaseContext | None = None,
                           precision: int = 30) -> dict:
-    """Dual-route agreement: moments, phi2, recurrence, det N, Airy identity."""
+    """Dual-route agreement: moments, phi2, recurrence, weights, det N, Airy identity."""
     rep = _new_report("consistency", budget_seconds=300.0)
     t0 = time.perf_counter()
     phase = phase or shared_phase()
@@ -382,6 +395,16 @@ def criterion_consistency(phase: scurve.PhaseContext | None = None,
                       for x, y in zip(a, b))
         worst = max(worst, dev)
     _check(rep, "recurrence_vs_hankel", worst, worst <= bar, bound=bar)
+
+    worst = 0.0
+    for n in range(1, 9):
+        rule = opq.build_rule(n, spec, ctx)
+        vdm = _vandermonde_weights(rule.nodes, moments)
+        with ctx.working():
+            dev = max(float(abs(x - y)) / max(1.0, float(abs(y)))
+                      for x, y in zip(rule.weights, vdm))
+        worst = max(worst, dev)
+    _check(rep, "christoffel_vs_vandermonde", worst, worst <= bar, bound=bar)
 
     npar = asym.GlobalParametrix(phase)
     worst = max(abs(np.linalg.det(npar.n_matrix(z)) - 1.0) for z in DETN_PROBES)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oscgauss import opq
+from oscgauss import opq, oscillatory
 from oscgauss.errors import DegenerateFunctionalError
 from oscgauss.precision import PrecisionContext
 
@@ -143,3 +144,67 @@ def test_random_moments_match_ray_quadrature(ctx30):
             scale = float(abs(mp.gamma(mp.mpf(int(k) + 1) / 3) / 3))
             dev = float(abs(closed - oracle)) / scale
         assert dev <= 1e-15
+
+
+def test_structural_zero_moments_are_exact(ctx30):
+    # the two ray phases coincide exactly when r divides (k+1)*floor(r/2)
+    for r in range(2, 7):
+        spec = opq.WeightSpec(r=r)
+        for k in range(13):
+            m = opq.moment(k, spec, ctx30)
+            assert (m == 0) == ((k + 1) * (r // 2) % r == 0)
+
+
+# Contour symmetry by parity of r: the node map and its action on the weights.
+INVOLUTIONS = {
+    1: (lambda z: -mp.conj(z), mp.conj),   # odd r: rays mirrored in the imaginary axis
+    0: (lambda z: -z, lambda w: w),         # even r: one straight line through 0
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(r=st.integers(2, 6), n=st.integers(1, 12))
+def test_rule_properties(r, n):
+    spec = opq.WeightSpec(r=r)
+    rule = opq.build_rule(n, spec)
+    ctx = opq.precision_schedule(n)
+    ms = opq.moment_sequence(spec, 2 * n - 1, ctx)
+    invol, wmap = INVOLUTIONS[r % 2]
+    with ctx.working():
+        bar = mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
+        for k in range(2 * n):
+            terms = [w * z ** k for z, w in zip(rule.nodes, rule.weights)]
+            scale = mp.fsum(abs(t) for t in terms) + abs(ms[k])
+            assert abs(mp.fsum(terms) - ms[k]) <= bar * max(scale, 1)
+        assert abs(mp.fsum(rule.weights) - ms[0]) <= bar * abs(ms[0])
+        # node set and weights closed under the involution, exactly
+        weight_at = dict(zip(rule.nodes, rule.weights))
+        for z, w in weight_at.items():
+            assert weight_at[invol(z)] == wmap(w)
+    keys = [(mp.re(z), mp.im(z)) for z in rule.nodes]
+    assert keys == sorted(keys)
+
+
+def test_even_r_odd_n_origin_node_is_exact():
+    rule = opq.build_rule(7, opq.WeightSpec(r=2))
+    assert rule.nodes[3] == 0 and rule.nodes.count(0) == 1
+
+
+def test_build_rule_n60_exactness():
+    # the float64 Jacobi seeds are only ~1e-4 accurate here; the sweep
+    # still has to deliver a rule exact to 10^(-digits/3) through 2n-1
+    n = 60
+    rule = opq.build_rule(n, SPEC3)
+    ctx = opq.precision_schedule(n)
+    ms = opq.moment_sequence(SPEC3, 2 * n - 1, ctx)
+    resid = opq.rule_exactness_residual(rule.nodes, rule.weights, ms, range(2 * n))
+    assert resid <= mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
+
+
+def test_rule_cache_shares_one_rule_per_key():
+    rule = opq.build_rule(5, SPEC3)
+    assert opq.build_rule(5, opq.WeightSpec(r=3)) is rule
+    assert opq.build_rule(5, SPEC3, opq.precision_schedule(5)) is rule
+    finer = opq.build_rule(5, SPEC3, PrecisionContext(70))
+    assert finer is not rule and finer.nodes != rule.nodes
+    assert oscillatory.laguerre_rule(6) is oscillatory.laguerre_rule(6)
