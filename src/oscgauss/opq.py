@@ -157,6 +157,9 @@ def moment(k: int, spec: WeightSpec, ctx: PrecisionContext):
     of unit phases at rational multiples of pi, evaluated with expjpi.  The
     phases coincide when r divides (k+1)*floor(r/2) (M_{3j+2} for r = 3,
     every odd moment for even r); those structural zeros are returned exact.
+    The low-ray phase is the image of the high one under the ray involution,
+    (-1)^{k+1} conj(ph_hi) for odd r and (-1)^{k+1} ph_hi for even r, so for
+    odd r the moment is exactly real (k even) or exactly imaginary (k odd).
     """
     if k < 0:
         raise ValueError("moment index must be >= 0")
@@ -165,8 +168,8 @@ def moment(k: int, spec: WeightSpec, ctx: PrecisionContext):
         return ctx.finalize(mp.mpc(0))
     with ctx.working():
         g = gamma(mp.mpf(k + 1) / r, ctx)
-        ph_hi = mp.expjpi(mp.mpf(k + 1) * mp.mpf(1) / (2 * r))
-        ph_lo = mp.expjpi(mp.mpf(k + 1) * (mp.mpf(1) / (2 * r) + mp.mpf(2 * (r // 2)) / r))
+        ph_hi = mp.expjpi(mp.mpf(k + 1) / (2 * r))
+        ph_lo = (-1) ** (k + 1) * (mp.conj(ph_hi) if r % 2 else ph_hi)
         val = g / r * (ph_hi - ph_lo)
         ensure_finite(val, "moment")
         return ctx.finalize(val)

@@ -11,8 +11,10 @@ pi_n zeros, rescaled by omega^{-1/r}):
 Along an endpoint path z(t)^r = x^r + i t / omega, so dz/dt = i/(r omega
 z^{r-1}) needs no branch choice once z is known.  The module also carries
 the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
-stationary rule, with an independent two-ray oracle, and an adaptive
-real-interval oracle for the full integral at 4x precision.
+stationary rule and two independent oracles, both panelled Gauss-Legendre
+(precision.panel_quad) with a whole-vs-halved error estimate: one on the
+truncated rays of the stationary contour, one on the real interval at 4x
+precision with a panel per oscillation cycle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .errors import (
     NoiseFloorError,
     NonconvergenceError,
 )
-from .precision import ComplexValue, PrecisionContext, ensure_finite
+from .precision import (ComplexValue, PrecisionContext, ensure_finite,
+                        panel_quad, ray_cuts)
 
 __all__ = [
     "Amplitude",
@@ -293,19 +296,26 @@ def evaluate(spec: OscillatoryIntegralSpec, n_endpoint: int, n_stationary: int,
 # ---------------------------------------------------------------------------
 
 def stationary_oracle(f, r: int, omega, ctx: PrecisionContext):
-    """int_Gamma f(z) e^{i omega z^r} dz by adaptive quadrature on the rays.
+    """(value, error_estimate) for int_Gamma f(z) e^{i omega z^r} dz.
 
-    Independent of the Gaussian rule: integrates f(omega^{-1/r) rho e^{i
-    theta}} e^{-rho^r} along both rays directly.
+    Independent of the Gaussian rule: integrates f(omega^{-1/r} rho e^{i
+    theta}) e^{-rho^r} along both rays directly, by 40-point Gauss-Legendre
+    on the panels of precision.ray_cuts (rho^r = 0, 1, 4, 16, ..., truncated
+    where e^{-rho^r} drops below working precision).  The estimate sums the
+    two rays' whole-vs-halved panel differences.
     """
     spec = opq.WeightSpec(r=r)
     with ctx.working():
         s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
         dir_hi, dir_lo = spec.ray_directions()
-        pts = [0, 1, 2, mp.inf]
-        hi = mp.quad(lambda rho: f(s * rho * dir_hi) * mp.exp(-rho ** r), pts)
-        lo = mp.quad(lambda rho: f(s * rho * dir_lo) * mp.exp(-rho ** r), pts)
-        return ctx.finalize(s * (dir_hi * hi - dir_lo * lo))
+        cuts = ray_cuts(r)
+
+        def ray(d):
+            return panel_quad(lambda rho: f(s * rho * d) * mp.exp(-rho ** r), cuts, 40)
+
+        (hi, est_hi), (lo, est_lo) = ray(dir_hi), ray(dir_lo)
+        return (ctx.finalize(s * (dir_hi * hi - dir_lo * lo)),
+                ctx.finalize(s * (est_hi + est_lo)))
 
 
 def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:
@@ -330,10 +340,12 @@ def interval_oracle(spec: OscillatoryIntegralSpec,
                     ctx: PrecisionContext | None = None):
     """(value, error_estimate) for I[f] on the real interval at 4x precision.
 
-    Adaptive in two stages: panels no wider than one oscillation cycle,
-    integrated by mpmath's quadrature, then the same with every panel halved;
-    the difference is the reported error estimate.  Valid at desk scale
-    (omega <= 1e4 or so) and fully independent of the descent machinery.
+    Panels no wider than one oscillation cycle, each integrated by
+    Gauss-Legendre with half as many points as the oracle carries digits,
+    whole and halved (precision.panel_quad); the difference is the reported
+    error estimate.  The integrand is entire on every panel, so the rule
+    converges geometrically.  Valid at desk scale (omega <= 1e4 or so) and
+    fully independent of the descent machinery.
     """
     ctx = PrecisionContext() if ctx is None else ctx
     octx = PrecisionContext(4 * ctx.decimal_digits, ctx.guard_digits)
@@ -341,14 +353,8 @@ def interval_oracle(spec: OscillatoryIntegralSpec,
     with octx.working():
         def g(x):
             return f(x) * mp.expj(mp.mpf(omega) * mp.mpf(x) ** r)
-        cuts = _phase_breakpoints(spec)
-        coarse = mp.quad(g, cuts)
-        fine_cuts = []
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            fine_cuts += [u, (u + v) / 2]
-        fine_cuts.append(cuts[-1])
-        fine = mp.quad(g, fine_cuts)
-        return octx.finalize(fine), octx.finalize(abs(fine - coarse))
+        value, est = panel_quad(g, _phase_breakpoints(spec), octx.decimal_digits // 2)
+        return octx.finalize(value), octx.finalize(est)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +367,8 @@ def convergence_report(f, n: int, r: int, omega_list,
 
     Points at the oracle's precision floor are excluded (and reported); if
     fewer than three informative points remain the measurement aborts with
-    NoiseFloorError.  Expected slope: -(2n+1)/r.
+    NoiseFloorError.  The oracle's own error estimate at every omega is
+    reported alongside.  Expected slope: -(2n+1)/r.
     """
     ctx = PrecisionContext() if ctx is None else ctx
     octx = PrecisionContext(2 * ctx.decimal_digits, ctx.guard_digits)
@@ -370,10 +377,11 @@ def convergence_report(f, n: int, r: int, omega_list,
         raise ValueError("omega_list must span at least 1.5 decades with >= 3 points")
     rule_digits = opq.precision_schedule(n).decimal_digits
     noise_digits = min(octx.decimal_digits, rule_digits) - 8
-    errors, floors = [], []
+    errors, floors, estimates = [], [], []
     for w in omegas:
         rule = stationary_rule(n, r, w)
-        exact = stationary_oracle(f, r, w, octx)
+        exact, est = stationary_oracle(f, r, w, octx)
+        estimates.append(float(est))
         with octx.working():
             approx = mp.fsum((wt * f(z) for z, wt in zip(rule.nodes, rule.weights)),
                              absolute=False)
@@ -393,6 +401,7 @@ def convergence_report(f, n: int, r: int, omega_list,
         "r": r,
         "omegas": omegas,
         "errors": errors,
+        "oracle_estimates": estimates,
         "excluded": [i for i in range(len(omegas)) if i not in keep],
         "slope": float(slope),
         "intercept": float(intercept),

@@ -1,9 +1,10 @@
 """Extended-precision arithmetic contract and shared special functions.
 
-The rest of the package consumes three things from here: a precision
+The rest of the package consumes four things from here: a precision
 context (working digits + guard digits, with results rounded back to the
-working count), the special functions Gamma / Ai / Ai', and a two-point
-branch-aware square root
+working count), the special functions Gamma / Ai / Ai', the panelled
+Gauss-Legendre primitive the verification oracles integrate with, and a
+two-point branch-aware square root
 
     R(z)^2 = (z - z1)(z - z2),   R(z)/z -> 1  as  |z| -> oo,
 
@@ -22,6 +23,8 @@ that the callers rely on.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +40,8 @@ __all__ = [
     "gamma",
     "airy_ai",
     "airy_ai_prime",
+    "panel_quad",
+    "ray_cuts",
     "branch_sqrt_product",
 ]
 
@@ -149,6 +154,57 @@ def airy_ai_prime(z, ctx: PrecisionContext):
         val = mp.airyai(mp.mpmathify(z), derivative=1)
         ensure_finite(val, "airy_ai_prime")
         return ctx.finalize(val)
+
+
+# ---------------------------------------------------------------------------
+# Panelled Gauss-Legendre quadrature
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(m: int, dps: int) -> tuple:
+    """m-point Gauss-Legendre nodes and weights on [-1, 1] at dps digits."""
+    with mp.workdps(dps):
+        xs, ws = mp.gauss_quadrature(m, "legendre")
+        return tuple(zip(xs, ws))
+
+
+def panel_quad(g, cuts, m: int):
+    """(value, error_estimate) of the integral of g along the polyline `cuts`.
+
+    Every panel [u, v] (real or complex end points) gets m-point
+    Gauss-Legendre, exact for polynomials of degree <= 2m-1, once whole and
+    once as its two halves; the halved sum is returned with |halved - whole|
+    as the estimate.  Runs at the ambient mpmath precision.  Convergence is
+    geometric only where g is analytic on a neighbourhood of each panel.
+    """
+    rule = _legendre_rule(m, mp.mp.dps)
+
+    def gl(u, v):
+        c, h = (u + v) / 2, (v - u) / 2
+        return h * mp.fsum(w * g(c + h * x) for x, w in rule)
+
+    whole, halved = [], []
+    for u, v in zip(cuts[:-1], cuts[1:]):
+        u, v = mp.mpmathify(u), mp.mpmathify(v)
+        mid = (u + v) / 2
+        whole.append(gl(u, v))
+        halved += [gl(u, mid), gl(mid, v)]
+    value = mp.fsum(halved)
+    return value, abs(value - mp.fsum(whole))
+
+
+def ray_cuts(r: int) -> list:
+    """Panel cuts for int_0^oo h(rho) e^{-rho^r} drho, truncated.
+
+    The cuts 0, 1, 4^{1/r}, 4^{2/r}, ... put rho^r at 0, 1, 4, 16, ...: every
+    panel past the first quadruples the decay exponent, so e^{-rho^r} is
+    equally well resolved for every r (for r = 2 the cuts are 0, 1, 2, 4,
+    8, ...).  The last cut is the first with rho^r >= dps ln 10 + 10 at the
+    ambient precision, where e^{-rho^r} < e^{-10} 10^{-dps}: the dropped tail
+    is below working precision unless |h| grows there by more than e^{10}.
+    """
+    j_max = math.ceil(math.log(mp.mp.dps * math.log(10) + 10, 4))
+    return [0] + [mp.power(4, mp.mpf(j) / r) for j in range(j_max + 1)]
 
 
 # ---------------------------------------------------------------------------

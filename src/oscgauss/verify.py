@@ -8,11 +8,14 @@ and the acceptance test suite both dispatch through run_suite, so the
 numbers a release is judged on are the numbers a user can reproduce with
 one shell command.
 
-Where a check needs an independent oracle (moments, phase function), the
-oracle lives here and shares no code path with the implementation under
-test: moments are re-derived by direct numerical quadrature along the
-contour rays, and the phase function phi2 is re-derived by integrating
-Q^{1/2} along explicit cut-avoiding polygonal paths from z2.
+Where a check needs an independent oracle, the oracle shares no code path
+with the implementation under test: moments are re-derived by panelled
+Gauss-Legendre quadrature along the truncated contour rays, the phase
+function phi2 by integrating Q^{1/2} along explicit cut-avoiding polygonal
+paths from z2, and the oscillatory integrals by the oscillatory module's
+ray and real-interval oracles.  Those two oracles report their own error
+estimates, and the order and endtoend suites gate them at 1e-3 of the
+tolerance they are compared against.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from mpmath import mp
 
 from . import asymptotics as asym
 from . import opq, oscillatory, scurve
-from .precision import PrecisionContext
+from .precision import PrecisionContext, panel_quad, ray_cuts
 
 __all__ = [
     "SUITE_NAMES",
@@ -312,6 +315,11 @@ def criterion_quadrature_order() -> dict:
         dev = abs(case["slope"] - expected) / abs(expected)
         _check(rep, f"slope_n{n}_r{r}", case["slope"], dev <= 0.15,
                bound=[expected * 1.15, expected * 0.85])
+        est = max(case["oracle_estimates"])
+        kept = min(e for i, e in enumerate(case["errors"])
+                   if i not in case["excluded"])
+        _check(rep, f"oracle_estimate_n{n}_r{r}", est, est <= 1e-3 * kept,
+               bound=1e-3 * kept)
         _check(rep, f"case_runtime_n{n}_r{r}", dt, dt < per_case_budget,
                bound=per_case_budget)
         rep["checks"][f"points_used_n{n}_r{r}"] = {
@@ -327,17 +335,17 @@ def _moment_ray_quadrature(k: int, spec: opq.WeightSpec, ctx: PrecisionContext):
     """M_k by direct numerical quadrature of z^k e^{iz^r} along the two rays.
 
     Independent of the Gamma-function closed form: on either ray z = t*d
-    the oscillatory factor collapses to exp(-t^r) and mp.quad does the
-    rest.  Orientation runs in along the low ray and out along the high.
+    the oscillatory factor collapses to exp(-t^r), integrated by 40-point
+    Gauss-Legendre on the truncated ray panels of precision.ray_cuts.
+    Orientation runs in along the low ray and out along the high.
     """
     with ctx.working():
         dhi, dlo = spec.ray_directions()
         r = spec.r
-        cut = mp.power(mp.mpf(max(k, 1)) / r, mp.mpf(1) / r) + 1
+        cuts = ray_cuts(r)
 
         def radial(d):
-            return mp.quad(lambda t: (d * t) ** k * mp.exp(-t ** r),
-                           [0, cut, 2 * cut, mp.inf])
+            return panel_quad(lambda t: (d * t) ** k * mp.exp(-t ** r), cuts, 40)[0]
 
         return ctx.finalize(dhi * radial(dhi) - dlo * radial(dlo))
 
@@ -429,10 +437,14 @@ def criterion_end_to_end() -> dict:
             amplitude=oscillatory.amplitude(name))
         ctx = PrecisionContext()
         out = oscillatory.evaluate_report(spec, 6, 6, ctx)
-        oracle, _ = oscillatory.interval_oracle(spec, ctx)
+        oracle, est = oscillatory.interval_oracle(spec, ctx)
         with ctx.working():
             rel = float(abs(out["value"] - oracle) / abs(oracle))
+            rel_est = float(est / abs(oracle))
         _check(rep, f"relative_error_{name}", rel, rel <= 1e-8, bound=1e-8)
+        # the oracle must resolve the gate 1e3 times over
+        _check(rep, f"oracle_estimate_{name}", rel_est, rel_est <= 1e-11,
+               bound=1e-11)
     return _finish(rep, t0)
 
 

@@ -155,6 +155,16 @@ def test_structural_zero_moments_are_exact(ctx30):
             assert (m == 0) == ((k + 1) * (r // 2) % r == 0)
 
 
+def test_odd_r_moments_are_exactly_real_or_imaginary(ctx30):
+    # odd r: the low ray mirrors the high one, so M_k is real for even k
+    # and imaginary for odd k with the other component exactly zero
+    for r in (3, 5, 7):
+        spec = opq.WeightSpec(r=r)
+        for k in range(31):
+            m = opq.moment(k, spec, ctx30)
+            assert (m.imag if k % 2 == 0 else m.real) == 0
+
+
 # Contour symmetry by parity of r: the node map and its action on the weights.
 INVOLUTIONS = {
     1: (lambda z: -mp.conj(z), mp.conj),   # odd r: rays mirrored in the imaginary axis

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from oscgauss import opq
 from oscgauss import oscillatory as osc
 from oscgauss.errors import AnalyticityBudgetError, NoiseFloorError
 from oscgauss.precision import PrecisionContext
@@ -122,6 +123,53 @@ def test_evaluate_matches_oracle_moderate_omega():
         rel = float(abs(rep["value"] - oracle) / abs(oracle))
     assert rel <= 1e-6
     assert float(est) <= 1e-10
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_stationary_oracle_matches_closed_form_moments(r):
+    # int_Gamma z^k e^{i omega z^r} dz = omega^{-(k+1)/r} M_k
+    ctx = PrecisionContext(60)
+    spec, omega = opq.WeightSpec(r=r), 7.0
+    for k in range(6):
+        value, est = osc.stationary_oracle(osc.amplitude("monomial", k=k), r, omega, ctx)
+        with ctx.working():
+            scale = mp.power(omega, -mp.mpf(k + 1) / r)
+            exact = opq.moment(k, spec, ctx) * scale
+            size = mp.gamma(mp.mpf(k + 1) / r) / r * scale
+            assert abs(value - exact) <= mp.mpf(10) ** -50 * size
+            assert 0 <= est <= mp.mpf(10) ** -40 * size
+
+
+def _monomial_interval_integral(k, a, b, omega, r):
+    """int_a^b x^k e^{i omega x^r} dx from the lower incomplete gamma function.
+
+    On [0, B], u = x^r and t = -i omega u give (1/r) (i/omega)^s
+    gamma(s, -i omega B^r) with s = (k+1)/r; x -> -x maps [a, 0] onto
+    [0, -a] with the factor (-1)^k, conjugated for odd r.
+    """
+    s = mp.mpf(k + 1) / r
+
+    def half(B):
+        return (1j / mp.mpf(omega)) ** s * mp.gammainc(s, 0, -1j * omega * mp.mpf(B) ** r) / r
+
+    left = half(-a)
+    left = left if r % 2 == 0 else mp.conj(left)
+    return half(b) + (-1) ** k * left
+
+
+@pytest.mark.parametrize("k,r,a,b,omega", [
+    (0, 3, -0.8, 1.1, 50.0),
+    (1, 3, -0.8, 1.1, 50.0),
+    (2, 2, -1.0, 0.7, 30.0),
+])
+def test_interval_oracle_matches_incomplete_gamma(k, r, a, b, omega):
+    spec = osc.OscillatoryIntegralSpec(a=a, b=b, omega=omega, r=r,
+                                       amplitude=osc.amplitude("monomial", k=k))
+    value, est = osc.interval_oracle(spec, PrecisionContext(30))
+    with mp.workdps(130):
+        exact = _monomial_interval_integral(k, a, b, omega, r)
+        assert abs(value - exact) <= mp.mpf(10) ** -40 * abs(exact)
+        assert est <= mp.mpf(10) ** -40 * abs(exact)
 
 
 def test_evaluate_report_decomposition(ctx30):
