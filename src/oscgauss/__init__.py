@@ -9,8 +9,8 @@ cross-validated against an independent oracle.
 
 Layers (importable submodules):
 
-    precision    arbitrary-precision contexts, special values, branches
-    geometry     polylines, arclength, point/segment predicates
+    precision    arbitrary-precision contexts, Gamma, panelled quadrature
+    geometry     polylines, arclength, crossing parity, nearest points
     opq          moments -> recurrence -> zeros -> weights pipeline
     scurve       cubic-case curve gamma, equilibrium measure, phases, g
     asymptotics  outer/band/Airy-edge formulas and zero diagnostics
@@ -22,11 +22,10 @@ Layers (importable submodules):
 
 from . import (asymptotics, geometry, opq, oscillatory, precision,
                scurve, serialize, verify)
-from .errors import (AnalyticityBudgetError, CoincidentAtomsError,
-                     DegenerateFunctionalError, IllConditionedError,
-                     NoiseFloorError, NonconvergenceError, NonFiniteError,
-                     OnCutError, OutsideDiskError, PoleError, RegionError,
-                     ToolkitError, TraceDivergedError, VerificationFailure)
+from .errors import (AnalyticityBudgetError, DegenerateFunctionalError,
+                     IllConditionedError, NoiseFloorError, NonconvergenceError,
+                     NonFiniteError, OnCutError, OutsideDiskError, PoleError,
+                     RegionError, ToolkitError, TraceDivergedError)
 from .opq import (MomentSequence, QuadratureRule, RecurrenceCoefficients,
                   WeightSpec, build_recurrence, build_rule, moment,
                   moment_sequence, zeros)
@@ -34,9 +33,8 @@ from .oscillatory import (Amplitude, OscillatoryIntegralSpec, amplitude,
                           convergence_order, evaluate, evaluate_report,
                           laguerre_rule, stationary_rule)
 from .precision import ComplexValue, PrecisionContext
-from .scurve import (CurvePolyline, DiscreteMeasure, PhaseContext,
-                     build_phase_context, equilibrium_measure, trace_gamma,
-                     verify_equilibrium)
+from .scurve import (CurvePolyline, PhaseContext, build_phase_context,
+                     equilibrium_measure, trace_gamma, verify_equilibrium)
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -49,7 +47,7 @@ __all__ = [
     # core types
     "PrecisionContext", "ComplexValue", "WeightSpec", "MomentSequence",
     "RecurrenceCoefficients", "QuadratureRule", "CurvePolyline",
-    "DiscreteMeasure", "PhaseContext", "Amplitude", "OscillatoryIntegralSpec",
+    "PhaseContext", "Amplitude", "OscillatoryIntegralSpec",
     # headline operations
     "moment", "moment_sequence", "build_recurrence", "zeros", "build_rule",
     "trace_gamma", "build_phase_context", "equilibrium_measure",
@@ -58,7 +56,6 @@ __all__ = [
     # errors
     "ToolkitError", "PoleError", "OnCutError", "DegenerateFunctionalError",
     "NonconvergenceError", "IllConditionedError", "TraceDivergedError",
-    "CoincidentAtomsError", "RegionError", "OutsideDiskError",
-    "AnalyticityBudgetError", "NoiseFloorError", "NonFiniteError",
-    "VerificationFailure",
+    "RegionError", "OutsideDiskError", "AnalyticityBudgetError",
+    "NoiseFloorError", "NonFiniteError",
 ]

@@ -55,14 +55,18 @@ __all__ = [
     "airy_connection_residual",
 ]
 
-# Derivative of the phase polynomial -z^3 + i z ... wait; this is
-# Q'(z2) = -z2^3 + i for Q(z) = -z^4/4 + i z - 3/4, the quartic whose
-# square is the quadratic differential.  Its cube root fixes the scale
-# and rotation of the conformal map at the right branch point.
+# Q'(z2) = -z2^3 + i for the quadratic differential Q(z) dz^2 with
+# Q(z) = -z^4/4 + i z - 3/4.  Its cube root fixes the scale and rotation
+# of the conformal map at the right branch point.
 QP2 = SQRT2 - 4j
 FC = QP2 ** (1.0 / 3.0)          # principal root; arg = -atan(2 sqrt 2)/3
 
 _OMEGA = np.exp(2j * np.pi / 3)
+
+# The regions of the three formulas: the Airy disks |z - z1|, |z - z2| <=
+# AIRY_RADIUS, then the band within TUBE_WIDTH of the traced arc.
+AIRY_RADIUS = 0.5
+TUBE_WIDTH = 0.25
 
 
 def _q4(w):
@@ -142,14 +146,13 @@ class AiryParametrix:
     """
 
     phase: PhaseContext
-    delta: float = 0.5
 
     def conformal_f(self, z: complex) -> complex:
         z = complex(z)
         dz = z - Z2
-        if abs(dz) > self.delta * (1 + 1e-12):
+        if abs(dz) > AIRY_RADIUS * (1 + 1e-12):
             raise OutsideDiskError(
-                f"|z - z2| = {abs(dz):.4f} exceeds the disk radius {self.delta}")
+                f"|z - z2| = {abs(dz):.4f} exceeds the disk radius {AIRY_RADIUS}")
         if abs(dz) <= 1e-9:
             return dz * FC
         psi = 1.5 * complex(phi2_chord(z))
@@ -169,7 +172,7 @@ class AiryParametrix:
 
     def boundary_winding(self, radius: float | None = None, samples: int = 720) -> float:
         """Winding number of f around 0 along a circle (1.0 iff injective-consistent)."""
-        rad = 0.9 * self.delta if radius is None else radius
+        rad = 0.9 * AIRY_RADIUS if radius is None else radius
         th = np.linspace(-np.pi, np.pi, samples, endpoint=False)
         fv = np.array([self.conformal_f(complex(Z2 + rad * np.exp(1j * t))) for t in th])
         return float(np.sum(np.diff(np.unwrap(np.angle(np.r_[fv, fv[:1]])))) / (2 * np.pi))
@@ -179,16 +182,15 @@ class AiryParametrix:
 # Region classification and the three formulas
 # ---------------------------------------------------------------------------
 
-def region_classify(z: complex, phase: PhaseContext,
-                    delta: float = 0.5, tube_width: float = 0.25) -> str:
+def region_classify(z: complex, phase: PhaseContext) -> str:
     """'disk2' | 'disk1' | 'band' | 'outer' (disks take precedence)."""
     z = complex(z)
-    if abs(z - Z2) <= delta:
+    if abs(z - Z2) <= AIRY_RADIUS:
         return "disk2"
-    if abs(z - Z1) <= delta:
+    if abs(z - Z1) <= AIRY_RADIUS:
         return "disk1"
     dist = geometry.nearest_on_polyline(z, phase.gamma.points_complex())[0]
-    return "band" if dist <= tube_width else "outer"
+    return "band" if dist <= TUBE_WIDTH else "outer"
 
 
 def _v_half_minus_l(z: complex, n: int) -> complex:
@@ -206,8 +208,7 @@ def pn_outer(n: int, z: complex, phase: PhaseContext,
     return _ensure_finite_c(np.exp(n * gv) * (b + 1 / b) / 2, "pn_outer")
 
 
-def pn_band(n: int, z: complex, phase: PhaseContext,
-            tube_width: float = 0.25, strict: bool = True) -> complex:
+def pn_band(n: int, z: complex, phase: PhaseContext) -> complex:
     """Two-term band formula, one analytic expression on both sides of the arc.
 
     With H = -phi2_chord (the continuation from above) and
@@ -215,14 +216,14 @@ def pn_band(n: int, z: complex, phase: PhaseContext,
         P_n ~ e^{n(V/2 - l)} [ e^{-nH} (bt + 1/bt)/2 + e^{nH} (bt - 1/bt)/(2i) ].
     Both ingredients are analytic across the arc inside the tube (the chord
     branch has its cut elsewhere), so the formula needs no side bookkeeping
-    and can be evaluated on the arc itself.
+    and can be evaluated on the arc itself.  Raises RegionError farther
+    than TUBE_WIDTH from the arc.
     """
     z = complex(z)
-    if strict:
-        dist = geometry.nearest_on_polyline(z, phase.gamma.points_complex())[0]
-        if dist > tube_width:
-            raise RegionError(
-                f"band formula requested {dist:.3f} from the arc (tube width {tube_width})")
+    dist = geometry.nearest_on_polyline(z, phase.gamma.points_complex())[0]
+    if dist > TUBE_WIDTH:
+        raise RegionError(
+            f"band formula requested {dist:.3f} from the arc (tube width {TUBE_WIDTH})")
     bt = 1j * complex(_q4((z - Z2) / (z - Z1)))
     n11 = (bt + 1 / bt) / 2
     n12 = (bt - 1 / bt) / 2j
@@ -232,7 +233,6 @@ def pn_band(n: int, z: complex, phase: PhaseContext,
 
 
 def pn_airy(n: int, z: complex, phase: PhaseContext,
-            delta: float = 0.5,
             gp: GlobalParametrix | None = None,
             ap: AiryParametrix | None = None) -> complex:
     """Airy-type formula in the endpoint disks.
@@ -244,16 +244,16 @@ def pn_airy(n: int, z: complex, phase: PhaseContext,
     factor i.  The left disk is evaluated by reflection.
     """
     z = complex(z)
-    if abs(z - Z2) <= delta:
+    if abs(z - Z2) <= AIRY_RADIUS:
         pass
-    elif abs(z - Z1) <= delta:
-        mirrored = pn_airy(n, -np.conj(z), phase, delta=delta, gp=gp, ap=ap)
+    elif abs(z - Z1) <= AIRY_RADIUS:
+        mirrored = pn_airy(n, -np.conj(z), phase, gp=gp, ap=ap)
         return (-1) ** n * np.conj(mirrored)
     else:
         raise OutsideDiskError(
-            f"z = {z:.4f} lies in neither endpoint disk of radius {delta}")
+            f"z = {z:.4f} lies in neither endpoint disk of radius {AIRY_RADIUS}")
     gp = GlobalParametrix(phase) if gp is None else gp
-    ap = AiryParametrix(phase, delta=delta) if ap is None else ap
+    ap = AiryParametrix(phase) if ap is None else ap
     f, f14 = ap.f_quarter_root(z)
     b = gp.beta_eval(z, guard=False)
     ai, aip, _, _ = scipy.special.airy(n ** (2.0 / 3.0) * f)
@@ -263,14 +263,13 @@ def pn_airy(n: int, z: complex, phase: PhaseContext,
     return _ensure_finite_c(val, "pn_airy")
 
 
-def pn_asymptotic(n: int, z: complex, phase: PhaseContext,
-                  delta: float = 0.5, tube_width: float = 0.25) -> tuple[str, complex]:
+def pn_asymptotic(n: int, z: complex, phase: PhaseContext) -> tuple[str, complex]:
     """Classify z and evaluate the matching formula; returns (region, value)."""
-    region = region_classify(z, phase, delta=delta, tube_width=tube_width)
+    region = region_classify(z, phase)
     if region in ("disk1", "disk2"):
-        return region, pn_airy(n, z, phase, delta=delta)
+        return region, pn_airy(n, z, phase)
     if region == "band":
-        return region, pn_band(n, z, phase, tube_width=tube_width)
+        return region, pn_band(n, z, phase)
     return region, pn_outer(n, z, phase)
 
 
@@ -296,14 +295,13 @@ def exact_pn(n: int, z: complex, ctx: PrecisionContext | None = None):
     return opq.pi_eval(_recurrence_for(n, ctx), complex(z))
 
 
-def pn_relative_error(n: int, z: complex, phase: PhaseContext,
-                      delta: float = 0.5, tube_width: float = 0.25) -> tuple[str, float]:
+def pn_relative_error(n: int, z: complex, phase: PhaseContext) -> tuple[str, float]:
     """(region, |formula - exact| / |exact|), comparing in high precision.
 
     When the exact value is astronomically large the comparison switches to
     log-magnitudes plus phases, which stays meaningful past the float range.
     """
-    region, approx = pn_asymptotic(n, z, phase, delta=delta, tube_width=tube_width)
+    region, approx = pn_asymptotic(n, z, phase)
     exact = exact_pn(n, z)
     if abs(exact) > 1e300 or abs(exact) < 1e-300:
         la, le = mp.log(mp.mpc(approx)), mp.log(exact)

@@ -95,6 +95,12 @@ def _resolve(args: argparse.Namespace, config: dict, name: str):
     return val
 
 
+def _int_or(args, config, name: str, default: int) -> int:
+    """An integer setting; only an unset (None) value takes `default`, so 0 stays 0."""
+    val = _resolve(args, config, name)
+    return default if val is None else int(val)
+
+
 def _run_config(args, config) -> RunConfig:
     return RunConfig(precision=int(_resolve(args, config, "precision")),
                      out=_resolve(args, config, "out"))
@@ -134,9 +140,7 @@ def _cmd_opq(args, config, rc: RunConfig):
 def _phase_for(args, config) -> scurve.PhaseContext:
     step = float(_resolve(args, config, "step_tolerance"))
     ext = float(_resolve(args, config, "extension_length"))
-    if step == _DEFAULTS["step_tolerance"] and ext == _DEFAULTS["extension_length"]:
-        return verify.shared_phase()
-    return scurve.build_phase_context(step_tolerance=step, extension_length=ext)
+    return scurve.build_phase_context(step, ext)
 
 
 def _cmd_curve(args, config, rc: RunConfig):
@@ -176,8 +180,8 @@ def _load_probes(path: str) -> list:
 
 
 def _cmd_asymp(args, config, rc: RunConfig):
-    n = int(_resolve(args, config, "n") or 20)
-    phase = verify.shared_phase()
+    n = _int_or(args, config, "n", 20)
+    phase = scurve.build_phase_context()
     path = _resolve(args, config, "probes")
     if path:
         probes = _load_probes(path)
@@ -201,9 +205,9 @@ def _cmd_quad(args, config, rc: RunConfig):
         omega=float(_resolve(args, config, "omega")),
         r=int(_resolve(args, config, "r")),
         amplitude=amp)
-    n = int(_resolve(args, config, "n") or 4)
-    ne = int(_resolve(args, config, "n_endpoint") or n)
-    ns = int(_resolve(args, config, "n_stationary") or n)
+    n = _int_or(args, config, "n", 4)
+    ne = _int_or(args, config, "n_endpoint", n)
+    ns = _int_or(args, config, "n_stationary", n)
     rep = oscillatory.evaluate_report(spec, ne, ns, PrecisionContext(rc.precision))
     d = rc.precision
     vre, vim = serialize.fmt_complex(rep["value"], d)
@@ -227,7 +231,8 @@ def _cmd_fields(args, config, rc: RunConfig):
         raise ValueError("grid must be 'x0,x1,nx,y0,y1,ny'")
     grid = (float(raw[0]), float(raw[1]), int(raw[2]),
             float(raw[3]), float(raw[4]), int(raw[5]))
-    X, Y, V, mask = scurve.sample_field_grid(which, grid, verify.shared_phase())
+    X, Y, V, mask = scurve.sample_field_grid(which, grid,
+                                             scurve.build_phase_context())
     doc = {
         "which": which,
         "x": X[0, :], "y": Y[:, 0],

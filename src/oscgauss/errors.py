@@ -48,10 +48,6 @@ class TraceDivergedError(ToolkitError):
     """Trajectory tracing exceeded its arc-length budget without terminating."""
 
 
-class CoincidentAtomsError(ToolkitError):
-    """Discrete energy requested for a configuration with coincident atoms."""
-
-
 class RegionError(ToolkitError):
     """Asymptotic formula evaluated outside its region of validity."""
 
@@ -70,7 +66,3 @@ class NoiseFloorError(ToolkitError):
 
 class NonFiniteError(ToolkitError):
     """A NaN or overflow was produced; carries a diagnostic string."""
-
-
-class VerificationFailure(ToolkitError):
-    """A verification suite ran to completion but a tolerance was violated."""

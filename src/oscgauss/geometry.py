@@ -2,7 +2,7 @@
 
 Everything in this module is plain float arithmetic on complex numbers /
 numpy arrays.  The routines are deliberately dumb and robust: crossing
-parities, nearest-point projections, point-in-triangle tests.  Exact-zero
+parities, nearest-point projections, sidedness.  Exact-zero
 orientation tests are treated as degenerate and reported via an internal
 exception so callers can retry with a perturbed anchor instead of
 silently miscounting a crossing.
@@ -22,7 +22,6 @@ __all__ = [
     "branch_parity",
     "nearest_on_polyline",
     "side_of_polyline",
-    "point_in_triangle",
 ]
 
 
@@ -132,7 +131,7 @@ def branch_parity(z: complex, cut_pts, ray_origins, anchor: complex) -> int:
     raise RuntimeError(f"crossing parity undecidable after retries: {last}")
 
 
-def nearest_on_polyline(z: complex, pts, cum: np.ndarray | None = None):
+def nearest_on_polyline(z: complex, pts):
     """Project z onto a polyline.
 
     Returns (distance, s, seg_index, t, projection) where s is the chordal
@@ -140,8 +139,7 @@ def nearest_on_polyline(z: complex, pts, cum: np.ndarray | None = None):
     within segment seg_index.
     """
     zs = as_complex_array(pts)
-    if cum is None:
-        cum = cumulative_arclength(zs)
+    cum = cumulative_arclength(zs)
     a, b = zs[:-1], zs[1:]
     d = b - a
     L2 = (d.real ** 2 + d.imag ** 2)
@@ -162,14 +160,3 @@ def side_of_polyline(z: complex, pts) -> int:
     d = zs[k + 1] - zs[k]
     c = float(_cross(d.real, d.imag, (z - zs[k]).real, (z - zs[k]).imag))
     return int(c > 0) - int(c < 0)
-
-
-def point_in_triangle(z: complex, a: complex, b: complex, c: complex) -> bool:
-    """Closed-triangle membership via consistent orientation signs."""
-    def s(p, q):
-        return _cross(q.real - p.real, q.imag - p.imag, z.real - p.real, z.imag - p.imag)
-
-    d1, d2, d3 = s(a, b), s(b, c), s(c, a)
-    has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
-    has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
-    return not (has_neg and has_pos)

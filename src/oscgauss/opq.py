@@ -67,7 +67,6 @@ __all__ = [
     "zeros",
     "christoffel_weights",
     "rule_exactness_residual",
-    "verify_orthogonality",
     "lambda_n",
     "rescale_to_Pn",
     "precision_schedule",
@@ -310,6 +309,13 @@ def hankel_monic_coefficients(moments: MomentSequence, n: int) -> list:
 # Zeros (Aberth sweep on the recurrence, seeded by the Jacobi matrix)
 # ---------------------------------------------------------------------------
 
+# Sweep budget of zeros(); each sweep costs O(n^2) recurrence evaluations at
+# working precision.  From the Jacobi seeds the scheduled-precision rules
+# for r = 2, 3, 5 and n <= 40 converge in 3-4 sweeps, so only a stalled
+# iteration ever reaches the budget.
+ABERTH_SWEEPS = 250
+
+
 def _pi_with_derivative(coeffs: RecurrenceCoefficients, z):
     """(pi_n(z), pi_n'(z), pi_{n-1}(z)) by the three-term recurrence, n >= 1."""
     p_prev, p = 1, z - coeffs.alpha[0]
@@ -361,13 +367,14 @@ def symmetrize_roots(roots: list, symmetry: str | None, ctx: PrecisionContext) -
         return out
 
 
-def zeros(coeffs: RecurrenceCoefficients, max_iter: int = 250) -> list:
+def zeros(coeffs: RecurrenceCoefficients) -> list:
     """All n zeros of pi_n, in ascending (Re, Im) order.
 
     The float64 eigenvalues of the Jacobi matrix seed simultaneous Aberth
     sweeps in which pi_n and pi_n' come from the three-term recurrence at
     working precision; the sweeps stop when no root moves by more than
-    10^-decimal_digits (relative).  The root set's involution symmetry is
+    10^-decimal_digits (relative), or raise NonconvergenceError after
+    ABERTH_SWEEPS sweeps.  The root set's involution symmetry is
     then enforced by pairing, and every root must satisfy
     |pi_n(root)| <= 10^{-decimal_digits/2} * (local scale) on the monomial form.
     """
@@ -378,7 +385,7 @@ def zeros(coeffs: RecurrenceCoefficients, max_iter: int = 250) -> list:
         zs = [mp.mpc(complex(s)) for s in _jacobi_seeds(coeffs)]
         tol = mp.mpf(10) ** (-ctx.decimal_digits)
         tiny = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
-        for _ in range(max_iter):
+        for _ in range(ABERTH_SWEEPS):
             move = mp.mpf(0)
             for i in range(n):
                 p, dp, _ = _pi_with_derivative(coeffs, zs[i])
@@ -391,7 +398,7 @@ def zeros(coeffs: RecurrenceCoefficients, max_iter: int = 250) -> list:
                 break
         else:
             raise NonconvergenceError(
-                f"Aberth iteration did not reach {mp.nstr(tol, 3)} in {max_iter} iterations (n={n})"
+                f"Aberth iteration did not reach {mp.nstr(tol, 3)} in {ABERTH_SWEEPS} iterations (n={n})"
             )
         zs = symmetrize_roots(zs, coeffs.symmetry, ctx)
         c = monic_coefficients(coeffs)
@@ -459,37 +466,6 @@ def rule_exactness_residual(nodes, weights, moments: MomentSequence, k_range) ->
                 worst = max(worst, abs(mp.fsum(terms) - moments[k]) / (scale or 1))
             terms = [t * z for t, z in zip(terms, zs)]
         return worst
-
-
-# ---------------------------------------------------------------------------
-# Independent orthogonality check by ray quadrature
-# ---------------------------------------------------------------------------
-
-def verify_orthogonality(coeffs: RecurrenceCoefficients, k: int, spec: WeightSpec,
-                         ctx: PrecisionContext) -> mp.mpf:
-    """Normalized residual |int_Gamma pi_n(s) s^k e^{is^r} ds| by adaptive quadrature.
-
-    Integrates along the two rays directly (no closed-form moments anywhere),
-    normalizing by int |pi_n s^k e^{is^r}| |ds| so the result is a relative
-    orthogonality defect.  k = n returns O(1): the norm is nonzero.
-    """
-    r = spec.r
-    with ctx.working():
-        dir_hi, dir_lo = spec.ray_directions()
-
-        def along(direction, rho):
-            z = rho * direction
-            return pi_eval(coeffs, z) * z ** k * mp.exp(-rho ** r)
-
-        cut = max((mp.mpf(coeffs.n + k) / r) ** (mp.mpf(1) / r), mp.mpf(1))
-        pts = [0, cut, 2 * cut, mp.inf]
-        hi = mp.quad(lambda rho: along(dir_hi, rho), pts)
-        lo = mp.quad(lambda rho: along(dir_lo, rho), pts)
-        num = abs(dir_hi * hi - dir_lo * lo)
-        habs = mp.quad(lambda rho: abs(along(dir_hi, rho)), pts)
-        labs = mp.quad(lambda rho: abs(along(dir_lo, rho)), pts)
-        den = habs + labs
-        return ctx.finalize(num / den)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,9 @@
-"""Extended-precision arithmetic contract and shared special functions.
+"""Extended-precision arithmetic contract, Gamma and panelled quadrature.
 
-The rest of the package consumes four things from here: a precision
+The rest of the package consumes three things from here: a precision
 context (working digits + guard digits, with results rounded back to the
-working count), the special functions Gamma / Ai / Ai', the panelled
-Gauss-Legendre primitive the verification oracles integrate with, and a
-two-point branch-aware square root
-
-    R(z)^2 = (z - z1)(z - z2),   R(z)/z -> 1  as  |z| -> oo,
-
-cut along an arbitrary traced polyline from z1 to z2.  The branch is
-realised as the product of the two principal square roots times a parity
-sign: principal factors jump exactly on the horizontal leftward rays from
-z1 and z2, so the union (cut + both rays) is a mod-2 cycle and the sign
-of R is the crossing parity of a probe segment from a fixed anchor far
-above the cut.
+working count), the Gamma function with its pole check, and the panelled
+Gauss-Legendre primitive the verification oracles integrate with.
 
 Arbitrary-precision arithmetic is delegated to mpmath; the functions here
 add the error contract (pole / non-finite checks, rounding discipline)
@@ -22,27 +12,21 @@ that the callers rely on.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import mpmath as mp
 
-from . import geometry
-from .errors import NonFiniteError, OnCutError, PoleError
+from .errors import NonFiniteError, PoleError
 
 __all__ = [
     "PrecisionContext",
     "ComplexValue",
     "ensure_finite",
     "gamma",
-    "airy_ai",
-    "airy_ai_prime",
     "panel_quad",
     "ray_cuts",
-    "branch_sqrt_product",
 ]
 
 
@@ -140,22 +124,6 @@ def gamma(z, ctx: PrecisionContext):
         return ctx.finalize(val)
 
 
-def airy_ai(z, ctx: PrecisionContext):
-    """Airy function Ai(z) (entire; no error states besides non-finite)."""
-    with ctx.working():
-        val = mp.airyai(mp.mpmathify(z))
-        ensure_finite(val, "airy_ai")
-        return ctx.finalize(val)
-
-
-def airy_ai_prime(z, ctx: PrecisionContext):
-    """Derivative Ai'(z)."""
-    with ctx.working():
-        val = mp.airyai(mp.mpmathify(z), derivative=1)
-        ensure_finite(val, "airy_ai_prime")
-        return ctx.finalize(val)
-
-
 # ---------------------------------------------------------------------------
 # Panelled Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
@@ -205,60 +173,3 @@ def ray_cuts(r: int) -> list:
     """
     j_max = math.ceil(math.log(mp.mp.dps * math.log(10) + 10, 4))
     return [0] + [mp.power(4, mp.mpf(j) / r) for j in range(j_max + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Branch-aware square root of (z - z1)(z - z2)
-# ---------------------------------------------------------------------------
-
-def _cut_points(cut) -> "geometry.np.ndarray":
-    pts = getattr(cut, "points_complex", None)
-    if callable(pts):
-        return geometry.as_complex_array(pts())
-    return geometry.as_complex_array(cut)
-
-
-def branch_parity_for_cut(z: complex, cut_pts, z1: complex, z2: complex) -> int:
-    """Crossing-parity sign of R at z for the given cut polyline."""
-    ymax = float(max(p.imag for p in (complex(z1), complex(z2))))
-    ymax = max(ymax, float(cut_pts.imag.max()))
-    anchor = complex(0.31711, ymax + 23.77)
-    return geometry.branch_parity(complex(z), cut_pts, (complex(z1), complex(z2)), anchor)
-
-
-def branch_sqrt_product(z, z1, z2, cut, ctx: PrecisionContext | None = None):
-    """R(z) with R^2 = (z-z1)(z-z2), R ~ z at infinity, cut along `cut`.
-
-    Parameters
-    ----------
-    z : point of evaluation (complex or mpmath); must stay farther from the
-        cut polyline than the polyline's own resolution (max segment length).
-    z1, z2 : branch points (the first/last vertices of the cut).
-    cut : polyline from z1 to z2 (sequence of complex, or an object exposing
-        points_complex()).
-    ctx : optional PrecisionContext; when given, the square roots are taken
-        with mpmath at working precision, otherwise in float arithmetic.
-
-    Raises
-    ------
-    OnCutError : if z is within the cut resolution of the polyline.
-    """
-    pts = _cut_points(cut)
-    zf = complex(z)
-    resolution = max(geometry.max_segment_length(pts), 1e-13)
-    dist, _, _, _, _ = geometry.nearest_on_polyline(zf, pts)
-    if dist <= resolution:
-        raise OnCutError(
-            f"point {zf} is within cut resolution {resolution:.3g} (distance {dist:.3g})"
-        )
-    sign = branch_parity_for_cut(zf, pts, complex(z1), complex(z2))
-    if ctx is None:
-        val = sign * cmath.sqrt(zf - complex(z1)) * cmath.sqrt(zf - complex(z2))
-        if not (cmath.isfinite(val)):
-            raise NonFiniteError(f"branch_sqrt_product non-finite at {zf}")
-        return val
-    with ctx.working():
-        w = mp.mpmathify(z)
-        val = sign * mp.sqrt(w - mp.mpmathify(z1)) * mp.sqrt(w - mp.mpmathify(z2))
-        ensure_finite(val, "branch_sqrt_product")
-        return ctx.finalize(val)

@@ -14,26 +14,32 @@ phase function
 
 (normalized so phi2(z2) = 0 and phi2'(z) = Q^{1/2}(z)), and builds the
 equilibrium measure |Q^{1/2}|/pi |dz| on gamma together with quadrature
-over it, the g-function, discrete energies, and the equilibrium /
-S-property verification report.
+over it, the g-function, and the equilibrium / S-property verification
+report.  Q is fixed: its zeros Z0 (double), Z1, Z2 and constant C_CONST
+are module constants.
 
 Two square-root branches are in play and kept strictly separate:
 
 * the *chord branch* w_p (principal factor product, cut on the straight
   chord between z1 and z2) is analytic in a strip around the open arc and
   is what the tracer and all on-curve evaluations use;
-* the *curve branch* R (cut along the traced gamma itself, crossing
-  parity via precision.branch_sqrt_product machinery) defines the global
-  q_sqrt, phi2, g used off the curve.
+* the *curve branch* R = sign * w_p, cut along the traced gamma itself,
+  where sign is the crossing parity of geometry.branch_parity (_branch_sign
+  below), defines q_sqrt, phi2 and g off the curve.
 
 On gamma the boundary values of the curve branch are +-w_p, so one-sided
 limits come from the chord branch with an explicit sign.
+
+build_phase_context is memoised per process (functools.lru_cache keyed on
+its two tracing settings); PhaseContext is frozen, so callers share the
+cached contour safely.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -41,27 +47,20 @@ from numpy.polynomial.legendre import leggauss
 import mpmath as mp
 
 from . import geometry
-from .errors import (
-    CoincidentAtomsError,
-    NonFiniteError,
-    OnCutError,
-    TraceDivergedError,
-)
+from .errors import NonFiniteError, OnCutError, TraceDivergedError
 from .precision import PrecisionContext
 
 __all__ = [
     "Z0", "Z1", "Z2", "C_CONST", "L_CONST", "ELL",
-    "QuadDifferential", "CurvePolyline", "PhaseContext", "DiscreteMeasure",
+    "CurvePolyline", "PhaseContext",
     "q_eval", "q_prime", "critical_angles",
     "w_chord", "q_sqrt_chord", "phi2_chord",
     "trace_gamma", "trace_extension",
     "equilibrium_measure", "measure_quadrature", "curve_points_at_mass",
     "near_quadrature", "potential_quadrature", "g_quadrature_unwrapped",
-    "continuum_energy",
     "build_phase_context", "q_sqrt", "phi2", "phi1", "d_eval", "g_eval",
     "phi2_on_curve", "d_on_curve", "re_v", "phi2_path_integral",
-    "verify_equilibrium", "weighted_energy", "atoms_from_measure",
-    "sample_field_grid",
+    "verify_equilibrium", "sample_field_grid",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -72,15 +71,13 @@ C_CONST = -0.75
 L_CONST = 1.0 / 3.0 + 0.5 * math.log(2.0)   # phi2(z) = V/2 - log z - l + O(1/z)
 ELL = 2.0 * L_CONST                          # equilibrium constant on gamma
 
-
-@dataclass(frozen=True)
-class QuadDifferential:
-    """Q(z) dz^2 data: the double zero, the two simple zeros, the constant."""
-
-    z0: complex = Z0
-    z1: complex = Z1
-    z2: complex = Z2
-    C: float = C_CONST
+_BASE_STEP = 2e-3       # largest tracing step, away from the endpoints
+# composite Gauss-Legendre layout of the measure quadratures, in the mass variable
+_MID_CELLS = 220        # cells per unit mass between the two end windows
+_END_CELLS = 40         # cells in u of each endpoint window m = w u^3
+_GL_POINTS = 6          # Gauss points per cell
+_NEAR_WINDOW = 0.02     # mass half-width that near_quadrature refines
+_NEAR_GL_POINTS = 4     # Gauss points per near_quadrature cell
 
 
 @dataclass(frozen=True)
@@ -110,24 +107,9 @@ class CurvePolyline:
 
 
 @dataclass(frozen=True)
-class DiscreteMeasure:
-    """Atoms (location, mass >= 0) summing to unit mass."""
-
-    atoms: tuple
-
-    def __post_init__(self):
-        total = sum(m for _, m in self.atoms)
-        if any(m < 0 for _, m in self.atoms):
-            raise ValueError("atom masses must be nonnegative")
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"atom masses must sum to 1 (got {total})")
-
-
-@dataclass
 class PhaseContext:
     """Frozen geometry + constants for the phase/g evaluators."""
 
-    qd: QuadDifferential
     gamma: CurvePolyline
     gamma1: CurvePolyline
     gamma2: CurvePolyline
@@ -143,7 +125,7 @@ class PhaseContext:
 # Q and its chord-branch square root
 # ---------------------------------------------------------------------------
 
-def q_eval(z, qd: QuadDifferential | None = None):
+def q_eval(z):
     """Q(z) = -z^4/4 + i z - 3/4 (vectorized)."""
     z = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
     return -z ** 4 / 4 + 1j * z + C_CONST
@@ -153,16 +135,15 @@ def q_prime(z):
     return -np.asarray(z, dtype=complex) ** 3 + 1j if not np.isscalar(z) else -z ** 3 + 1j
 
 
-def critical_angles(zero: str | complex, qd: QuadDifferential | None = None):
+def critical_angles(zero: str | complex):
     """The three trajectory directions at a simple zero, in (-pi, pi].
 
     At z1 these are theta = -(1/3) arctan(2 sqrt 2) + 2k pi/3; at z2 the
     mirror image theta -> pi - theta (the curve arrives there at
     pi + 0.4103...).
     """
-    qd = qd or QuadDifferential()
     if isinstance(zero, str):
-        zero = {"z1": qd.z1, "z2": qd.z2}[zero]
+        zero = {"z1": Z1, "z2": Z2}[zero]
     qp = -complex(zero) ** 3 + 1j
     base = (math.pi - math.atan2(qp.imag, qp.real)) / 3.0
     angles = []
@@ -267,8 +248,7 @@ def _rk4(z: complex, h: float, fld) -> complex:
     return z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def trace_gamma(qd: QuadDifferential | None = None, step_tolerance: float = 1e-7,
-                base_step: float = 2e-3) -> CurvePolyline:
+def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
     """Trace the critical trajectory from z1 (tangent theta_0) to z2.
 
     Fourth-order steps on the unit tangent field with a Newton projection
@@ -281,21 +261,19 @@ def trace_gamma(qd: QuadDifferential | None = None, step_tolerance: float = 1e-7
     Raises TraceDivergedError if the accumulated arc length exceeds ten
     times the straight-line distance |z2 - z1|.
     """
-    qd = qd or QuadDifferential()
-    z1c, z2c = complex(qd.z1), complex(qd.z2)
     theta0 = -math.atan(2.0 * SQRT2) / 3.0
     d0 = max(1e-4, 20.0 * step_tolerance)
-    z = _project_gamma(z1c + d0 * complex(math.cos(theta0), math.sin(theta0)))
-    pts = [z1c, z]
-    budget = 10.0 * abs(z2c - z1c)
-    arc = abs(z - z1c)
+    z = _project_gamma(Z1 + d0 * complex(math.cos(theta0), math.sin(theta0)))
+    pts = [Z1, z]
+    budget = 10.0 * abs(Z2 - Z1)
+    arc = abs(z - Z1)
     for _ in range(200000):
-        d_end = abs(z - z2c)
+        d_end = abs(z - Z2)
         if d_end <= 10.0 * step_tolerance:
-            pts.append(z2c)
+            pts.append(Z2)
             break
-        d_start = abs(z - z1c)
-        h = min(base_step, 0.35 * d_end, max(0.5 * d_start, d0))
+        d_start = abs(z - Z1)
+        h = min(_BASE_STEP, 0.35 * d_end, max(0.5 * d_start, d0))
         z = _project_gamma(_rk4(z, h, _field_gamma))
         arc += abs(z - pts[-1])
         pts.append(z)
@@ -312,9 +290,8 @@ def trace_gamma(qd: QuadDifferential | None = None, step_tolerance: float = 1e-7
     return CurvePolyline(kind="gamma", points=points, s=s, density=density, cdf=cdf)
 
 
-def trace_extension(qd: QuadDifferential | None, which: str,
-                    length: float = 2.5, step_tolerance: float = 1e-7,
-                    base_step: float = 2e-3) -> CurvePolyline:
+def trace_extension(which: str, length: float = 2.5,
+                    step_tolerance: float = 1e-7) -> CurvePolyline:
     """Trace gamma2 out of z2 (phi2 real, increasing); gamma1 is its mirror.
 
     gamma2 leaves z2 along the direction where phi2 grows through real
@@ -322,19 +299,17 @@ def trace_extension(qd: QuadDifferential | None, which: str,
     of Q (this is also how it is computed, after which the defining
     property phi1 real increasing holds by reflection).
     """
-    qd = qd or QuadDifferential()
     if which not in ("gamma1", "gamma2"):
         raise ValueError("which must be 'gamma1' or 'gamma2'")
-    z2c = complex(qd.z2)
     theta = math.atan(2.0 * SQRT2) / 3.0       # departure direction of gamma2 at z2
     d0 = max(1e-4, 20.0 * step_tolerance)
-    z = _project_extension(z2c + d0 * complex(math.cos(theta), math.sin(theta)))
-    pts = [z2c, z]
-    arc = abs(z - z2c)
+    z = _project_extension(Z2 + d0 * complex(math.cos(theta), math.sin(theta)))
+    pts = [Z2, z]
+    arc = abs(z - Z2)
     for _ in range(200000):
         if arc >= length:
             break
-        h = min(base_step, max(0.5 * abs(z - z2c), d0), length - arc + 0.5 * base_step)
+        h = min(_BASE_STEP, max(0.5 * abs(z - Z2), d0), length - arc + 0.5 * _BASE_STEP)
         z = _project_extension(_rk4(z, h, _field_extension))
         arc += abs(z - pts[-1])
         pts.append(z)
@@ -428,23 +403,22 @@ def _gl_cells(edges: np.ndarray, npts: int):
     return nodes, wts
 
 
-def measure_quadrature(meas: CurvePolyline, n_mid: int = 220, n_end: int = 40,
-                       glpts: int = 6, exclude: tuple | None = None):
+def measure_quadrature(meas: CurvePolyline):
     """Quadrature (points, masses) for integrals against the equilibrium measure.
 
     Integrates in the mass variable m (where the measure is uniform).  The
     map z(m) behaves like m^{2/3} at the endpoints, so the two end windows
     are handled with the substitution m = w u^3 which makes the integrand
-    smooth again.  `exclude` = (m_lo, m_hi) carves out a window (used by
-    near_quadrature which re-covers it with graded cells).  Nodes are
-    returned sorted along the curve (increasing mass).
+    smooth again.  Nodes are returned sorted along the curve (increasing
+    mass).
     """
-    m_all, z_all, w_all = _measure_quadrature_m(meas, n_mid, n_end, glpts, exclude)
+    _, z_all, w_all = _measure_quadrature_m(meas)
     return z_all, w_all
 
 
-def _measure_quadrature_m(meas: CurvePolyline, n_mid: int = 220, n_end: int = 40,
-                          glpts: int = 6, exclude: tuple | None = None):
+def _measure_quadrature_m(meas: CurvePolyline, exclude: tuple | None = None):
+    """(masses, points, weights) of measure_quadrature; `exclude` = (m_lo, m_hi)
+    carves out a window that near_quadrature re-covers with graded cells."""
     total = meas.total_mass
     w_end = 0.08 * total
     m_nodes, m_wts = [], []
@@ -452,19 +426,19 @@ def _measure_quadrature_m(meas: CurvePolyline, n_mid: int = 220, n_end: int = 40
     def add_plain(a, b):
         if b - a <= 1e-12:
             return
-        ncells = max(int(round(n_mid * (b - a) / total)), 1)
-        nodes, wts = _gl_cells(np.linspace(a, b, ncells + 1), glpts)
+        ncells = max(int(round(_MID_CELLS * (b - a) / total)), 1)
+        nodes, wts = _gl_cells(np.linspace(a, b, ncells + 1), _GL_POINTS)
         m_nodes.append(nodes)
         m_wts.append(wts)
 
     def add_left_window(b):
         # m = b u^3 on [0, b]: smooth in u despite the m^{2/3} endpoint kink
-        u, wu = _gl_cells(np.linspace(0.0, 1.0, n_end + 1), glpts)
+        u, wu = _gl_cells(np.linspace(0.0, 1.0, _END_CELLS + 1), _GL_POINTS)
         m_nodes.append(b * u ** 3)
         m_wts.append(3.0 * b * u ** 2 * wu)
 
     def add_right_window(a):
-        u, wu = _gl_cells(np.linspace(0.0, 1.0, n_end + 1), glpts)
+        u, wu = _gl_cells(np.linspace(0.0, 1.0, _END_CELLS + 1), _GL_POINTS)
         m_nodes.append(total - (total - a) * u ** 3)
         m_wts.append(3.0 * (total - a) * u ** 2 * wu)
 
@@ -489,14 +463,13 @@ def _measure_quadrature_m(meas: CurvePolyline, n_mid: int = 220, n_end: int = 40
     return m_all, z_all, w_all
 
 
-def near_quadrature(meas: CurvePolyline, m_center: float, finest: float,
-                    window: float = 0.02, glpts: int = 4):
+def near_quadrature(meas: CurvePolyline, m_center: float, finest: float):
     """Measure quadrature resolving the curve down to mass scale `finest`
     around m_center, for potentials evaluated close to the support."""
     total = meas.total_mass
     if not (0.03 * total <= m_center <= 0.97 * total):
         raise ValueError("near-field sample must sit away from the curve endpoints")
-    w = min(window, 0.5 * m_center, 0.5 * (total - m_center))
+    w = min(_NEAR_WINDOW, 0.5 * m_center, 0.5 * (total - m_center))
     if w <= finest:
         raise ValueError("sample too close to an endpoint for the requested resolution")
     edges = [w]
@@ -510,11 +483,12 @@ def near_quadrature(meas: CurvePolyline, m_center: float, finest: float,
         cell_edges = m_center + sgn * edges
         for a, b in zip(cell_edges[:-1], cell_edges[1:]):
             lo, hi = min(a, b), max(a, b)
-            nodes, wts = _gl_cells(np.array([lo, hi]), glpts)
+            nodes, wts = _gl_cells(np.array([lo, hi]), _NEAR_GL_POINTS)
             m_nodes.append(nodes)
             m_wts.append(wts)
     # the center cell containing the projection point
-    nodes, wts = _gl_cells(np.array([m_center - finest, m_center + finest]), glpts)
+    nodes, wts = _gl_cells(np.array([m_center - finest, m_center + finest]),
+                           _NEAR_GL_POINTS)
     m_nodes.append(nodes)
     m_wts.append(wts)
 
@@ -565,10 +539,10 @@ def _branch_sign(z: complex, curve: CurvePolyline) -> int:
     return geometry.branch_parity(complex(z), pts, (complex(pts[0]), complex(pts[-1])), anchor)
 
 
-def _require_off_cut(z: complex, curve: CurvePolyline, factor: float = 1.0) -> float:
+def _require_off_cut(z: complex, curve: CurvePolyline) -> float:
     zc = complex(z)
     dist, _, _, _, _ = geometry.nearest_on_polyline(zc, curve.points)
-    res = factor * max(curve.resolution, 1e-13)
+    res = max(curve.resolution, 1e-13)
     # Approaching a branch *point* from outside the arc is fine (the cut is
     # the open arc); forbid only points nearest to the cut interior.
     d_ends = min(abs(zc - complex(curve.points[0])), abs(zc - complex(curve.points[-1])))
@@ -577,17 +551,29 @@ def _require_off_cut(z: complex, curve: CurvePolyline, factor: float = 1.0) -> f
     return dist
 
 
-def q_sqrt(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
-    """Q^{1/2}(z) with branch cut along the traced gamma; ~ -i z^2/2 - 1/z at infinity."""
+def _curve_branch(z, phase: PhaseContext, in_mp: bool = False):
+    """(z, R): R = sign sqrt(z - z1) sqrt(z - z2), cut along the traced gamma.
+
+    Float arithmetic, or mpmath at the ambient precision when in_mp (the
+    caller holds the working precision); z comes back in the same type.
+    """
     _require_off_cut(z, phase.gamma)
     sign = _branch_sign(z, phase.gamma)
-    if ctx is None:
+    if not in_mp:
         zc = complex(z)
-        return -0.5j * (zc + 1j) * sign * (np.sqrt(complex(zc - Z1)) * np.sqrt(complex(zc - Z2)))
+        return zc, sign * (np.sqrt(complex(zc - Z1)) * np.sqrt(complex(zc - Z2)))
+    zm = mp.mpmathify(z)
+    z1m, z2m = _branch_points_mp()
+    return zm, sign * mp.sqrt(zm - z1m) * mp.sqrt(zm - z2m)
+
+
+def q_sqrt(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
+    """Q^{1/2}(z) with branch cut along the traced gamma; ~ -i z^2/2 - 1/z at infinity."""
+    if ctx is None:
+        zc, R = _curve_branch(z, phase)
+        return -0.5j * (zc + 1j) * R
     with ctx.working():
-        zm = mp.mpmathify(z)
-        z1m, z2m = _branch_points_mp()
-        R = sign * mp.sqrt(zm - z1m) * mp.sqrt(zm - z2m)
+        zm, R = _curve_branch(z, phase, in_mp=True)
         return ctx.finalize(-mp.mpc(0, "0.5") * (zm + mp.mpc(0, 1)) * R)
 
 
@@ -598,28 +584,18 @@ def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
     2 pi i jump line on {Im z = 1, Re z < -sqrt 2} which is immaterial in
     e^{n phi2} and avoided by all built-in probe placements.
     """
-    _require_off_cut(z, phase.gamma)
-    sign = _branch_sign(z, phase.gamma)
     if ctx is None:
-        zc = complex(z)
-        w = sign * (np.sqrt(complex(zc - Z1)) * np.sqrt(complex(zc - Z2)))
-        return complex(_phi2_from_w(zc, w))
+        return complex(_phi2_from_w(*_curve_branch(z, phase)))
     with ctx.working():
-        zm = mp.mpmathify(z)
-        z1m, z2m = _branch_points_mp()
-        w = sign * mp.sqrt(zm - z1m) * mp.sqrt(zm - z2m)
+        zm, w = _curve_branch(z, phase, in_mp=True)
         val = -mp.mpc(0, 1) / 6 * zm * (zm + mp.mpc(0, 1)) * w \
             - mp.log(zm - mp.mpc(0, 1) + w) + mp.log(2) / 2
         return ctx.finalize(val)
 
 
-def phi1(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
+def phi1(z, phase: PhaseContext):
     """phi1(z) = conj(phi2(-conj z)): the z1-anchored phase, phi1(z1) = 0."""
-    if ctx is None:
-        return complex(phi2(-complex(z).conjugate(), phase)).conjugate()
-    with ctx.working():
-        zm = mp.mpmathify(z)
-        return ctx.finalize(mp.conj(phi2(-mp.conj(zm), phase, ctx)))
+    return complex(phi2(-complex(z).conjugate(), phase)).conjugate()
 
 
 def d_eval(z, phase: PhaseContext):
@@ -627,16 +603,10 @@ def d_eval(z, phase: PhaseContext):
     return complex(phi1(z, phase)) / (math.pi * 1j)
 
 
-def g_eval(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
+def g_eval(z, phase: PhaseContext):
     """g(z) = V/2 - phi2 - l with V = -i z^3/3; behaves like log z at infinity."""
-    if ctx is None:
-        zc = complex(z)
-        return -1j * zc ** 3 / 6.0 - phi2(zc, phase) - L_CONST
-    with ctx.working():
-        zm = mp.mpmathify(z)
-        val = -mp.mpc(0, 1) * zm ** 3 / 6 - phi2(zm, phase, ctx) \
-            - (mp.mpf(1) / 3 + mp.log(2) / 2)
-        return ctx.finalize(val)
+    zc = complex(z)
+    return -1j * zc ** 3 / 6.0 - phi2(zc, phase) - L_CONST
 
 
 def phi2_on_curve(z_on_gamma, side: int, phase: PhaseContext | None = None):
@@ -670,14 +640,22 @@ def re_v(z):
     return np.real(-1j * z ** 3 / 3.0)
 
 
-def build_phase_context(step_tolerance: float = 1e-7, extension_length: float = 2.5,
-                        qd: QuadDifferential | None = None) -> PhaseContext:
-    """Trace gamma, gamma1, gamma2 and freeze the phase bookkeeping."""
-    qd = qd or QuadDifferential()
-    curve = equilibrium_measure(trace_gamma(qd, step_tolerance))
-    g2 = trace_extension(qd, "gamma2", extension_length, step_tolerance)
-    g1 = trace_extension(qd, "gamma1", extension_length, step_tolerance)
-    phase = PhaseContext(qd=qd, gamma=curve, gamma1=g1, gamma2=g2)
+def build_phase_context(step_tolerance: float = 1e-7,
+                        extension_length: float = 2.5) -> PhaseContext:
+    """Trace gamma, gamma1, gamma2 and freeze the phase bookkeeping.
+
+    Memoised per process: the same (step_tolerance, extension_length)
+    returns the same frozen PhaseContext.
+    """
+    return _build_phase_context(step_tolerance, extension_length)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_phase_context(step_tolerance: float, extension_length: float) -> PhaseContext:
+    curve = equilibrium_measure(trace_gamma(step_tolerance))
+    g2 = trace_extension("gamma2", extension_length, step_tolerance)
+    g1 = trace_extension("gamma1", extension_length, step_tolerance)
+    phase = PhaseContext(gamma=curve, gamma1=g1, gamma2=g2)
 
     # identify which chord-branch sign realizes the limit from above
     k = len(curve) // 2
@@ -688,12 +666,13 @@ def build_phase_context(step_tolerance: float = 1e-7, extension_length: float = 
     val = phi2(probe, phase)
     above_plus = abs(val - complex(_phi2_from_w(zmid, +w_chord(zmid))))
     above_minus = abs(val - complex(_phi2_from_w(zmid, -w_chord(zmid))))
-    phase.plus_w_sign = 1 if above_plus < above_minus else -1
+    phase = replace(phase, plus_w_sign=1 if above_plus < above_minus else -1)
 
     # record the phi1 = phi2 +- pi i sign per half-plane (relative to the contour)
+    signs = {}
     for attr, pt in (("phi1_sign_above", 0.0 + 2.2j), ("phi1_sign_below", 0.0 - 1.8j)):
         diff = (complex(phi1(pt, phase)) - complex(phi2(pt, phase))) / (math.pi * 1j)
-        setattr(phase, attr, int(round(diff.real)))
+        signs[attr] = int(round(diff.real))
 
     # the imaginary equilibrium constant Im(V - g_+ - g_-) on gamma: equals
     # Im(phi2_+ + phi2_-) there, which the boundary values give directly
@@ -702,8 +681,7 @@ def build_phase_context(step_tolerance: float = 1e-7, extension_length: float = 
         z0 = complex(curve_points_at_mass(curve, m * curve.total_mass)[0])
         both = phi2_on_curve(z0, +1, phase) + phi2_on_curve(z0, -1, phase)
         vals.append(complex(both).imag)
-    phase.ell_tilde = float(np.median(vals))
-    return phase
+    return replace(phase, ell_tilde=float(np.median(vals)), **signs)
 
 
 def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionContext):
@@ -727,7 +705,7 @@ def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionCon
 
 
 # ---------------------------------------------------------------------------
-# Equilibrium verification and energies
+# Equilibrium verification
 # ---------------------------------------------------------------------------
 
 def verify_equilibrium(phase: PhaseContext, samples: int = 11) -> dict:
@@ -802,48 +780,6 @@ def verify_equilibrium(phase: PhaseContext, samples: int = 11) -> dict:
         "s_order_median": float(np.median(orders)),
         "s_mismatch_at_1e-4": float(np.max(np.abs(mismatch_h4))),
     }
-
-
-def weighted_energy(nu: DiscreteMeasure) -> float:
-    """Discrete weighted energy: sum_{i!=j} m_i m_j log 1/|x_i-x_j| + sum m_i Re V.
-
-    The interaction sum runs over ordered pairs (both (i,j) and (j,i));
-    self-energy is excluded.  Coincident atoms are an error, not infinity.
-    """
-    atoms = nu.atoms
-    locs = np.array([complex(x) for x, _ in atoms])
-    mass = np.array([float(m) for _, m in atoms])
-    n = len(atoms)
-    scale = max(np.max(np.abs(locs)), 1.0)
-    energy = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(locs[i] - locs[j])
-            if d <= 1e-14 * scale:
-                raise CoincidentAtomsError(f"atoms {i} and {j} coincide at {locs[i]}")
-            energy += 2.0 * mass[i] * mass[j] * math.log(1.0 / d)
-    energy += float(np.sum(mass * re_v(locs)))
-    return energy
-
-
-def continuum_energy(phase: PhaseContext) -> float:
-    """Weighted energy of the equilibrium measure itself.
-
-    On the support Re(V - 2g) = ell turns the double integral into
-    single ones: E[mu] = ell/2 + (1/2) int Re V dmu.
-    """
-    zq, wq = measure_quadrature(phase.gamma)
-    return ELL / 2.0 + 0.5 * float(np.sum(wq * re_v(zq)))
-
-
-def atoms_from_measure(meas: CurvePolyline, n: int) -> DiscreteMeasure:
-    """n equal-mass atoms at the cdf mid-quantiles of the equilibrium measure."""
-    ms = (np.arange(n) + 0.5) / n * meas.total_mass
-    zs = curve_points_at_mass(meas, ms)
-    mass = meas.total_mass / n
-    # normalize exactly to unit total
-    mass = 1.0 / n
-    return DiscreteMeasure(atoms=tuple((complex(z), mass) for z in zs))
 
 
 # ---------------------------------------------------------------------------

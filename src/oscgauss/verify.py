@@ -40,7 +40,6 @@ __all__ = [
     "criterion_consistency",
     "criterion_end_to_end",
     "run_suite",
-    "shared_phase",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -57,6 +56,8 @@ DISK2_ANGLES = (0.41, 2.0, -1.2, 3.0)
 DISK1_ANGLES = (2.73, 1.1, -1.9)
 DETN_PROBES = (3.0 + 4.0j, -0.5 - 1.5j, -3.0 + 0.2j, 1.0 + 2.0j, 0.0 - 1.0j)
 AIRY_ZETAS = (0.7 + 0.3j, -1.2 + 2.0j, 3.0 + 0.0j, -2.0 + 0.5j)
+ZERO_DEGREES = (10, 20, 40)            # zeros suite: n of the rescaled P_n
+CONSISTENCY_DIGITS = 30                # consistency suite: working digits
 
 # phi2 oracle probes: (target, waypoints after z2).  Every polygonal path
 # starts at z2 and must stay off the cut (the arc gamma, which spans
@@ -117,17 +118,6 @@ def _finish(rep: dict, t0: float) -> dict:
     return rep
 
 
-_SHARED_PHASE: scurve.PhaseContext | None = None
-
-
-def shared_phase() -> scurve.PhaseContext:
-    """One traced contour per process; every runner that needs it shares it."""
-    global _SHARED_PHASE
-    if _SHARED_PHASE is None:
-        _SHARED_PHASE = scurve.build_phase_context()
-    return _SHARED_PHASE
-
-
 # ---------------------------------------------------------------------------
 # 1. Curve existence
 # ---------------------------------------------------------------------------
@@ -136,14 +126,11 @@ def criterion_curve(phase: scurve.PhaseContext | None = None) -> dict:
     """Trajectory from z1 reaches z2; D is real on it; axis crossing in range."""
     rep = _new_report("curve", budget_seconds=10.0)
     t0 = time.perf_counter()
-    if phase is None:
-        global _SHARED_PHASE
-        phase = _SHARED_PHASE = scurve.build_phase_context()
-    qd = phase.qd
+    phase = phase or scurve.build_phase_context()
     pts = phase.gamma.points_complex()
 
     theta0 = -math.atan(2.0 * SQRT2) / 3.0
-    ang_dev = min(abs(a - theta0) for a in scurve.critical_angles("z1", qd))
+    ang_dev = min(abs(a - theta0) for a in scurve.critical_angles("z1"))
     _check(rep, "seed_angle_is_critical", ang_dev, ang_dev <= 1e-12, bound=1e-12)
     tangent = np.angle(pts[1] - pts[0])
     _check(rep, "initial_tangent_deviation", float(abs(tangent - theta0)),
@@ -151,7 +138,7 @@ def criterion_curve(phase: scurve.PhaseContext | None = None) -> dict:
 
     # pts[-1] is z2 appended exactly once the trace is within range, so the
     # honest terminal distance is from the last *traced* point.
-    terminal = abs(pts[-2] - complex(qd.z2))
+    terminal = abs(pts[-2] - scurve.Z2)
     _check(rep, "terminal_distance_to_z2", float(terminal),
            terminal <= 1e-6, bound=1e-6)
 
@@ -187,7 +174,7 @@ def criterion_measure(phase: scurve.PhaseContext | None = None) -> dict:
     """Probability mass, positivity, edge exponents, equilibrium + S-property."""
     rep = _new_report("measure", budget_seconds=60.0)
     t0 = time.perf_counter()
-    phase = phase or shared_phase()
+    phase = phase or scurve.build_phase_context()
     curve = phase.gamma
 
     mass_dev = abs(curve.total_mass - 1.0)
@@ -221,14 +208,13 @@ def criterion_measure(phase: scurve.PhaseContext | None = None) -> dict:
 # 3. Zero accumulation
 # ---------------------------------------------------------------------------
 
-def criterion_zeros(phase: scurve.PhaseContext | None = None,
-                    ns: tuple = (10, 20, 40)) -> dict:
+def criterion_zeros(phase: scurve.PhaseContext | None = None) -> dict:
     """Rescaled zeros approach gamma; counting measure approaches equilibrium."""
     rep = _new_report("zeros", budget_seconds=300.0)
     t0 = time.perf_counter()
-    phase = phase or shared_phase()
+    phase = phase or scurve.build_phase_context()
 
-    reports = [asym.zero_distribution_report(n, phase) for n in ns]
+    reports = [asym.zero_distribution_report(n, phase) for n in ZERO_DEGREES]
     dists = [r["max_distance"] for r in reports]
     kss = [r["ks_statistic"] for r in reports]
     for r in reports:
@@ -249,7 +235,6 @@ def criterion_zeros(phase: scurve.PhaseContext | None = None,
 # ---------------------------------------------------------------------------
 
 def _region_probes(phase: scurve.PhaseContext) -> dict:
-    qd = phase.qd
     probes = {"outer": list(OUTER_PROBES), "band": [], "disk2": [], "disk1": []}
     for m in BAND_MASSES:
         z0 = complex(scurve.curve_points_at_mass(
@@ -259,9 +244,9 @@ def _region_probes(phase: scurve.PhaseContext) -> dict:
         for off in BAND_OFFSETS:
             probes["band"].append(z0 + off * nrm)
     for th in DISK2_ANGLES:
-        probes["disk2"].append(complex(qd.z2) + DISK_RADIUS * np.exp(1j * th))
+        probes["disk2"].append(scurve.Z2 + DISK_RADIUS * np.exp(1j * th))
     for th in DISK1_ANGLES:
-        probes["disk1"].append(complex(qd.z1) + DISK_RADIUS * np.exp(1j * th))
+        probes["disk1"].append(scurve.Z1 + DISK_RADIUS * np.exp(1j * th))
     return probes
 
 
@@ -269,7 +254,7 @@ def criterion_asymptotics(phase: scurve.PhaseContext | None = None) -> dict:
     """Per-region error of the three formulas shrinks at empirical rate ~1/n."""
     rep = _new_report("asymp", budget_seconds=300.0)
     t0 = time.perf_counter()
-    phase = phase or shared_phase()
+    phase = phase or scurve.build_phase_context()
 
     for region, probes in _region_probes(phase).items():
         errs = {}
@@ -363,14 +348,13 @@ def _vandermonde_weights(nodes, moments: opq.MomentSequence) -> list:
         return [w[j] for j in range(n)]
 
 
-def criterion_consistency(phase: scurve.PhaseContext | None = None,
-                          precision: int = 30) -> dict:
+def criterion_consistency(phase: scurve.PhaseContext | None = None) -> dict:
     """Dual-route agreement: moments, phi2, recurrence, weights, det N, Airy identity."""
     rep = _new_report("consistency", budget_seconds=300.0)
     t0 = time.perf_counter()
-    phase = phase or shared_phase()
-    ctx = PrecisionContext(precision)
-    bar = 10.0 ** (-precision / 2.0)
+    phase = phase or scurve.build_phase_context()
+    ctx = PrecisionContext(CONSISTENCY_DIGITS)
+    bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
 
     spec = opq.WeightSpec(r=3)
     closed = opq.moment_sequence(spec, 20, ctx)
@@ -465,11 +449,13 @@ _RUNNERS = {
     "endtoend": criterion_end_to_end,
 }
 
-_PHASE_FREE = {"order", "endtoend"}
 
+def run_suite(names=None) -> dict:
+    """Run the named criteria (default: all) and aggregate verdicts.
 
-def run_suite(names=None, phase: scurve.PhaseContext | None = None) -> dict:
-    """Run the named criteria (default: all) and aggregate verdicts."""
+    The suites that need the contour share scurve.build_phase_context(),
+    which is memoised, so the contour is traced once per process.
+    """
     names = list(names) if names else list(SUITE_NAMES)
     unknown = [nm for nm in names if nm not in _RUNNERS]
     if unknown:
@@ -478,12 +464,7 @@ def run_suite(names=None, phase: scurve.PhaseContext | None = None) -> dict:
     t0 = time.perf_counter()
     suites = {}
     for nm in names:
-        if nm in _PHASE_FREE:
-            suites[nm] = _RUNNERS[nm]()
-        else:
-            suites[nm] = _RUNNERS[nm](phase)
-            if phase is None and nm == "curve":
-                phase = _SHARED_PHASE
+        suites[nm] = _RUNNERS[nm]()
     return {
         "suites": suites,
         "passed": all(s["passed"] for s in suites.values()),

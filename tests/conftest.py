@@ -1,13 +1,13 @@
 import pytest
 
-from oscgauss import verify
+from oscgauss import scurve
 from oscgauss.precision import PrecisionContext
 
 
 @pytest.fixture(scope="session")
 def phase():
-    """One traced contour for the whole session (shared with verify)."""
-    return verify.shared_phase()
+    """One traced contour for the whole session (the memoised default)."""
+    return scurve.build_phase_context()
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,13 @@
 
 Each test drives the corresponding suite runner and fails with the full list
 of violated checks (label, value, bound) so a regression is self-describing.
-The first test times the contour build itself and installs the result as the
-process-wide shared phase context, which every later suite and fixture reuses.
+The contour comes from scurve.build_phase_context(), which is memoised, so
+whichever test asks first traces it and every later suite and fixture reuses it.
 """
 
 import pytest
 
-from oscgauss import verify
+from oscgauss import scurve, verify
 
 
 def _require(rep):
@@ -24,15 +24,15 @@ def test_curve_reaches_z2_and_is_admissible():
 
 
 def test_equilibrium_measure_and_variational_conditions():
-    _require(verify.criterion_measure(verify.shared_phase()))
+    _require(verify.criterion_measure(scurve.build_phase_context()))
 
 
 def test_zero_attraction_to_curve():
-    _require(verify.criterion_zeros(verify.shared_phase()))
+    _require(verify.criterion_zeros(scurve.build_phase_context()))
 
 
 def test_strong_asymptotics_by_region():
-    _require(verify.criterion_asymptotics(verify.shared_phase()))
+    _require(verify.criterion_asymptotics(scurve.build_phase_context()))
 
 
 def test_quadrature_convergence_rates():
@@ -40,11 +40,19 @@ def test_quadrature_convergence_rates():
 
 
 def test_dual_route_consistency():
-    _require(verify.criterion_consistency(verify.shared_phase()))
+    _require(verify.criterion_consistency(scurve.build_phase_context()))
 
 
 def test_end_to_end_interval_quadrature():
     _require(verify.criterion_end_to_end())
+
+
+def test_run_suite_order_independent():
+    # measure before curve: each suite takes the memoised contour itself, so
+    # none depends on curve having traced it first
+    out = verify.run_suite(["measure", "curve"])
+    assert list(out["suites"]) == ["measure", "curve"]
+    assert out["passed"] is True
 
 
 def test_run_suite_subset_and_validation():

@@ -50,7 +50,7 @@ def test_beta_on_cut_raises(phase):
 
 def test_conformal_map_derivative_and_modulus(phase):
     airy = asym.AiryParametrix(phase)
-    z2 = complex(phase.qd.z2)
+    z2 = scurve.Z2
     h = 1e-6
     der = (airy.conformal_f(z2 + h) - airy.conformal_f(z2 - h)) / (2 * h)
     assert abs(der - asym.FC) <= 1e-5
@@ -61,19 +61,19 @@ def test_conformal_map_aligns_cut_and_extension(phase):
     airy = asym.AiryParametrix(phase)
     # points of gamma inside the disk map to the negative real axis
     pts = phase.gamma.points_complex()
-    sel = np.abs(pts - complex(phase.qd.z2)) < 0.4
+    sel = np.abs(pts - scurve.Z2) < 0.4
     for z in pts[sel][:: max(1, sel.sum() // 6)]:
         f = airy.conformal_f(complex(z))
         assert abs(f.imag) <= 1e-6
-        if abs(z - complex(phase.qd.z2)) > 1e-3:
+        if abs(z - scurve.Z2) > 1e-3:
             assert f.real < 0
     # points of the outgoing extension map to the positive real axis
     pts2 = phase.gamma2.points_complex()
-    sel2 = np.abs(pts2 - complex(phase.qd.z2)) < 0.4
+    sel2 = np.abs(pts2 - scurve.Z2) < 0.4
     for z in pts2[sel2][:: max(1, sel2.sum() // 6)]:
         f = airy.conformal_f(complex(z))
         assert abs(f.imag) <= 1e-6
-        if abs(z - complex(phase.qd.z2)) > 1e-3:
+        if abs(z - scurve.Z2) > 1e-3:
             assert f.real > 0
 
 
@@ -85,13 +85,13 @@ def test_conformal_map_winding(phase):
 def test_outside_disk_raises(phase):
     airy = asym.AiryParametrix(phase)
     with pytest.raises(OutsideDiskError):
-        airy.conformal_f(complex(phase.qd.z2) + 0.7)
+        airy.conformal_f(scurve.Z2 + 0.7)
 
 
 def test_region_classification(phase):
     assert asym.region_classify(3 + 4j, phase) == "outer"
-    assert asym.region_classify(complex(phase.qd.z2) + 0.1, phase) == "disk2"
-    assert asym.region_classify(complex(phase.qd.z1) + 0.1j, phase) == "disk1"
+    assert asym.region_classify(scurve.Z2 + 0.1, phase) == "disk2"
+    assert asym.region_classify(scurve.Z1 + 0.1j, phase) == "disk1"
     mid = complex(scurve.curve_points_at_mass(
         phase.gamma, 0.5 * phase.gamma.total_mass)[0])
     assert asym.region_classify(mid + 0.05j, phase) == "band"
@@ -116,8 +116,8 @@ def test_band_formula_accuracy_on_and_off_curve(phase):
 
 
 def test_airy_formula_accuracy_both_disks(phase):
-    for center, angles in ((complex(phase.qd.z2), (0.41, 2.0)),
-                           (complex(phase.qd.z1), (2.73, 1.1))):
+    for center, angles in ((scurve.Z2, (0.41, 2.0)),
+                           (scurve.Z1, (2.73, 1.1))):
         for th in angles:
             probe = center + 0.25 * np.exp(1j * th)
             region, err = asym.pn_relative_error(20, probe, phase)
@@ -127,7 +127,7 @@ def test_airy_formula_accuracy_both_disks(phase):
 
 def test_disk1_reflection_consistency(phase):
     # the P_n symmetry P_n(z) = (-1)^n conj(P_n(-conj(z))) carries disk2 to disk1
-    z = complex(phase.qd.z1) + 0.2 * np.exp(2.5j)
+    z = scurve.Z1 + 0.2 * np.exp(2.5j)
     a = asym.pn_airy(21, z, phase)
     b = (-1) ** 21 * np.conj(asym.pn_airy(21, -np.conj(z), phase))
     assert abs(a - b) <= 1e-12 * abs(a)

@@ -142,6 +142,15 @@ def test_exit_code_construction_failure():
     assert proc.returncode == 3
 
 
+def test_exit_code_explicit_zero_is_not_replaced_by_default():
+    # only an unset count takes the default; 0 reaches the library and fails
+    for argv in (("quad", "--n", "0"), ("quad", "--n-endpoint", "0"),
+                 ("asymp", "--n", "0")):
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == 3, (argv, proc.stdout)
+        assert "n must be >= 1" in proc.stderr
+
+
 def test_exit_code_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

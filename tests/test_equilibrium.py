@@ -1,9 +1,8 @@
-"""Equilibrium measure: mass, moments, energies, S-property report."""
+"""Equilibrium measure: mass, moments, quadratures, S-property report."""
 
 import math
 
 import numpy as np
-import pytest
 
 from oscgauss import scurve
 
@@ -40,44 +39,6 @@ def test_measure_quadrature_agrees_with_trapezoid(phase):
     trap = np.sum(0.5 * (curve.density[1:] + curve.density[:-1]) * ds)
     # trapezoid loses O(h^{3/2}) at the sqrt edges; ~4e-6 at this resolution
     assert abs(trap - 1.0) <= 1e-5
-
-
-def test_continuum_energy_value(phase):
-    # E[mu] = (1 + log 2) / 2 for this external field
-    e = scurve.continuum_energy(phase)
-    assert abs(e - (1 + math.log(2)) / 2) <= 1e-6
-
-
-def test_discrete_energy_converges(phase):
-    ec = scurve.continuum_energy(phase)
-    e20 = scurve.weighted_energy(scurve.atoms_from_measure(phase.gamma, 20))
-    e80 = scurve.weighted_energy(scurve.atoms_from_measure(phase.gamma, 80))
-    assert abs(e80 - ec) < abs(e20 - ec)
-
-
-def test_atoms_from_measure_structure(phase):
-    nu = scurve.atoms_from_measure(phase.gamma, 12)
-    assert len(nu.atoms) == 12
-    assert abs(sum(m for _, m in nu.atoms) - 1.0) <= 1e-12
-    pts = phase.gamma.points_complex()
-    for z, m in nu.atoms:
-        d, _, _, _, _ = scurve.geometry.nearest_on_polyline(complex(z), pts)
-        assert d <= 1e-6
-        assert m > 0
-
-
-def test_discrete_measure_validation():
-    with pytest.raises(ValueError):
-        scurve.DiscreteMeasure(atoms=((0j, 0.5), (1j, 0.2)))
-    with pytest.raises(ValueError):
-        scurve.DiscreteMeasure(atoms=((0j, -0.2), (1j, 1.2)))
-
-
-def test_weighted_energy_rejects_coincident_atoms():
-    from oscgauss.errors import CoincidentAtomsError
-    nu = scurve.DiscreteMeasure(atoms=((0.5j, 0.5), (0.5j, 0.5)))
-    with pytest.raises(CoincidentAtomsError):
-        scurve.weighted_energy(nu)
 
 
 def test_near_quadrature_total_mass(phase):

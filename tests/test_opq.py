@@ -109,14 +109,6 @@ def test_weights_sum_to_m0():
         assert abs(total - m0) < mp.mpf(10) ** -25
 
 
-def test_verify_orthogonality_small_degrees(ctx30):
-    ms = opq.moment_sequence(SPEC3, 8, ctx30)
-    rec = opq.build_recurrence(ms, 3)
-    for k in range(3):
-        resid = opq.verify_orthogonality(rec, k, SPEC3, ctx30)
-        assert float(abs(resid)) <= 1e-20
-
-
 def test_rescale_to_Pn_scales_nodes():
     n = 4
     rule = opq.build_rule(n, SPEC3)

@@ -1,15 +1,12 @@
-"""Precision contexts, special values, and the shared branch machinery."""
-
-import math
+"""Precision contexts, special values, and the panelled quadrature primitive."""
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from oscgauss.errors import NonFiniteError, OnCutError, PoleError
-from oscgauss.precision import (ComplexValue, PrecisionContext,
-                                airy_ai, airy_ai_prime, branch_sqrt_product,
-                                ensure_finite, gamma, panel_quad, ray_cuts)
+from oscgauss.errors import NonFiniteError, PoleError
+from oscgauss.precision import (ComplexValue, PrecisionContext, ensure_finite,
+                                gamma, panel_quad, ray_cuts)
 
 
 def test_working_context_scopes_dps():
@@ -44,18 +41,6 @@ def test_gamma_pole_raises(z):
         gamma(z, PrecisionContext(30))
 
 
-def test_airy_matches_scipy_on_complex_point():
-    import scipy.special
-    ctx = PrecisionContext(30)
-    z = 1.3 - 0.7j
-    ours = complex(airy_ai(z, ctx))
-    ref = scipy.special.airy(z)[0]
-    assert abs(ours - ref) <= 1e-13 * abs(ref)
-    ours_p = complex(airy_ai_prime(z, ctx))
-    ref_p = scipy.special.airy(z)[1]
-    assert abs(ours_p - ref_p) <= 1e-13 * abs(ref_p)
-
-
 def test_complex_value_round_trip():
     ctx = PrecisionContext(30)
     cv = ComplexValue.from_number(1.5 - 2.25j, ctx)
@@ -70,40 +55,6 @@ def test_non_finite_values_rejected():
         ensure_finite(float("inf"), "test")
     with pytest.raises(NonFiniteError):
         ComplexValue.from_number(complex(float("nan"), 0.0), PrecisionContext(30))
-
-
-def test_branch_sqrt_product_is_principal_for_straight_cut():
-    # For a straight cut the anchored branch coincides with the principal
-    # factor product sqrt(z-z1)*sqrt(z-z2) everywhere off the segment.
-    z1, z2 = -1.0 + 0.0j, 1.0 + 0.0j
-    cut = np.linspace(z1, z2, 201)
-    rng = np.random.default_rng(11)
-    for _ in range(8):
-        z = complex(rng.uniform(-2.5, 2.5), rng.uniform(0.25, 2.5))
-        if rng.random() < 0.5:
-            z = z.conjugate()
-        w = branch_sqrt_product(z, z1, z2, cut)
-        principal = np.sqrt(z - z1) * np.sqrt(z - z2)
-        assert abs(w - principal) <= 1e-12 * abs(principal)
-        assert abs(w * w - (z - z1) * (z - z2)) <= 1e-12 * abs(w * w)
-
-
-def test_branch_sqrt_product_on_cut_raises():
-    z1, z2 = -1.0 + 0.0j, 1.0 + 0.0j
-    cut = np.linspace(z1, z2, 201)
-    with pytest.raises(OnCutError):
-        branch_sqrt_product(0.123 + 0.0j, z1, z2, cut)
-
-
-def test_branch_sqrt_product_mp_route_matches_float():
-    z1, z2 = -1.0 + 0.0j, 1.0 + 0.0j
-    cut = np.linspace(z1, z2, 201)
-    z = 0.4 + 0.9j
-    ctx = PrecisionContext(40)
-    w_mp = branch_sqrt_product(z, z1, z2, cut, ctx=ctx)
-    w_f = branch_sqrt_product(z, z1, z2, cut)
-    assert abs(complex(w_mp) - w_f) <= 1e-13
-    assert math.isfinite(complex(w_mp).real)
 
 
 @pytest.mark.parametrize("cuts", [

@@ -1,5 +1,6 @@
 """The cubic-case contour: trajectory, chord branch, phases, fields."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,14 +15,13 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_quad_differential_zeros():
-    qd = scurve.QuadDifferential()
-    assert abs(scurve.q_eval(complex(qd.z1), qd)) <= 1e-14
-    assert abs(scurve.q_eval(complex(qd.z2), qd)) <= 1e-14
+    assert abs(scurve.q_eval(scurve.Z1)) <= 1e-14
+    assert abs(scurve.q_eval(scurve.Z2)) <= 1e-14
     # -i is a double zero: Q and Q' both vanish
-    assert abs(scurve.q_eval(-1j, qd)) <= 1e-14
+    assert abs(scurve.q_eval(-1j)) <= 1e-14
     assert abs(scurve.q_prime(-1j)) <= 1e-14
-    assert abs(scurve.q_prime(complex(qd.z1)) - (-SQRT2 - 4j)) <= 1e-12
-    assert abs(scurve.q_prime(complex(qd.z2)) - (SQRT2 - 4j)) <= 1e-12
+    assert abs(scurve.q_prime(scurve.Z1) - (-SQRT2 - 4j)) <= 1e-12
+    assert abs(scurve.q_prime(scurve.Z2) - (SQRT2 - 4j)) <= 1e-12
 
 
 def test_critical_angles_structure():
@@ -39,12 +39,22 @@ def test_critical_angles_structure():
     assert abs((d[2] - d[1]) - 2 * math.pi / 3) <= 1e-12
 
 
+def test_phase_context_is_memoised_and_frozen(phase):
+    assert scurve.build_phase_context() is phase
+    assert scurve.build_phase_context() is scurve.build_phase_context()
+    finer = scurve.build_phase_context(step_tolerance=1e-6)
+    assert finer is not phase
+    assert scurve.build_phase_context(step_tolerance=1e-6) is finer
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phase.ell_tilde = 1.0
+
+
 def test_gamma_trace_endpoints_and_length(phase):
     pts = phase.gamma.points_complex()
-    assert pts[0] == complex(phase.qd.z1)
-    assert pts[-1] == complex(phase.qd.z2)
+    assert pts[0] == scurve.Z1
+    assert pts[-1] == scurve.Z2
     assert abs(phase.gamma.s[-1] - 2.9411574665892) <= 1e-6
-    assert abs(pts[-2] - complex(phase.qd.z2)) <= 1e-6
+    assert abs(pts[-2] - scurve.Z2) <= 1e-6
 
 
 def test_gamma_reflection_symmetry(phase):
@@ -77,7 +87,7 @@ def test_phi2_chord_odd_in_w():
 
 
 def test_phi2_vanishes_at_z2(phase):
-    assert abs(scurve.phi2_chord(complex(phase.qd.z2))) <= 1e-12
+    assert abs(scurve.phi2_chord(scurve.Z2)) <= 1e-12
 
 
 def test_on_curve_mass_coordinate(phase):
