@@ -10,7 +10,7 @@ cross-validated against an independent oracle.
 Layers (importable submodules):
 
     precision    arbitrary-precision contexts, Gamma, panelled quadrature
-    geometry     polylines, arclength, crossing parity, nearest points
+    geometry     polylines, arclength, nearest points
     opq          moments -> recurrence -> zeros -> weights pipeline
     scurve       cubic-case curve gamma, equilibrium measure, phases, g
     asymptotics  outer/band/Airy-edge formulas and zero diagnostics

@@ -20,7 +20,7 @@ precision (``exact_pn``); the observed convergence rate is O(1/n).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -35,6 +35,7 @@ from .scurve import (
     SQRT2,
     Z1,
     Z2,
+    _in_lens,
     _require_off_cut,
     g_eval,
     phi2_chord,
@@ -102,15 +103,9 @@ class GlobalParametrix:
     """
 
     phase: PhaseContext
-    _pts: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_pts", self.phase.gamma.points_complex())
 
     def in_lens(self, z: complex) -> bool:
-        z = complex(z)
-        return (abs(z.real) < SQRT2 and z.imag < 1.0
-                and geometry.side_of_polyline(z, self._pts) == 1)
+        return _in_lens(complex(z), self.phase.gamma)
 
     def beta_eval(self, z: complex, guard: bool = True) -> complex:
         z = complex(z)
@@ -189,7 +184,7 @@ def region_classify(z: complex, phase: PhaseContext) -> str:
         return "disk2"
     if abs(z - Z1) <= AIRY_RADIUS:
         return "disk1"
-    dist = geometry.nearest_on_polyline(z, phase.gamma.points_complex())[0]
+    dist = geometry.nearest_on_polyline(z, phase.gamma.points)[0]
     return "band" if dist <= TUBE_WIDTH else "outer"
 
 
@@ -220,7 +215,7 @@ def pn_band(n: int, z: complex, phase: PhaseContext) -> complex:
     than TUBE_WIDTH from the arc.
     """
     z = complex(z)
-    dist = geometry.nearest_on_polyline(z, phase.gamma.points_complex())[0]
+    dist = geometry.nearest_on_polyline(z, phase.gamma.points)[0]
     if dist > TUBE_WIDTH:
         raise RegionError(
             f"band formula requested {dist:.3f} from the arc (tube width {TUBE_WIDTH})")
@@ -326,7 +321,7 @@ def zero_distribution_report(n: int, phase: PhaseContext,
     if rule is None:
         rule = opq.build_rule(n, opq.WeightSpec(r=3))
     zs = np.array([complex(z) for z in opq.rescale_to_Pn(rule, n, 3).nodes])
-    pts = phase.gamma.points_complex()
+    pts = phase.gamma.points
     cdf = phase.gamma.cdf
     dists, masses = [], []
     for z in zs:

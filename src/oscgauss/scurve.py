@@ -24,8 +24,9 @@ Two square-root branches are in play and kept strictly separate:
   chord between z1 and z2) is analytic in a strip around the open arc and
   is what the tracer and all on-curve evaluations use;
 * the *curve branch* R = sign * w_p, cut along the traced gamma itself,
-  where sign is the crossing parity of geometry.branch_parity (_branch_sign
-  below), defines q_sqrt, phi2 and g off the curve.
+  defines q_sqrt, phi2 and g off the curve.  The two branches differ only
+  in the lens between gamma and the chord, so sign is -1 there and +1
+  elsewhere (_in_lens below; gamma is a graph over Re z).
 
 On gamma the boundary values of the curve branch are +-w_p, so one-sided
 limits come from the chord branch with an explicit sign.
@@ -82,7 +83,11 @@ _NEAR_GL_POINTS = 4     # Gauss points per near_quadrature cell
 
 @dataclass(frozen=True)
 class CurvePolyline:
-    """Traced curve with per-vertex arc length, density and cdf annotations."""
+    """Traced curve with per-vertex arc length, density and cdf annotations.
+
+    The arrays are made read-only on construction, so a cached contour
+    cannot be changed in place by one of its callers.
+    """
 
     kind: str                    # 'gamma' | 'gamma1' | 'gamma2'
     points: np.ndarray           # complex vertices
@@ -91,8 +96,10 @@ class CurvePolyline:
     cdf: np.ndarray              # equilibrium mass of the initial arc (gamma only)
     total_mass: float = float("nan")
 
-    def points_complex(self) -> np.ndarray:
-        return self.points
+    def __post_init__(self):
+        for arr in (self.points, self.s, self.density, self.cdf):
+            if arr is not None:
+                arr.flags.writeable = False
 
     @property
     def resolution(self) -> float:
@@ -334,10 +341,10 @@ def equilibrium_measure(curve: CurvePolyline) -> CurvePolyline:
     """Annotate the traced gamma with density |Q^{1/2}|/pi and its cdf.
 
     The cdf comes from the exact differential relation |Q^{1/2}| ds =
-    |d phi2| along the curve: phi2 is purely imaginary there and Im phi2
-    increases strictly from -pi at z1 to 0 at z2, so the mass of an
-    initial arc is (Im phi2 + pi)/pi evaluated at its endpoint.  The total
-    then checks the unit normalization of the measure.
+    |d phi2| along the curve: phi2_chord is purely imaginary there and
+    Im phi2_chord decreases strictly from pi at z1 to 0 at z2, so the mass
+    of an initial arc is (pi - Im phi2_chord)/pi evaluated at its endpoint.
+    The total then checks the unit normalization of the measure.
     """
     if curve.kind != "gamma":
         raise ValueError("equilibrium_measure expects the gamma polyline")
@@ -346,12 +353,9 @@ def equilibrium_measure(curve: CurvePolyline) -> CurvePolyline:
     # unwrap them by 2 pi onto the on-curve limit seen by their neighbours
     im[0] += 2.0 * math.pi * round((im[1] - im[0]) / (2.0 * math.pi))
     im[-1] += 2.0 * math.pi * round((im[-2] - im[-1]) / (2.0 * math.pi))
-    dif = np.diff(im)
-    if not (np.all(dif > 0) or np.all(dif < 0)):
-        raise NonFiniteError("Im phi2 is not monotone along the traced curve")
-    if dif[0] < 0:  # orientation fallback; the z1->z2 trace is increasing
-        im = -im
-    cdf = (im - im[0]) / math.pi
+    if not np.all(np.diff(im) < 0):
+        raise NonFiniteError("Im phi2_chord is not strictly decreasing along the traced curve")
+    cdf = (im[0] - im) / math.pi
     total = float(cdf[-1])
     density = np.abs(q_sqrt_chord(curve.points)) / math.pi
     return replace(curve, density=density, cdf=cdf, total_mass=total)
@@ -532,11 +536,17 @@ def _branch_points_mp():
     return -s + mp.mpc(0, 1), s + mp.mpc(0, 1)
 
 
-def _branch_sign(z: complex, curve: CurvePolyline) -> int:
+def _in_lens(z: complex, curve: CurvePolyline) -> bool:
+    """True iff z lies strictly between gamma and the chord Im z = 1.
+
+    gamma is a graph over Re z (checked by build_phase_context), so the
+    lens is |Re z| < sqrt 2, gamma(Re z) < Im z < 1.  The principal product
+    sqrt(z - z1) sqrt(z - z2) has its cut on the chord and takes the limit
+    from above there, so points on the chord count as outside.
+    """
+    x, y = z.real, z.imag
     pts = curve.points
-    ymax = float(pts.imag.max())
-    anchor = complex(0.31711, max(ymax, 1.0) + 23.77)
-    return geometry.branch_parity(complex(z), pts, (complex(pts[0]), complex(pts[-1])), anchor)
+    return abs(x) < SQRT2 and y < 1.0 and y > float(np.interp(x, pts.real, pts.imag))
 
 
 def _require_off_cut(z: complex, curve: CurvePolyline) -> float:
@@ -558,7 +568,7 @@ def _curve_branch(z, phase: PhaseContext, in_mp: bool = False):
     caller holds the working precision); z comes back in the same type.
     """
     _require_off_cut(z, phase.gamma)
-    sign = _branch_sign(z, phase.gamma)
+    sign = -1 if _in_lens(complex(z), phase.gamma) else 1
     if not in_mp:
         zc = complex(z)
         return zc, sign * (np.sqrt(complex(zc - Z1)) * np.sqrt(complex(zc - Z2)))
@@ -652,7 +662,11 @@ def build_phase_context(step_tolerance: float = 1e-7,
 
 @functools.lru_cache(maxsize=8)
 def _build_phase_context(step_tolerance: float, extension_length: float) -> PhaseContext:
-    curve = equilibrium_measure(trace_gamma(step_tolerance))
+    traced = trace_gamma(step_tolerance)
+    if not np.all(np.diff(traced.points.real) > 0):
+        raise TraceDivergedError("traced gamma is not a graph over Re z (Re z not "
+                                 "strictly increasing from z1 to z2)")
+    curve = equilibrium_measure(traced)
     g2 = trace_extension("gamma2", extension_length, step_tolerance)
     g1 = trace_extension("gamma1", extension_length, step_tolerance)
     phase = PhaseContext(gamma=curve, gamma1=g1, gamma2=g2)

@@ -96,8 +96,7 @@ def measure_csv(curve: CurvePolyline, digits: int = DEFAULT_DIGITS) -> str:
     if curve.density is None or curve.cdf is None:
         raise ValueError("curve carries no measure annotation")
     lines = ["s,re,im,density,cdf"]
-    pts = curve.points_complex()
-    for s, z, d, c in zip(curve.s, pts, curve.density, curve.cdf):
+    for s, z, d, c in zip(curve.s, curve.points, curve.density, curve.cdf):
         zr, zi = fmt_complex(z, digits)
         lines.append(f"{fmt(s, digits)},{zr},{zi},{fmt(d, digits)},{fmt(c, digits)}")
     return "\n".join(lines) + "\n"
@@ -108,7 +107,7 @@ def measure_csv(curve: CurvePolyline, digits: int = DEFAULT_DIGITS) -> str:
 # ---------------------------------------------------------------------------
 
 def _curve_dict(curve: CurvePolyline, digits: int) -> dict:
-    pts = curve.points_complex()
+    pts = curve.points
     d = {
         "kind": curve.kind,
         "points_re": [fmt(x, digits) for x in pts.real],

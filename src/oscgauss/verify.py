@@ -127,7 +127,7 @@ def criterion_curve(phase: scurve.PhaseContext | None = None) -> dict:
     rep = _new_report("curve", budget_seconds=10.0)
     t0 = time.perf_counter()
     phase = phase or scurve.build_phase_context()
-    pts = phase.gamma.points_complex()
+    pts = phase.gamma.points
 
     theta0 = -math.atan(2.0 * SQRT2) / 3.0
     ang_dev = min(abs(a - theta0) for a in scurve.critical_angles("z1"))

@@ -43,7 +43,7 @@ def test_beta_jump_ratio_is_i(phase):
 
 def test_beta_on_cut_raises(phase):
     npar = asym.GlobalParametrix(phase)
-    mid = complex(phase.gamma.points_complex()[len(phase.gamma) // 2])
+    mid = complex(phase.gamma.points[len(phase.gamma) // 2])
     with pytest.raises(OnCutError):
         npar.beta_eval(mid)
 
@@ -60,7 +60,7 @@ def test_conformal_map_derivative_and_modulus(phase):
 def test_conformal_map_aligns_cut_and_extension(phase):
     airy = asym.AiryParametrix(phase)
     # points of gamma inside the disk map to the negative real axis
-    pts = phase.gamma.points_complex()
+    pts = phase.gamma.points
     sel = np.abs(pts - scurve.Z2) < 0.4
     for z in pts[sel][:: max(1, sel.sum() // 6)]:
         f = airy.conformal_f(complex(z))
@@ -68,7 +68,7 @@ def test_conformal_map_aligns_cut_and_extension(phase):
         if abs(z - scurve.Z2) > 1e-3:
             assert f.real < 0
     # points of the outgoing extension map to the positive real axis
-    pts2 = phase.gamma2.points_complex()
+    pts2 = phase.gamma2.points
     sel2 = np.abs(pts2 - scurve.Z2) < 0.4
     for z in pts2[sel2][:: max(1, sel2.sum() // 6)]:
         f = airy.conformal_f(complex(z))

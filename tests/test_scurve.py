@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 from oscgauss import scurve
-from oscgauss.errors import OnCutError
+from oscgauss.errors import OnCutError, TraceDivergedError
 from oscgauss.precision import PrecisionContext
 
 SQRT2 = math.sqrt(2.0)
@@ -49,8 +49,54 @@ def test_phase_context_is_memoised_and_frozen(phase):
         phase.ell_tilde = 1.0
 
 
+def test_cached_contour_arrays_are_read_only(phase):
+    before = phase.gamma.points.copy()
+    for curve in (phase.gamma, phase.gamma1, phase.gamma2):
+        for arr in (curve.points, curve.s, curve.density, curve.cdf):
+            with pytest.raises(ValueError):
+                arr[5] = 0
+    assert np.array_equal(scurve.build_phase_context().gamma.points, before)
+
+
+def test_lens_predicate_fixed_points(phase):
+    gamma = phase.gamma
+    assert scurve._in_lens(0.8j, gamma)                 # gamma dips to Im 0.637
+    assert scurve._in_lens(-1.0 + 0.95j, gamma)
+    assert not scurve._in_lens(0.5j, gamma)             # below gamma
+    assert not scurve._in_lens(0.3 + 1.2j, gamma)       # above the chord
+    assert not scurve._in_lens(-2.0 + 0.9j, gamma)      # left of z1
+    assert not scurve._in_lens(2.0 + 0.9j, gamma)       # right of z2
+    # the curve branch is minus the chord branch exactly inside the lens
+    for z in (0.8j, -1.0 + 0.95j, 0.5j, 0.3 + 1.2j, -2.0 + 0.9j, 2.0 + 0.9j):
+        sign = -1 if scurve._in_lens(z, gamma) else 1
+        assert scurve.q_sqrt(z, phase) == sign * scurve.q_sqrt_chord(z)
+
+
+@pytest.mark.parametrize("x", [-2.5, -1.0, 0.0, 0.7, 1.3, 2.0])
+def test_q_sqrt_continuous_across_the_chord_row(phase, x):
+    # Im z = 1 is the principal cut of the chord branch, not of the curve
+    # branch: inside and outside |Re z| < sqrt 2 the probe on the row agrees
+    # with its neighbours just above and below.
+    z = complex(x, 1.0)
+    assert not scurve._in_lens(z, phase.gamma)
+    val = scurve.q_sqrt(z, phase)
+    for dz in (1e-9j, -1e-9j):
+        assert abs(scurve.q_sqrt(z + dz, phase) - val) <= 1e-8
+    assert abs(val ** 2 - scurve.q_eval(z)) <= 1e-12 * max(1.0, abs(val) ** 2)
+
+
+def test_non_graph_trace_raises(monkeypatch):
+    zigzag = np.array([scurve.Z1, 0.5 + 0.8j, -0.5 + 0.7j, scurve.Z2])
+    fake = scurve.CurvePolyline(kind="gamma", points=zigzag,
+                                s=scurve.geometry.cumulative_arclength(zigzag),
+                                density=np.zeros(4), cdf=np.full(4, np.nan))
+    monkeypatch.setattr(scurve, "trace_gamma", lambda step_tolerance: fake)
+    with pytest.raises(TraceDivergedError):
+        scurve._build_phase_context.__wrapped__(1e-7, 2.5)
+
+
 def test_gamma_trace_endpoints_and_length(phase):
-    pts = phase.gamma.points_complex()
+    pts = phase.gamma.points
     assert pts[0] == scurve.Z1
     assert pts[-1] == scurve.Z2
     assert abs(phase.gamma.s[-1] - 2.9411574665892) <= 1e-6
@@ -59,7 +105,7 @@ def test_gamma_trace_endpoints_and_length(phase):
 
 def test_gamma_reflection_symmetry(phase):
     # the trajectory is invariant under z -> -conj(z)
-    pts = phase.gamma.points_complex()
+    pts = phase.gamma.points
     mirrored = -np.conj(pts)[::-1]
     sub = pts[:: max(1, len(pts) // 200)]
     for z in sub:
@@ -68,7 +114,7 @@ def test_gamma_reflection_symmetry(phase):
 
 
 def test_imaginary_axis_crossing_value(phase):
-    pts = phase.gamma.points_complex()
+    pts = phase.gamma.points
     k = int(np.flatnonzero(np.diff(np.sign(pts.real)) > 0)[0])
     t = -pts.real[k] / (pts.real[k + 1] - pts.real[k])
     y = pts.imag[k] + t * (pts.imag[k + 1] - pts.imag[k])
@@ -115,8 +161,7 @@ def test_q_sqrt_squares_to_q(phase):
     count = 0
     while count < 6:
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        d, _, _, _, _ = scurve.geometry.nearest_on_polyline(
-            z, phase.gamma.points_complex())
+        d, _, _, _, _ = scurve.geometry.nearest_on_polyline(z, phase.gamma.points)
         if d < 0.05 or abs(z + 1j) < 0.05:
             continue
         w = scurve.q_sqrt(z, phase)
@@ -126,7 +171,7 @@ def test_q_sqrt_squares_to_q(phase):
 
 
 def test_q_sqrt_on_cut_raises(phase):
-    mid = complex(phase.gamma.points_complex()[len(phase.gamma) // 2])
+    mid = complex(phase.gamma.points[len(phase.gamma) // 2])
     with pytest.raises(OnCutError):
         scurve.q_sqrt(mid, phase)
 

@@ -55,15 +55,15 @@ def test_curve_json_round_trip(phase):
     back = serialize.curve_from_json_dict(json.loads(text))
     meas = scurve.equilibrium_measure(back)
     assert abs(meas.total_mass - 1.0) <= 1e-8
-    pts_a = phase.gamma.points_complex()
-    pts_b = meas.points_complex()
+    pts_a = phase.gamma.points
+    pts_b = meas.points
     assert len(pts_a) == len(pts_b)
     assert np.max(np.abs(pts_a - pts_b)) <= 1e-15
 
 
 def test_measure_csv_requires_annotation(phase):
     bare = scurve.CurvePolyline(kind="gamma",
-                                points=phase.gamma.points_complex(),
+                                points=phase.gamma.points,
                                 s=phase.gamma.s, density=None, cdf=None)
     with pytest.raises(ValueError):
         serialize.measure_csv(bare)

@@ -1,7 +1,9 @@
 """Every module of the package compiles with warnings raised as errors,
-and every name it exports in __all__ exists."""
+every name it exports in __all__ exists, and every library name the
+benchmark tracer rebinds exists."""
 
 import importlib
+import importlib.util
 import pathlib
 import warnings
 
@@ -11,6 +13,7 @@ import oscgauss
 
 SOURCES = sorted(pathlib.Path(oscgauss.__file__).parent.glob("*.py"))
 MODULES = ["oscgauss"] + [f"oscgauss.{p.stem}" for p in SOURCES if p.stem != "__init__"]
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -24,4 +27,16 @@ def test_source_compiles_without_warnings(path):
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_traced_imported_bindings_resolve():
+    # The tracer rebinds these names in the importing module; a rename or
+    # deletion in the library would otherwise break only the traced benchmark.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{short}.{name}" for short, names in tracing.IMPORTED_BINDINGS.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"oscgauss.{short}"), name)]
     assert missing == []
