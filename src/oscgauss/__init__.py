@@ -30,9 +30,8 @@ from .opq import (MomentSequence, QuadratureRule, RecurrenceCoefficients,
                   WeightSpec, build_recurrence, build_rule, moment,
                   moment_sequence, zeros)
 from .oscillatory import (Amplitude, OscillatoryIntegralSpec, amplitude,
-                          convergence_order, evaluate, evaluate_report,
-                          laguerre_rule, stationary_rule)
-from .precision import ComplexValue, PrecisionContext
+                          evaluate_report, laguerre_rule, stationary_rule)
+from .precision import PrecisionContext
 from .scurve import (CurvePolyline, PhaseContext, build_phase_context,
                      equilibrium_measure, trace_gamma, verify_equilibrium)
 from .verify import run_suite
@@ -45,14 +44,14 @@ __all__ = [
     "precision", "geometry", "opq", "scurve", "asymptotics", "oscillatory",
     "serialize", "verify",
     # core types
-    "PrecisionContext", "ComplexValue", "WeightSpec", "MomentSequence",
+    "PrecisionContext", "WeightSpec", "MomentSequence",
     "RecurrenceCoefficients", "QuadratureRule", "CurvePolyline",
     "PhaseContext", "Amplitude", "OscillatoryIntegralSpec",
     # headline operations
     "moment", "moment_sequence", "build_recurrence", "zeros", "build_rule",
     "trace_gamma", "build_phase_context", "equilibrium_measure",
     "verify_equilibrium", "amplitude", "laguerre_rule", "stationary_rule",
-    "evaluate", "evaluate_report", "convergence_order", "run_suite",
+    "evaluate_report", "run_suite",
     # errors
     "ToolkitError", "PoleError", "OnCutError", "DegenerateFunctionalError",
     "NonconvergenceError", "IllConditionedError", "TraceDivergedError",

@@ -3,24 +3,26 @@
 Three closed-form approximations, each tied to a region of the plane:
 
 * ``pn_outer``   -- away from the limiting curve: e^{n g(z)} times the
-  (1,1) entry of a global parametrix built from the fourth root of the
-  Moebius ratio (z - z2)/(z - z1).
+  (1,1) entry of the global parametrix ``n_matrix``, built from ``beta``,
+  the fourth root of the Moebius ratio (z - z2)/(z - z1) cut along the arc.
 * ``pn_band``    -- in a tube around the open arc: a two-term formula in
   the chord branch of the phase, analytic across the arc itself, so a
   single expression is valid on both sides (and on the arc).
 * ``pn_airy``    -- in disks around the branch points: Airy functions of
-  n^{2/3} f(z), where f is the conformal map straightening the phase
-  ((3/2) phi)^{2/3}.  The disk at the left endpoint is handled through
-  the reflection symmetry P_n(z) = (-1)^n conj(P_n(-conj z)).
+  n^{2/3} f(z), where f = ``conformal_f`` is the conformal map
+  straightening the phase ((3/2) phi)^{2/3}.  The disk at the left
+  endpoint is handled through the reflection symmetry
+  P_n(z) = (-1)^n conj(P_n(-conj z)).
 
-All three can be checked against exact recurrence evaluation at scheduled
-precision (``exact_pn``); the observed convergence rate is O(1/n).
+The only contour data the parametrices read is the traced arc (for the
+lens side of ``beta``); f is fixed by Q alone.  All three formulas can be
+checked against exact recurrence evaluation at scheduled precision
+(``exact_pn``); the observed convergence rate is O(1/n).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -42,8 +44,11 @@ from .scurve import (
 )
 
 __all__ = [
-    "GlobalParametrix",
-    "AiryParametrix",
+    "beta",
+    "n_matrix",
+    "conformal_f",
+    "f_quarter_root",
+    "boundary_winding",
     "region_classify",
     "pn_outer",
     "pn_band",
@@ -91,45 +96,36 @@ def _ensure_finite_c(val, what: str) -> complex:
 # Global parametrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GlobalParametrix:
+def beta(z: complex, phase: PhaseContext) -> complex:
     """beta(z) = ((z - z2)/(z - z1))^{1/4} with its cut moved onto the arc.
 
     The principal fourth root of the Moebius ratio is discontinuous across
     the chord between the branch points; multiplying by i inside the lens
     (between arc and chord) cancels that jump and leaves a branch cut
     exactly on the arc, with boundary values beta_+ = i beta_-.  beta -> 1
-    at infinity.
+    at infinity.  No on-cut guard: callers that need one apply it.
     """
+    z = complex(z)
+    b = complex(_q4((z - Z2) / (z - Z1)))
+    if _in_lens(z, phase.gamma):
+        b *= 1j
+    return _ensure_finite_c(b, "beta")
 
-    phase: PhaseContext
 
-    def in_lens(self, z: complex) -> bool:
-        return _in_lens(complex(z), self.phase.gamma)
-
-    def beta_eval(self, z: complex, guard: bool = True) -> complex:
-        z = complex(z)
-        if guard:
-            _require_off_cut(z, self.phase.gamma)
-        b = complex(_q4((z - Z2) / (z - Z1)))
-        if self.in_lens(z):
-            b *= 1j
-        return _ensure_finite_c(b, "beta_eval")
-
-    def n_matrix(self, z: complex) -> np.ndarray:
-        """2x2 parametrix [[n11, n12], [-n12, n11]]; det = n11^2 + n12^2 = 1."""
-        b = self.beta_eval(z)
-        n11 = (b + 1 / b) / 2
-        n12 = (b - 1 / b) / 2j
-        return np.array([[n11, n12], [-n12, n11]], dtype=complex)
+def n_matrix(z: complex, phase: PhaseContext) -> np.ndarray:
+    """2x2 global parametrix [[n11, n12], [-n12, n11]]; det = n11^2 + n12^2 = 1."""
+    _require_off_cut(z, phase.gamma)
+    b = beta(z, phase)
+    n11 = (b + 1 / b) / 2
+    n12 = (b - 1 / b) / 2j
+    return np.array([[n11, n12], [-n12, n11]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
 # Local (Airy) parametrix at the right branch point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AiryParametrix:
+def conformal_f(z: complex) -> complex:
     """Conformal map f with ((3/2) phi2)^2 = f^3 near the right endpoint.
 
     The square of the chord-branch phase is single valued and analytic on
@@ -139,38 +135,36 @@ class AiryParametrix:
     f maps the arc onto the negative reals and its forward extension onto
     the positive reals; f'(z2) = Q'(z2)^{1/3}, |f'(z2)| = 18^{1/6}.
     """
+    z = complex(z)
+    dz = z - Z2
+    if abs(dz) > AIRY_RADIUS * (1 + 1e-12):
+        raise OutsideDiskError(
+            f"|z - z2| = {abs(dz):.4f} exceeds the disk radius {AIRY_RADIUS}")
+    if abs(dz) <= 1e-9:
+        return dz * FC
+    psi = 1.5 * complex(phi2_chord(z))
+    chi = psi * psi / (dz ** 3 * QP2)
+    return _ensure_finite_c(dz * FC * _cbrt(chi), "conformal_f")
 
-    phase: PhaseContext
 
-    def conformal_f(self, z: complex) -> complex:
-        z = complex(z)
-        dz = z - Z2
-        if abs(dz) > AIRY_RADIUS * (1 + 1e-12):
-            raise OutsideDiskError(
-                f"|z - z2| = {abs(dz):.4f} exceeds the disk radius {AIRY_RADIUS}")
-        if abs(dz) <= 1e-9:
-            return dz * FC
-        psi = 1.5 * complex(phi2_chord(z))
-        chi = psi * psi / (dz ** 3 * QP2)
-        return _ensure_finite_c(dz * FC * _cbrt(chi), "conformal_f")
+def f_quarter_root(z: complex) -> tuple[complex, complex]:
+    """(f, f^{1/4}) with the principal fourth root.
 
-    def f_quarter_root(self, z: complex) -> tuple[complex, complex]:
-        """(f, f^{1/4}) with the principal fourth root.
+    f is real negative exactly on the arc, so the principal root's cut
+    falls on the arc with f^{1/4}_+ = i f^{1/4}_-, matching the jump
+    orientation of beta; the combinations f^{1/4}/beta and beta/f^{1/4}
+    are continuous across the arc.
+    """
+    f = conformal_f(z)
+    return f, complex(_q4(f))
 
-        f is real negative exactly on the arc, so the principal root's cut
-        falls on the arc with f^{1/4}_+ = i f^{1/4}_-, matching the jump
-        orientation of the global parametrix; the combinations
-        f^{1/4}/beta and beta/f^{1/4} are continuous across the arc.
-        """
-        f = self.conformal_f(z)
-        return f, complex(_q4(f))
 
-    def boundary_winding(self, radius: float | None = None, samples: int = 720) -> float:
-        """Winding number of f around 0 along a circle (1.0 iff injective-consistent)."""
-        rad = 0.9 * AIRY_RADIUS if radius is None else radius
-        th = np.linspace(-np.pi, np.pi, samples, endpoint=False)
-        fv = np.array([self.conformal_f(complex(Z2 + rad * np.exp(1j * t))) for t in th])
-        return float(np.sum(np.diff(np.unwrap(np.angle(np.r_[fv, fv[:1]])))) / (2 * np.pi))
+def boundary_winding(radius: float | None = None, samples: int = 720) -> float:
+    """Winding number of f around 0 along a circle (1.0 iff injective-consistent)."""
+    rad = 0.9 * AIRY_RADIUS if radius is None else radius
+    th = np.linspace(-np.pi, np.pi, samples, endpoint=False)
+    fv = np.array([conformal_f(complex(Z2 + rad * np.exp(1j * t))) for t in th])
+    return float(np.sum(np.diff(np.unwrap(np.angle(np.r_[fv, fv[:1]])))) / (2 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +187,11 @@ def _v_half_minus_l(z: complex, n: int) -> complex:
     return n * (v / 2 - L_CONST)
 
 
-def pn_outer(n: int, z: complex, phase: PhaseContext,
-             gp: GlobalParametrix | None = None) -> complex:
+def pn_outer(n: int, z: complex, phase: PhaseContext) -> complex:
     """Leading outer asymptotics e^{n g(z)} (beta + 1/beta)/2."""
     z = complex(z)
-    gp = GlobalParametrix(phase) if gp is None else gp
-    b = gp.beta_eval(z)
+    _require_off_cut(z, phase.gamma)
+    b = beta(z, phase)
     gv = g_eval(z, phase)
     return _ensure_finite_c(np.exp(n * gv) * (b + 1 / b) / 2, "pn_outer")
 
@@ -227,30 +220,27 @@ def pn_band(n: int, z: complex, phase: PhaseContext) -> complex:
     return _ensure_finite_c(val, "pn_band")
 
 
-def pn_airy(n: int, z: complex, phase: PhaseContext,
-            gp: GlobalParametrix | None = None,
-            ap: AiryParametrix | None = None) -> complex:
+def pn_airy(n: int, z: complex, phase: PhaseContext) -> complex:
     """Airy-type formula in the endpoint disks.
 
     In the right disk,
         P_n ~ sqrt(pi) e^{n(V/2 - l)} [ n^{1/6} f^{1/4} beta^{-1} Ai(n^{2/3} f)
                                        - n^{-1/6} f^{-1/4} beta Ai'(n^{2/3} f) ],
     continuous across the arc because f^{1/4} and beta jump by the same
-    factor i.  The left disk is evaluated by reflection.
+    factor i, so it is evaluated on the arc too (no on-cut guard).  The left
+    disk is evaluated by reflection.
     """
     z = complex(z)
     if abs(z - Z2) <= AIRY_RADIUS:
         pass
     elif abs(z - Z1) <= AIRY_RADIUS:
-        mirrored = pn_airy(n, -np.conj(z), phase, gp=gp, ap=ap)
+        mirrored = pn_airy(n, -np.conj(z), phase)
         return (-1) ** n * np.conj(mirrored)
     else:
         raise OutsideDiskError(
             f"z = {z:.4f} lies in neither endpoint disk of radius {AIRY_RADIUS}")
-    gp = GlobalParametrix(phase) if gp is None else gp
-    ap = AiryParametrix(phase) if ap is None else ap
-    f, f14 = ap.f_quarter_root(z)
-    b = gp.beta_eval(z, guard=False)
+    f, f14 = f_quarter_root(z)
+    b = beta(z, phase)
     ai, aip, _, _ = scipy.special.airy(n ** (2.0 / 3.0) * f)
     val = (np.sqrt(np.pi) * np.exp(_v_half_minus_l(z, n))
            * (n ** (1.0 / 6.0) * f14 / b * ai
@@ -325,7 +315,7 @@ def zero_distribution_report(n: int, phase: PhaseContext,
     cdf = phase.gamma.cdf
     dists, masses = [], []
     for z in zs:
-        d, _, k, t, _ = geometry.nearest_on_polyline(complex(z), pts)
+        d, k, t = geometry.nearest_on_polyline(complex(z), pts)
         dists.append(d)
         masses.append(cdf[k] + t * (cdf[k + 1] - cdf[k]))
     masses = np.sort(np.array(masses))

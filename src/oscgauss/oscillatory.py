@@ -32,8 +32,7 @@ from .errors import (
     NoiseFloorError,
     NonconvergenceError,
 )
-from .precision import (ComplexValue, PrecisionContext, ensure_finite,
-                        panel_quad, ray_cuts)
+from .precision import PrecisionContext, ensure_finite, panel_quad, ray_cuts
 
 __all__ = [
     "Amplitude",
@@ -43,11 +42,9 @@ __all__ = [
     "laguerre_moment_sequence",
     "laguerre_rule",
     "stationary_rule",
-    "evaluate",
     "evaluate_report",
     "stationary_oracle",
     "interval_oracle",
-    "convergence_order",
     "convergence_report",
 ]
 
@@ -273,7 +270,7 @@ def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
         m = mp.fsum((w * spec.amplitude(z) for z, w in
                      zip(stat.nodes, stat.weights)), absolute=False)
         total = fa + m - fb
-        ensure_finite(total, "evaluate")
+        ensure_finite(total, "evaluate_report")
         return {
             "value": ctx.finalize(total),
             "endpoint_a": ctx.finalize(fa),
@@ -282,13 +279,6 @@ def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
             "n_endpoint": n_endpoint,
             "n_stationary": n_stationary,
         }
-
-
-def evaluate(spec: OscillatoryIntegralSpec, n_endpoint: int, n_stationary: int,
-             ctx: PrecisionContext | None = None) -> ComplexValue:
-    ctx = PrecisionContext() if ctx is None else ctx
-    return ComplexValue.from_number(
-        evaluate_report(spec, n_endpoint, n_stationary, ctx)["value"], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +397,3 @@ def convergence_report(f, n: int, r: int, omega_list,
         "intercept": float(intercept),
         "expected_slope": -(2 * n + 1) / r,
     }
-
-
-def convergence_order(f, n: int, r: int, omega_list,
-                      ctx: PrecisionContext | None = None) -> float:
-    """Fitted slope of the stationary-rule error; see convergence_report."""
-    return convergence_report(f, n, r, omega_list, ctx)["slope"]

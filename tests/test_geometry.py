@@ -1,8 +1,12 @@
-"""Polyline primitives: arclength, nearest point, complex coercion."""
+"""Polyline primitives: arclength, nearest point."""
+
+import math
 
 import numpy as np
 
 from oscgauss import geometry
+
+SQRT2 = math.sqrt(2.0)
 
 
 def test_cumulative_arclength_unit_square():
@@ -14,14 +18,12 @@ def test_cumulative_arclength_unit_square():
 
 def test_nearest_on_polyline_exact_cases():
     pts = np.array([0, 2, 2 + 2j], dtype=complex)
-    d, s, k, t, proj = geometry.nearest_on_polyline(1 + 1j, pts)
+    d, k, t = geometry.nearest_on_polyline(1 + 1j, pts)
     assert abs(d - 1.0) < 1e-14
-    assert abs(s - 1.0) < 1e-14
     assert k == 0 and abs(t - 0.5) < 1e-14
-    assert abs(proj - 1.0) < 1e-14
-    d, s, k, t, proj = geometry.nearest_on_polyline(3 + 3j, pts)
-    assert k == 1 and abs(s - 4.0) < 1e-14
-    assert abs(proj - (2 + 2j)) < 1e-14
+    d, k, t = geometry.nearest_on_polyline(3 + 3j, pts)
+    assert k == 1 and t == 1.0
+    assert abs(d - SQRT2) < 1e-14
 
 
 def test_nearest_on_polyline_matches_brute_force():
@@ -32,13 +34,7 @@ def test_nearest_on_polyline_matches_brute_force():
                             for i in range(len(pts) - 1)])
     for _ in range(20):
         z = complex(rng.uniform(-0.5, 1.5), rng.uniform(-2, 2))
-        d, _, _, _, _ = geometry.nearest_on_polyline(z, pts)
+        d, _, _ = geometry.nearest_on_polyline(z, pts)
         brute = np.min(np.abs(dense - z))
         assert d <= brute + 1e-9
         assert d >= brute - 5e-3  # dense sampling resolution
-
-
-def test_as_complex_array_accepts_pairs():
-    arr = geometry.as_complex_array([(0.0, 1.0), (2.0, 3.0)])
-    assert arr.dtype == complex
-    assert arr[0] == 1j and arr[1] == 2 + 3j

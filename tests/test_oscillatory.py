@@ -108,9 +108,9 @@ def test_stationary_rule_r2_node_symmetry():
 def test_odd_amplitude_gives_imaginary_integral():
     spec = osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=30.0, r=3,
                                        amplitude=osc.amplitude("monomial", k=1))
-    val = osc.evaluate(spec, 6, 6)
-    assert abs(val.re) <= 1e-12
-    assert abs(val.im) > 1e-3
+    val = osc.evaluate_report(spec, 6, 6)["value"]
+    assert abs(val.real) <= 1e-12
+    assert abs(val.imag) > 1e-3
 
 
 def test_evaluate_matches_oracle_moderate_omega():
@@ -191,7 +191,7 @@ def test_analyticity_budget_enforced():
     spec = osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=5.0, r=3,
                                        amplitude=amp)
     with pytest.raises(AnalyticityBudgetError):
-        osc.evaluate(spec, 4, 4)
+        osc.evaluate_report(spec, 4, 4)
 
 
 def test_convergence_slope_exp_case():

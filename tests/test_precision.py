@@ -5,8 +5,8 @@ import pytest
 from mpmath import mp
 
 from oscgauss.errors import NonFiniteError, PoleError
-from oscgauss.precision import (ComplexValue, PrecisionContext, ensure_finite,
-                                gamma, panel_quad, ray_cuts)
+from oscgauss.precision import (PrecisionContext, ensure_finite, gamma,
+                                panel_quad, ray_cuts)
 
 
 def test_working_context_scopes_dps():
@@ -41,20 +41,14 @@ def test_gamma_pole_raises(z):
         gamma(z, PrecisionContext(30))
 
 
-def test_complex_value_round_trip():
-    ctx = PrecisionContext(30)
-    cv = ComplexValue.from_number(1.5 - 2.25j, ctx)
-    assert cv.re == 1.5 and cv.im == -2.25
-    assert complex(cv.to_mpc()) == 1.5 - 2.25j
-    re_s, im_s = cv.as_strings(10)
-    assert float(re_s) == 1.5 and float(im_s) == -2.25
-
-
 def test_non_finite_values_rejected():
     with pytest.raises(NonFiniteError):
         ensure_finite(float("inf"), "test")
     with pytest.raises(NonFiniteError):
-        ComplexValue.from_number(complex(float("nan"), 0.0), PrecisionContext(30))
+        ensure_finite(complex(float("nan"), 0.0), "test")
+    with pytest.raises(NonFiniteError):
+        ensure_finite(mp.mpc(1, mp.nan), "test")
+    assert ensure_finite(1.5 - 2.25j, "test") == 1.5 - 2.25j
 
 
 @pytest.mark.parametrize("cuts", [

@@ -46,7 +46,15 @@ def test_phase_context_is_memoised_and_frozen(phase):
     assert finer is not phase
     assert scurve.build_phase_context(step_tolerance=1e-6) is finer
     with pytest.raises(dataclasses.FrozenInstanceError):
-        phase.ell_tilde = 1.0
+        phase.gamma = phase.gamma1
+    assert [f.name for f in dataclasses.fields(phase)] == ["gamma", "gamma1", "gamma2"]
+
+
+def test_gamma1_is_the_mirror_of_gamma2(phase):
+    assert (phase.gamma1.kind, phase.gamma2.kind) == ("gamma1", "gamma2")
+    assert np.array_equal(phase.gamma1.points, -np.conj(phase.gamma2.points))
+    assert np.array_equal(phase.gamma1.s,
+                          scurve.geometry.cumulative_arclength(phase.gamma1.points))
 
 
 def test_cached_contour_arrays_are_read_only(phase):
@@ -109,7 +117,7 @@ def test_gamma_reflection_symmetry(phase):
     mirrored = -np.conj(pts)[::-1]
     sub = pts[:: max(1, len(pts) // 200)]
     for z in sub:
-        d, _, _, _, _ = scurve.geometry.nearest_on_polyline(complex(z), mirrored)
+        d = scurve.geometry.nearest_on_polyline(complex(z), mirrored)[0]
         assert d <= 1e-6
 
 
@@ -150,8 +158,8 @@ def test_d_on_curve_boundary_values(phase):
     for m in (0.25, 0.5, 0.75):
         z = complex(scurve.curve_points_at_mass(
             phase.gamma, m * phase.gamma.total_mass)[0])
-        dp = complex(scurve.d_on_curve(z, phase, +1))
-        dm = complex(scurve.d_on_curve(z, phase, -1))
+        dp = complex(scurve.d_on_curve(z, +1))
+        dm = complex(scurve.d_on_curve(z, -1))
         assert abs(dp - m) <= 1e-6
         assert abs(dm + m) <= 1e-6
 
@@ -161,7 +169,7 @@ def test_q_sqrt_squares_to_q(phase):
     count = 0
     while count < 6:
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        d, _, _, _, _ = scurve.geometry.nearest_on_polyline(z, phase.gamma.points)
+        d = scurve.geometry.nearest_on_polyline(z, phase.gamma.points)[0]
         if d < 0.05 or abs(z + 1j) < 0.05:
             continue
         w = scurve.q_sqrt(z, phase)
@@ -186,19 +194,41 @@ def test_q_sqrt_one_sided_limits_match_chord_branch(phase):
     h = 4.0 * phase.gamma.resolution
     above = scurve.q_sqrt(z + h * nrm, phase)
     below = scurve.q_sqrt(z - h * nrm, phase)
-    sgn = phase.plus_w_sign
+    # the lens lies above gamma: minus the chord branch there, plus below
     qa = scurve.q_sqrt_chord(z + h * nrm)
     qb = scurve.q_sqrt_chord(z - h * nrm)
-    assert abs(above - sgn * qa) <= 1e-10
-    assert abs(below + sgn * qb) <= 1e-10
+    assert abs(above + qa) <= 1e-10
+    assert abs(below - qb) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_phi2_off_curve_approaches_its_boundary_value(phase, m):
+    # the fixed side convention of phi2_on_curve against the curve branch:
+    # just above gamma phi2 is near the side +1 value, just below near -1
+    z = complex(scurve.curve_points_at_mass(phase.gamma, m * phase.gamma.total_mass)[0])
+    q = scurve.q_sqrt_chord(z)
+    nrm = q.conjugate() / abs(q)       # left normal of the z1 -> z2 orientation
+    h = 4.0 * phase.gamma.resolution
+    for side in (+1, -1):
+        val = scurve.phi2(z + side * h * nrm, phase)
+        near = abs(val - scurve.phi2_on_curve(z, side))
+        far = abs(val - scurve.phi2_on_curve(z, -side))
+        assert near <= 0.02
+        assert far >= 0.5
+
+
+def test_boundary_values_give_ell_tilde(phase):
+    ms = np.linspace(0.02, 0.98, 49) * phase.gamma.total_mass
+    zs = scurve.curve_points_at_mass(phase.gamma, ms)
+    both = scurve.phi2_on_curve(zs, +1) + scurve.phi2_on_curve(zs, -1)
+    assert np.max(np.abs(both.imag - scurve.ELL_TILDE)) <= 1e-12
 
 
 def test_phi1_phi2_offset_is_pi_i(phase):
-    assert phase.phi1_sign_above in (-1, 1)
-    assert phase.phi1_sign_below in (-1, 1)
-    z = 0.3 + 2.0j
-    diff = complex(scurve.phi1(z, phase)) - complex(scurve.phi2(z, phase))
-    assert abs(diff - phase.phi1_sign_above * math.pi * 1j) <= 1e-10
+    for z, sign in ((0.3 + 2.0j, 1), (2.2j, 1), (-2.0 + 3.0j, 1),
+                    (-1.8j, -1), (2.0 - 2.0j, -1)):
+        diff = complex(scurve.phi1(z, phase)) - complex(scurve.phi2(z, phase))
+        assert abs(diff - sign * math.pi * 1j) <= 1e-10
 
 
 def test_g_has_log_asymptotics(phase):

@@ -1,7 +1,8 @@
 """Every module of the package compiles with warnings raised as errors,
 every name it exports in __all__ exists, and every library name the
-benchmark tracer rebinds exists."""
+benchmark tracer rebinds or the benchmark workloads call exists."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -13,7 +14,9 @@ import oscgauss
 
 SOURCES = sorted(pathlib.Path(oscgauss.__file__).parent.glob("*.py"))
 MODULES = ["oscgauss"] + [f"oscgauss.{p.stem}" for p in SOURCES if p.stem != "__init__"]
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -40,3 +43,56 @@ def test_traced_imported_bindings_resolve():
                for name in names
                if not hasattr(importlib.import_module(f"oscgauss.{short}"), name)]
     assert missing == []
+
+
+def _workload_paths(tree):
+    """(aliases, calls): dotted oscgauss paths the workloads reach.
+
+    Each workload receives the package as `og` and may bind submodules to
+    local names (`osc = og.oscillatory`); an alias path only has to
+    resolve, every other path is an attribute the workload calls.
+    """
+    roots = {"og": ()}
+
+    def path(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            return roots[node.id] + tuple(reversed(parts))
+        return None
+
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and path(v):
+                    roots[t.id] = path(v)
+                    aliases.add(path(v))
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    reached = {path(node) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and id(node) not in inner}
+    reached.discard(None)
+    return aliases, reached - aliases
+
+
+def test_workload_calls_resolve():
+    # A deleted or renamed library name would make every call of a
+    # workload fail and silently zero the benchmark's ok_frac.
+    aliases, calls = _workload_paths(ast.parse(WORKLOADS.read_text()))
+    assert {("opq", "build_rule"), ("oscillatory", "evaluate_report"),
+            ("scurve", "verify_equilibrium"), ("asymptotics", "pn_relative_error"),
+            ("verify", "run_suite")} <= calls
+
+    def resolve(dotted):
+        obj = oscgauss
+        for name in dotted:
+            obj = getattr(obj, name, None)
+        return obj
+
+    assert [".".join(p) for p in sorted(aliases) if resolve(p) is None] == []
+    assert [".".join(p) for p in sorted(calls) if not callable(resolve(p))] == []
