@@ -159,11 +159,13 @@ def f_quarter_root(z: complex) -> tuple[complex, complex]:
     return f, complex(_q4(f))
 
 
-def boundary_winding(radius: float | None = None, samples: int = 720) -> float:
-    """Winding number of f around 0 along a circle (1.0 iff injective-consistent)."""
-    rad = 0.9 * AIRY_RADIUS if radius is None else radius
-    th = np.linspace(-np.pi, np.pi, samples, endpoint=False)
-    fv = np.array([conformal_f(complex(Z2 + rad * np.exp(1j * t))) for t in th])
+def boundary_winding() -> float:
+    """Winding number of f around 0 along |z - z2| = 0.9 AIRY_RADIUS (720 samples).
+
+    1.0 iff f is injective-consistent on the disk.
+    """
+    th = np.linspace(-np.pi, np.pi, 720, endpoint=False)
+    fv = np.array([conformal_f(complex(Z2 + 0.9 * AIRY_RADIUS * np.exp(1j * t))) for t in th])
     return float(np.sum(np.diff(np.unwrap(np.angle(np.r_[fv, fv[:1]])))) / (2 * np.pi))
 
 
@@ -188,11 +190,13 @@ def _v_half_minus_l(z: complex, n: int) -> complex:
 
 
 def pn_outer(n: int, z: complex, phase: PhaseContext) -> complex:
-    """Leading outer asymptotics e^{n g(z)} (beta + 1/beta)/2."""
+    """Leading outer asymptotics e^{n g(z)} (beta + 1/beta)/2.
+
+    g_eval runs first: it applies the on-cut guard (OnCutError).
+    """
     z = complex(z)
-    _require_off_cut(z, phase.gamma)
-    b = beta(z, phase)
     gv = g_eval(z, phase)
+    b = beta(z, phase)
     return _ensure_finite_c(np.exp(n * gv) * (b + 1 / b) / 2, "pn_outer")
 
 
@@ -264,13 +268,12 @@ def pn_asymptotic(n: int, z: complex, phase: PhaseContext) -> tuple[str, complex
 
 def _recurrence_for(n: int, ctx: PrecisionContext | None = None) -> opq.RecurrenceCoefficients:
     ctx = opq.precision_schedule(n) if ctx is None else ctx
-    return _rescaled_recurrence(n, ctx.decimal_digits, ctx.guard_digits)
+    return _rescaled_recurrence(n, ctx.decimal_digits)
 
 
 @functools.lru_cache(maxsize=64)
-def _rescaled_recurrence(n: int, decimal_digits: int,
-                         guard_digits: int) -> opq.RecurrenceCoefficients:
-    ctx = PrecisionContext(decimal_digits, guard_digits)
+def _rescaled_recurrence(n: int, decimal_digits: int) -> opq.RecurrenceCoefficients:
+    ctx = PrecisionContext(decimal_digits)
     mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n, ctx)
     return opq.rescale_to_Pn(opq.build_recurrence(mom, n), n, 3)
 

@@ -10,7 +10,7 @@ reason; the pass/fail verdicts against the runtime budgets remain).
 
 Exit codes: 0 success, 2 numerical tolerance failure (a verify suite
 reported red), 3 construction failure (degenerate functional, diverged
-trace, precision exhaustion, invalid parameters), 4 I/O failure.
+trace, a rule failing its residual checks, invalid parameters), 4 I/O failure.
 
 An optional --config FILE supplies defaults as a flat JSON object whose
 keys mirror the flag names; explicit flags win over the file, the file

@@ -29,13 +29,14 @@ through the involution, so a self-paired node sits exactly on its axis
 rule is delivered only if |pi_n(z_j)| <= 10^(-digits/2) times the size of
 the monomial terms and the rule is exact to 10^(-digits/3) through degree
 2n-1.  Nodes come in ascending (Re, Im) order.  Rules are memoised per
-process (functools.lru_cache, 64 entries) keyed on (n, r, decimal_digits,
-guard_digits); QuadratureRule is frozen and holds tuples, so callers share
-the cached objects safely.
+process (functools.lru_cache, 64 entries) keyed on (n, r, decimal_digits);
+QuadratureRule is frozen and holds tuples, so callers share the cached
+objects safely.
 
 All computations run under a PrecisionContext; the default schedule for
-degree n is max(60, 12 + 4n) working digits, doubled (at most twice) if
-residual verification fails.
+degree n is max(60, 12 + 4n) working digits.  A rule that fails either
+residual check raises at the precision it was asked for; nothing is
+retried.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     IllConditionedError,
     NonconvergenceError,
 )
-from .precision import PrecisionContext, ensure_finite, gamma
+from .precision import GUARD_DIGITS, PrecisionContext, ensure_finite, gamma
 
 __all__ = [
     "WeightSpec",
@@ -85,21 +86,11 @@ class WeightSpec:
         if self.r < 2:
             raise ValueError("r must be an integer >= 2")
 
-    @property
-    def ray_high(self) -> float:
-        """Outgoing ray angle pi/(2r), as a multiple of pi."""
-        return 1.0 / (2 * self.r)
-
-    @property
-    def ray_low(self) -> float:
-        """Incoming ray angle pi/(2r) + 2*floor(r/2)*pi/r, as a multiple of pi."""
-        return 1.0 / (2 * self.r) + 2.0 * (self.r // 2) / self.r
-
     def ray_directions(self):
         """(e^{i theta_hi}, e^{i theta_lo}) at the ambient working precision.
 
-        The float properties round the pi-fraction to double; quadrature
-        oracles need the phases exact to working precision.
+        theta_hi = pi/(2r) is the outgoing ray, theta_lo = pi/(2r) +
+        2*floor(r/2)*pi/r the incoming one.
         """
         hi = mp.mpf(1) / (2 * self.r)
         lo = hi + mp.mpf(2 * (self.r // 2)) / self.r
@@ -112,8 +103,6 @@ class MomentSequence:
 
     values: tuple
     ctx: PrecisionContext
-    r: int | None = None
-    label: str = "osc"
 
     def __len__(self):
         return len(self.values)
@@ -128,21 +117,21 @@ class RecurrenceCoefficients:
 
     alpha: tuple
     beta: tuple
-    n: int
     ctx: PrecisionContext
     symmetry: str | None = None  # 'neg_conj' | 'real' | 'neg' | None
+
+    @property
+    def n(self) -> int:
+        """Degree of pi_n."""
+        return len(self.alpha)
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gaussian-type rule: nodes, weights, and the regime/scaling metadata."""
+    """Gaussian-type rule: nodes and weights."""
 
     nodes: tuple
     weights: tuple
-    n: int
-    regime: str  # 'stationary' or 'endpoint'
-    r: int | None = None
-    scale: object = 1  # node scaling applied relative to the monic pi_n zeros
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +165,7 @@ def moment(k: int, spec: WeightSpec, ctx: PrecisionContext):
 
 def moment_sequence(spec: WeightSpec, k_max: int, ctx: PrecisionContext) -> MomentSequence:
     vals = tuple(moment(k, spec, ctx) for k in range(k_max + 1))
-    return MomentSequence(values=vals, ctx=ctx, r=spec.r, label="osc")
+    return MomentSequence(values=vals, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +187,7 @@ def build_recurrence(moments: MomentSequence, n: int) -> RecurrenceCoefficients:
     ctx = moments.ctx
     with ctx.working():
         m = [mp.mpmathify(v) for v in moments.values[: 2 * n]]
-        tiny = mp.mpf(10) ** (-(ctx.decimal_digits + ctx.guard_digits // 2))
+        tiny = mp.mpf(10) ** (-(ctx.decimal_digits + GUARD_DIGITS // 2))
         if abs(m[0]) <= tiny:
             raise DegenerateFunctionalError(0, "zeroth moment vanishes")
         alpha = [m[1] / m[0]]
@@ -225,7 +214,7 @@ def build_recurrence(moments: MomentSequence, n: int) -> RecurrenceCoefficients:
             prev2, prev = prev, cur
         alpha = [ctx.finalize(a) for a in alpha]
         sym = _detect_symmetry(m[0], alpha, beta, ctx)
-    return RecurrenceCoefficients(alpha=tuple(alpha), beta=tuple(beta), n=n, ctx=ctx, symmetry=sym)
+    return RecurrenceCoefficients(alpha=tuple(alpha), beta=tuple(beta), ctx=ctx, symmetry=sym)
 
 
 def _detect_symmetry(m0, alpha, beta, ctx) -> str | None:
@@ -440,7 +429,7 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
         resid = rule_exactness_residual(nodes, ws, moments, range(2 * len(nodes)))
         bar = mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
         if not resid <= bar:
-            lost = float(ctx.decimal_digits + ctx.guard_digits + mp.log10(resid + mp.eps))
+            lost = float(ctx.decimal_digits + GUARD_DIGITS + mp.log10(resid + mp.eps))
             raise IllConditionedError(
                 max(lost, 0.0),
                 f"exactness residual {mp.nstr(resid, 3)} exceeds 10^(-digits/3); raise precision",
@@ -479,11 +468,10 @@ def lambda_n(n: int, r: int, ctx: PrecisionContext):
 
 
 def rescale_to_Pn(obj, n: int, r: int):
-    """Rescale zeros / recurrence / rule data from pi_n to P_n (divide by lambda_n).
+    """Rescale a recurrence or a rule from pi_n to P_n (divide by lambda_n).
 
     Monicity is preserved: alpha scales by 1/lambda, beta by 1/lambda^2,
-    nodes by 1/lambda.  Rule weights are left untouched (the scaling is
-    recorded in the rule's metadata).
+    nodes by 1/lambda.  Rule weights are left untouched.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -492,50 +480,34 @@ def rescale_to_Pn(obj, n: int, r: int):
         with obj.ctx.working():
             alpha = tuple(obj.ctx.finalize(a / lam) for a in obj.alpha)
             beta = tuple(obj.ctx.finalize(b / lam ** 2) for b in obj.beta)
-        return RecurrenceCoefficients(alpha=alpha, beta=beta, n=obj.n, ctx=obj.ctx,
+        return RecurrenceCoefficients(alpha=alpha, beta=beta, ctx=obj.ctx,
                                       symmetry=obj.symmetry)
-    if isinstance(obj, QuadratureRule):
-        ctx = PrecisionContext()
-        lam = lambda_n(n, r, ctx)
-        nodes = tuple(z / lam for z in obj.nodes)
-        return QuadratureRule(nodes=nodes, weights=obj.weights, n=obj.n,
-                              regime=obj.regime, r=r, scale=lam)
-    # plain sequence of zeros
-    ctx = PrecisionContext()
-    lam = lambda_n(n, r, ctx)
-    return [z / lam for z in obj]
+    lam = lambda_n(n, r, PrecisionContext())
+    return QuadratureRule(nodes=tuple(z / lam for z in obj.nodes), weights=obj.weights)
 
 
 def precision_schedule(n: int) -> PrecisionContext:
-    """Working digits for degree n: max(60, 12 + 4n), guard 10."""
-    return PrecisionContext(decimal_digits=max(60, 12 + 4 * n), guard_digits=10)
+    """Working digits for degree n: max(60, 12 + 4n)."""
+    return PrecisionContext(decimal_digits=max(60, 12 + 4 * n))
 
 
 def build_rule(n: int, spec: WeightSpec, ctx: PrecisionContext | None = None) -> QuadratureRule:
     """Full pipeline moments -> recurrence -> zeros -> weights, memoised per process.
 
-    Residual failures (root residuals, weight exactness) double the working
-    precision, at most twice.  A degenerate functional aborts immediately
-    with its failing index.  The same (n, r, decimal_digits, guard_digits)
-    returns the same cached rule object.
+    Runs once at the given precision (default: the schedule).  A failed
+    root-residual or exactness check raises NonconvergenceError or
+    IllConditionedError, and a degenerate functional raises
+    DegenerateFunctionalError with its failing index.  The same
+    (n, r, decimal_digits) returns the same cached rule object.
     """
     base = precision_schedule(n) if ctx is None else ctx
-    return _build_rule(n, spec.r, base.decimal_digits, base.guard_digits)
+    return _build_rule(n, spec.r, base.decimal_digits)
 
 
 @functools.lru_cache(maxsize=64)
-def _build_rule(n: int, r: int, decimal_digits: int, guard_digits: int) -> QuadratureRule:
-    last: Exception | None = None
-    for attempt in range(3):
-        actx = PrecisionContext(decimal_digits * (2 ** attempt), guard_digits)
-        try:
-            mom = moment_sequence(WeightSpec(r=r), 2 * n - 1, actx)
-            rec = build_recurrence(mom, n)
-            zs = zeros(rec)
-            ws = christoffel_weights(rec, zs, mom)
-            return QuadratureRule(nodes=tuple(zs), weights=tuple(ws), n=n,
-                                  regime="stationary", r=r, scale=1)
-        except (NonconvergenceError, IllConditionedError) as exc:
-            last = exc
-            continue
-    raise last
+def _build_rule(n: int, r: int, decimal_digits: int) -> QuadratureRule:
+    ctx = PrecisionContext(decimal_digits)
+    mom = moment_sequence(WeightSpec(r=r), 2 * n - 1, ctx)
+    rec = build_recurrence(mom, n)
+    zs = zeros(rec)
+    return QuadratureRule(nodes=tuple(zs), weights=tuple(christoffel_weights(rec, zs, mom)))

@@ -63,7 +63,6 @@ class Amplitude:
 
     fn: object
     radius: float = math.inf
-    name: str = "custom"
 
     def __call__(self, z):
         return self.fn(z)
@@ -84,24 +83,21 @@ def amplitude(name: str, **params) -> Amplitude:
     """
     if name == "constant":
         v = params.get("value", 1)
-        return Amplitude(lambda z, v=v: mp.mpmathify(v), name="constant")
+        return Amplitude(lambda z, v=v: mp.mpmathify(v))
     if name == "monomial":
         k = int(params.get("k", 1))
         if k < 0:
             raise ValueError("monomial degree must be >= 0")
-        return Amplitude(lambda z, k=k: mp.mpmathify(z) ** k, name=f"monomial:{k}")
+        return Amplitude(lambda z, k=k: mp.mpmathify(z) ** k)
     if name == "polynomial":
         coeffs = tuple(params.get("coeffs", (1,)))
-        return Amplitude(lambda z, c=coeffs: _horner(c, mp.mpmathify(z)),
-                         name="polynomial")
+        return Amplitude(lambda z, c=coeffs: _horner(c, mp.mpmathify(z)))
     if name == "exp":
         s = params.get("scale", 1)
-        return Amplitude(lambda z, s=s: mp.exp(mp.mpmathify(s) * mp.mpmathify(z)),
-                         name=f"exp:{s}")
+        return Amplitude(lambda z, s=s: mp.exp(mp.mpmathify(s) * mp.mpmathify(z)))
     if name == "cos":
         s = params.get("scale", 1)
-        return Amplitude(lambda z, s=s: mp.cos(mp.mpmathify(s) * mp.mpmathify(z)),
-                         name=f"cos:{s}")
+        return Amplitude(lambda z, s=s: mp.cos(mp.mpmathify(s) * mp.mpmathify(z)))
     raise ValueError(f"unknown amplitude family {name!r}")
 
 
@@ -110,14 +106,17 @@ AMPLITUDE_NAMES = ("constant", "monomial", "polynomial", "exp", "cos")
 
 @dataclass(frozen=True)
 class OscillatoryIntegralSpec:
-    """I[f] = int_a^b f(x) e^{i omega x^r} dx with the stationary point at 0."""
+    """I[f] = int_a^b f(x) e^{i omega x^r} dx with the stationary point at 0.
+
+    The amplitude is an Amplitude or a plain callable; a plain callable is
+    taken to be entire.
+    """
 
     a: float
     b: float
     omega: float
     r: int
     amplitude: object
-    radius: float = math.inf
 
     def __post_init__(self):
         if not (self.a < 0 < self.b):
@@ -126,8 +125,6 @@ class OscillatoryIntegralSpec:
             raise ValueError("omega must be positive")
         if int(self.r) != self.r or self.r < 2:
             raise ValueError("r must be an integer >= 2")
-        if isinstance(self.amplitude, Amplitude) and self.radius == math.inf:
-            object.__setattr__(self, "radius", self.amplitude.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +135,7 @@ def laguerre_moment_sequence(k_max: int, ctx: PrecisionContext) -> opq.MomentSeq
     """Moments of e^{-t} on [0, inf): M_k = k!."""
     with ctx.working():
         vals = tuple(ctx.finalize(mp.factorial(k)) for k in range(k_max + 1))
-    return opq.MomentSequence(values=vals, ctx=ctx, r=None, label="laguerre")
+    return opq.MomentSequence(values=vals, ctx=ctx)
 
 
 def laguerre_rule(n: int, ctx: PrecisionContext | None = None) -> opq.QuadratureRule:
@@ -153,15 +150,15 @@ def laguerre_rule(n: int, ctx: PrecisionContext | None = None) -> opq.Quadrature
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = opq.precision_schedule(n) if ctx is None else ctx
-    return _laguerre_rule(n, ctx.decimal_digits, ctx.guard_digits)
+    return _laguerre_rule(n, ctx.decimal_digits)
 
 
 @functools.lru_cache(maxsize=64)
-def _laguerre_rule(n: int, decimal_digits: int, guard_digits: int) -> opq.QuadratureRule:
-    ctx = PrecisionContext(decimal_digits, guard_digits)
+def _laguerre_rule(n: int, decimal_digits: int) -> opq.QuadratureRule:
+    ctx = PrecisionContext(decimal_digits)
     rec = opq.RecurrenceCoefficients(
         alpha=tuple(mp.mpf(2 * k + 1) for k in range(n)),
-        beta=tuple(mp.mpf(k * k) for k in range(1, n)), n=n, ctx=ctx, symmetry="real")
+        beta=tuple(mp.mpf(k * k) for k in range(1, n)), ctx=ctx, symmetry="real")
     roots = opq.zeros(rec)
     weights = opq.christoffel_weights(rec, roots, laguerre_moment_sequence(2 * n - 1, ctx))
     with ctx.working():
@@ -176,8 +173,7 @@ def _laguerre_rule(n: int, decimal_digits: int, guard_digits: int) -> opq.Quadra
             ws.append(ctx.finalize(mp.re(mp.mpmathify(w))))
         if abs(mp.fsum(ws) - 1) > tol:
             raise NonconvergenceError("Laguerre weights do not sum to 1")
-    return opq.QuadratureRule(nodes=tuple(nodes), weights=tuple(ws), n=n,
-                              regime="endpoint", r=None, scale=1)
+    return opq.QuadratureRule(nodes=tuple(nodes), weights=tuple(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +194,7 @@ def stationary_rule(n: int, r: int, omega,
         s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
         nodes = tuple(ctx.finalize(z * s) for z in base.nodes)
         weights = tuple(ctx.finalize(mp.mpmathify(w) * s) for w in base.weights)
-        lam = ctx.finalize(1 / s)
-    return opq.QuadratureRule(nodes=nodes, weights=weights, n=n,
-                              regime="stationary", r=r, scale=lam)
+    return opq.QuadratureRule(nodes=nodes, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +219,15 @@ def _segment_distance(z, a: float, b: float) -> float:
 
 
 def _check_path_in_region(points, spec: OscillatoryIntegralSpec, label: str):
-    if spec.radius == math.inf:
+    radius = spec.amplitude.radius if isinstance(spec.amplitude, Amplitude) else math.inf
+    if radius == math.inf:
         return
     for t, z in points:
         d = _segment_distance(z, spec.a, spec.b)
-        if d > spec.radius:
+        if d > radius:
             raise AnalyticityBudgetError(
                 f"{label} descent path leaves the declared analyticity "
-                f"neighborhood (distance {d:.3g} > radius {spec.radius:.3g} "
+                f"neighborhood (distance {d:.3g} > radius {radius:.3g} "
                 f"at t = {float(t):.3g}) before the weight truncates")
 
 
@@ -338,7 +333,7 @@ def interval_oracle(spec: OscillatoryIntegralSpec,
     fully independent of the descent machinery.
     """
     ctx = PrecisionContext() if ctx is None else ctx
-    octx = PrecisionContext(4 * ctx.decimal_digits, ctx.guard_digits)
+    octx = PrecisionContext(4 * ctx.decimal_digits)
     f, omega, r = spec.amplitude, spec.omega, spec.r
     with octx.working():
         def g(x):
@@ -361,7 +356,7 @@ def convergence_report(f, n: int, r: int, omega_list,
     reported alongside.  Expected slope: -(2n+1)/r.
     """
     ctx = PrecisionContext() if ctx is None else ctx
-    octx = PrecisionContext(2 * ctx.decimal_digits, ctx.guard_digits)
+    octx = PrecisionContext(2 * ctx.decimal_digits)
     omegas = [float(w) for w in omega_list]
     if len(omegas) < 3 or max(omegas) / min(omegas) < 10 ** 1.5:
         raise ValueError("omega_list must span at least 1.5 decades with >= 3 points")

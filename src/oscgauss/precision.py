@@ -1,9 +1,10 @@
 """Extended-precision arithmetic contract, Gamma and panelled quadrature.
 
 The rest of the package consumes three things from here: a precision
-context (working digits + guard digits, with results rounded back to the
-working count), the Gamma function with its pole check, and the panelled
-Gauss-Legendre primitive the verification oracles integrate with.
+context (intermediate arithmetic carries GUARD_DIGITS beyond the working
+digits, and results are rounded back to the working count), the Gamma
+function with its pole check, and the panelled Gauss-Legendre primitive
+the verification oracles integrate with.
 
 Arbitrary-precision arithmetic is delegated to mpmath; the functions here
 add the error contract (pole / non-finite checks, rounding discipline)
@@ -21,6 +22,7 @@ import mpmath as mp
 from .errors import NonFiniteError, PoleError
 
 __all__ = [
+    "GUARD_DIGITS",
     "PrecisionContext",
     "ensure_finite",
     "gamma",
@@ -29,36 +31,32 @@ __all__ = [
 ]
 
 
+# Extra digits carried by all intermediate arithmetic.
+GUARD_DIGITS = 10
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Immutable working-precision contract.
 
-    decimal_digits : digits every result is rounded to,
-    guard_digits   : extra digits carried by all intermediate arithmetic.
+    Every result is rounded to decimal_digits; intermediate arithmetic
+    carries GUARD_DIGITS more.
     """
 
     decimal_digits: int = 30
-    guard_digits: int = 10
 
     def __post_init__(self):
         if self.decimal_digits < 30:
             raise ValueError("decimal_digits must be >= 30")
-        if self.guard_digits < 10:
-            raise ValueError("guard_digits must be >= 10")
 
     def working(self):
-        """Context manager setting mpmath to decimal_digits + guard_digits."""
-        return mp.workdps(self.decimal_digits + self.guard_digits)
+        """Context manager setting mpmath to decimal_digits + GUARD_DIGITS."""
+        return mp.workdps(self.decimal_digits + GUARD_DIGITS)
 
     def finalize(self, value):
         """Round an mpmath value to decimal_digits."""
         with mp.workdps(self.decimal_digits):
             return +value
-
-    @property
-    def eps(self):
-        with self.working():
-            return mp.mpf(10) ** (-self.decimal_digits)
 
 
 def _is_finite_number(x) -> bool:

@@ -145,16 +145,14 @@ def q_prime(z):
     return -np.asarray(z, dtype=complex) ** 3 + 1j if not np.isscalar(z) else -z ** 3 + 1j
 
 
-def critical_angles(zero: str | complex):
-    """The three trajectory directions at a simple zero, in (-pi, pi].
+def critical_angles(zero: str):
+    """The three trajectory directions at the simple zero "z1" or "z2", in (-pi, pi].
 
     At z1 these are theta = -(1/3) arctan(2 sqrt 2) + 2k pi/3; at z2 the
     mirror image theta -> pi - theta (the curve arrives there at
     pi + 0.4103...).
     """
-    if isinstance(zero, str):
-        zero = {"z1": Z1, "z2": Z2}[zero]
-    qp = complex(q_prime(complex(zero)))
+    qp = complex(q_prime({"z1": Z1, "z2": Z2}[zero]))
     base = (math.pi - math.atan2(qp.imag, qp.real)) / 3.0
     angles = []
     for k in range(3):
@@ -547,7 +545,7 @@ def _in_lens(z: complex, curve: CurvePolyline) -> bool:
     return abs(x) < SQRT2 and y < 1.0 and y > float(np.interp(x, pts.real, pts.imag))
 
 
-def _require_off_cut(z: complex, curve: CurvePolyline) -> float:
+def _require_off_cut(z: complex, curve: CurvePolyline) -> None:
     zc = complex(z)
     dist = geometry.nearest_on_polyline(zc, curve.points)[0]
     res = max(curve.resolution, 1e-13)
@@ -556,7 +554,6 @@ def _require_off_cut(z: complex, curve: CurvePolyline) -> float:
     d_ends = min(abs(zc - complex(curve.points[0])), abs(zc - complex(curve.points[-1])))
     if dist <= res and d_ends > dist * (1.0 + 1e-9):
         raise OnCutError(f"point {zc} within {res:.2g} of the cut (distance {dist:.2g})")
-    return dist
 
 
 def _curve_branch(z, phase: PhaseContext, in_mp: bool = False):

@@ -122,11 +122,11 @@ def _finish(rep: dict, t0: float) -> dict:
 # 1. Curve existence
 # ---------------------------------------------------------------------------
 
-def criterion_curve(phase: scurve.PhaseContext | None = None) -> dict:
+def criterion_curve() -> dict:
     """Trajectory from z1 reaches z2; D is real on it; axis crossing in range."""
     rep = _new_report("curve", budget_seconds=10.0)
     t0 = time.perf_counter()
-    phase = phase or scurve.build_phase_context()
+    phase = scurve.build_phase_context()
     pts = phase.gamma.points
 
     theta0 = -math.atan(2.0 * SQRT2) / 3.0
@@ -170,11 +170,11 @@ def _endpoint_exponent(curve: scurve.CurvePolyline, end: str) -> float:
     return float(np.polyfit(np.log(t[keep]), np.log(d[keep]), 1)[0])
 
 
-def criterion_measure(phase: scurve.PhaseContext | None = None) -> dict:
+def criterion_measure() -> dict:
     """Probability mass, positivity, edge exponents, equilibrium + S-property."""
     rep = _new_report("measure", budget_seconds=60.0)
     t0 = time.perf_counter()
-    phase = phase or scurve.build_phase_context()
+    phase = scurve.build_phase_context()
     curve = phase.gamma
 
     mass_dev = abs(curve.total_mass - 1.0)
@@ -208,11 +208,11 @@ def criterion_measure(phase: scurve.PhaseContext | None = None) -> dict:
 # 3. Zero accumulation
 # ---------------------------------------------------------------------------
 
-def criterion_zeros(phase: scurve.PhaseContext | None = None) -> dict:
+def criterion_zeros() -> dict:
     """Rescaled zeros approach gamma; counting measure approaches equilibrium."""
     rep = _new_report("zeros", budget_seconds=300.0)
     t0 = time.perf_counter()
-    phase = phase or scurve.build_phase_context()
+    phase = scurve.build_phase_context()
 
     reports = [asym.zero_distribution_report(n, phase) for n in ZERO_DEGREES]
     dists = [r["max_distance"] for r in reports]
@@ -250,11 +250,11 @@ def _region_probes(phase: scurve.PhaseContext) -> dict:
     return probes
 
 
-def criterion_asymptotics(phase: scurve.PhaseContext | None = None) -> dict:
+def criterion_asymptotics() -> dict:
     """Per-region error of the three formulas shrinks at empirical rate ~1/n."""
     rep = _new_report("asymp", budget_seconds=300.0)
     t0 = time.perf_counter()
-    phase = phase or scurve.build_phase_context()
+    phase = scurve.build_phase_context()
 
     for region, probes in _region_probes(phase).items():
         errs = {}
@@ -278,6 +278,9 @@ def criterion_asymptotics(phase: scurve.PhaseContext | None = None) -> dict:
     bound = 5.0 * 8.0 ** (-1.5)
     resid = asym.airy_model_residual(radius=8.0)
     _check(rep, "airy_matching_residual", resid, resid <= bound, bound=bound)
+    # |w - 1| for the winding number w of f around 0 (1 iff f is one-to-one)
+    dev = abs(asym.boundary_winding() - 1.0)
+    _check(rep, "conformal_f_winding", dev, dev <= 1e-9, bound=1e-9)
     return _finish(rep, t0)
 
 
@@ -348,11 +351,11 @@ def _vandermonde_weights(nodes, moments: opq.MomentSequence) -> list:
         return [w[j] for j in range(n)]
 
 
-def criterion_consistency(phase: scurve.PhaseContext | None = None) -> dict:
+def criterion_consistency() -> dict:
     """Dual-route agreement: moments, phi2, recurrence, weights, det N, Airy identity."""
     rep = _new_report("consistency", budget_seconds=300.0)
     t0 = time.perf_counter()
-    phase = phase or scurve.build_phase_context()
+    phase = scurve.build_phase_context()
     ctx = PrecisionContext(CONSISTENCY_DIGITS)
     bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
 

@@ -8,7 +8,7 @@ whichever test asks first traces it and every later suite and fixture reuses it.
 
 import pytest
 
-from oscgauss import scurve, verify
+from oscgauss import verify
 
 
 def _require(rep):
@@ -24,15 +24,15 @@ def test_curve_reaches_z2_and_is_admissible():
 
 
 def test_equilibrium_measure_and_variational_conditions():
-    _require(verify.criterion_measure(scurve.build_phase_context()))
+    _require(verify.criterion_measure())
 
 
 def test_zero_attraction_to_curve():
-    _require(verify.criterion_zeros(scurve.build_phase_context()))
+    _require(verify.criterion_zeros())
 
 
 def test_strong_asymptotics_by_region():
-    _require(verify.criterion_asymptotics(scurve.build_phase_context()))
+    _require(verify.criterion_asymptotics())
 
 
 def test_quadrature_convergence_rates():
@@ -40,7 +40,7 @@ def test_quadrature_convergence_rates():
 
 
 def test_dual_route_consistency():
-    _require(verify.criterion_consistency(scurve.build_phase_context()))
+    _require(verify.criterion_consistency())
 
 
 def test_end_to_end_interval_quadrature():

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from oscgauss import asymptotics as asym
-from oscgauss import opq, scurve
+from oscgauss import geometry, opq, scurve
 from oscgauss.errors import OnCutError, OutsideDiskError, RegionError
 from oscgauss.precision import PrecisionContext
 
@@ -47,6 +47,27 @@ def test_beta_on_cut_raises(phase):
         asym.n_matrix(mid, phase)
     with pytest.raises(OnCutError):
         asym.pn_outer(20, mid, phase)
+
+
+def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
+    # projections onto the arc: outer = classification + the curve-branch
+    # on-cut guard, band = classification + the tube check, disks = none
+    calls = []
+    nearest = geometry.nearest_on_polyline
+
+    def counting(*args):
+        calls.append(1)
+        return nearest(*args)
+
+    monkeypatch.setattr(geometry, "nearest_on_polyline", counting)
+    on_arc = complex(scurve.curve_points_at_mass(phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    q = scurve.q_sqrt_chord(on_arc)
+    band = on_arc + 0.05 * q.conjugate() / abs(q)
+    for z, region, expected in ((3 + 4j, "outer", 2), (band, "band", 2),
+                                (scurve.Z2 + 0.2, "disk2", 0)):
+        calls.clear()
+        assert asym.pn_asymptotic(20, z, phase)[0] == region
+        assert len(calls) == expected, region
 
 
 def test_conformal_map_derivative_and_modulus():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oscgauss import opq, oscillatory
-from oscgauss.errors import DegenerateFunctionalError
+from oscgauss.errors import DegenerateFunctionalError, NonconvergenceError
 from oscgauss.precision import PrecisionContext
 
 SPEC3 = opq.WeightSpec(r=3)
@@ -15,9 +15,12 @@ SPEC3 = opq.WeightSpec(r=3)
 def test_weight_spec_validation():
     with pytest.raises(ValueError):
         opq.WeightSpec(r=1)
-    assert SPEC3.ray_high == pytest.approx(1 / 6)
-    assert SPEC3.ray_low == pytest.approx(1 / 6 + 2 / 3)
-    assert opq.WeightSpec(r=2).ray_low == pytest.approx(1 / 4 + 1)
+    # outgoing pi/(2r), incoming pi/(2r) + 2 floor(r/2) pi/r, as multiples of pi
+    with mp.workdps(30):
+        for r, hi, lo in ((3, mp.mpf(1) / 6, mp.mpf(5) / 6), (2, mp.mpf(1) / 4, mp.mpf(5) / 4)):
+            d_hi, d_lo = opq.WeightSpec(r=r).ray_directions()
+            assert abs(d_hi - mp.expjpi(hi)) <= 1e-25
+            assert abs(d_lo - mp.expjpi(lo)) <= 1e-25
 
 
 def test_moment_closed_forms_r3(ctx30):
@@ -72,7 +75,7 @@ def test_alpha_symmetry_pattern(ctx30):
 def test_degenerate_functional_raises(ctx30):
     with ctx30.working():
         vals = [mp.mpc(0)] * 9
-    ms = opq.MomentSequence(values=vals, ctx=ctx30, r=3, label="null")
+    ms = opq.MomentSequence(values=vals, ctx=ctx30)
     with pytest.raises(DegenerateFunctionalError):
         opq.build_recurrence(ms, 4)
 
@@ -210,3 +213,18 @@ def test_rule_cache_shares_one_rule_per_key():
     finer = opq.build_rule(5, SPEC3, PrecisionContext(70))
     assert finer is not rule and finer.nodes != rule.nodes
     assert oscillatory.laguerre_rule(6) is oscillatory.laguerre_rule(6)
+
+
+def test_build_rule_failure_is_not_retried(monkeypatch):
+    # a failed construction raises at the requested precision: no second
+    # attempt at more digits
+    calls = []
+
+    def failing_zeros(coeffs):
+        calls.append(coeffs.ctx.decimal_digits)
+        raise NonconvergenceError("forced")
+
+    monkeypatch.setattr(opq, "zeros", failing_zeros)
+    with pytest.raises(NonconvergenceError):
+        opq.build_rule(3, SPEC3, PrecisionContext(41))   # a key no other test builds
+    assert calls == [41]

@@ -187,7 +187,7 @@ def test_evaluate_report_decomposition(ctx30):
 
 
 def test_analyticity_budget_enforced():
-    amp = osc.Amplitude(lambda z: 1 / (1 + z * z), radius=0.05, name="tight")
+    amp = osc.Amplitude(lambda z: 1 / (1 + z * z), radius=0.05)
     spec = osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=5.0, r=3,
                                        amplitude=amp)
     with pytest.raises(AnalyticityBudgetError):

@@ -5,6 +5,7 @@ benchmark tracer rebinds or the benchmark workloads call exists."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import warnings
 
@@ -33,16 +34,34 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_traced_imported_bindings_resolve():
-    # The tracer rebinds these names in the importing module; a rename or
-    # deletion in the library would otherwise break only the traced benchmark.
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_imported_bindings_resolve():
+    # The tracer rebinds these names in the importing module; a rename or
+    # deletion in the library would otherwise break only the traced benchmark.
+    tracing = _tracing()
     missing = [f"{short}.{name}" for short, names in tracing.IMPORTED_BINDINGS.items()
                for name in names
                if not hasattr(importlib.import_module(f"oscgauss.{short}"), name)]
     assert missing == []
+
+
+def test_traced_keys_match_signatures():
+    # Each KEYS lambda is called with the traced function's arguments; a
+    # signature edit would otherwise break only the traced benchmark.
+    keys = _tracing().KEYS
+    assert set(keys) == {"opq.build_rule", "oscillatory.laguerre_rule",
+                         "oscillatory.evaluate_report"}
+    for span, key in keys.items():
+        short, name = span.split(".")
+        fn = getattr(importlib.import_module(f"oscgauss.{short}"), name)
+        assert list(inspect.signature(key).parameters) == \
+            list(inspect.signature(fn).parameters), span
 
 
 def _workload_paths(tree):
