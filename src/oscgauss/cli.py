@@ -10,11 +10,14 @@ reason; the pass/fail verdicts against the runtime budgets remain).
 
 Exit codes: 0 success, 2 numerical tolerance failure (a verify suite
 reported red), 3 construction failure (degenerate functional, diverged
-trace, a rule failing its residual checks, invalid parameters), 4 I/O failure.
+trace, a rule failing its residual checks, invalid parameters or
+malformed input files), 4 I/O failure.
 
-An optional --config FILE supplies defaults as a flat JSON object whose
-keys mirror the flag names; explicit flags win over the file, the file
-wins over built-in defaults.
+Every default lives in build_parser.  An optional --config FILE is a flat
+JSON object keyed by flag name ('-' or '_'); each entry becomes the default
+of the subcommand's flag of that name, converted like the flag's own value,
+before a second parse, so explicit flag > config > built-in default.  Keys
+the subcommand has no flag for are ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,48 +34,8 @@ from . import opq, oscillatory, scurve, serialize, verify
 from .errors import ToolkitError
 from .precision import PrecisionContext
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
-_DEFAULTS = {
-    "precision": 30,
-    "r": 3,
-    "kmax": 20,
-    "n": None,
-    "step_tolerance": 1e-7,
-    "extension_length": 2.5,
-    "samples": None,
-    "curve_json": None,
-    "probes": None,
-    "a": -1.0,
-    "b": 1.0,
-    "omega": 50.0,
-    "amplitude": "constant",
-    "amplitude_params": None,
-    "n_endpoint": None,
-    "n_stationary": None,
-    "which": "ReD",
-    "grid": "-3,3,61,-3,3,61",
-    "suite": "all",
-    "rescaled": False,
-    "out": None,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared plumbing for one CLI invocation: precision floor and output."""
-
-    precision: int = 30
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.precision < 30:
-            raise ValueError("precision must be at least 30 decimal digits")
-
-
-# ---------------------------------------------------------------------------
-# Flag / config-file resolution
-# ---------------------------------------------------------------------------
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
@@ -85,131 +48,96 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace, config: dict, name: str):
-    """Explicit flag > config-file entry > built-in default."""
-    val = getattr(args, name, None)
-    if val is None:
-        val = config.get(name, config.get(name.replace("_", "-")))
-    if val is None:
-        val = _DEFAULTS[name]
-    return val
-
-
-def _int_or(args, config, name: str, default: int) -> int:
-    """An integer setting; only an unset (None) value takes `default`, so 0 stays 0."""
-    val = _resolve(args, config, name)
-    return default if val is None else int(val)
-
-
-def _run_config(args, config) -> RunConfig:
-    return RunConfig(precision=int(_resolve(args, config, "precision")),
-                     out=_resolve(args, config, "out"))
-
-
-def _scheduled_ctx(n: int, floor: int) -> PrecisionContext:
-    sched = opq.precision_schedule(n)
-    if sched.decimal_digits >= floor:
-        return sched
-    return PrecisionContext(floor)
+def _apply_config(flags: dict, config: dict) -> None:
+    """Make each config entry the default of the flag it names (null entries are skipped)."""
+    for dest, action in flags.items():
+        val = config.get(dest, config.get(dest.replace("_", "-")))
+        if val is not None:
+            # a switch (nargs 0) takes the entry's truth; a valued flag converts
+            # like its command-line string, so 4, 4.0 and "4" all give --kmax 4
+            action.default = val if action.nargs == 0 else (action.type or str)(val)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (text, exit_code)
 # ---------------------------------------------------------------------------
 
-def _cmd_moments(args, config, rc: RunConfig):
-    r = int(_resolve(args, config, "r"))
-    kmax = int(_resolve(args, config, "kmax"))
-    ms = opq.moment_sequence(opq.WeightSpec(r=r), kmax,
-                             PrecisionContext(rc.precision))
-    return serialize.moments_csv(ms, digits=rc.precision), 0
+def _cmd_moments(args):
+    ms = opq.moment_sequence(opq.WeightSpec(r=args.r), args.kmax,
+                             PrecisionContext(args.precision))
+    return serialize.moments_csv(ms, digits=args.precision), 0
 
 
-def _cmd_opq(args, config, rc: RunConfig):
-    r = int(_resolve(args, config, "r"))
-    n = _resolve(args, config, "n")
-    if n is None:
+def _cmd_opq(args):
+    if args.n is None:
         raise ValueError("opq requires --n (or an 'n' config entry)")
-    n = int(n)
-    rule = opq.build_rule(n, opq.WeightSpec(r=r), _scheduled_ctx(n, rc.precision))
-    if _resolve(args, config, "rescaled"):
-        rule = opq.rescale_to_Pn(rule, n, r)
-    return serialize.rule_csv(rule, digits=rc.precision), 0
+    ctx = PrecisionContext(max(opq.precision_schedule(args.n).decimal_digits,
+                               args.precision))
+    rule = opq.build_rule(args.n, opq.WeightSpec(r=args.r), ctx)
+    if args.rescaled:
+        rule = opq.rescale_to_Pn(rule, args.n, args.r, ctx)
+    return serialize.rule_csv(rule, digits=args.precision), 0
 
 
-def _phase_for(args, config) -> scurve.PhaseContext:
-    step = float(_resolve(args, config, "step_tolerance"))
-    ext = float(_resolve(args, config, "extension_length"))
-    return scurve.build_phase_context(step, ext)
-
-
-def _cmd_curve(args, config, rc: RunConfig):
-    phase = _phase_for(args, config)
+def _cmd_curve(args):
+    phase = scurve.build_phase_context(args.step_tolerance, args.extension_length)
     doc = serialize.curve_json_dict({"gamma": phase.gamma,
                                      "gamma1": phase.gamma1,
                                      "gamma2": phase.gamma2})
     return serialize.report_json(doc), 0
 
 
-def _cmd_measure(args, config, rc: RunConfig):
-    path = _resolve(args, config, "curve_json")
-    if path:
-        with open(path) as fh:
+def _cmd_measure(args):
+    if args.curve_json:
+        with open(args.curve_json) as fh:
             doc = json.load(fh)
         meas = scurve.equilibrium_measure(serialize.curve_from_json_dict(doc))
     else:
-        step = float(_resolve(args, config, "step_tolerance"))
-        meas = scurve.equilibrium_measure(scurve.trace_gamma(step_tolerance=step))
-    samples = _resolve(args, config, "samples")
-    if samples is not None:
-        ss = np.linspace(0.0, float(meas.s[-1]), int(samples))
+        meas = scurve.build_phase_context(args.step_tolerance).gamma
+    if args.samples is not None:
+        ss = np.linspace(0.0, float(meas.s[-1]), args.samples)
         pts = np.interp(ss, meas.s, meas.points.real) \
             + 1j * np.interp(ss, meas.s, meas.points.imag)
-        meas = scurve.CurvePolyline(
-            kind=meas.kind, points=pts, s=ss,
-            density=np.interp(ss, meas.s, meas.density),
-            cdf=np.interp(ss, meas.s, meas.cdf),
-            total_mass=meas.total_mass)
+        meas = replace(meas, points=pts, s=ss,
+                       density=np.interp(ss, meas.s, meas.density),
+                       cdf=np.interp(ss, meas.s, meas.cdf))
     return serialize.measure_csv(meas), 0
 
 
 def _load_probes(path: str) -> list:
     with open(path) as fh:
         doc = json.load(fh)
-    return [complex(float(p[0]), float(p[1])) for p in doc]
+    try:
+        return [complex(float(re), float(im)) for re, im in doc]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"probes must be a JSON list of [re, im] pairs: {exc}") from exc
 
 
-def _cmd_asymp(args, config, rc: RunConfig):
-    n = _int_or(args, config, "n", 20)
+def _cmd_asymp(args):
     phase = scurve.build_phase_context()
-    path = _resolve(args, config, "probes")
-    if path:
-        probes = _load_probes(path)
+    if args.probes:
+        probes = _load_probes(args.probes)
     else:
         probes = [z for zs in verify._region_probes(phase).values() for z in zs]
     rows = []
     for z in probes:
-        region, err = asym.pn_relative_error(n, complex(z), phase)
+        region, err = asym.pn_relative_error(args.n, complex(z), phase)
         rows.append({"re": float(z.real), "im": float(z.imag),
                      "region": region, "relative_error": err})
-    return serialize.report_json({"n": n, "probes": rows}), 0
+    return serialize.report_json({"n": args.n, "probes": rows}), 0
 
 
-def _cmd_quad(args, config, rc: RunConfig):
-    params_raw = _resolve(args, config, "amplitude_params")
-    params = json.loads(params_raw) if params_raw else {}
-    amp = oscillatory.amplitude(str(_resolve(args, config, "amplitude")), **params)
+def _cmd_quad(args):
+    params = json.loads(args.amplitude_params) if args.amplitude_params else {}
+    if not isinstance(params, dict):
+        raise ValueError("--amplitude-params must be a JSON object")
     spec = oscillatory.OscillatoryIntegralSpec(
-        a=float(_resolve(args, config, "a")),
-        b=float(_resolve(args, config, "b")),
-        omega=float(_resolve(args, config, "omega")),
-        r=int(_resolve(args, config, "r")),
-        amplitude=amp)
-    n = _int_or(args, config, "n", 4)
-    ne = _int_or(args, config, "n_endpoint", n)
-    ns = _int_or(args, config, "n_stationary", n)
-    rep = oscillatory.evaluate_report(spec, ne, ns, PrecisionContext(rc.precision))
-    d = rc.precision
+        a=args.a, b=args.b, omega=args.omega, r=args.r,
+        amplitude=oscillatory.amplitude(args.amplitude, **params))
+    ne = args.n if args.n_endpoint is None else args.n_endpoint
+    ns = args.n if args.n_stationary is None else args.n_stationary
+    rep = oscillatory.evaluate_report(spec, ne, ns, PrecisionContext(args.precision))
+    d = args.precision
     vre, vim = serialize.fmt_complex(rep["value"], d)
     doc = {
         "value_re": vre,
@@ -224,17 +152,18 @@ def _cmd_quad(args, config, rc: RunConfig):
     return serialize.report_json(doc), 0
 
 
-def _cmd_fields(args, config, rc: RunConfig):
-    which = str(_resolve(args, config, "which"))
-    raw = str(_resolve(args, config, "grid")).split(",")
+def _cmd_fields(args):
+    raw = args.grid.split(",")
     if len(raw) != 6:
         raise ValueError("grid must be 'x0,x1,nx,y0,y1,ny'")
     grid = (float(raw[0]), float(raw[1]), int(raw[2]),
             float(raw[3]), float(raw[4]), int(raw[5]))
-    X, Y, V, mask = scurve.sample_field_grid(which, grid,
+    if grid[2] < 1 or grid[5] < 1:
+        raise ValueError("grid point counts nx and ny must be >= 1")
+    X, Y, V, mask = scurve.sample_field_grid(args.which, grid,
                                              scurve.build_phase_context())
     doc = {
-        "which": which,
+        "which": args.which,
         "x": X[0, :], "y": Y[:, 0],
         "values": V,
         "masked": mask,
@@ -259,111 +188,95 @@ def _strip_timing(node):
     return node
 
 
-def _cmd_verify(args, config, rc: RunConfig):
-    suite = str(_resolve(args, config, "suite"))
-    names = list(verify.SUITE_NAMES) if suite == "all" else [suite]
+def _cmd_verify(args):
+    names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
     result = verify.run_suite(names)
     text = serialize.report_json(_strip_timing(result))
     return text, 0 if result["passed"] else 2
-
-
-_HANDLERS = {
-    "moments": _cmd_moments,
-    "opq": _cmd_opq,
-    "curve": _cmd_curve,
-    "measure": _cmd_measure,
-    "asymp": _cmd_asymp,
-    "quad": _cmd_quad,
-    "fields": _cmd_fields,
-    "verify": _cmd_verify,
-}
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=None,
-                        help="working decimal digits (>= 30; default 30)")
-    common.add_argument("--config", default=None,
-                        help="flat JSON file of flag defaults")
-    common.add_argument("--out", default=None,
-                        help="output file (default: stdout)")
-
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The `oscgauss` parser and, per subcommand, its flag actions by dest."""
     parser = argparse.ArgumentParser(
         prog="oscgauss",
         description="Complex Gaussian quadrature for oscillatory integrals: "
                     "moments, orthogonal polynomials, the cubic-weight curve "
                     "and measure, strong asymptotics, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags: dict[str, dict[str, argparse.Action]] = {}
 
-    p = sub.add_parser("moments", parents=[common],
-                       help="modified moments M_k as CSV")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
+    def command(name: str, handler, help: str):
+        """Add a subcommand with the global flags; returns its add-flag function."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        actions = flags[name] = {}
 
-    p = sub.add_parser("opq", parents=[common],
-                       help="n-point quadrature rule (nodes/weights CSV)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--rescaled", action="store_true", default=None,
-                   help="emit the P_n-scale rule (nodes on the limit curve)")
+        def arg(*names, **kwargs):
+            action = p.add_argument(*names, **kwargs)
+            actions[action.dest] = action
 
-    p = sub.add_parser("curve", parents=[common],
-                       help="gamma, gamma1, gamma2 polylines as JSON")
-    p.add_argument("--step-tolerance", type=float, default=None,
-                   dest="step_tolerance")
-    p.add_argument("--extension-length", type=float, default=None,
-                   dest="extension_length")
+        arg("--precision", type=int, default=30,
+            help="working decimal digits (>= 30; default 30)")
+        arg("--config", help="flat JSON file of flag defaults")
+        arg("--out", help="output file (default: stdout)")
+        return arg
 
-    p = sub.add_parser("measure", parents=[common],
-                       help="equilibrium density/CDF table as CSV")
-    p.add_argument("--curve-json", default=None, dest="curve_json",
-                   help="re-annotate a previously exported curve JSON")
-    p.add_argument("--samples", type=int, default=None,
-                   help="resample to this many equal-arclength rows")
-    p.add_argument("--step-tolerance", type=float, default=None,
-                   dest="step_tolerance")
+    arg = command("moments", _cmd_moments, "modified moments M_k as CSV")
+    arg("--r", type=int, default=3)
+    arg("--kmax", type=int, default=20)
 
-    p = sub.add_parser("asymp", parents=[common],
-                       help="formula-vs-recurrence probe comparison JSON")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--probes", default=None,
-                   help="JSON file [[re, im], ...] overriding built-in probes")
+    arg = command("opq", _cmd_opq, "n-point quadrature rule (nodes/weights CSV)")
+    arg("--n", type=int)
+    arg("--r", type=int, default=3)
+    arg("--rescaled", action="store_true",
+        help="emit the P_n-scale rule (nodes on the limit curve)")
 
-    p = sub.add_parser("quad", parents=[common],
-                       help="evaluate an oscillatory integral")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--n", type=int, default=None,
-                   help="points per path (endpoint and stationary)")
-    p.add_argument("--n-endpoint", type=int, default=None, dest="n_endpoint")
-    p.add_argument("--n-stationary", type=int, default=None, dest="n_stationary")
-    p.add_argument("--amplitude", default=None,
-                   choices=list(oscillatory.AMPLITUDE_NAMES))
-    p.add_argument("--amplitude-params", default=None, dest="amplitude_params",
-                   help='JSON object of amplitude parameters, e.g. {"scale": 2}')
+    arg = command("curve", _cmd_curve, "gamma, gamma1, gamma2 polylines as JSON")
+    arg("--step-tolerance", type=float, default=1e-7)
+    arg("--extension-length", type=float, default=2.5)
 
-    p = sub.add_parser("fields", parents=[common],
-                       help="diagnostic scalar field on a grid as JSON")
-    p.add_argument("--which", default=None,
-                   choices=["ReD", "ImD", "ReQ", "ImQ", "RePhi2"])
-    p.add_argument("--grid", default=None, help="x0,x1,nx,y0,y1,ny")
+    arg = command("measure", _cmd_measure, "equilibrium density/CDF table as CSV")
+    arg("--curve-json", help="re-annotate a previously exported curve JSON")
+    arg("--samples", type=int,
+        help="resample to this many equal-arclength rows")
+    arg("--step-tolerance", type=float, default=1e-7)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run verification suites; nonzero exit on failure")
-    p.add_argument("--suite", default=None,
-                   choices=["all", *verify.SUITE_NAMES])
+    arg = command("asymp", _cmd_asymp, "formula-vs-recurrence probe comparison JSON")
+    arg("--n", type=int, default=20)
+    arg("--probes", help="JSON file [[re, im], ...] overriding built-in probes")
 
-    return parser
+    arg = command("quad", _cmd_quad, "evaluate an oscillatory integral")
+    arg("--a", type=float, default=-1.0)
+    arg("--b", type=float, default=1.0)
+    arg("--omega", type=float, default=50.0)
+    arg("--r", type=int, default=3)
+    arg("--n", type=int, default=4,
+        help="points per path (endpoint and stationary)")
+    arg("--n-endpoint", type=int, help="endpoint-path points (default: --n)")
+    arg("--n-stationary", type=int, help="stationary-path points (default: --n)")
+    arg("--amplitude", default="constant",
+        choices=list(oscillatory.AMPLITUDE_NAMES))
+    arg("--amplitude-params",
+        help='JSON object of amplitude parameters, e.g. {"scale": 2}')
+
+    arg = command("fields", _cmd_fields, "diagnostic scalar field on a grid as JSON")
+    arg("--which", default="ReD",
+        choices=["ReD", "ImD", "ReQ", "ImQ", "RePhi2"])
+    arg("--grid", default="-3,3,61,-3,3,61", help="x0,x1,nx,y0,y1,ny")
+
+    arg = command("verify", _cmd_verify, "run verification suites; nonzero exit on failure")
+    arg("--suite", default="all", choices=["all", *verify.SUITE_NAMES])
+
+    return parser, flags
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, flags = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
     except OSError as exc:
@@ -374,8 +287,12 @@ def main(argv=None) -> int:
         return 4
 
     try:
-        rc = _run_config(args, config)
-        text, code = _HANDLERS[args.command](args, config, rc)
+        if config:
+            _apply_config(flags[args.command], config)
+            args = parser.parse_args(argv)
+        if args.precision < 30:
+            raise ValueError("precision must be at least 30 decimal digits")
+        text, code = args.handler(args)
     except OSError as exc:
         print(f"oscgauss: i/o failure: {exc}", file=sys.stderr)
         return 4
@@ -384,8 +301,8 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        if rc.out:
-            with open(rc.out, "w") as fh:
+        if args.out:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -467,11 +467,14 @@ def lambda_n(n: int, r: int, ctx: PrecisionContext):
         return ctx.finalize((mp.mpf(n) / r) ** (mp.mpf(1) / r))
 
 
-def rescale_to_Pn(obj, n: int, r: int):
+def rescale_to_Pn(obj, n: int, r: int, ctx: PrecisionContext | None = None):
     """Rescale a recurrence or a rule from pi_n to P_n (divide by lambda_n).
 
     Monicity is preserved: alpha scales by 1/lambda, beta by 1/lambda^2,
-    nodes by 1/lambda.  Rule weights are left untouched.
+    nodes by 1/lambda.  Rule weights are left untouched.  A recurrence is
+    divided at its own precision; a rule carries none, so its nodes are
+    divided at `ctx`, the precision it was built at (default: the
+    schedule, as in build_rule).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -482,8 +485,11 @@ def rescale_to_Pn(obj, n: int, r: int):
             beta = tuple(obj.ctx.finalize(b / lam ** 2) for b in obj.beta)
         return RecurrenceCoefficients(alpha=alpha, beta=beta, ctx=obj.ctx,
                                       symmetry=obj.symmetry)
-    lam = lambda_n(n, r, PrecisionContext())
-    return QuadratureRule(nodes=tuple(z / lam for z in obj.nodes), weights=obj.weights)
+    ctx = precision_schedule(n) if ctx is None else ctx
+    lam = lambda_n(n, r, ctx)
+    with ctx.working():
+        nodes = tuple(ctx.finalize(z / lam) for z in obj.nodes)
+    return QuadratureRule(nodes=nodes, weights=obj.weights)
 
 
 def precision_schedule(n: int) -> PrecisionContext:

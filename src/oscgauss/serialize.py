@@ -128,13 +128,19 @@ def curve_json_dict(curves: dict, digits: int = DEFAULT_DIGITS) -> dict:
 
 
 def curve_from_json_dict(doc: dict, name: str = "gamma") -> CurvePolyline:
-    """Rebuild a CurvePolyline from an exported document (floats from strings)."""
-    d = doc["curves"][name] if "curves" in doc else doc[name] if name in doc else doc
-    pts = np.array([complex(float(a), float(b))
-                    for a, b in zip(d["points_re"], d["points_im"])])
+    """Rebuild a CurvePolyline from a curve_json_dict document (floats from strings).
+
+    Raises ValueError for any other shape.
+    """
+    try:
+        d = doc["curves"][name]
+        kind, re, im, s = d["kind"], d["points_re"], d["points_im"], d["arclength"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a curve document with curves[{name!r}] "
+                         f"({type(exc).__name__}: {exc})") from exc
+    pts = np.array([complex(float(a), float(b)) for a, b in zip(re, im)])
     density = np.array([float(x) for x in d["density"]]) if "density" in d else None
     cdf = np.array([float(x) for x in d["cdf"]]) if "cdf" in d else None
     total = float(d["total_mass"]) if "total_mass" in d else float("nan")
-    return CurvePolyline(kind=d["kind"], points=pts,
-                         s=np.array([float(x) for x in d["arclength"]]),
+    return CurvePolyline(kind=kind, points=pts, s=np.array([float(x) for x in s]),
                          density=density, cdf=cdf, total_mass=total)

@@ -1,4 +1,8 @@
-"""End-to-end command-line checks via subprocess (installed entry module)."""
+"""End-to-end command-line checks via subprocess (installed entry module).
+
+Cases that only probe argument and config handling call `cli.main`
+in-process, which skips the interpreter start of a subprocess.
+"""
 
 import json
 import subprocess
@@ -6,6 +10,8 @@ import sys
 
 import mpmath as mp
 import pytest
+
+from oscgauss import cli
 
 CLI = [sys.executable, "-m", "oscgauss.cli"]
 
@@ -16,6 +22,13 @@ def run_cli(*argv, check=True):
         raise AssertionError(
             f"exit {proc.returncode}\nstdout: {proc.stdout}\nstderr: {proc.stderr}")
     return proc
+
+
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)` in this process."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def test_moments_rows_and_structural_zero():
@@ -105,22 +118,37 @@ def test_fields_grid_shape():
     assert doc["masked"][0][0] is False
 
 
-def test_verify_curve_suite_passes_and_is_deterministic():
+def test_verify_curve_suite_passes_and_is_deterministic(tmp_path, capsys):
     a = run_cli("verify", "--suite", "curve")
     doc = json.loads(a.stdout)
     assert doc["passed"] is True
     assert "elapsed_seconds" not in a.stdout
     b = run_cli("verify", "--suite", "curve")
     assert a.stdout == b.stdout
+    # config keys the subcommand has no flag for are ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "verify", "kmax": 2}))
+    assert run_main(capsys, "verify", "--suite", "curve",
+                    "--config", str(cfg)) == (0, a.stdout, "")
 
 
-def test_config_precedence(tmp_path):
+def test_config_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kmax": 4}))
     via_config = run_cli("moments", "--config", str(cfg))
     assert len(via_config.stdout.splitlines()) == 6
     via_flag = run_cli("moments", "--config", str(cfg), "--kmax", "2")
     assert len(via_flag.stdout.splitlines()) == 4
+    # a config value converts like the flag's own: "4" and 4.0 are --kmax 4
+    for entry in ({"kmax": "4"}, {"kmax": 4.0}):
+        cfg.write_text(json.dumps(entry))
+        assert run_main(capsys, "moments", "--config", str(cfg)) \
+            == (0, via_config.stdout, ""), entry
+    # a dashed key names the same flag as its underscored dest
+    cfg.write_text(json.dumps({"step-tolerance": 1e-6}))
+    _, curve, _ = run_main(capsys, "curve", "--config", str(cfg))
+    assert curve == run_main(capsys, "curve", "--step-tolerance", "1e-6")[1]
+    assert curve != run_main(capsys, "curve")[1]
 
 
 def test_out_writes_file(tmp_path):
@@ -135,11 +163,23 @@ def test_exit_code_io_failure():
     assert proc.returncode == 4
 
 
-def test_exit_code_construction_failure():
+def test_exit_code_construction_failure(tmp_path, capsys):
     proc = run_cli("opq", check=False)
     assert proc.returncode == 3
     proc = run_cli("moments", "--precision", "10", check=False)
     assert proc.returncode == 3
+    # malformed input is one stderr line and exit 3, never a traceback
+    files = {"empty": {}, "list": [1, 2], "ragged": [[1, 2], [3]]}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    for argv in (("curve", "--precision", "10"),
+                 ("measure", "--curve-json", str(tmp_path / "empty.json")),
+                 ("measure", "--curve-json", str(tmp_path / "list.json")),
+                 ("asymp", "--probes", str(tmp_path / "ragged.json")),
+                 ("fields", "--grid=-1,1,0,-1,1,3"),
+                 ("quad", "--amplitude-params", "[1]")):
+        code, _, err = run_main(capsys, *argv)
+        assert code == 3 and len(err.splitlines()) == 1, (argv, err)
 
 
 def test_exit_code_explicit_zero_is_not_replaced_by_default():

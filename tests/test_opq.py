@@ -121,6 +121,18 @@ def test_rescale_to_Pn_scales_nodes():
         assert abs(complex(z) / complex(lam) - complex(w)) <= 1e-12
 
 
+def test_rescale_to_Pn_keeps_the_rule_digits():
+    # the nodes are divided at the precision the rule was built at, not at
+    # mpmath's ambient 15 digits
+    n, ctx = 12, PrecisionContext(60)
+    rule = opq.build_rule(n, SPEC3, ctx)
+    scaled = opq.rescale_to_Pn(rule, n, 3, ctx)
+    with mp.workdps(80):
+        lam = mp.cbrt(4)
+        for z, w in zip(rule.nodes, scaled.nodes):
+            assert abs(z / lam - w) <= 1e-28 * abs(z)
+
+
 def test_precision_schedule_monotone():
     digits = [opq.precision_schedule(n).decimal_digits for n in (2, 10, 20, 40)]
     assert all(a <= b for a, b in zip(digits, digits[1:]))

@@ -59,6 +59,9 @@ def test_curve_json_round_trip(phase):
     pts_b = meas.points
     assert len(pts_a) == len(pts_b)
     assert np.max(np.abs(pts_a - pts_b)) <= 1e-15
+    # only the {"curves": {name: ...}} document is read back
+    with pytest.raises(ValueError):
+        serialize.curve_from_json_dict(json.loads(text)["curves"]["gamma"])
 
 
 def test_measure_csv_requires_annotation(phase):
