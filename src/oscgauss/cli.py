@@ -55,7 +55,10 @@ def _apply_config(flags: dict, config: dict) -> None:
         if val is not None:
             # a switch (nargs 0) takes the entry's truth; a valued flag converts
             # like its command-line string, so 4, 4.0 and "4" all give --kmax 4
-            action.default = val if action.nargs == 0 else (action.type or str)(val)
+            try:
+                action.default = val if action.nargs == 0 else (action.type or str)(val)
+            except (OverflowError, ValueError) as exc:
+                raise ValueError(f"config value for {dest!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

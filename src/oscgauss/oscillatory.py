@@ -75,12 +75,25 @@ def _horner(coeffs, z):
     return acc
 
 
+# Amplitude families usable from the CLI and the parameters each accepts.
+_AMPLITUDE_PARAMS = {"constant": ("value",), "monomial": ("k",),
+                     "polynomial": ("coeffs",), "exp": ("scale",), "cos": ("scale",)}
+AMPLITUDE_NAMES = tuple(_AMPLITUDE_PARAMS)
+
+
 def amplitude(name: str, **params) -> Amplitude:
     """Named amplitude families usable from the CLI (all entire).
 
     constant(value=1) | monomial(k=1) | polynomial(coeffs=...) |
-    exp(scale=1) | cos(scale=1)
+    exp(scale=1) | cos(scale=1).  An unknown family or parameter name
+    raises ValueError.
     """
+    if name not in _AMPLITUDE_PARAMS:
+        raise ValueError(f"unknown amplitude family {name!r}")
+    unknown = sorted(set(params) - set(_AMPLITUDE_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"amplitude {name!r} has no parameter {', '.join(unknown)}; "
+                         f"it takes {', '.join(_AMPLITUDE_PARAMS[name])}")
     if name == "constant":
         v = params.get("value", 1)
         return Amplitude(lambda z, v=v: mp.mpmathify(v))
@@ -92,16 +105,10 @@ def amplitude(name: str, **params) -> Amplitude:
     if name == "polynomial":
         coeffs = tuple(params.get("coeffs", (1,)))
         return Amplitude(lambda z, c=coeffs: _horner(c, mp.mpmathify(z)))
+    s = params.get("scale", 1)
     if name == "exp":
-        s = params.get("scale", 1)
         return Amplitude(lambda z, s=s: mp.exp(mp.mpmathify(s) * mp.mpmathify(z)))
-    if name == "cos":
-        s = params.get("scale", 1)
-        return Amplitude(lambda z, s=s: mp.cos(mp.mpmathify(s) * mp.mpmathify(z)))
-    raise ValueError(f"unknown amplitude family {name!r}")
-
-
-AMPLITUDE_NAMES = ("constant", "monomial", "polynomial", "exp", "cos")
+    return Amplitude(lambda z, s=s: mp.cos(mp.mpmathify(s) * mp.mpmathify(z)))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ __all__ = [
     "ensure_finite",
     "gamma",
     "panel_quad",
+    "panel_quad_vector",
     "ray_cuts",
 ]
 
@@ -109,11 +110,23 @@ def panel_quad(g, cuts, m: int):
     as the estimate.  Runs at the ambient mpmath precision.  Convergence is
     geometric only where g is analytic on a neighbourhood of each panel.
     """
+    (value,), (est,) = panel_quad_vector(lambda x: (g(x),), cuts, m)
+    return value, est
+
+
+def panel_quad_vector(g, cuts, m: int):
+    """panel_quad of a g returning a sequence: (values, error_estimates) lists.
+
+    g is called once per node for all components, so integrands sharing an
+    expensive factor (a family of moments) pay for it once.
+    """
     rule = _legendre_rule(m, mp.mp.dps)
 
     def gl(u, v):
         c, h = (u + v) / 2, (v - u) / 2
-        return h * mp.fsum(w * g(c + h * x) for x, w in rule)
+        rows = [(w, g(c + h * x)) for x, w in rule]
+        return [h * mp.fsum(w * row[i] for w, row in rows)
+                for i in range(len(rows[0][1]))]
 
     whole, halved = [], []
     for u, v in zip(cuts[:-1], cuts[1:]):
@@ -121,8 +134,8 @@ def panel_quad(g, cuts, m: int):
         mid = (u + v) / 2
         whole.append(gl(u, v))
         halved += [gl(u, mid), gl(mid, v)]
-    value = mp.fsum(halved)
-    return value, abs(value - mp.fsum(whole))
+    values = [mp.fsum(col) for col in zip(*halved)]
+    return values, [abs(val - mp.fsum(col)) for val, col in zip(values, zip(*whole))]
 
 
 def ray_cuts(r: int) -> list:

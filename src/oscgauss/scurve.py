@@ -51,7 +51,7 @@ import mpmath as mp
 
 from . import geometry
 from .errors import NonFiniteError, OnCutError, TraceDivergedError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, panel_quad
 
 __all__ = [
     "Z0", "Z1", "Z2", "C_CONST", "L_CONST", "ELL", "ELL_TILDE",
@@ -82,6 +82,10 @@ _END_CELLS = 40         # cells in u of each endpoint window m = w u^3
 _GL_POINTS = 6          # Gauss points per cell
 _NEAR_WINDOW = 0.02     # mass half-width that near_quadrature refines
 _NEAR_GL_POINTS = 4     # Gauss points per near_quadrature cell
+# panelled Gauss-Legendre of phi2_path_integral (coarser grading loses digits)
+_PATH_GL_POINTS = 16    # Gauss points per panel
+_PATH_MIN_PANEL = 0.02  # floor of the panel length (half the branch-point distance)
+_PATH_MAX_U_PANEL = 0.25  # panel cap in u on the first segment, z = z2 + u^2 (b - z2)
 
 
 @dataclass(frozen=True)
@@ -666,24 +670,105 @@ def _build_phase_context(step_tolerance: float, extension_length: float) -> Phas
     return PhaseContext(gamma=curve, gamma1=g1, gamma2=g2)
 
 
+def _check_path(path: list) -> None:
+    """ValueError unless every vertex after z2 is off the closed chord
+    [z1, z2] and no segment passes through a branch point (other than the
+    start z2 of the first segment)."""
+    for v in path[1:]:
+        if v.imag == 1.0 and abs(v.real) <= SQRT2:
+            raise ValueError(f"path vertex {v} lies on the chord [z1, z2]")
+    for i, (a, b) in enumerate(zip(path[:-1], path[1:])):
+        d = b - a
+        if d == 0:
+            raise ValueError(f"path repeats the vertex {a}")
+        for p in (Z1,) if i == 0 else (Z1, Z2):
+            t = ((p - a) * d.conjugate()).real / abs(d) ** 2
+            if 0.0 <= t <= 1.0 and abs(a + t * d - p) <= 1e-12:
+                raise ValueError(f"path segment {a} -> {b} passes through the "
+                                 f"branch point {p}")
+
+
+def _panel_cuts(t0, t1, step) -> list:
+    """Cuts from t0 to t1, each panel as long as step(its start) allows."""
+    cuts = [t0]
+    while cuts[-1] < t1:
+        cuts.append(min(t1, cuts[-1] + step(cuts[-1])))
+    return cuts
+
+
 def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionContext):
-    """phi2(target) by numeric integration of Q^{1/2} from z2 along segments.
+    """(phi2(target), error_estimate) by integrating Q^{1/2} from z2 along segments.
 
-    `waypoints` are the successive segment endpoints after z2 and before
-    `target`; the path must avoid the cut gamma.  Used as the independent
-    oracle for the closed-form phi2.
+    The independent oracle for the closed-form phi2.  `waypoints` are the
+    successive segment endpoints after z2 and before `target`; the path must
+    avoid the cut gamma.  Q^{1/2} = -(i/2)(z+i) R is continued analytically
+    along the path: R = sign * sqrt(z - z1) sqrt(z - z2) (principal
+    factors), whose product jumps only across the open chord Im z = 1,
+    |Re z| < sqrt 2, so sign flips at every crossing of it.  The starting
+    sign is read once from the curve branch (q_sqrt) at the first segment's
+    midpoint; that is all the oracle shares with phi2.  A path that crosses
+    gamma therefore continues onto the other sheet and disagrees with phi2.
+
+    The first segment, leaving z2, is integrated in u with z = z2 + u^2 (b -
+    z2), which removes the square-root singularity at z2.  Every piece gets
+    16-point Gauss-Legendre (precision.panel_quad) on panels at most half
+    their start's distance to the nearest branch point (floor 0.02), and
+    at most 0.25 long in u; the estimate sums the panel estimates.
+
+    Raises ValueError if a vertex lies on the closed chord [z1, z2] or a
+    segment passes through a branch point.
     """
+    path = [Z2] + [complex(w) for w in waypoints] + [complex(target)]
+    _check_path(path)
+    # a segment from z2 meets the line Im z = 1 only at z2 or runs along it
+    # outside the chord, so the first segment never crosses the open chord
+    mid = (path[0] + path[1]) / 2
+    # both vanish only at the double zero -i, which lies outside the lens
+    sign = -1 if (q_sqrt(mid, phase) * q_sqrt_chord(mid).conjugate()).real < 0 else 1
     with ctx.working():
-        path = [_branch_points_mp()[1]] + [mp.mpmathify(w) for w in waypoints] + [mp.mpmathify(target)]
-        total = mp.mpc(0)
-        for a, b in zip(path[:-1], path[1:]):
-            seg = b - a
+        z1, z2 = _branch_points_mp()
+        i = mp.mpc(0, 1)
 
-            def integrand(t, a=a, seg=seg):
-                return q_sqrt(a + t * seg, phase, ctx) * seg
+        def panel_length(z):
+            zc = complex(z)
+            return max(_PATH_MIN_PANEL, 0.5 * min(abs(zc - Z1), abs(zc - Z2)))
 
-            total += mp.quad(integrand, [0, 1])
-        return ctx.finalize(total)
+        d0 = mp.mpmathify(path[1]) - z2
+        # z - z2 = u^2 d0, so sqrt(z - z2) = u sqrt(d0) and dz = 2 u d0 du
+        c0 = -i * sign * mp.sqrt(d0) * d0
+
+        def first(u):
+            w = u * u
+            z = z2 + w * d0
+            return c0 * w * (z + i) * mp.sqrt(z - z1)
+
+        def u_step(u):
+            # the z-length of [u, v] is |d0| (v^2 - u^2)
+            h = max(_PATH_MIN_PANEL, 0.5 * abs(complex(z2 + u * u * d0) - Z1))
+            return min(_PATH_MAX_U_PANEL, mp.sqrt(u * u + h / abs(d0)) - u)
+
+        parts = [panel_quad(first, _panel_cuts(mp.mpf(0), 1, u_step), _PATH_GL_POINTS)]
+        for a, b in zip(path[1:-1], path[2:]):
+            a, b = mp.mpmathify(a), mp.mpmathify(b)
+            d = b - a
+            pieces = [mp.mpf(0), 1]
+            if (a.imag - 1) * (b.imag - 1) < 0:
+                t = (1 - a.imag) / (b.imag - a.imag)
+                if abs(a.real + t * d.real) < mp.sqrt(2):
+                    pieces.insert(1, t)
+            for j, (t0, t1) in enumerate(zip(pieces[:-1], pieces[1:])):
+                if j:
+                    sign = -sign            # crossed the open chord
+
+                def g(t, a=a, d=d, c=-i / 2 * sign * d):
+                    z = a + t * d
+                    return c * (z + i) * mp.sqrt(z - z1) * mp.sqrt(z - z2)
+
+                cuts = _panel_cuts(t0, t1, lambda t, a=a, d=d:
+                                   panel_length(a + t * d) / abs(d))
+                parts.append(panel_quad(g, cuts, _PATH_GL_POINTS))
+        return (ctx.finalize(mp.fsum(v for v, _ in parts)),
+                ctx.finalize(mp.fsum(e for _, e in parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -172,12 +172,16 @@ def test_exit_code_construction_failure(tmp_path, capsys):
     files = {"empty": {}, "list": [1, 2], "ragged": [[1, 2], [3]]}
     for name, doc in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    # 1e400 parses as an infinite float, which no integer flag can take
+    (tmp_path / "huge.json").write_text('{"kmax": 1e400}')
     for argv in (("curve", "--precision", "10"),
                  ("measure", "--curve-json", str(tmp_path / "empty.json")),
                  ("measure", "--curve-json", str(tmp_path / "list.json")),
                  ("asymp", "--probes", str(tmp_path / "ragged.json")),
                  ("fields", "--grid=-1,1,0,-1,1,3"),
-                 ("quad", "--amplitude-params", "[1]")):
+                 ("quad", "--amplitude-params", "[1]"),
+                 ("quad", "--amplitude", "exp", "--amplitude-params", '{"skale": 5}'),
+                 ("moments", "--config", str(tmp_path / "huge.json"))):
         code, _, err = run_main(capsys, *argv)
         assert code == 3 and len(err.splitlines()) == 1, (argv, err)
 

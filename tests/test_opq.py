@@ -144,12 +144,12 @@ def test_random_moments_match_ray_quadrature(ctx30):
     from oscgauss.verify import _moment_ray_quadrature
     rng = np.random.default_rng(23)
     ks = rng.choice(np.arange(1, 16), size=3, replace=False)
+    oracle, _ = _moment_ray_quadrature(15, SPEC3, ctx30)
     for k in ks:
         closed = opq.moment(int(k), SPEC3, ctx30)
-        oracle = _moment_ray_quadrature(int(k), SPEC3, ctx30)
         with ctx30.working():
             scale = float(abs(mp.gamma(mp.mpf(int(k) + 1) / 3) / 3))
-            dev = float(abs(closed - oracle)) / scale
+            dev = float(abs(closed - oracle[k])) / scale
         assert dev <= 1e-15
 
 

@@ -27,6 +27,14 @@ def test_amplitude_registry():
         osc.amplitude("sinc")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("exp", {"skale": 5}), ("constant", {"scale": 2}), ("cos", {"scale": 1, "k": 2}),
+])
+def test_amplitude_rejects_unknown_parameters(name, params):
+    with pytest.raises(ValueError, match="no parameter"):
+        osc.amplitude(name, **params)
+
+
 def test_spec_validation():
     amp = osc.amplitude("constant")
     with pytest.raises(ValueError):

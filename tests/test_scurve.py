@@ -242,10 +242,64 @@ def test_g_has_log_asymptotics(phase):
 def test_phi2_path_integral_single_probe(phase):
     ctx = PrecisionContext(30)
     direct = scurve.phi2(3 + 4j, phase, ctx)
-    path = scurve.phi2_path_integral(3 + 4j, (2 + 1.2j, 2 + 4j), phase, ctx)
+    path, _ = scurve.phi2_path_integral(3 + 4j, (2 + 1.2j, 2 + 4j), phase, ctx)
     with ctx.working():
         dev = float(abs(direct - path))
     assert dev <= 1e-15
+
+
+@pytest.mark.parametrize("target, waypoints", [
+    # the last segment crosses Im z = 1 at 1j, where the principal product
+    # flips sign while Q^{1/2} continues analytically into the lens
+    (0.8j, (2.2 + 1.3j, 1.3j)),
+    # straight from z2 into the lens: the starting sign is -1
+    (0.2 + 0.9j, ()),
+])
+def test_phi2_path_integral_agrees_inside_the_lens(phase, ctx30, target, waypoints):
+    direct = scurve.phi2(target, phase, ctx30)
+    path, est = scurve.phi2_path_integral(target, waypoints, phase, ctx30)
+    with ctx30.working():
+        assert float(abs(direct - path)) <= 1e-25
+    assert est <= 1e-25
+
+
+def test_phi2_path_integral_continues_across_gamma(phase, ctx30):
+    # the last segment climbs through gamma into the lens: analytic
+    # continuation lands on the other sheet, the cut-along-gamma phi2 does not
+    direct = scurve.phi2(0.8j, phase, ctx30)
+    path, est = scurve.phi2_path_integral(0.8j, (2.2, 0), phase, ctx30)
+    with ctx30.working():
+        assert float(abs(direct - path)) > 1
+    assert est <= 1e-25
+
+
+@pytest.mark.parametrize("target, waypoints", [
+    (0.5 + 0.8j, (2.2 + 1.3j, 0.5 + 1j)),          # vertex on the open chord
+    (0.5 + 0.8j, (2.2 + 1.3j, scurve.Z1)),         # vertex at a branch point
+    (-3 + 1j, ()),                                 # segment through z1
+    (2 + 1.2j, (2 + 1.2j,)),                       # zero-length segment
+])
+def test_phi2_path_integral_rejects_degenerate_paths(phase, ctx30, target, waypoints):
+    with pytest.raises(ValueError):
+        scurve.phi2_path_integral(target, waypoints, phase, ctx30)
+
+
+def test_phi2_path_integral_reads_the_curve_branch_once(phase, ctx30, monkeypatch):
+    from oscgauss import geometry
+    calls = {"q_sqrt": 0, "nearest_on_polyline": 0}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(scurve, "q_sqrt")
+    counting(geometry, "nearest_on_polyline")
+    scurve.phi2_path_integral(0.0 + 0.8j, (2.2 + 1.3j, 0.0 + 1.3j), phase, ctx30)
+    assert calls == {"q_sqrt": 1, "nearest_on_polyline": 1}
 
 
 def test_sample_field_grid_req(phase):

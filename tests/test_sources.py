@@ -1,6 +1,7 @@
 """Every module of the package compiles with warnings raised as errors,
-every name it exports in __all__ exists, and every library name the
-benchmark tracer rebinds or the benchmark workloads call exists."""
+every name it exports in __all__ exists, no module calls mpmath's adaptive
+quadrature, and every library name the benchmark tracer rebinds or the
+benchmark workloads call exists."""
 
 import ast
 import importlib
@@ -32,6 +33,16 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_adaptive_mpmath_quadrature():
+    # The oracles integrate by precision.panel_quad, which reports its own
+    # error estimate; mp.quad (tanh-sinh / Gauss-Legendre) reports none.
+    calls = [f"{path.name}:{node.lineno}"
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr.startswith("quad")
+             and isinstance(node.value, ast.Name) and node.value.id in ("mp", "mpmath")]
+    assert calls == []
 
 
 def _tracing():
