@@ -13,23 +13,26 @@ e^{iz^r} = e^{-rho^r}, so every monomial moment has the closed form
 From the moment table we build the monic orthogonal polynomials pi_n via
 a Chebyshev-algorithm recursion on raw moments (the functional is complex
 bilinear and only quasi-definite, so every divisor is checked and a
-vanishing Hankel determinant is reported, not repaired), classified by the
-involution their root set is closed under: z -> -conj z (odd r), z -> -z
-(even r), z -> conj z (real coefficients).  A Hankel-determinant linear
-solve gives an independent construction for cross-checks at small degree.
+vanishing Hankel determinant is reported, not repaired).  A
+Hankel-determinant linear solve gives an independent construction for
+cross-checks at small degree.
 
 Rules come from the recurrence alone (Golub & Welsch, Math. Comp. 23, 1969;
-Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1).  The float64
-eigenvalues of the Jacobi matrix seed simultaneous Aberth sweeps with pi_n
-and pi_n' from the recurrence at working precision, run to 10^-digits; the
-weights are the Christoffel numbers h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)),
-h_{n-1} = M_0 beta_0 ... beta_{n-2}.  Nodes and weights are both paired
-through the involution, so a self-paired node sits exactly on its axis
-(exactly 0 for even r) and, for odd r, carries an exactly real weight.  A
-rule is delivered only if |pi_n(z_j)| <= 10^(-digits/2) times the size of
-the monomial terms and the rule is exact to 10^(-digits/3) through degree
-2n-1.  Nodes come in ascending (Re, Im) order.  Rules are memoised per
-process (functools.lru_cache, 64 entries) keyed on (n, r, decimal_digits);
+Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1).  The weight fixes
+the involution the nodes are closed under: z -> -conj z (odd r), z -> -z
+(even r), z -> conj z (Gauss-Laguerre); the caller names it and nothing
+classifies it.  The float64 eigenvalues of the Jacobi matrix, paired once
+through the involution, seed Aberth sweeps that move one root per pair with
+pi_n and pi_n' from the recurrence at working precision, run to
+10^-digits; the partner is the exact mirror image and a self-paired root
+sits exactly on the fixed set (exactly 0 for even r).  The weights are the
+Christoffel numbers h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)), h_{n-1} = M_0
+beta_0 ... beta_{n-2}, averaged over each pair, so for odd r a node on the
+axis carries an exactly real weight.  A rule is delivered only if
+|pi_n(z_j)| <= 10^(-digits/2) times the size of the monomial terms and the
+rule is exact to 10^(-digits/3) through degree 2n-1.  Nodes come in
+ascending (Re, Im) order.  Rules are memoised per process
+(functools.lru_cache, 64 entries) keyed on (n, r, decimal_digits);
 QuadratureRule is frozen and holds tuples, so callers share the cached
 objects safely.
 
@@ -72,7 +75,6 @@ __all__ = [
     "rescale_to_Pn",
     "precision_schedule",
     "build_rule",
-    "symmetrize_roots",
 ]
 
 
@@ -118,7 +120,6 @@ class RecurrenceCoefficients:
     alpha: tuple
     beta: tuple
     ctx: PrecisionContext
-    symmetry: str | None = None  # 'neg_conj' | 'real' | 'neg' | None
 
     @property
     def n(self) -> int:
@@ -213,35 +214,16 @@ def build_recurrence(moments: MomentSequence, n: int) -> RecurrenceCoefficients:
             alpha.append(ctx.finalize(cur[k + 1] / cur[k] - prev[k] / prev[k - 1]))
             prev2, prev = prev, cur
         alpha = [ctx.finalize(a) for a in alpha]
-        sym = _detect_symmetry(m[0], alpha, beta, ctx)
-    return RecurrenceCoefficients(alpha=tuple(alpha), beta=tuple(beta), ctx=ctx, symmetry=sym)
+    return RecurrenceCoefficients(alpha=tuple(alpha), beta=tuple(beta), ctx=ctx)
 
 
-def _detect_symmetry(m0, alpha, beta, ctx) -> str | None:
-    """Classify the root-set involution implied by M_0 and the coefficients.
-
-    The conjugating classes also need a real M_0: only then are the weights
-    conjugate under the involution (and a one-point rule is classified right).
-    """
-    tol = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
-    def small(x, ref):
-        return abs(x) <= tol * (ref + 1)
-    conj = small(mp.im(m0), abs(m0)) and all(small(mp.im(b), abs(b)) for b in beta)
-    if conj and all(small(mp.re(a), abs(a)) for a in alpha):
-        return "neg_conj"
-    if conj and all(small(mp.im(a), abs(a)) for a in alpha):
-        return "real"
-    if all(small(a, 0) for a in alpha):
-        return "neg"
-    return None
-
-
-# Root-set involution of each symmetry class and its action on the weights:
-# the node invol(z) carries the weight wmap(w(z)).
+# Per symmetry class: the root-set involution, its action on the weights (the
+# node invol(z) carries the weight wmap(w(z))) and the projection onto its
+# fixed set.  "neg_conj" is odd r, "neg" even r, "real" Gauss-Laguerre.
 _INVOLUTIONS = {
-    "neg_conj": (lambda z: -mp.conj(z), mp.conj),
-    "real": (mp.conj, mp.conj),
-    "neg": (lambda z: -z, lambda w: w),
+    "neg_conj": (lambda z: -mp.conj(z), mp.conj, lambda z: mp.mpc(0, mp.im(z))),
+    "real": (mp.conj, mp.conj, lambda z: mp.mpc(mp.re(z))),
+    "neg": (lambda z: -z, lambda w: w, lambda z: mp.mpc(0)),
 }
 
 
@@ -330,58 +312,44 @@ def _jacobi_seeds(coeffs: RecurrenceCoefficients):
     return np.linalg.eigvals(jac)
 
 
-def symmetrize_roots(roots: list, symmetry: str | None, ctx: PrecisionContext) -> list:
-    """Enforce the root-set involution (z -> -conj z, conj z or -z) by pairing.
-
-    Roots are greedily matched against the reflected multiset; matched pairs
-    are replaced by their symmetrized average and self-paired roots are
-    projected onto the fixed set of the involution.
-    """
-    if symmetry is None or not roots:
-        return list(roots)
-    invol = _INVOLUTIONS[symmetry][0]
-    with ctx.working():
-        out = [None] * len(roots)
-        used = [False] * len(roots)
-        order = sorted(range(len(roots)), key=lambda i: (mp.re(roots[i]), mp.im(roots[i])))
-        for i in order:
-            if used[i]:
-                continue
-            target = invol(roots[i])
-            best = min((j for j in order if not used[j]), key=lambda j: abs(roots[j] - target))
-            # a self-paired root (best == i) lands on the fixed set: invol(out[i]) == out[i]
-            out[i] = (roots[i] + invol(roots[best])) / 2
-            out[best] = invol(out[i])
-            used[i] = used[best] = True
-        return out
-
-
-def zeros(coeffs: RecurrenceCoefficients) -> list:
+def zeros(coeffs: RecurrenceCoefficients, symmetry: str) -> list:
     """All n zeros of pi_n, in ascending (Re, Im) order.
 
-    The float64 eigenvalues of the Jacobi matrix seed simultaneous Aberth
-    sweeps in which pi_n and pi_n' come from the three-term recurrence at
-    working precision; the sweeps stop when no root moves by more than
-    10^-decimal_digits (relative), or raise NonconvergenceError after
-    ABERTH_SWEEPS sweeps.  The root set's involution symmetry is
-    then enforced by pairing, and every root must satisfy
-    |pi_n(root)| <= 10^{-decimal_digits/2} * (local scale) on the monomial form.
+    `symmetry` is the involution the zero set is closed under, fixed by the
+    weight ("neg_conj", "neg" or "real", see _INVOLUTIONS).  The float64
+    eigenvalues of the Jacobi matrix are paired once, each with the free seed
+    nearest its mirror image; a seed paired with itself lies on the fixed
+    set.  Simultaneous Aberth sweeps (pi_n and pi_n' from the recurrence at
+    working precision, the Aberth sum over all n roots) move one root per
+    pair, set its partner to the exact mirror image and project a
+    self-paired root onto the fixed set.  They stop when no root moves by
+    more than 10^-decimal_digits (relative), or raise NonconvergenceError
+    after ABERTH_SWEEPS sweeps.  Every root must satisfy |pi_n(root)| <=
+    10^{-decimal_digits/2} * (local scale) on the monomial form.
     """
     ctx, n = coeffs.ctx, coeffs.n
     if n == 0:
         return []
+    invol, _, fix = _INVOLUTIONS[symmetry]
     with ctx.working():
         zs = [mp.mpc(complex(s)) for s in _jacobi_seeds(coeffs)]
+        free, orbits = list(range(n)), []
+        while free:
+            i, target = free[0], invol(zs[free[0]])
+            j = min(free, key=lambda k: abs(zs[k] - target))
+            free = [k for k in free if k not in (i, j)]
+            orbits.append((i, j))
         tol = mp.mpf(10) ** (-ctx.decimal_digits)
         tiny = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
         for _ in range(ABERTH_SWEEPS):
             move = mp.mpf(0)
-            for i in range(n):
+            for i, j in orbits:
                 p, dp, _ = _pi_with_derivative(coeffs, zs[i])
-                s = mp.fsum(1 / ((zs[i] - zs[j]) or tiny) for j in range(n) if j != i)
+                s = mp.fsum(1 / ((zs[i] - zs[k]) or tiny) for k in range(n) if k != i)
                 denom = dp - p * s
                 delta = p / denom if denom else mp.mpc(0)
-                zs[i] -= delta
+                zs[i] = zs[i] - delta if i != j else fix(zs[i] - delta)
+                zs[j] = invol(zs[i])
                 move = max(move, abs(delta) / (1 + abs(zs[i])))
             if move <= tol:
                 break
@@ -389,12 +357,10 @@ def zeros(coeffs: RecurrenceCoefficients) -> list:
             raise NonconvergenceError(
                 f"Aberth iteration did not reach {mp.nstr(tol, 3)} in {ABERTH_SWEEPS} iterations (n={n})"
             )
-        zs = symmetrize_roots(zs, coeffs.symmetry, ctx)
         c = monic_coefficients(coeffs)
-        bar = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
         for z in zs:
             p, scale = _monomial_residual(c, z)
-            if not abs(p) <= bar * scale:
+            if not abs(p) <= tiny * scale:
                 raise NonconvergenceError(
                     f"root residual {mp.nstr(abs(p) / scale, 3)} exceeds 10^(-digits/2) (n={n})"
                 )
@@ -405,15 +371,17 @@ def zeros(coeffs: RecurrenceCoefficients) -> list:
 # Weights
 # ---------------------------------------------------------------------------
 
-def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSequence) -> list:
+def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSequence,
+                        symmetry: str) -> list:
     """Christoffel numbers w_j = h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)) at the zeros of pi_n.
 
     h_{n-1} = M_0 beta_0 ... beta_{n-2} is the squared norm of pi_{n-1}.
-    The weights are paired through the root-set involution like the nodes,
-    w(invol z) = wmap(w(z)), so a self-paired node of an odd-r rule carries
-    an exactly real weight.  The rule is then checked on k = 0..2n-1
-    (Gaussian exactness); if those residuals exceed 10^(-decimal_digits/3)
-    IllConditionedError reports the digits lost.
+    `nodes` are the zeros(coeffs, symmetry), closed under the involution of
+    that class, and the weights are averaged over each orbit so that
+    w(invol z) = wmap(w(z)) holds exactly: a self-paired node of an odd-r
+    rule carries an exactly real weight.  The rule is then checked on
+    k = 0..2n-1 (Gaussian exactness); if those residuals exceed
+    10^(-decimal_digits/3) IllConditionedError reports the digits lost.
     """
     ctx = coeffs.ctx
     with ctx.working():
@@ -422,10 +390,9 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
         for z in nodes:
             _, dp, p_prev = _pi_with_derivative(coeffs, mp.mpmathify(z))
             ws.append(h / (p_prev * dp))
-        if coeffs.symmetry is not None:
-            invol, wmap = _INVOLUTIONS[coeffs.symmetry]
-            where = {z: j for j, z in enumerate(nodes)}
-            ws = [(w + wmap(ws[where[invol(z)]])) / 2 for z, w in zip(nodes, ws)]
+        invol, wmap, _ = _INVOLUTIONS[symmetry]
+        where = {z: j for j, z in enumerate(nodes)}
+        ws = [(w + wmap(ws[where[invol(z)]])) / 2 for z, w in zip(nodes, ws)]
         resid = rule_exactness_residual(nodes, ws, moments, range(2 * len(nodes)))
         bar = mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
         if not resid <= bar:
@@ -483,8 +450,7 @@ def rescale_to_Pn(obj, n: int, r: int, ctx: PrecisionContext | None = None):
         with obj.ctx.working():
             alpha = tuple(obj.ctx.finalize(a / lam) for a in obj.alpha)
             beta = tuple(obj.ctx.finalize(b / lam ** 2) for b in obj.beta)
-        return RecurrenceCoefficients(alpha=alpha, beta=beta, ctx=obj.ctx,
-                                      symmetry=obj.symmetry)
+        return RecurrenceCoefficients(alpha=alpha, beta=beta, ctx=obj.ctx)
     ctx = precision_schedule(n) if ctx is None else ctx
     lam = lambda_n(n, r, ctx)
     with ctx.working():
@@ -515,5 +481,7 @@ def _build_rule(n: int, r: int, decimal_digits: int) -> QuadratureRule:
     ctx = PrecisionContext(decimal_digits)
     mom = moment_sequence(WeightSpec(r=r), 2 * n - 1, ctx)
     rec = build_recurrence(mom, n)
-    zs = zeros(rec)
-    return QuadratureRule(nodes=tuple(zs), weights=tuple(christoffel_weights(rec, zs, mom)))
+    symmetry = "neg_conj" if r % 2 else "neg"
+    zs = zeros(rec, symmetry)
+    return QuadratureRule(nodes=tuple(zs),
+                          weights=tuple(christoffel_weights(rec, zs, mom, symmetry)))

@@ -165,9 +165,9 @@ def _laguerre_rule(n: int, decimal_digits: int) -> opq.QuadratureRule:
     ctx = PrecisionContext(decimal_digits)
     rec = opq.RecurrenceCoefficients(
         alpha=tuple(mp.mpf(2 * k + 1) for k in range(n)),
-        beta=tuple(mp.mpf(k * k) for k in range(1, n)), ctx=ctx, symmetry="real")
-    roots = opq.zeros(rec)
-    weights = opq.christoffel_weights(rec, roots, laguerre_moment_sequence(2 * n - 1, ctx))
+        beta=tuple(mp.mpf(k * k) for k in range(1, n)), ctx=ctx)
+    roots = opq.zeros(rec, "real")
+    weights = opq.christoffel_weights(rec, roots, laguerre_moment_sequence(2 * n - 1, ctx), "real")
     with ctx.working():
         tol = mp.mpf(10) ** (-ctx.decimal_digits // 2)
         nodes, ws = [], []

@@ -113,6 +113,12 @@ class CurvePolyline:
         """Longest segment; computed once, the vertices being read-only."""
         return geometry.max_segment_length(self.points)
 
+    @functools.cached_property
+    def box(self) -> tuple:
+        """(min Re, max Re, min Im, max Im) of the vertices; computed once."""
+        x, y = self.points.real, self.points.imag
+        return float(x.min()), float(x.max()), float(y.min()), float(y.max())
+
     @property
     def total_length(self) -> float:
         return float(self.s[-1])
@@ -551,8 +557,11 @@ def _in_lens(z: complex, curve: CurvePolyline) -> bool:
 
 def _require_off_cut(z: complex, curve: CurvePolyline) -> None:
     zc = complex(z)
-    dist = geometry.nearest_on_polyline(zc, curve.points)[0]
     res = max(curve.resolution, 1e-13)
+    x0, x1, y0, y1 = curve.box
+    if not (x0 - res <= zc.real <= x1 + res and y0 - res <= zc.imag <= y1 + res):
+        return  # more than res outside the vertices' box: off the cut
+    dist = geometry.nearest_on_polyline(zc, curve.points)[0]
     # Approaching a branch *point* from outside the arc is fine (the cut is
     # the open arc); forbid only points nearest to the cut interior.
     d_ends = min(abs(zc - complex(curve.points[0])), abs(zc - complex(curve.points[-1])))

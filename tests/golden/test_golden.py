@@ -16,6 +16,7 @@ GOLDEN = Path(__file__).parent
 CASES = {
     "moments_r3.csv": ["moments", "--r", "3"],
     "opq_n7_r2.csv": ["opq", "--n", "7", "--r", "2"],
+    "opq_n9_r5.csv": ["opq", "--n", "9", "--r", "5"],
     "opq_n12_r3_rescaled.csv": ["opq", "--n", "12", "--r", "3", "--rescaled"],
     "quad_omega200_exp.json": ["quad", "--omega", "200", "--amplitude", "exp"],
 }

@@ -50,8 +50,9 @@ def test_beta_on_cut_raises(phase):
 
 
 def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
-    # projections onto the arc: outer = classification + the curve-branch
-    # on-cut guard, band = classification + the tube check, disks = none
+    # projections onto the arc: outer = classification only (the curve-branch
+    # on-cut guard returns on the bounding box of gamma), band =
+    # classification + the tube check, disks = none
     calls = []
     nearest = geometry.nearest_on_polyline
 
@@ -63,7 +64,7 @@ def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
     on_arc = complex(scurve.curve_points_at_mass(phase.gamma, 0.5 * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(on_arc)
     band = on_arc + 0.05 * q.conjugate() / abs(q)
-    for z, region, expected in ((3 + 4j, "outer", 2), (band, "band", 2),
+    for z, region, expected in ((3 + 4j, "outer", 1), (band, "band", 2),
                                 (scurve.Z2 + 0.2, "disk2", 0)):
         calls.clear()
         assert asym.pn_asymptotic(20, z, phase)[0] == region

@@ -227,12 +227,33 @@ def test_rule_cache_shares_one_rule_per_key():
     assert oscillatory.laguerre_rule(6) is oscillatory.laguerre_rule(6)
 
 
+def test_zeros_evaluates_pi_once_per_orbit_and_sweep(monkeypatch):
+    # r = 3, n = 40 pairs into 20 orbits z, -conj z; the scheduled rule
+    # converges in 4 sweeps, so 80 recurrence evaluations (one per root and
+    # sweep would be 160)
+    n = 40
+    ctx = opq.precision_schedule(n)
+    rec = opq.build_recurrence(opq.moment_sequence(SPEC3, 2 * n - 1, ctx), n)
+    calls = []
+    evaluate = opq._pi_with_derivative
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(opq, "_pi_with_derivative", counting)
+    zs = opq.zeros(rec, "neg_conj")
+    assert len(zs) == n and len(calls) <= 100
+    with ctx.working():
+        assert set(zs) == {-mp.conj(z) for z in zs}
+
+
 def test_build_rule_failure_is_not_retried(monkeypatch):
     # a failed construction raises at the requested precision: no second
     # attempt at more digits
     calls = []
 
-    def failing_zeros(coeffs):
+    def failing_zeros(coeffs, symmetry):
         calls.append(coeffs.ctx.decimal_digits)
         raise NonconvergenceError("forced")
 

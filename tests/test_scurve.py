@@ -299,7 +299,8 @@ def test_phi2_path_integral_reads_the_curve_branch_once(phase, ctx30, monkeypatc
     counting(scurve, "q_sqrt")
     counting(geometry, "nearest_on_polyline")
     scurve.phi2_path_integral(0.0 + 0.8j, (2.2 + 1.3j, 0.0 + 1.3j), phase, ctx30)
-    assert calls == {"q_sqrt": 1, "nearest_on_polyline": 1}
+    # the one curve-branch read lies outside the bounding box of gamma
+    assert calls == {"q_sqrt": 1, "nearest_on_polyline": 0}
 
 
 def test_sample_field_grid_req(phase):
@@ -318,6 +319,22 @@ def test_sample_field_grid_masks_near_cut(phase):
     assert not mask[1, 1]
     assert np.isfinite(V[~mask]).all()
     assert np.isnan(V[mask]).all()
+
+
+def test_sample_field_grid_projection_count(phase, monkeypatch):
+    # every cell is projected once for the grid's own guard; phi2's on-cut
+    # guard projects again only the cells near the bounding box of gamma
+    from oscgauss import geometry
+    calls = []
+    nearest = geometry.nearest_on_polyline
+
+    def counting(*args):
+        calls.append(1)
+        return nearest(*args)
+
+    monkeypatch.setattr(geometry, "nearest_on_polyline", counting)
+    scurve.sample_field_grid("RePhi2", (-3, 3, 21, -3, 3, 21), phase)
+    assert len(calls) <= 450   # 441 cells
 
 
 def test_sample_field_grid_rejects_unknown(phase):
