@@ -266,21 +266,15 @@ def pn_asymptotic(n: int, z: complex, phase: PhaseContext) -> tuple[str, complex
 # Exact reference values
 # ---------------------------------------------------------------------------
 
-def _recurrence_for(n: int, ctx: PrecisionContext | None = None) -> opq.RecurrenceCoefficients:
-    ctx = opq.precision_schedule(n) if ctx is None else ctx
-    return _rescaled_recurrence(n, ctx.decimal_digits)
-
-
 @functools.lru_cache(maxsize=64)
-def _rescaled_recurrence(n: int, decimal_digits: int) -> opq.RecurrenceCoefficients:
-    ctx = PrecisionContext(decimal_digits)
-    mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n, ctx)
+def _rescaled_recurrence(n: int) -> opq.RecurrenceCoefficients:
+    mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n, opq.precision_schedule(n))
     return opq.rescale_to_Pn(opq.build_recurrence(mom, n), n, 3)
 
 
-def exact_pn(n: int, z: complex, ctx: PrecisionContext | None = None):
-    """P_n(z) by the rescaled three-term recurrence at scheduled precision."""
-    return opq.pi_eval(_recurrence_for(n, ctx), complex(z))
+def exact_pn(n: int, z: complex):
+    """P_n(z) by the rescaled three-term recurrence at opq.precision_schedule(n)."""
+    return opq.pi_eval(_rescaled_recurrence(n), complex(z))
 
 
 def pn_relative_error(n: int, z: complex, phase: PhaseContext) -> tuple[str, float]:
@@ -303,16 +297,15 @@ def pn_relative_error(n: int, z: complex, phase: PhaseContext) -> tuple[str, flo
 # Zero distribution diagnostics
 # ---------------------------------------------------------------------------
 
-def zero_distribution_report(n: int, phase: PhaseContext,
-                             rule: opq.QuadratureRule | None = None) -> dict:
+def zero_distribution_report(n: int, phase: PhaseContext) -> dict:
     """How closely the P_n zeros shadow the curve and its measure.
 
+    The zeros are the nodes of the scheduled r = 3 rule, rescaled to P_n.
     Returns max distance to the polyline, the Kolmogorov-Smirnov statistic
     of the projected masses against uniform order statistics, and the worst
     mismatch of the zero set under z -> -conj(z).
     """
-    if rule is None:
-        rule = opq.build_rule(n, opq.WeightSpec(r=3))
+    rule = opq.build_rule(n, opq.WeightSpec(r=3))
     zs = np.array([complex(z) for z in opq.rescale_to_Pn(rule, n, 3).nodes])
     pts = phase.gamma.points
     cdf = phase.gamma.cdf
@@ -353,17 +346,17 @@ def airy_model_matrix(zeta: complex) -> np.ndarray:
                                          dtype=complex)
 
 
-def airy_model_residual(radius: float = 8.0, samples: int = 25) -> float:
-    """max entrywise deviation of A(z) e^{(2/3) z^{3/2} sigma3} from its limit.
+def airy_model_residual() -> float:
+    """max entrywise deviation of A(z) e^{(2/3) z^{3/2} sigma3} from its limit on |z| = 8.
 
     The limit matrix is z^{-sigma3/4} (1/sqrt2) [[1, i], [i, 1]].  The pair
     (y0, y2) solves the model problem in the Stokes sector arg z in
-    (-pi/3, pi); the circle is sampled comfortably inside that sector,
-    where classical estimates give a deviation O(|z|^{-3/2}).
+    (-pi/3, pi); the circle is sampled at 25 points comfortably inside that
+    sector, where classical estimates give a deviation O(|z|^{-3/2}).
     """
     worst = 0.0
-    for th in np.linspace(-0.7, 2.7, samples):
-        zeta = radius * np.exp(1j * th)
+    for th in np.linspace(-0.7, 2.7, 25):
+        zeta = 8.0 * np.exp(1j * th)
         a = airy_model_matrix(zeta)
         e = np.exp((2.0 / 3.0) * zeta ** 1.5)
         b = a @ np.diag([e, 1 / e])
@@ -373,9 +366,9 @@ def airy_model_residual(radius: float = 8.0, samples: int = 25) -> float:
     return worst
 
 
-def airy_connection_residual(zeta: complex, ctx: PrecisionContext | None = None):
-    """|Ai(z) + w Ai(w z) + w^2 Ai(w^2 z)| at precision (identically zero)."""
-    ctx = PrecisionContext() if ctx is None else ctx
+def airy_connection_residual(zeta: complex):
+    """|Ai(z) + w Ai(w z) + w^2 Ai(w^2 z)| at 30 digits (identically zero)."""
+    ctx = PrecisionContext(30)
     with ctx.working():
         z = mp.mpmathify(zeta)
         w = mp.expjpi(mp.mpf(2) / 3)

@@ -78,7 +78,7 @@ def _cmd_opq(args):
                                args.precision))
     rule = opq.build_rule(args.n, opq.WeightSpec(r=args.r), ctx)
     if args.rescaled:
-        rule = opq.rescale_to_Pn(rule, args.n, args.r, ctx)
+        rule = opq.rescale_to_Pn(rule, args.n, args.r)
     return serialize.rule_csv(rule, digits=args.precision), 0
 
 

@@ -37,15 +37,16 @@ QuadratureRule is frozen and holds tuples, so callers share the cached
 objects safely.
 
 All computations run under a PrecisionContext; the default schedule for
-degree n is max(60, 12 + 4n) working digits.  A rule that fails either
-residual check raises at the precision it was asked for; nothing is
-retried.
+degree n is max(60, 12 + 4n) working digits.  A rule carries the
+precision it was built at as rule.ctx, and what rescales it works there.
+A rule that fails either residual check raises at the precision it was
+asked for; nothing is retried.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -129,10 +130,11 @@ class RecurrenceCoefficients:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gaussian-type rule: nodes and weights."""
+    """Gaussian-type rule: nodes and weights, and the precision it was built at."""
 
     nodes: tuple
     weights: tuple
+    ctx: PrecisionContext
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,7 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
         invol, wmap, _ = _INVOLUTIONS[symmetry]
         where = {z: j for j, z in enumerate(nodes)}
         ws = [(w + wmap(ws[where[invol(z)]])) / 2 for z, w in zip(nodes, ws)]
-        resid = rule_exactness_residual(nodes, ws, moments, range(2 * len(nodes)))
+        resid = rule_exactness_residual(nodes, ws, moments)
         bar = mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
         if not resid <= bar:
             lost = float(ctx.decimal_digits + GUARD_DIGITS + mp.log10(resid + mp.eps))
@@ -404,22 +406,20 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
         return [ctx.finalize(w) for w in ws]
 
 
-def rule_exactness_residual(nodes, weights, moments: MomentSequence, k_range) -> mp.mpf:
-    """Max relative residual |sum w z^k - M_k| / scale over k_range.
+def rule_exactness_residual(nodes, weights, moments: MomentSequence) -> mp.mpf:
+    """Max relative residual |sum w z^k - M_k| / scale over k = 0..2n-1.
 
     The terms w z^k come from running products, one multiplication per node
     and degree; scale = sum |w z^k| + |M_k|.
     """
     ctx = moments.ctx
-    ks = set(k_range)
     with ctx.working():
         zs = [mp.mpmathify(z) for z in nodes]
         terms = [mp.mpmathify(w) for w in weights]
         worst = mp.mpf(0)
-        for k in range(max(ks, default=-1) + 1):
-            if k in ks:
-                scale = mp.fsum(abs(t) for t in terms) + abs(moments[k])
-                worst = max(worst, abs(mp.fsum(terms) - moments[k]) / (scale or 1))
+        for k in range(2 * len(nodes)):
+            scale = mp.fsum(abs(t) for t in terms) + abs(moments[k])
+            worst = max(worst, abs(mp.fsum(terms) - moments[k]) / (scale or 1))
             terms = [t * z for t, z in zip(terms, zs)]
         return worst
 
@@ -434,28 +434,25 @@ def lambda_n(n: int, r: int, ctx: PrecisionContext):
         return ctx.finalize((mp.mpf(n) / r) ** (mp.mpf(1) / r))
 
 
-def rescale_to_Pn(obj, n: int, r: int, ctx: PrecisionContext | None = None):
+def rescale_to_Pn(obj, n: int, r: int):
     """Rescale a recurrence or a rule from pi_n to P_n (divide by lambda_n).
 
     Monicity is preserved: alpha scales by 1/lambda, beta by 1/lambda^2,
-    nodes by 1/lambda.  Rule weights are left untouched.  A recurrence is
-    divided at its own precision; a rule carries none, so its nodes are
-    divided at `ctx`, the precision it was built at (default: the
-    schedule, as in build_rule).
+    nodes by 1/lambda.  Rule weights are left untouched.  Both are divided
+    at obj.ctx, the precision they were built at, and keep it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(obj, RecurrenceCoefficients):
-        lam = lambda_n(n, r, obj.ctx)
-        with obj.ctx.working():
-            alpha = tuple(obj.ctx.finalize(a / lam) for a in obj.alpha)
-            beta = tuple(obj.ctx.finalize(b / lam ** 2) for b in obj.beta)
-        return RecurrenceCoefficients(alpha=alpha, beta=beta, ctx=obj.ctx)
-    ctx = precision_schedule(n) if ctx is None else ctx
+    ctx = obj.ctx
     lam = lambda_n(n, r, ctx)
+
+    def scaled(values, divisor):
+        return tuple(ctx.finalize(v / divisor) for v in values)
+
     with ctx.working():
-        nodes = tuple(ctx.finalize(z / lam) for z in obj.nodes)
-    return QuadratureRule(nodes=nodes, weights=obj.weights)
+        if isinstance(obj, QuadratureRule):
+            return replace(obj, nodes=scaled(obj.nodes, lam))
+        return replace(obj, alpha=scaled(obj.alpha, lam), beta=scaled(obj.beta, lam ** 2))
 
 
 def precision_schedule(n: int) -> PrecisionContext:
@@ -470,7 +467,8 @@ def build_rule(n: int, spec: WeightSpec, ctx: PrecisionContext | None = None) ->
     root-residual or exactness check raises NonconvergenceError or
     IllConditionedError, and a degenerate functional raises
     DegenerateFunctionalError with its failing index.  The same
-    (n, r, decimal_digits) returns the same cached rule object.
+    (n, r, decimal_digits) returns the same cached rule object, and
+    rule.ctx is the precision it was built at.
     """
     base = precision_schedule(n) if ctx is None else ctx
     return _build_rule(n, spec.r, base.decimal_digits)
@@ -484,4 +482,4 @@ def _build_rule(n: int, r: int, decimal_digits: int) -> QuadratureRule:
     symmetry = "neg_conj" if r % 2 else "neg"
     zs = zeros(rec, symmetry)
     return QuadratureRule(nodes=tuple(zs),
-                          weights=tuple(christoffel_weights(rec, zs, mom, symmetry)))
+                          weights=tuple(christoffel_weights(rec, zs, mom, symmetry)), ctx=ctx)

@@ -13,15 +13,15 @@ z^{r-1}) needs no branch choice once z is known.  The module also carries
 the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
 stationary rule and two independent oracles, both panelled Gauss-Legendre
 (precision.panel_quad) with a whole-vs-halved error estimate: one on the
-truncated rays of the stationary contour, one on the real interval at 4x
-precision with a panel per oscillation cycle.
+truncated rays of the stationary contour, one on the real interval at 120
+digits with a panel per oscillation cycle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -180,28 +180,28 @@ def _laguerre_rule(n: int, decimal_digits: int) -> opq.QuadratureRule:
             ws.append(ctx.finalize(mp.re(mp.mpmathify(w))))
         if abs(mp.fsum(ws) - 1) > tol:
             raise NonconvergenceError("Laguerre weights do not sum to 1")
-    return opq.QuadratureRule(nodes=tuple(nodes), weights=tuple(ws))
+    return opq.QuadratureRule(nodes=tuple(nodes), weights=tuple(ws), ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
 # Stationary rule: pi_n zeros rescaled by omega^{-1/r}
 # ---------------------------------------------------------------------------
 
-def stationary_rule(n: int, r: int, omega,
-                    ctx: PrecisionContext | None = None) -> opq.QuadratureRule:
+def stationary_rule(n: int, r: int, omega) -> opq.QuadratureRule:
     """Gaussian rule for h -> int_Gamma h(z) e^{i omega z^r} dz.
 
     The substitution z -> omega^{-1/r} z maps the functional onto the
     omega = 1 contour, so nodes and weights are both the pi_n data scaled
-    by omega^{-1/r}; exactness deg <= 2n-1 transfers verbatim.
+    by omega^{-1/r}; exactness deg <= 2n-1 transfers verbatim.  The scaling
+    runs at the precision of the scheduled pi_n rule, whose ctx it keeps.
     """
-    base = opq.build_rule(n, opq.WeightSpec(r=r), ctx)
-    ctx = opq.precision_schedule(n) if ctx is None else ctx
+    base = opq.build_rule(n, opq.WeightSpec(r=r))
+    ctx = base.ctx
     with ctx.working():
         s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
         nodes = tuple(ctx.finalize(z * s) for z in base.nodes)
         weights = tuple(ctx.finalize(mp.mpmathify(w) * s) for w in base.weights)
-    return opq.QuadratureRule(nodes=nodes, weights=weights)
+    return replace(base, nodes=nodes, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +328,18 @@ def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:
     return sorted(cuts)
 
 
-def interval_oracle(spec: OscillatoryIntegralSpec,
-                    ctx: PrecisionContext | None = None):
-    """(value, error_estimate) for I[f] on the real interval at 4x precision.
+def interval_oracle(spec: OscillatoryIntegralSpec):
+    """(value, error_estimate) for I[f] on the real interval at 120 digits.
 
-    Panels no wider than one oscillation cycle, each integrated by
-    Gauss-Legendre with half as many points as the oracle carries digits,
-    whole and halved (precision.panel_quad); the difference is the reported
-    error estimate.  The integrand is entire on every panel, so the rule
-    converges geometrically.  Valid at desk scale (omega <= 1e4 or so) and
-    fully independent of the descent machinery.
+    The oracle carries 4x the 30-digit working floor.  Panels no wider than
+    one oscillation cycle, each integrated by Gauss-Legendre with half as
+    many points as the oracle carries digits, whole and halved
+    (precision.panel_quad); the difference is the reported error estimate.
+    The integrand is entire on every panel, so the rule converges
+    geometrically.  Valid at desk scale (omega <= 1e4 or so) and fully
+    independent of the descent machinery.
     """
-    ctx = PrecisionContext() if ctx is None else ctx
-    octx = PrecisionContext(4 * ctx.decimal_digits)
+    octx = PrecisionContext(120)
     f, omega, r = spec.amplitude, spec.omega, spec.r
     with octx.working():
         def g(x):
@@ -353,25 +352,24 @@ def interval_oracle(spec: OscillatoryIntegralSpec,
 # Error-order measurement for the stationary rule
 # ---------------------------------------------------------------------------
 
-def convergence_report(f, n: int, r: int, omega_list,
-                       ctx: PrecisionContext | None = None) -> dict:
+def convergence_report(f, n: int, r: int, omega_list) -> dict:
     """Fit log|M_rule - M_oracle| against log omega for the stationary piece.
 
-    Points at the oracle's precision floor are excluded (and reported); if
-    fewer than three informative points remain the measurement aborts with
+    The oracle runs at 60 digits, twice the 30-digit working floor.  Points
+    at the precision floor (8 digits short of the oracle's or the rule's
+    ctx, whichever is less) are excluded (and reported); if fewer than
+    three informative points remain the measurement aborts with
     NoiseFloorError.  The oracle's own error estimate at every omega is
     reported alongside.  Expected slope: -(2n+1)/r.
     """
-    ctx = PrecisionContext() if ctx is None else ctx
-    octx = PrecisionContext(2 * ctx.decimal_digits)
+    octx = PrecisionContext(60)
     omegas = [float(w) for w in omega_list]
     if len(omegas) < 3 or max(omegas) / min(omegas) < 10 ** 1.5:
         raise ValueError("omega_list must span at least 1.5 decades with >= 3 points")
-    rule_digits = opq.precision_schedule(n).decimal_digits
-    noise_digits = min(octx.decimal_digits, rule_digits) - 8
     errors, floors, estimates = [], [], []
     for w in omegas:
         rule = stationary_rule(n, r, w)
+        noise_digits = min(octx.decimal_digits, rule.ctx.decimal_digits) - 8
         exact, est = stationary_oracle(f, r, w, octx)
         estimates.append(float(est))
         with octx.working():

@@ -81,6 +81,7 @@ _MID_CELLS = 220        # cells per unit mass between the two end windows
 _END_CELLS = 40         # cells in u of each endpoint window m = w u^3
 _GL_POINTS = 6          # Gauss points per cell
 _NEAR_WINDOW = 0.02     # mass half-width that near_quadrature refines
+_NEAR_FINEST = 1e-6     # finest mass scale near_quadrature resolves
 _NEAR_GL_POINTS = 4     # Gauss points per near_quadrature cell
 # panelled Gauss-Legendre of phi2_path_integral (coarser grading loses digits)
 _PATH_GL_POINTS = 16    # Gauss points per panel
@@ -118,6 +119,12 @@ class CurvePolyline:
         """(min Re, max Re, min Im, max Im) of the vertices; computed once."""
         x, y = self.points.real, self.points.imag
         return float(x.min()), float(x.max()), float(y.min()), float(y.max())
+
+    def near_box(self, z: complex, margin: float) -> bool:
+        """False iff z lies more than margin outside the box, and so more
+        than margin from every point of the polyline."""
+        x0, x1, y0, y1 = self.box
+        return x0 - margin <= z.real <= x1 + margin and y0 - margin <= z.imag <= y1 + margin
 
     @property
     def total_length(self) -> float:
@@ -201,61 +208,42 @@ def phi2_chord(z):
 # Trajectory tracing
 # ---------------------------------------------------------------------------
 
-def _project_gamma(z: complex, tol: float = 1e-13, iters: int = 4) -> complex:
-    """Newton correction of z onto {Re phi2_chord = 0} along the normal."""
-    for _ in range(iters):
-        F = phi2_chord(z).real
+def _project(z: complex, c: complex) -> complex:
+    """Newton correction of z along the normal onto {Re(c phi2_chord) = 0}.
+
+    c = 1 selects gamma (Re phi2_chord = 0), c = -i the extensions
+    (Im phi2_chord = 0).
+    """
+    for _ in range(4):
+        F = (c * phi2_chord(z)).real
         q = q_sqrt_chord(z)
         aq = abs(q)
         if aq == 0.0:
             break
-        u = 1j * q.conjugate() / aq
-        n = 1j * u
-        dF = (q * n).real
+        n = 1j * (1j * c * q.conjugate() / aq)
+        dF = (c * q * n).real
         if dF == 0.0:
             break
         z = z - F / dF * n
-        if abs(F) <= tol:
+        if abs(F) <= 1e-13:
             break
     return z
 
 
-def _project_extension(z: complex, tol: float = 1e-13, iters: int = 4) -> complex:
-    """Newton correction onto {Im phi2_chord = 0} (the real-positive extensions)."""
-    for _ in range(iters):
-        F = phi2_chord(z).imag
+def _field(c: complex):
+    """Unit field -i conj(c q)/|q| along {Re(c phi2_chord) = 0}, q = q_sqrt_chord.
+
+    c = 1 strictly decreases Im phi2 (chord branch, +pi at z1 down to 0 at
+    z2), orienting gamma z1 -> z2; c = -i strictly increases Re phi2,
+    outward along gamma1/gamma2.
+    """
+    def field(z: complex) -> complex:
         q = q_sqrt_chord(z)
         aq = abs(q)
         if aq == 0.0:
-            break
-        u = q.conjugate() / aq
-        n = 1j * u
-        dF = (q * n).imag
-        if dF == 0.0:
-            break
-        z = z - F / dF * n
-        if abs(F) <= tol:
-            break
-    return z
-
-
-def _field_gamma(z: complex) -> complex:
-    # -i conj(q)/|q| strictly decreases Im phi2 (chord branch), which runs
-    # from +pi at z1 down to 0 at z2: this orients the trace z1 -> z2
-    q = q_sqrt_chord(z)
-    aq = abs(q)
-    if aq == 0.0:
-        raise TraceDivergedError("direction field hit a zero of Q away from the endpoints")
-    return -1j * q.conjugate() / aq
-
-
-def _field_extension(z: complex) -> complex:
-    # conj(q)/|q| strictly increases Re phi2: outward along gamma1/gamma2
-    q = q_sqrt_chord(z)
-    aq = abs(q)
-    if aq == 0.0:
-        raise TraceDivergedError("direction field hit a zero of Q away from the endpoints")
-    return q.conjugate() / aq
+            raise TraceDivergedError("direction field hit a zero of Q away from the endpoints")
+        return -1j * (c * q).conjugate() / aq
+    return field
 
 
 def _rk4(z: complex, h: float, fld) -> complex:
@@ -281,7 +269,7 @@ def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
     """
     theta0 = -math.atan(2.0 * SQRT2) / 3.0
     d0 = max(1e-4, 20.0 * step_tolerance)
-    z = _project_gamma(Z1 + d0 * complex(math.cos(theta0), math.sin(theta0)))
+    z = _project(Z1 + d0 * complex(math.cos(theta0), math.sin(theta0)), 1)
     pts = [Z1, z]
     budget = 10.0 * abs(Z2 - Z1)
     arc = abs(z - Z1)
@@ -292,7 +280,7 @@ def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
             break
         d_start = abs(z - Z1)
         h = min(_BASE_STEP, 0.35 * d_end, max(0.5 * d_start, d0))
-        z = _project_gamma(_rk4(z, h, _field_gamma))
+        z = _project(_rk4(z, h, _field(1)), 1)
         arc += abs(z - pts[-1])
         pts.append(z)
         if arc > budget:
@@ -318,14 +306,14 @@ def trace_extension(length: float = 2.5, step_tolerance: float = 1e-7) -> CurveP
     """
     theta = math.atan(2.0 * SQRT2) / 3.0       # departure direction of gamma2 at z2
     d0 = max(1e-4, 20.0 * step_tolerance)
-    z = _project_extension(Z2 + d0 * complex(math.cos(theta), math.sin(theta)))
+    z = _project(Z2 + d0 * complex(math.cos(theta), math.sin(theta)), -1j)
     pts = [Z2, z]
     arc = abs(z - Z2)
     for _ in range(200000):
         if arc >= length:
             break
         h = min(_BASE_STEP, max(0.5 * abs(z - Z2), d0), length - arc + 0.5 * _BASE_STEP)
-        z = _project_extension(_rk4(z, h, _field_extension))
+        z = _project(_rk4(z, h, _field(-1j)), -1j)
         arc += abs(z - pts[-1])
         pts.append(z)
         if arc > 10.0 * length:
@@ -473,19 +461,19 @@ def _measure_quadrature_m(meas: CurvePolyline, exclude: tuple | None = None):
     return m_all, z_all, w_all
 
 
-def near_quadrature(meas: CurvePolyline, m_center: float, finest: float):
-    """Measure quadrature resolving the curve down to mass scale `finest`
+def near_quadrature(meas: CurvePolyline, m_center: float):
+    """Measure quadrature resolving the curve down to mass scale _NEAR_FINEST
     around m_center, for potentials evaluated close to the support."""
     total = meas.total_mass
     if not (0.03 * total <= m_center <= 0.97 * total):
         raise ValueError("near-field sample must sit away from the curve endpoints")
     w = min(_NEAR_WINDOW, 0.5 * m_center, 0.5 * (total - m_center))
-    if w <= finest:
+    if w <= _NEAR_FINEST:
         raise ValueError("sample too close to an endpoint for the requested resolution")
     edges = [w]
-    while edges[-1] / 2.0 > finest:
+    while edges[-1] / 2.0 > _NEAR_FINEST:
         edges.append(edges[-1] / 2.0)
-    edges.append(finest)
+    edges.append(_NEAR_FINEST)
     edges = np.array(edges)
 
     m_nodes, m_wts = [], []
@@ -497,7 +485,7 @@ def near_quadrature(meas: CurvePolyline, m_center: float, finest: float):
             m_nodes.append(nodes)
             m_wts.append(wts)
     # the center cell containing the projection point
-    nodes, wts = _gl_cells(np.array([m_center - finest, m_center + finest]),
+    nodes, wts = _gl_cells(np.array([m_center - _NEAR_FINEST, m_center + _NEAR_FINEST]),
                            _NEAR_GL_POINTS)
     m_nodes.append(nodes)
     m_wts.append(wts)
@@ -558,9 +546,8 @@ def _in_lens(z: complex, curve: CurvePolyline) -> bool:
 def _require_off_cut(z: complex, curve: CurvePolyline) -> None:
     zc = complex(z)
     res = max(curve.resolution, 1e-13)
-    x0, x1, y0, y1 = curve.box
-    if not (x0 - res <= zc.real <= x1 + res and y0 - res <= zc.imag <= y1 + res):
-        return  # more than res outside the vertices' box: off the cut
+    if not curve.near_box(zc, res):
+        return
     dist = geometry.nearest_on_polyline(zc, curve.points)[0]
     # Approaching a branch *point* from outside the arc is fine (the cut is
     # the open arc); forbid only points nearest to the cut interior.
@@ -569,43 +556,36 @@ def _require_off_cut(z: complex, curve: CurvePolyline) -> None:
         raise OnCutError(f"point {zc} within {res:.2g} of the cut (distance {dist:.2g})")
 
 
-def _curve_branch(z, phase: PhaseContext, in_mp: bool = False):
-    """(z, R): R = sign sqrt(z - z1) sqrt(z - z2), cut along the traced gamma.
+def _curve_sign(z, phase: PhaseContext) -> int:
+    """Sign of the curve branch against the chord branch: -1 in the lens, +1 elsewhere.
 
-    Float arithmetic, or mpmath at the ambient precision when in_mp (the
-    caller holds the working precision); z comes back in the same type.
+    Applies the on-cut guard first (OnCutError on the open arc).
     """
     _require_off_cut(z, phase.gamma)
-    sign = -1 if _in_lens(complex(z), phase.gamma) else 1
-    if not in_mp:
-        zc = complex(z)
-        return zc, sign * (np.sqrt(complex(zc - Z1)) * np.sqrt(complex(zc - Z2)))
-    zm = mp.mpmathify(z)
-    z1m, z2m = _branch_points_mp()
-    return zm, sign * mp.sqrt(zm - z1m) * mp.sqrt(zm - z2m)
+    return -1 if _in_lens(complex(z), phase.gamma) else 1
 
 
-def q_sqrt(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
+def q_sqrt(z, phase: PhaseContext):
     """Q^{1/2}(z) with branch cut along the traced gamma; ~ -i z^2/2 - 1/z at infinity."""
-    if ctx is None:
-        zc, R = _curve_branch(z, phase)
-        return -0.5j * (zc + 1j) * R
-    with ctx.working():
-        zm, R = _curve_branch(z, phase, in_mp=True)
-        return ctx.finalize(-mp.mpc(0, "0.5") * (zm + mp.mpc(0, 1)) * R)
+    return _curve_sign(z, phase) * q_sqrt_chord(complex(z))
 
 
 def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
     """Explicit phi2 with the curve-branch square root (cut along gamma).
 
-    Normalized so phi2(z2) = 0; the logarithm contributes an additional
-    2 pi i jump line on {Im z = 1, Re z < -sqrt 2} which is immaterial in
-    e^{n phi2} and avoided by all built-in probe placements.
+    Float arithmetic, or mpmath at ctx when given.  Normalized so
+    phi2(z2) = 0; the logarithm contributes an additional 2 pi i jump line
+    on {Im z = 1, Re z < -sqrt 2} which is immaterial in e^{n phi2} and
+    avoided by all built-in probe placements.
     """
+    sign = _curve_sign(z, phase)
     if ctx is None:
-        return complex(_phi2_from_w(*_curve_branch(z, phase)))
+        zc = complex(z)
+        return complex(_phi2_from_w(zc, sign * w_chord(zc)))
     with ctx.working():
-        zm, w = _curve_branch(z, phase, in_mp=True)
+        zm = mp.mpmathify(z)
+        z1m, z2m = _branch_points_mp()
+        w = sign * mp.sqrt(zm - z1m) * mp.sqrt(zm - z2m)
         val = -mp.mpc(0, 1) / 6 * zm * (zm + mp.mpc(0, 1)) * w \
             - mp.log(zm - mp.mpc(0, 1) + w) + mp.log(2) / 2
         return ctx.finalize(val)
@@ -784,18 +764,19 @@ def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionCon
 # Equilibrium verification
 # ---------------------------------------------------------------------------
 
-def verify_equilibrium(phase: PhaseContext, samples: int = 11) -> dict:
+def verify_equilibrium(phase: PhaseContext) -> dict:
     """Numbers for the equilibrium equality, inequality, and S-property.
 
-    (i)  max over interior gamma samples of |Re(V - 2 g_+-) - ell| with the
-         one-sided g from Richardson-extrapolated measure quadrature,
+    (i)  max over 11 interior gamma samples (equally spaced in mass) of
+         |Re(V - 2 g_+-) - ell| with the one-sided g from
+         Richardson-extrapolated measure quadrature,
     (ii) min over gamma1/gamma2 samples of Re(V - 2g) - ell (positive),
     (iii) mismatch of the two one-sided normal derivatives of
          2 U^mu + Re V under h-refinement with its fitted order in h.
     Thresholds are applied by the acceptance suite, not here.
     """
     curve = phase.gamma
-    ms = np.linspace(0.0, 1.0, samples + 2)[1:-1] * curve.total_mass
+    ms = np.linspace(0.0, 1.0, 13)[1:-1] * curve.total_mass
     zs = curve_points_at_mass(curve, ms)
     eq_devs, tilde_devs = [], []
     s_h = np.geomspace(1e-3, 1e-2, 6)
@@ -805,7 +786,7 @@ def verify_equilibrium(phase: PhaseContext, samples: int = 11) -> dict:
         z0 = complex(z0)
         q = q_sqrt_chord(z0)
         nrm = q.conjugate() / abs(q)       # left normal
-        zq, wq = near_quadrature(curve, float(m0), finest=1e-6)
+        zq, wq = near_quadrature(curve, float(m0))
         h = 1e-5
         gp = 2 * g_quadrature_unwrapped(z0 + 0.5 * h * nrm, zq, wq) \
             - g_quadrature_unwrapped(z0 + h * nrm, zq, wq)
@@ -843,7 +824,7 @@ def verify_equilibrium(phase: PhaseContext, samples: int = 11) -> dict:
     ineq_min, ineq_argmin = min(ineq, key=lambda t: t[0])
 
     return {
-        "samples": samples,
+        "samples": len(ms),
         "equality_max_dev": float(max(eq_devs)),
         "ell": ELL,
         "ell_tilde": ELL_TILDE,
@@ -886,8 +867,8 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
     for idx in np.ndindex(Z.shape):
         z = complex(Z[idx])
         zz = -z.conjugate() if which in ("ReD", "ImD") else z
-        dist = geometry.nearest_on_polyline(zz, phase.gamma.points)[0]
-        if dist <= guard:
+        if phase.gamma.near_box(zz, guard) and \
+                geometry.nearest_on_polyline(zz, phase.gamma.points)[0] <= guard:
             mask[idx] = True
             continue
         if which == "RePhi2":

@@ -29,11 +29,11 @@ __all__ = [
 DEFAULT_DIGITS = 17
 
 
-def fmt(x, digits: int = DEFAULT_DIGITS) -> str:
-    """Decimal string of a real number, deterministic for fixed digits."""
-    with mp.workdps(max(digits + 5, 20)):
+def fmt(x) -> str:
+    """Decimal string of a real number at DEFAULT_DIGITS, enough to round-trip a double."""
+    with mp.workdps(DEFAULT_DIGITS + 5):
         v = mp.mpf(float(x)) if isinstance(x, (float, np.floating)) else mp.mpf(x)
-        return mp.nstr(v, digits, strip_zeros=True)
+        return mp.nstr(v, DEFAULT_DIGITS, strip_zeros=True)
 
 
 def fmt_complex(z, digits: int = DEFAULT_DIGITS) -> tuple[str, str]:
@@ -44,29 +44,29 @@ def fmt_complex(z, digits: int = DEFAULT_DIGITS) -> tuple[str, str]:
                 mp.nstr(mp.im(z), digits, strip_zeros=True))
 
 
-def _jsonable(obj, digits: int):
+def _jsonable(obj):
     """Recursively map numbers to decimal strings (complex to {re, im})."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v, digits) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v, digits) for v in obj]
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v, digits) for v in obj.tolist()]
+        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (complex, np.complexfloating, mp.mpc)):
-        re, im = fmt_complex(obj, digits)
+        re, im = fmt_complex(obj)
         return {"re": re, "im": im}
     if isinstance(obj, (float, np.floating, mp.mpf)):
-        return fmt(obj, digits)
+        return fmt(obj)
     return obj
 
 
-def report_json(obj, digits: int = DEFAULT_DIGITS) -> str:
+def report_json(obj) -> str:
     """Canonical JSON text: sorted keys, fixed separators, decimal strings."""
-    return json.dumps(_jsonable(obj, digits), sort_keys=True,
+    return json.dumps(_jsonable(obj), sort_keys=True,
                       separators=(",", ": "), indent=1) + "\n"
 
 
@@ -91,14 +91,14 @@ def rule_csv(rule, digits: int = DEFAULT_DIGITS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def measure_csv(curve: CurvePolyline, digits: int = DEFAULT_DIGITS) -> str:
+def measure_csv(curve: CurvePolyline) -> str:
     """Rows s, point, density, cdf along an annotated curve."""
     if curve.density is None or curve.cdf is None:
         raise ValueError("curve carries no measure annotation")
     lines = ["s,re,im,density,cdf"]
     for s, z, d, c in zip(curve.s, curve.points, curve.density, curve.cdf):
-        zr, zi = fmt_complex(z, digits)
-        lines.append(f"{fmt(s, digits)},{zr},{zi},{fmt(d, digits)},{fmt(c, digits)}")
+        zr, zi = fmt_complex(z)
+        lines.append(f"{fmt(s)},{zr},{zi},{fmt(d)},{fmt(c)}")
     return "\n".join(lines) + "\n"
 
 
@@ -106,37 +106,37 @@ def measure_csv(curve: CurvePolyline, digits: int = DEFAULT_DIGITS) -> str:
 # Curve JSON
 # ---------------------------------------------------------------------------
 
-def _curve_dict(curve: CurvePolyline, digits: int) -> dict:
+def _curve_dict(curve: CurvePolyline) -> dict:
     pts = curve.points
     d = {
         "kind": curve.kind,
-        "points_re": [fmt(x, digits) for x in pts.real],
-        "points_im": [fmt(x, digits) for x in pts.imag],
-        "arclength": [fmt(x, digits) for x in curve.s],
+        "points_re": [fmt(x) for x in pts.real],
+        "points_im": [fmt(x) for x in pts.imag],
+        "arclength": [fmt(x) for x in curve.s],
     }
     if curve.density is not None:
-        d["density"] = [fmt(x, digits) for x in curve.density]
+        d["density"] = [fmt(x) for x in curve.density]
     if curve.cdf is not None:
-        d["cdf"] = [fmt(x, digits) for x in curve.cdf]
-        d["total_mass"] = fmt(curve.total_mass, digits)
+        d["cdf"] = [fmt(x) for x in curve.cdf]
+        d["total_mass"] = fmt(curve.total_mass)
     return d
 
 
-def curve_json_dict(curves: dict, digits: int = DEFAULT_DIGITS) -> dict:
+def curve_json_dict(curves: dict) -> dict:
     """{"curves": {name: curve-dict}} for any mapping of named polylines."""
-    return {"curves": {name: _curve_dict(c, digits) for name, c in curves.items()}}
+    return {"curves": {name: _curve_dict(c) for name, c in curves.items()}}
 
 
-def curve_from_json_dict(doc: dict, name: str = "gamma") -> CurvePolyline:
-    """Rebuild a CurvePolyline from a curve_json_dict document (floats from strings).
+def curve_from_json_dict(doc: dict) -> CurvePolyline:
+    """Rebuild gamma from a curve_json_dict document (floats from strings).
 
     Raises ValueError for any other shape.
     """
     try:
-        d = doc["curves"][name]
+        d = doc["curves"]["gamma"]
         kind, re, im, s = d["kind"], d["points_re"], d["points_im"], d["arclength"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a curve document with curves[{name!r}] "
+        raise ValueError(f"not a curve document with curves['gamma'] "
                          f"({type(exc).__name__}: {exc})") from exc
     pts = np.array([complex(float(a), float(b)) for a, b in zip(re, im)])
     density = np.array([float(x) for x in d["density"]]) if "density" in d else None

@@ -192,7 +192,7 @@ def criterion_measure() -> dict:
     ell_dev = abs(scurve.ELL - (2.0 / 3.0 + math.log(2.0)))
     _check(rep, "ell_constant_dev", float(ell_dev), ell_dev <= 1e-12, bound=1e-12)
 
-    eq = scurve.verify_equilibrium(phase, samples=11)
+    eq = scurve.verify_equilibrium(phase)
     _check(rep, "equality_max_dev", eq["equality_max_dev"],
            eq["equality_max_dev"] <= 1e-6, bound=1e-6)
     _check(rep, "ell_tilde_max_dev", eq["ell_tilde_max_dev"],
@@ -277,7 +277,7 @@ def criterion_asymptotics() -> dict:
                bound=0)
 
     bound = 5.0 * 8.0 ** (-1.5)
-    resid = asym.airy_model_residual(radius=8.0)
+    resid = asym.airy_model_residual()
     _check(rep, "airy_matching_residual", resid, resid <= bound, bound=bound)
     # |w - 1| for the winding number w of f around 0 (1 iff f is one-to-one)
     dev = abs(asym.boundary_winding() - 1.0)
@@ -418,7 +418,7 @@ def criterion_consistency() -> dict:
     worst = max(abs(np.linalg.det(asym.n_matrix(z, phase)) - 1.0) for z in DETN_PROBES)
     _check(rep, "det_N_minus_one", float(worst), worst <= 1e-12, bound=1e-12)
 
-    worst = max(float(asym.airy_connection_residual(z, ctx)) for z in AIRY_ZETAS)
+    worst = max(float(asym.airy_connection_residual(z)) for z in AIRY_ZETAS)
     _check(rep, "airy_connection_residual", worst, worst <= 1e-12, bound=1e-12)
     return _finish(rep, t0)
 
@@ -437,7 +437,7 @@ def criterion_end_to_end() -> dict:
             amplitude=oscillatory.amplitude(name))
         ctx = PrecisionContext()
         out = oscillatory.evaluate_report(spec, 6, 6, ctx)
-        oracle, est = oscillatory.interval_oracle(spec, ctx)
+        oracle, est = oscillatory.interval_oracle(spec)
         with ctx.working():
             rel = float(abs(out["value"] - oracle) / abs(oracle))
             rel_est = float(est / abs(oracle))

@@ -160,7 +160,7 @@ def test_exact_pn_dual_route(ctx30):
     coeffs = opq.monic_coefficients(rec)
     lam = opq.lambda_n(n, 3, PrecisionContext(40))
     for z in (0.3 + 0.8j, -1.1 + 0.4j):
-        direct = asym.exact_pn(n, z, PrecisionContext(40))
+        direct = asym.exact_pn(n, z)
         with PrecisionContext(40).working():
             zz = lam * mp.mpmathify(z)
             horner = mp.mpc(1)
@@ -187,9 +187,9 @@ def test_airy_model_matrix_unimodular():
 
 def test_airy_model_matching_residual():
     bound = 5.0 * 8.0 ** (-1.5)
-    assert asym.airy_model_residual(radius=8.0) <= bound
+    assert asym.airy_model_residual() <= bound
 
 
-def test_airy_connection_identity(ctx30):
+def test_airy_connection_identity():
     for zeta in (0.7 + 0.3j, -1.2 + 2.0j):
-        assert float(asym.airy_connection_residual(zeta, ctx30)) <= 1e-12
+        assert float(asym.airy_connection_residual(zeta)) <= 1e-12

@@ -42,12 +42,12 @@ def test_measure_quadrature_agrees_with_trapezoid(phase):
 
 
 def test_near_quadrature_total_mass(phase):
-    zq, wq = scurve.near_quadrature(phase.gamma, 0.5, finest=1e-6)
+    zq, wq = scurve.near_quadrature(phase.gamma, 0.5)
     assert abs(np.sum(wq) - 1.0) <= 1e-8
 
 
 def test_verify_equilibrium_report(phase):
-    eq = scurve.verify_equilibrium(phase, samples=7)
+    eq = scurve.verify_equilibrium(phase)
     assert eq["equality_max_dev"] <= 1e-6
     assert eq["ell_tilde_max_dev"] <= 1e-6
     assert eq["inequality_min"] > 0.0

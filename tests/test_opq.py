@@ -99,8 +99,7 @@ def test_rule_exactness_through_2n_minus_1(ctx30):
     n = 4
     rule = opq.build_rule(n, SPEC3)
     ms = opq.moment_sequence(SPEC3, 2 * n, PrecisionContext(60))
-    resid = opq.rule_exactness_residual(rule.nodes, rule.weights, ms,
-                                        range(2 * n))
+    resid = opq.rule_exactness_residual(rule.nodes, rule.weights, ms)
     assert float(resid) <= 1e-25
 
 
@@ -126,11 +125,22 @@ def test_rescale_to_Pn_keeps_the_rule_digits():
     # mpmath's ambient 15 digits
     n, ctx = 12, PrecisionContext(60)
     rule = opq.build_rule(n, SPEC3, ctx)
-    scaled = opq.rescale_to_Pn(rule, n, 3, ctx)
+    scaled = opq.rescale_to_Pn(rule, n, 3)
     with mp.workdps(80):
         lam = mp.cbrt(4)
         for z, w in zip(rule.nodes, scaled.nodes):
             assert abs(z / lam - w) <= 1e-28 * abs(z)
+
+
+def test_rule_carries_the_precision_it_was_built_at():
+    rule = opq.build_rule(5, SPEC3)
+    assert rule.ctx == opq.precision_schedule(5)
+    finer = opq.build_rule(5, SPEC3, PrecisionContext(70))
+    assert finer.ctx == PrecisionContext(70)
+    assert oscillatory.laguerre_rule(6).ctx == opq.precision_schedule(6)
+    assert oscillatory.stationary_rule(3, 3, 8.0).ctx == opq.precision_schedule(3)
+    for built in (rule, finer):
+        assert opq.rescale_to_Pn(built, 5, 3).ctx == built.ctx
 
 
 def test_precision_schedule_monotone():
@@ -214,7 +224,7 @@ def test_build_rule_n60_exactness():
     rule = opq.build_rule(n, SPEC3)
     ctx = opq.precision_schedule(n)
     ms = opq.moment_sequence(SPEC3, 2 * n - 1, ctx)
-    resid = opq.rule_exactness_residual(rule.nodes, rule.weights, ms, range(2 * n))
+    resid = opq.rule_exactness_residual(rule.nodes, rule.weights, ms)
     assert resid <= mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
 
 

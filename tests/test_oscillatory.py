@@ -126,7 +126,7 @@ def test_evaluate_matches_oracle_moderate_omega():
                                        amplitude=osc.amplitude("constant"))
     ctx = PrecisionContext(30)
     rep = osc.evaluate_report(spec, 4, 4, ctx)
-    oracle, est = osc.interval_oracle(spec, ctx)
+    oracle, est = osc.interval_oracle(spec)
     with ctx.working():
         rel = float(abs(rep["value"] - oracle) / abs(oracle))
     assert rel <= 1e-6
@@ -173,7 +173,7 @@ def _monomial_interval_integral(k, a, b, omega, r):
 def test_interval_oracle_matches_incomplete_gamma(k, r, a, b, omega):
     spec = osc.OscillatoryIntegralSpec(a=a, b=b, omega=omega, r=r,
                                        amplitude=osc.amplitude("monomial", k=k))
-    value, est = osc.interval_oracle(spec, PrecisionContext(30))
+    value, est = osc.interval_oracle(spec)
     with mp.workdps(130):
         exact = _monomial_interval_integral(k, a, b, omega, r)
         assert abs(value - exact) <= mp.mpf(10) ** -40 * abs(exact)

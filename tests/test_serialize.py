@@ -13,7 +13,7 @@ def test_fmt_round_trips_doubles():
     rng = np.random.default_rng(17)
     for _ in range(50):
         x = float(rng.normal() * 10.0 ** rng.integers(-12, 12))
-        assert float(serialize.fmt(x, 17)) == x
+        assert float(serialize.fmt(x)) == x
 
 
 def test_fmt_complex_splits_parts():

@@ -1,7 +1,8 @@
 """Every module of the package compiles with warnings raised as errors,
 every name it exports in __all__ exists, no module calls mpmath's adaptive
-quadrature, and every library name the benchmark tracer rebinds or the
-benchmark workloads call exists."""
+quadrature, every optional parameter of a public function is set by some
+library or benchmark call, and every library name the benchmark tracer
+rebinds or the benchmark workloads call exists."""
 
 import ast
 import importlib
@@ -43,6 +44,55 @@ def test_no_adaptive_mpmath_quadrature():
              if isinstance(node, ast.Attribute) and node.attr.startswith("quad")
              and isinstance(node.value, ast.Name) and node.value.id in ("mp", "mpmath")]
     assert calls == []
+
+
+def _defaulted_parameters():
+    """{(module, function, parameter): position or None} for every parameter
+    with a default of a public module-level function in the package."""
+    out = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for i, a in enumerate(positional):
+                if i >= len(positional) - len(args.defaults):
+                    out[path.stem, node.name, a.arg] = i
+            for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[path.stem, node.name, a.arg] = None
+    return out
+
+
+def test_every_optional_parameter_has_a_caller():
+    # An optional parameter that no library or benchmark call sets is an
+    # option nobody uses: its value belongs where it is used.  Tests do not
+    # count as callers.
+    optional = _defaulted_parameters()
+    calls = [node for path in SOURCES + sorted(PERFBENCH.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+
+    def sets(call, function, name, position):
+        # by keyword, by position, or possibly through **kwargs / *args
+        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+        return callee == function and (
+            any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+    unset = {f"{module}.{function}.{name}"
+             for (module, function, name), position in optional.items()
+             if not any(sets(call, function, name, position) for call in calls)}
+    assert unset == {
+        # the console-script entry point reads sys.argv; tests pass argv
+        "cli.main.argv",
+        # the benchmark tracer's KEYS entry pins laguerre_rule's parameter
+        # list (test_traced_keys_match_signatures), and the benchmark
+        # harness stays fixed while the library changes under it
+        "oscillatory.laguerre_rule.ctx",
+    }
 
 
 def _tracing():
