@@ -10,8 +10,8 @@ reason; the pass/fail verdicts against the runtime budgets remain).
 
 Exit codes: 0 success, 2 numerical tolerance failure (a verify suite
 reported red), 3 construction failure (degenerate functional, diverged
-trace, a rule failing its residual checks, invalid parameters or
-malformed input files), 4 I/O failure.
+trace, a rule failing its residual checks, invalid parameters, malformed
+flags or input files), 4 I/O failure.
 
 Every default lives in build_parser.  An optional --config FILE is a flat
 JSON object keyed by flag name ('-' or '_'); each entry becomes the default
@@ -98,6 +98,8 @@ def _cmd_measure(args):
     else:
         meas = scurve.build_phase_context(args.step_tolerance).gamma
     if args.samples is not None:
+        if args.samples < 2:
+            raise ValueError("--samples must be >= 2")
         ss = np.linspace(0.0, float(meas.s[-1]), args.samples)
         pts = np.interp(ss, meas.s, meas.points.real) \
             + 1j * np.interp(ss, meas.s, meas.points.imag)
@@ -202,9 +204,14 @@ def _cmd_verify(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # invalid input, exit 3 (argparse itself exits 2)
+        raise ValueError(message)
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The `oscgauss` parser and, per subcommand, its flag actions by dest."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscgauss",
         description="Complex Gaussian quadrature for oscillatory integrals: "
                     "moments, orthogonal polynomials, the cubic-weight curve "
@@ -245,7 +252,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     arg = command("measure", _cmd_measure, "equilibrium density/CDF table as CSV")
     arg("--curve-json", help="re-annotate a previously exported curve JSON")
     arg("--samples", type=int,
-        help="resample to this many equal-arclength rows")
+        help="resample to this many (>= 2) equal-arclength rows")
     arg("--step-tolerance", type=float, default=1e-7)
 
     arg = command("asymp", _cmd_asymp, "formula-vs-recurrence probe comparison JSON")
@@ -279,18 +286,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     parser, flags = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-    except OSError as exc:
-        print(f"oscgauss: cannot read config: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"oscgauss: bad config: {exc}", file=sys.stderr)
-        return 4
-
-    try:
-        if config:
+        args = parser.parse_args(argv)
+        if args.config:
+            try:
+                config = _load_config(args.config)
+            except (OSError, ValueError) as exc:
+                print(f"oscgauss: bad config: {exc}", file=sys.stderr)
+                return 4
             _apply_config(flags[args.command], config)
             args = parser.parse_args(argv)
         if args.precision < 30:

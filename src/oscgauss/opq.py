@@ -167,6 +167,8 @@ def moment(k: int, spec: WeightSpec, ctx: PrecisionContext):
 
 
 def moment_sequence(spec: WeightSpec, k_max: int, ctx: PrecisionContext) -> MomentSequence:
+    if k_max < 0:
+        raise ValueError("moment index k_max must be >= 0")
     vals = tuple(moment(k, spec, ctx) for k in range(k_max + 1))
     return MomentSequence(values=vals, ctx=ctx)
 
@@ -470,6 +472,8 @@ def build_rule(n: int, spec: WeightSpec, ctx: PrecisionContext | None = None) ->
     (n, r, decimal_digits) returns the same cached rule object, and
     rule.ctx is the precision it was built at.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     base = precision_schedule(n) if ctx is None else ctx
     return _build_rule(n, spec.r, base.decimal_digits)
 

@@ -13,10 +13,11 @@ phase function
     w^2 = z^2 - 2iz - 3,
 
 (normalized so phi2(z2) = 0 and phi2'(z) = Q^{1/2}(z)), and builds the
-equilibrium measure |Q^{1/2}|/pi |dz| on gamma together with quadrature
-over it, the g-function, and the equilibrium / S-property verification
-report.  Q is fixed: its zeros Z0 (double), Z1, Z2 and constant C_CONST
-are module constants.
+equilibrium measure |Q^{1/2}|/pi |dz| on gamma, one quadrature rule over it
+(composite Gauss-Legendre in the mass variable, which near_quadrature
+refines around a point of gamma), the potential U and the g-function, and
+the equilibrium / S-property verification report.  Q is fixed: its zeros
+Z0 (double), Z1, Z2 and constant C_CONST are module constants.
 
 Two square-root branches are in play and kept strictly separate:
 
@@ -78,6 +79,7 @@ ELL_TILDE = 0.0                              # Im(V - g_+ - g_-) on gamma
 _BASE_STEP = 2e-3       # largest tracing step, away from the endpoints
 # composite Gauss-Legendre layout of the measure quadratures, in the mass variable
 _MID_CELLS = 220        # cells per unit mass between the two end windows
+_END_WINDOW = 0.08      # mass of each endpoint window, as a fraction of the total
 _END_CELLS = 40         # cells in u of each endpoint window m = w u^3
 _GL_POINTS = 6          # Gauss points per cell
 _NEAR_WINDOW = 0.02     # mass half-width that near_quadrature refines
@@ -152,14 +154,13 @@ class PhaseContext:
 # ---------------------------------------------------------------------------
 
 def q_eval(z):
-    """Q(z) = -z^4/4 + i z - 3/4 (vectorized)."""
-    z = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
+    """Q(z) = -z^4/4 + i z - 3/4 (complex scalar or ndarray)."""
     return -z ** 4 / 4 + 1j * z + C_CONST
 
 
 def q_prime(z):
-    """Q'(z) = -z^3 + i (vectorized)."""
-    return -np.asarray(z, dtype=complex) ** 3 + 1j if not np.isscalar(z) else -z ** 3 + 1j
+    """Q'(z) = -z^3 + i (complex scalar or ndarray)."""
+    return -z ** 3 + 1j
 
 
 def critical_angles(zero: str):
@@ -186,7 +187,6 @@ def w_chord(z):
     the left of z1, leaving exactly the chord; the result is analytic in a
     neighbourhood of the open arc gamma and ~ z at infinity.
     """
-    z = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
     return np.sqrt(z - Z1) * np.sqrt(z - Z2)
 
 
@@ -254,77 +254,70 @@ def _rk4(z: complex, h: float, fld) -> complex:
     return z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
-    """Trace the critical trajectory from z1 (tangent theta_0) to z2.
+def _trace(start: complex, theta: float, c: complex, step_tolerance: float,
+           budget: float, cap) -> list:
+    """Vertices of the trajectory {Re(c phi2_chord) = 0} leaving `start` at angle theta.
 
-    Fourth-order steps on the unit tangent field with a Newton projection
-    back onto {Re phi2 = 0} after every step keep the level condition an
-    invariant rather than an accumulating error.  Steps shrink
-    geometrically near both endpoints (the direction field is singular at
-    the simple zeros); within 10*step_tolerance of z2 the trace stops and
-    appends z2 exactly.
-
-    Raises TraceDivergedError if the accumulated arc length exceeds ten
-    times the straight-line distance |z2 - z1|.
+    Fourth-order steps on the unit tangent field _field(c), with a Newton
+    projection back onto the level set after every step, keep the level
+    condition an invariant rather than an accumulating error.  Steps start
+    at d0 = max(1e-4, 20 step_tolerance), grow with the distance from
+    `start` (where the field is singular) up to _BASE_STEP, and are at most
+    cap(z, arc); a cap of None stops the trace.  Raises TraceDivergedError
+    past an arc length of `budget` or 200000 steps.
     """
-    theta0 = -math.atan(2.0 * SQRT2) / 3.0
     d0 = max(1e-4, 20.0 * step_tolerance)
-    z = _project(Z1 + d0 * complex(math.cos(theta0), math.sin(theta0)), 1)
-    pts = [Z1, z]
-    budget = 10.0 * abs(Z2 - Z1)
-    arc = abs(z - Z1)
+    z = _project(start + d0 * complex(math.cos(theta), math.sin(theta)), c)
+    pts = [start, z]
+    arc = abs(z - start)
+    fld = _field(c)
     for _ in range(200000):
-        d_end = abs(z - Z2)
-        if d_end <= 10.0 * step_tolerance:
-            pts.append(Z2)
-            break
-        d_start = abs(z - Z1)
-        h = min(_BASE_STEP, 0.35 * d_end, max(0.5 * d_start, d0))
-        z = _project(_rk4(z, h, _field(1)), 1)
+        h = cap(z, arc)
+        if h is None:
+            return pts
+        h = min(_BASE_STEP, max(0.5 * abs(z - start), d0), h)
+        z = _project(_rk4(z, h, fld), c)
         arc += abs(z - pts[-1])
         pts.append(z)
         if arc > budget:
-            raise TraceDivergedError(
-                f"gamma trace exceeded arc budget {budget:.2f} without reaching z2"
-            )
-    else:
-        raise TraceDivergedError("gamma trace step limit reached")
-    points = np.array(pts, dtype=complex)
-    s = geometry.cumulative_arclength(points)
-    density = np.abs(q_sqrt_chord(points)) / math.pi
-    cdf = np.full(len(points), float("nan"))
-    return CurvePolyline(kind="gamma", points=points, s=s, density=density, cdf=cdf)
+            raise TraceDivergedError(f"trace from {start} exceeded arc budget {budget:.2f}")
+    raise TraceDivergedError(f"trace from {start} reached the step limit")
+
+
+def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
+    """Trace the critical trajectory {Re phi2 = 0} from z1 (tangent theta_0) to z2.
+
+    Steps also shrink geometrically towards z2 (the direction field is
+    singular at both simple zeros); within 10*step_tolerance of z2 the
+    trace stops and appends z2 exactly.  The arc budget is 10 |z2 - z1|.
+    """
+    def cap(z, arc):
+        d_end = abs(z - Z2)
+        return None if d_end <= 10.0 * step_tolerance else 0.35 * d_end
+
+    pts = _trace(Z1, -math.atan(2.0 * SQRT2) / 3.0, 1, step_tolerance, 10.0 * abs(Z2 - Z1), cap)
+    points = np.array(pts + [Z2], dtype=complex)
+    return CurvePolyline(kind="gamma", points=points, s=geometry.cumulative_arclength(points),
+                         density=np.abs(q_sqrt_chord(points)) / math.pi,
+                         cdf=np.full(len(points), float("nan")))
 
 
 def trace_extension(length: float = 2.5, step_tolerance: float = 1e-7) -> CurvePolyline:
-    """Trace gamma2 out of z2 (phi2 real, increasing).
+    """Trace gamma2 out of z2 (phi2 real, increasing) for arc length `length`.
 
     gamma2 leaves z2 along the direction where phi2 grows through real
     positive values.  gamma1 is not traced: build_phase_context takes it
     as -conj(gamma2) by the z -> -conj(z) symmetry of Q, after which the
-    defining property phi1 real increasing holds by reflection.
+    defining property phi1 real increasing holds by reflection.  The arc
+    budget is 10 * length.
     """
-    theta = math.atan(2.0 * SQRT2) / 3.0       # departure direction of gamma2 at z2
-    d0 = max(1e-4, 20.0 * step_tolerance)
-    z = _project(Z2 + d0 * complex(math.cos(theta), math.sin(theta)), -1j)
-    pts = [Z2, z]
-    arc = abs(z - Z2)
-    for _ in range(200000):
-        if arc >= length:
-            break
-        h = min(_BASE_STEP, max(0.5 * abs(z - Z2), d0), length - arc + 0.5 * _BASE_STEP)
-        z = _project(_rk4(z, h, _field(-1j)), -1j)
-        arc += abs(z - pts[-1])
-        pts.append(z)
-        if arc > 10.0 * length:
-            raise TraceDivergedError("extension trace exceeded arc budget")
-    else:
-        raise TraceDivergedError("extension trace step limit reached")
+    def cap(z, arc):
+        return None if arc >= length else length - arc + 0.5 * _BASE_STEP
+
+    pts = _trace(Z2, math.atan(2.0 * SQRT2) / 3.0, -1j, step_tolerance, 10.0 * length, cap)
     points = np.array(pts, dtype=complex)
-    s = geometry.cumulative_arclength(points)
-    density = np.zeros(len(points))
-    cdf = np.zeros(len(points))
-    return CurvePolyline(kind="gamma2", points=points, s=s, density=density, cdf=cdf)
+    return CurvePolyline(kind="gamma2", points=points, s=geometry.cumulative_arclength(points),
+                         density=np.zeros(len(points)), cdf=np.zeros(len(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,36 +352,26 @@ def curve_points_at_mass(meas: CurvePolyline, m) -> np.ndarray:
     """Points z(m) on gamma at prescribed equilibrium masses m (vectorized).
 
     Starts from linear interpolation of the annotated polyline in the cdf
-    variable and polishes with alternating normal (onto Re phi2 = 0) and
-    tangential (mass-matching) Newton corrections.
+    variable and runs four rounds of a normal Newton correction (onto
+    Re phi2 = 0) followed by a tangential one (mass-matching), then a last
+    normal correction.
     """
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if np.isnan(meas.total_mass):
         raise ValueError("curve must be annotated by equilibrium_measure first")
     m = np.clip(m, 1e-13, meas.total_mass - 1e-13)  # keep |Q^{1/2}| > 0
-    x = np.interp(m, meas.cdf, meas.points.real)
-    y = np.interp(m, meas.cdf, meas.points.imag)
-    z = x + 1j * y
-    for _ in range(4):
+    z = np.interp(m, meas.cdf, meas.points.real) + 1j * np.interp(m, meas.cdf, meas.points.imag)
+    for rnd in range(5):
+        q = q_sqrt_chord(z)
+        n = 1j * (-1j * np.conj(q) / np.abs(q))     # left normal of z1 -> z2
+        z = z - phi2_chord(z).real / (q * n).real * n
+        if rnd == 4:
+            return z
         q = q_sqrt_chord(z)
         aq = np.abs(q)
-        u = -1j * np.conj(q) / aq          # z1 -> z2 tangent
-        n = 1j * u
-        ph = phi2_chord(z)
-        dF = (q * n).real
-        z = z - ph.real / dF * n
-        q = q_sqrt_chord(z)
-        aq = np.abs(q)
-        u = -1j * np.conj(q) / aq
         # cdf = 1 - Im phi2 / pi along the trace; dm/ds = |Q^{1/2}|/pi
-        mcur = 1.0 - phi2_chord(z).imag / math.pi
-        step = (m - mcur) / (aq / math.pi)
-        z = z + np.clip(step, -2e-2, 2e-2) * u
-    q = q_sqrt_chord(z)
-    u = -1j * np.conj(q) / np.abs(q)
-    n = 1j * u
-    z = z - phi2_chord(z).real / (q * n).real * n
-    return z
+        step = (m - (1.0 - phi2_chord(z).imag / math.pi)) / (aq / math.pi)
+        z = z + np.clip(step, -2e-2, 2e-2) * (-1j * np.conj(q) / aq)
 
 
 def _gl_cells(edges: np.ndarray, npts: int):
@@ -401,69 +384,45 @@ def _gl_cells(edges: np.ndarray, npts: int):
     return nodes, wts
 
 
+def _mass_rule(total: float, lo: float, hi: float):
+    """(masses, weights) in increasing mass on [0, total] less the window (lo, hi).
+
+    Each end window has mass w_end = _END_WINDOW total, or less where (lo, hi)
+    reaches into it, and takes m = w_end u^3 (mirrored at total): the map z(m)
+    behaves like m^{2/3} at the endpoints and is smooth in u.  The rest gets
+    _MID_CELLS cells per unit mass.  lo = hi = total - w_end excludes nothing.
+    """
+    w_end = _END_WINDOW * total
+    u, wu = _gl_cells(np.linspace(0.0, 1.0, _END_CELLS + 1), _GL_POINTS)
+    b_left, b_right = min(w_end, lo), total - max(total - w_end, hi)
+    parts = [(b_left * u ** 3, 3.0 * b_left * u ** 2 * wu)]
+    for a, b in ((w_end, lo), (hi, total - w_end)):
+        if b - a > 1e-12:
+            ncells = max(int(round(_MID_CELLS * (b - a) / total)), 1)
+            parts.append(_gl_cells(np.linspace(a, b, ncells + 1), _GL_POINTS))
+    u, wu = u[::-1], wu[::-1]
+    parts.append((total - b_right * u ** 3, 3.0 * b_right * u ** 2 * wu))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
 def measure_quadrature(meas: CurvePolyline):
     """Quadrature (points, masses) for integrals against the equilibrium measure.
 
-    Integrates in the mass variable m (where the measure is uniform).  The
-    map z(m) behaves like m^{2/3} at the endpoints, so the two end windows
-    are handled with the substitution m = w u^3 which makes the integrand
-    smooth again.  Nodes are returned sorted along the curve (increasing
-    mass).
+    The rule of _mass_rule in the mass variable m, where the measure is
+    uniform, mapped onto gamma; nodes are sorted along the curve.
     """
-    _, z_all, w_all = _measure_quadrature_m(meas)
-    return z_all, w_all
-
-
-def _measure_quadrature_m(meas: CurvePolyline, exclude: tuple | None = None):
-    """(masses, points, weights) of measure_quadrature; `exclude` = (m_lo, m_hi)
-    carves out a window that near_quadrature re-covers with graded cells."""
-    total = meas.total_mass
-    w_end = 0.08 * total
-    m_nodes, m_wts = [], []
-
-    def add_plain(a, b):
-        if b - a <= 1e-12:
-            return
-        ncells = max(int(round(_MID_CELLS * (b - a) / total)), 1)
-        nodes, wts = _gl_cells(np.linspace(a, b, ncells + 1), _GL_POINTS)
-        m_nodes.append(nodes)
-        m_wts.append(wts)
-
-    def add_left_window(b):
-        # m = b u^3 on [0, b]: smooth in u despite the m^{2/3} endpoint kink
-        u, wu = _gl_cells(np.linspace(0.0, 1.0, _END_CELLS + 1), _GL_POINTS)
-        m_nodes.append(b * u ** 3)
-        m_wts.append(3.0 * b * u ** 2 * wu)
-
-    def add_right_window(a):
-        u, wu = _gl_cells(np.linspace(0.0, 1.0, _END_CELLS + 1), _GL_POINTS)
-        m_nodes.append(total - (total - a) * u ** 3)
-        m_wts.append(3.0 * (total - a) * u ** 2 * wu)
-
-    if exclude is None:
-        add_left_window(w_end)
-        add_plain(w_end, total - w_end)
-        add_right_window(total - w_end)
-    else:
-        lo, hi = exclude
-        add_left_window(min(w_end, lo))
-        if lo > w_end:
-            add_plain(w_end, lo)
-        if hi < total - w_end:
-            add_plain(hi, total - w_end)
-        add_right_window(max(total - w_end, hi))
-
-    m_all = np.concatenate(m_nodes)
-    w_all = np.concatenate(m_wts)
-    order = np.argsort(m_all)
-    m_all, w_all = m_all[order], w_all[order]
-    z_all = curve_points_at_mass(meas, m_all)
-    return m_all, z_all, w_all
+    edge = meas.total_mass - _END_WINDOW * meas.total_mass
+    m, w = _mass_rule(meas.total_mass, edge, edge)
+    return curve_points_at_mass(meas, m), w
 
 
 def near_quadrature(meas: CurvePolyline, m_center: float):
     """Measure quadrature resolving the curve down to mass scale _NEAR_FINEST
-    around m_center, for potentials evaluated close to the support."""
+    around m_center, for potentials evaluated close to the support.
+
+    Cells halving towards m_center fill the window m_center +- w, w <=
+    _NEAR_WINDOW; _mass_rule covers the rest.  Nodes are sorted along gamma.
+    """
     total = meas.total_mass
     if not (0.03 * total <= m_center <= 0.97 * total):
         raise ValueError("near-field sample must sit away from the curve endpoints")
@@ -473,39 +432,17 @@ def near_quadrature(meas: CurvePolyline, m_center: float):
     edges = [w]
     while edges[-1] / 2.0 > _NEAR_FINEST:
         edges.append(edges[-1] / 2.0)
-    edges.append(_NEAR_FINEST)
-    edges = np.array(edges)
-
-    m_nodes, m_wts = [], []
-    for sgn in (-1.0, +1.0):
-        cell_edges = m_center + sgn * edges
-        for a, b in zip(cell_edges[:-1], cell_edges[1:]):
-            lo, hi = min(a, b), max(a, b)
-            nodes, wts = _gl_cells(np.array([lo, hi]), _NEAR_GL_POINTS)
-            m_nodes.append(nodes)
-            m_wts.append(wts)
-    # the center cell containing the projection point
-    nodes, wts = _gl_cells(np.array([m_center - _NEAR_FINEST, m_center + _NEAR_FINEST]),
-                           _NEAR_GL_POINTS)
-    m_nodes.append(nodes)
-    m_wts.append(wts)
-
-    m_near = np.concatenate(m_nodes)
-    w_near = np.concatenate(m_wts)
-    m_far, z_far, w_far = _measure_quadrature_m(meas, exclude=(m_center - w, m_center + w))
-    m_all = np.concatenate([m_far, m_near])
-    w_all = np.concatenate([w_far, w_near])
-    order = np.argsort(m_all)
-    m_all, w_all = m_all[order], w_all[order]
-    return curve_points_at_mass(meas, m_all), w_all
+    edges = np.array(edges + [_NEAR_FINEST])
+    m_near, w_near = _gl_cells(np.concatenate([m_center - edges, m_center + edges[::-1]]),
+                               _NEAR_GL_POINTS)
+    m_far, w_far = _mass_rule(total, m_center - w, m_center + w)
+    k = np.searchsorted(m_far, m_center)
+    return curve_points_at_mass(meas, np.insert(m_far, k, m_near)), np.insert(w_far, k, w_near)
 
 
-def potential_quadrature(z0: complex, zq: np.ndarray, wq: np.ndarray):
-    """(g(z0), U(z0)) from a measure quadrature: sum w log(z0 - zq), -sum w log|.|."""
-    d = z0 - zq
-    g = np.sum(wq * np.log(d))
-    U = -np.sum(wq * np.log(np.abs(d)))
-    return complex(g), float(U)
+def potential_quadrature(z0: complex, zq: np.ndarray, wq: np.ndarray) -> float:
+    """Logarithmic potential U(z0) = -sum w log|z0 - zq| from a measure quadrature."""
+    return float(-np.sum(wq * np.log(np.abs(z0 - zq))))
 
 
 def g_quadrature_unwrapped(z0: complex, zq: np.ndarray, wq: np.ndarray) -> complex:
@@ -614,8 +551,7 @@ def phi2_on_curve(z_on_gamma, side: int):
     curve, inside the lens), where the curve branch is -w_chord; side=-1
     is the limit from below, +w_chord.
     """
-    z = np.asarray(z_on_gamma, dtype=complex) if not np.isscalar(z_on_gamma) else z_on_gamma
-    return _phi2_from_w(z, -side * w_chord(z))
+    return _phi2_from_w(z_on_gamma, -side * w_chord(z_on_gamma))
 
 
 def d_on_curve(z_on_gamma, side: int):
@@ -626,14 +562,11 @@ def d_on_curve(z_on_gamma, side: int):
     is used for the phi2 boundary value; the limit from above (side=+1)
     is + cdf, the one from below is - cdf.
     """
-    z = np.asarray(z_on_gamma, dtype=complex) if not np.isscalar(z_on_gamma) else z_on_gamma
-    ph1 = np.conj(phi2_on_curve(-np.conj(z), side))
-    return ph1 / (math.pi * 1j)
+    return np.conj(phi2_on_curve(-np.conj(z_on_gamma), side)) / (math.pi * 1j)
 
 
 def re_v(z):
     """Re V with V(z) = -i z^3/3 (the external field of the weighted energy)."""
-    z = np.asarray(z, dtype=complex) if not np.isscalar(z) else z
     return np.real(-1j * z ** 3 / 3.0)
 
 
@@ -797,8 +730,7 @@ def verify_equilibrium(phase: PhaseContext) -> dict:
         tilde_devs.append(abs((v - gp - gm).imag - ELL_TILDE))
 
         def T(pt):
-            _, U = potential_quadrature(pt, zq, wq)
-            return 2.0 * U + float(re_v(pt))
+            return 2.0 * potential_quadrature(pt, zq, wq) + float(re_v(pt))
 
         for j, hh in enumerate(s_h):
             mismatches[i, j] = (T(z0 + hh * nrm) - T(z0 - hh * nrm)) / (2.0 * hh)
@@ -818,9 +750,8 @@ def verify_equilibrium(phase: PhaseContext) -> dict:
             idx = int(np.searchsorted(ext.s, frac * ext.total_length))
             idx = min(max(idx, 1), len(ext) - 1)
             ze = complex(ext.points[idx])
-            g, _ = potential_quadrature(ze, zq, wq)
-            v = -1j * ze ** 3 / 3.0
-            ineq.append(((v - 2 * g).real - ELL, ze))
+            # Re(V - 2g) = 2U + Re V
+            ineq.append((2.0 * potential_quadrature(ze, zq, wq) + float(re_v(ze)) - ELL, ze))
     ineq_min, ineq_argmin = min(ineq, key=lambda t: t[0])
 
     return {

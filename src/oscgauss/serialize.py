@@ -130,7 +130,7 @@ def curve_json_dict(curves: dict) -> dict:
 def curve_from_json_dict(doc: dict) -> CurvePolyline:
     """Rebuild gamma from a curve_json_dict document (floats from strings).
 
-    Raises ValueError for any other shape.
+    Raises ValueError for any other shape, unequal array lengths included.
     """
     try:
         d = doc["curves"]["gamma"]
@@ -138,6 +138,9 @@ def curve_from_json_dict(doc: dict) -> CurvePolyline:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a curve document with curves['gamma'] "
                          f"({type(exc).__name__}: {exc})") from exc
+    lengths = {k: len(v) for k, v in d.items() if isinstance(v, list)}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"curve arrays differ in length: {lengths}")
     pts = np.array([complex(float(a), float(b)) for a, b in zip(re, im)])
     density = np.array([float(x) for x in d["density"]]) if "density" in d else None
     cdf = np.array([float(x) for x in d["cdf"]]) if "cdf" in d else None

@@ -1,10 +1,12 @@
 """CLI artifacts checked byte for byte against committed golden files.
 
 Each case runs `cli.main` in-process and compares stdout with the file of
-the same name in this directory.  A change that alters one of these files
+the same name in this directory.  Artifacts too large to commit are pinned
+by the SHA-256 of their stdout instead.  A change that alters one of these
 is an artifact change and has to be declared as such.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,18 @@ CASES = {
     "opq_n9_r5.csv": ["opq", "--n", "9", "--r", "5"],
     "opq_n12_r3_rescaled.csv": ["opq", "--n", "12", "--r", "3", "--rescaled"],
     "quad_omega200_exp.json": ["quad", "--omega", "200", "--amplitude", "exp"],
+    "measure_samples50.csv": ["measure", "--samples", "50"],
+    "fields_RePhi2_21x21.json": ["fields", "--which", "RePhi2", "--grid=-3,3,21,-3,3,21"],
+    # two cells of this grid are masked as cut-adjacent
+    "fields_ReD_61x41.json": ["fields", "--which", "ReD", "--grid=-2,1.5,61,-1,1.7,41"],
+    "asymp_n20.json": ["asymp", "--n", "20"],
+    "verify_curve.json": ["verify", "--suite", "curve"],
+    "verify_measure.json": ["verify", "--suite", "measure"],
+}
+
+DIGESTS = {
+    # the three traced polylines, 455 KB of JSON
+    "curve": (["curve"], "82c66ac8e196bed64ec582d98cb37b7625a6c06e9d2552bcf099020b9711a75f"),
 }
 
 
@@ -26,3 +40,10 @@ CASES = {
 def test_cli_output_matches_golden_file(name, capsys):
     assert cli.main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_cli_output_matches_golden_digest(name, capsys):
+    argv, digest = DIGESTS[name]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,7 +1,10 @@
-"""End-to-end command-line checks via subprocess (installed entry module).
+"""End-to-end command-line checks.
 
-Cases that only probe argument and config handling call `cli.main`
-in-process, which skips the interpreter start of a subprocess.
+Cases that only read stdout or an --out file call `cli.main` in-process,
+which skips the interpreter start of a subprocess.  Subprocesses of the
+`-m oscgauss.cli` entry module are kept for what only a fresh interpreter
+shows: that the entry point runs, exit codes with a traceback-free
+stderr, and byte-determinism across two processes.
 """
 
 import json
@@ -24,6 +27,14 @@ def run_cli(*argv, check=True):
     return proc
 
 
+def run_failing(*argv):
+    """A subprocess run that must fail with one traceback-free stderr line."""
+    proc = run_cli(*argv, check=False)
+    assert proc.returncode != 0 and len(proc.stderr.splitlines()) == 1, (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    return proc
+
+
 def run_main(capsys, *argv):
     """(exit code, stdout, stderr) of `cli.main(argv)` in this process."""
     code = cli.main(list(argv))
@@ -31,9 +42,15 @@ def run_main(capsys, *argv):
     return code, out, err
 
 
-def test_moments_rows_and_structural_zero():
-    proc = run_cli("moments", "--kmax", "6")
-    lines = proc.stdout.splitlines()
+def stdout_of(capsys, *argv):
+    """stdout of `cli.main(argv)` in this process, which must exit 0."""
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0, (argv, code, err)
+    return out
+
+
+def test_moments_rows_and_structural_zero(capsys):
+    lines = stdout_of(capsys, "moments", "--kmax", "6").splitlines()
     assert lines[0] == "k,re,im"
     assert len(lines) == 8
     k2 = lines[3].split(",")
@@ -42,22 +59,22 @@ def test_moments_rows_and_structural_zero():
     assert float(k5[1]) == 0.0 and float(k5[2]) == 0.0
 
 
-def test_moments_fresnel_diagonal():
-    proc = run_cli("moments", "--r", "2", "--kmax", "0")
-    _, re, im = proc.stdout.splitlines()[1].split(",")
+def test_moments_fresnel_diagonal(capsys):
+    _, re, im = stdout_of(capsys, "moments", "--r", "2", "--kmax", "0").splitlines()[1].split(",")
     assert float(re) == pytest.approx(float(im), rel=1e-15)
     assert float(re) == pytest.approx((3.141592653589793 / 2.0) ** 0.5, rel=1e-12)
 
 
-def test_moments_byte_deterministic():
+def test_moments_byte_deterministic(capsys):
+    # two processes through the -m oscgauss.cli entry point, and this one
     a = run_cli("moments", "--kmax", "8")
     b = run_cli("moments", "--kmax", "8")
     assert a.stdout == b.stdout
+    assert stdout_of(capsys, "moments", "--kmax", "8") == a.stdout
 
 
-def test_opq_rule_reflection_closure():
-    proc = run_cli("opq", "--n", "10")
-    lines = proc.stdout.splitlines()
+def test_opq_rule_reflection_closure(capsys):
+    lines = stdout_of(capsys, "opq", "--n", "10").splitlines()
     assert len(lines) == 11
     nodes = set()
     for row in lines[1:]:
@@ -66,9 +83,8 @@ def test_opq_rule_reflection_closure():
     assert nodes == {(-a, b) for a, b in nodes}
 
 
-def test_curve_endpoints():
-    proc = run_cli("curve")
-    doc = json.loads(proc.stdout)
+def test_curve_endpoints(capsys):
+    doc = json.loads(stdout_of(capsys, "curve"))
     g = doc["curves"]["gamma"]
     first = complex(float(g["points_re"][0]), float(g["points_im"][0]))
     last = complex(float(g["points_re"][-1]), float(g["points_im"][-1]))
@@ -77,24 +93,21 @@ def test_curve_endpoints():
     assert {"gamma", "gamma1", "gamma2"} <= set(doc["curves"])
 
 
-def test_measure_round_trip_mass(tmp_path):
+def test_measure_round_trip_mass(tmp_path, capsys):
     curve_path = tmp_path / "curve.json"
-    run_cli("curve", "--out", str(curve_path))
-    proc = run_cli("measure", "--curve-json", str(curve_path))
-    lines = proc.stdout.splitlines()
+    stdout_of(capsys, "curve", "--out", str(curve_path))
+    lines = stdout_of(capsys, "measure", "--curve-json", str(curve_path)).splitlines()
     assert lines[0] == "s,re,im,density,cdf"
     assert abs(float(lines[-1].split(",")[4]) - 1.0) <= 1e-8
 
 
-def test_measure_resampled_row_count():
-    proc = run_cli("measure", "--samples", "33")
-    assert len(proc.stdout.splitlines()) == 34
+def test_measure_resampled_row_count(capsys):
+    assert len(stdout_of(capsys, "measure", "--samples", "33").splitlines()) == 34
 
 
-def test_quad_symmetric_constant_matches_oracle():
-    proc = run_cli("quad", "--a", "-1", "--b", "1", "--omega", "200",
-                   "--r", "3", "--n", "6")
-    doc = json.loads(proc.stdout)
+def test_quad_symmetric_constant_matches_oracle(capsys):
+    doc = json.loads(stdout_of(capsys, "quad", "--a", "-1", "--b", "1", "--omega", "200",
+                               "--r", "3", "--n", "6"))
     assert abs(float(doc["value_im"])) <= 1e-10
     from oscgauss import oscillatory
     spec = oscillatory.OscillatoryIntegralSpec(
@@ -109,10 +122,9 @@ def test_quad_symmetric_constant_matches_oracle():
     assert abs(total - got) <= 1e-12
 
 
-def test_fields_grid_shape():
+def test_fields_grid_shape(capsys):
     # '=' form: a value starting with '-' would otherwise read as a flag
-    proc = run_cli("fields", "--which", "ReQ", "--grid=-1,1,5,-1,1,4")
-    doc = json.loads(proc.stdout)
+    doc = json.loads(stdout_of(capsys, "fields", "--which", "ReQ", "--grid=-1,1,5,-1,1,4"))
     assert len(doc["x"]) == 5 and len(doc["y"]) == 4
     assert len(doc["values"]) == 4 and len(doc["values"][0]) == 5
     assert doc["masked"][0][0] is False
@@ -135,15 +147,15 @@ def test_verify_curve_suite_passes_and_is_deterministic(tmp_path, capsys):
 def test_config_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kmax": 4}))
-    via_config = run_cli("moments", "--config", str(cfg))
-    assert len(via_config.stdout.splitlines()) == 6
-    via_flag = run_cli("moments", "--config", str(cfg), "--kmax", "2")
-    assert len(via_flag.stdout.splitlines()) == 4
+    via_config = stdout_of(capsys, "moments", "--config", str(cfg))
+    assert len(via_config.splitlines()) == 6
+    via_flag = stdout_of(capsys, "moments", "--config", str(cfg), "--kmax", "2")
+    assert len(via_flag.splitlines()) == 4
     # a config value converts like the flag's own: "4" and 4.0 are --kmax 4
     for entry in ({"kmax": "4"}, {"kmax": 4.0}):
         cfg.write_text(json.dumps(entry))
         assert run_main(capsys, "moments", "--config", str(cfg)) \
-            == (0, via_config.stdout, ""), entry
+            == (0, via_config, ""), entry
     # a dashed key names the same flag as its underscored dest
     cfg.write_text(json.dumps({"step-tolerance": 1e-6}))
     _, curve, _ = run_main(capsys, "curve", "--config", str(cfg))
@@ -151,22 +163,21 @@ def test_config_precedence(tmp_path, capsys):
     assert curve != run_main(capsys, "curve")[1]
 
 
-def test_out_writes_file(tmp_path):
+def test_out_writes_file(tmp_path, capsys):
     out = tmp_path / "m.csv"
-    proc = run_cli("moments", "--kmax", "3", "--out", str(out))
-    assert proc.stdout == ""
+    assert stdout_of(capsys, "moments", "--kmax", "3", "--out", str(out)) == ""
     assert out.read_text().splitlines()[0] == "k,re,im"
 
 
 def test_exit_code_io_failure():
-    proc = run_cli("moments", "--out", "/no-such-dir/x/y.csv", check=False)
+    proc = run_failing("moments", "--out", "/no-such-dir/x/y.csv")
     assert proc.returncode == 4
 
 
 def test_exit_code_construction_failure(tmp_path, capsys):
-    proc = run_cli("opq", check=False)
+    proc = run_failing("opq")
     assert proc.returncode == 3
-    proc = run_cli("moments", "--precision", "10", check=False)
+    proc = run_failing("moments", "--precision", "10")
     assert proc.returncode == 3
     # malformed input is one stderr line and exit 3, never a traceback
     files = {"empty": {}, "list": [1, 2], "ragged": [[1, 2], [3]]}
@@ -174,6 +185,11 @@ def test_exit_code_construction_failure(tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     # 1e400 parses as an infinite float, which no integer flag can take
     (tmp_path / "huge.json").write_text('{"kmax": 1e400}')
+    # a curve file whose points_im lost its last 5 entries
+    stdout_of(capsys, "curve", "--out", str(tmp_path / "curve.json"))
+    doc = json.loads((tmp_path / "curve.json").read_text())
+    del doc["curves"]["gamma"]["points_im"][-5:]
+    (tmp_path / "short.json").write_text(json.dumps(doc))
     for argv in (("curve", "--precision", "10"),
                  ("measure", "--curve-json", str(tmp_path / "empty.json")),
                  ("measure", "--curve-json", str(tmp_path / "list.json")),
@@ -181,16 +197,31 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("fields", "--grid=-1,1,0,-1,1,3"),
                  ("quad", "--amplitude-params", "[1]"),
                  ("quad", "--amplitude", "exp", "--amplitude-params", '{"skale": 5}'),
-                 ("moments", "--config", str(tmp_path / "huge.json"))):
-        code, _, err = run_main(capsys, *argv)
+                 ("moments", "--config", str(tmp_path / "huge.json")),
+                 ("measure", "--curve-json", str(tmp_path / "short.json")),
+                 # counts below their minimum
+                 ("moments", "--kmax", "-1"),
+                 ("measure", "--samples", "0"),
+                 ("measure", "--samples", "1"),
+                 ("opq", "--n", "0"),
+                 # usage errors: a malformed value and an unknown flag
+                 ("moments", "--kmax", "abc"),
+                 ("moments", "--no-such-flag")):
+        code, out, err = run_main(capsys, *argv)
         assert code == 3 and len(err.splitlines()) == 1, (argv, err)
+        assert out == "", argv
+    assert "n must be >= 1" in run_main(capsys, "opq", "--n", "0")[2]
+    # help is not a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["moments", "-h"])
+    assert exc.value.code == 0
 
 
 def test_exit_code_explicit_zero_is_not_replaced_by_default():
     # only an unset count takes the default; 0 reaches the library and fails
     for argv in (("quad", "--n", "0"), ("quad", "--n-endpoint", "0"),
                  ("asymp", "--n", "0")):
-        proc = run_cli(*argv, check=False)
+        proc = run_failing(*argv)
         assert proc.returncode == 3, (argv, proc.stdout)
         assert "n must be >= 1" in proc.stderr
 
@@ -198,8 +229,7 @@ def test_exit_code_explicit_zero_is_not_replaced_by_default():
 def test_exit_code_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    proc = run_cli("moments", "--config", str(bad), check=False)
+    proc = run_failing("moments", "--config", str(bad))
     assert proc.returncode == 4
-    proc = run_cli("moments", "--config", str(tmp_path / "missing.json"),
-                   check=False)
+    proc = run_failing("moments", "--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 4
