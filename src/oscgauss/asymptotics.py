@@ -14,10 +14,12 @@ Three closed-form approximations, each tied to a region of the plane:
   endpoint is handled through the reflection symmetry
   P_n(z) = (-1)^n conj(P_n(-conj z)).
 
-The only contour data the parametrices read is the traced arc (for the
-lens side of ``beta``); f is fixed by Q alone.  All three formulas can be
-checked against exact recurrence evaluation at scheduled precision
-(``exact_pn``); the observed convergence rate is O(1/n).
+``pn_asymptotic`` classifies a point once and evaluates the matching
+formula without repeating that region's test.  The only contour data the
+parametrices read is the traced arc (for the lens side of ``beta``); f is
+fixed by Q alone.  All three formulas can be checked against exact
+recurrence evaluation at scheduled precision (``exact_pn``); the observed
+convergence rate is O(1/n).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 import scipy.special
 
 from . import geometry, opq
-from .errors import NonFiniteError, OutsideDiskError, RegionError
-from .precision import PrecisionContext
+from .errors import OutsideDiskError, RegionError
+from .precision import PrecisionContext, ensure_finite
 from .scurve import (
     L_CONST,
     PhaseContext,
@@ -47,7 +49,6 @@ __all__ = [
     "beta",
     "n_matrix",
     "conformal_f",
-    "f_quarter_root",
     "boundary_winding",
     "region_classify",
     "pn_outer",
@@ -80,18 +81,6 @@ def _q4(w):
     return np.sqrt(np.sqrt(w))
 
 
-def _cbrt(w):
-    """Principal cube root of a complex number (array-safe)."""
-    return np.exp(np.log(w) / 3.0)
-
-
-def _ensure_finite_c(val, what: str) -> complex:
-    val = complex(val)
-    if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-        raise NonFiniteError(f"{what} produced a non-finite value")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Global parametrix
 # ---------------------------------------------------------------------------
@@ -109,15 +98,18 @@ def beta(z: complex, phase: PhaseContext) -> complex:
     b = complex(_q4((z - Z2) / (z - Z1)))
     if _in_lens(z, phase.gamma):
         b *= 1j
-    return _ensure_finite_c(b, "beta")
+    return ensure_finite(b, "beta")
+
+
+def _n_entries(b: complex) -> tuple[complex, complex]:
+    """(n11, n12) = ((b + 1/b)/2, (b - 1/b)/(2i)) of the global parametrix at beta = b."""
+    return (b + 1 / b) / 2, (b - 1 / b) / 2j
 
 
 def n_matrix(z: complex, phase: PhaseContext) -> np.ndarray:
     """2x2 global parametrix [[n11, n12], [-n12, n11]]; det = n11^2 + n12^2 = 1."""
     _require_off_cut(z, phase.gamma)
-    b = beta(z, phase)
-    n11 = (b + 1 / b) / 2
-    n12 = (b - 1 / b) / 2j
+    n11, n12 = _n_entries(beta(z, phase))
     return np.array([[n11, n12], [-n12, n11]], dtype=complex)
 
 
@@ -144,19 +136,7 @@ def conformal_f(z: complex) -> complex:
         return dz * FC
     psi = 1.5 * complex(phi2_chord(z))
     chi = psi * psi / (dz ** 3 * QP2)
-    return _ensure_finite_c(dz * FC * _cbrt(chi), "conformal_f")
-
-
-def f_quarter_root(z: complex) -> tuple[complex, complex]:
-    """(f, f^{1/4}) with the principal fourth root.
-
-    f is real negative exactly on the arc, so the principal root's cut
-    falls on the arc with f^{1/4}_+ = i f^{1/4}_-, matching the jump
-    orientation of beta; the combinations f^{1/4}/beta and beta/f^{1/4}
-    are continuous across the arc.
-    """
-    f = conformal_f(z)
-    return f, complex(_q4(f))
+    return ensure_finite(dz * FC * np.exp(np.log(chi) / 3.0), "conformal_f")
 
 
 def boundary_winding() -> float:
@@ -196,8 +176,8 @@ def pn_outer(n: int, z: complex, phase: PhaseContext) -> complex:
     """
     z = complex(z)
     gv = g_eval(z, phase)
-    b = beta(z, phase)
-    return _ensure_finite_c(np.exp(n * gv) * (b + 1 / b) / 2, "pn_outer")
+    n11, _ = _n_entries(beta(z, phase))
+    return ensure_finite(np.exp(n * gv) * n11, "pn_outer")
 
 
 def pn_band(n: int, z: complex, phase: PhaseContext) -> complex:
@@ -216,12 +196,15 @@ def pn_band(n: int, z: complex, phase: PhaseContext) -> complex:
     if dist > TUBE_WIDTH:
         raise RegionError(
             f"band formula requested {dist:.3f} from the arc (tube width {TUBE_WIDTH})")
-    bt = 1j * complex(_q4((z - Z2) / (z - Z1)))
-    n11 = (bt + 1 / bt) / 2
-    n12 = (bt - 1 / bt) / 2j
+    return _band(n, z)
+
+
+def _band(n: int, z: complex) -> complex:
+    """pn_band at a complex z already known to lie in the tube."""
+    n11, n12 = _n_entries(1j * complex(_q4((z - Z2) / (z - Z1))))
     h = -complex(phi2_chord(z))
     val = np.exp(_v_half_minus_l(z, n)) * (np.exp(-n * h) * n11 + np.exp(n * h) * n12)
-    return _ensure_finite_c(val, "pn_band")
+    return ensure_finite(val, "pn_band")
 
 
 def pn_airy(n: int, z: complex, phase: PhaseContext) -> complex:
@@ -231,34 +214,33 @@ def pn_airy(n: int, z: complex, phase: PhaseContext) -> complex:
         P_n ~ sqrt(pi) e^{n(V/2 - l)} [ n^{1/6} f^{1/4} beta^{-1} Ai(n^{2/3} f)
                                        - n^{-1/6} f^{-1/4} beta Ai'(n^{2/3} f) ],
     continuous across the arc because f^{1/4} and beta jump by the same
-    factor i, so it is evaluated on the arc too (no on-cut guard).  The left
-    disk is evaluated by reflection.
+    factor i, so it is evaluated on the arc too (no on-cut guard).  A point
+    of the left disk only is evaluated by reflection; conformal_f raises
+    OutsideDiskError for a point in neither disk.
     """
     z = complex(z)
-    if abs(z - Z2) <= AIRY_RADIUS:
-        pass
-    elif abs(z - Z1) <= AIRY_RADIUS:
-        mirrored = pn_airy(n, -np.conj(z), phase)
-        return (-1) ** n * np.conj(mirrored)
-    else:
-        raise OutsideDiskError(
-            f"z = {z:.4f} lies in neither endpoint disk of radius {AIRY_RADIUS}")
-    f, f14 = f_quarter_root(z)
+    if abs(z - Z2) > AIRY_RADIUS and abs(z - Z1) <= AIRY_RADIUS:
+        return (-1) ** n * np.conj(pn_airy(n, -np.conj(z), phase))
+    f = conformal_f(z)
+    # f is real negative exactly on the arc, so the cut of the principal
+    # f^{1/4} falls on the arc with f^{1/4}_+ = i f^{1/4}_-, the jump of
+    # beta: f^{1/4}/beta and beta/f^{1/4} are continuous across the arc.
+    f14 = complex(_q4(f))
     b = beta(z, phase)
     ai, aip, _, _ = scipy.special.airy(n ** (2.0 / 3.0) * f)
     val = (np.sqrt(np.pi) * np.exp(_v_half_minus_l(z, n))
            * (n ** (1.0 / 6.0) * f14 / b * ai
               - n ** (-1.0 / 6.0) * b / f14 * aip))
-    return _ensure_finite_c(val, "pn_airy")
+    return ensure_finite(val, "pn_airy")
 
 
 def pn_asymptotic(n: int, z: complex, phase: PhaseContext) -> tuple[str, complex]:
-    """Classify z and evaluate the matching formula; returns (region, value)."""
+    """Classify z once and evaluate the matching formula; returns (region, value)."""
     region = region_classify(z, phase)
     if region in ("disk1", "disk2"):
         return region, pn_airy(n, z, phase)
     if region == "band":
-        return region, pn_band(n, z, phase)
+        return region, _band(n, complex(z))
     return region, pn_outer(n, z, phase)
 
 

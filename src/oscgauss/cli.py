@@ -194,8 +194,7 @@ def _strip_timing(node):
 
 
 def _cmd_verify(args):
-    names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    result = verify.run_suite(names)
+    result = verify.run_suite(None if args.suite == "all" else [args.suite])
     text = serialize.report_json(_strip_timing(result))
     return text, 0 if result["passed"] else 2
 

@@ -13,7 +13,8 @@ z^{r-1}) needs no branch choice once z is known.  The module also carries
 the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
 stationary rule and two independent oracles, both panelled Gauss-Legendre
 (precision.panel_quad) with a whole-vs-halved error estimate: one on the
-truncated rays of the stationary contour, one on the real interval at 120
+truncated rays of the stationary contour (the two-ray quadrature the
+moment oracle of verify also runs), one on the real interval at 120
 digits with a panel per oscillation cycle.
 """
 
@@ -32,7 +33,7 @@ from .errors import (
     NoiseFloorError,
     NonconvergenceError,
 )
-from .precision import PrecisionContext, ensure_finite, panel_quad, ray_cuts
+from .precision import PrecisionContext, ensure_finite, panel_quad, panel_quad_vector, ray_cuts
 
 __all__ = [
     "Amplitude",
@@ -115,17 +116,19 @@ def amplitude(name: str, **params) -> Amplitude:
 class OscillatoryIntegralSpec:
     """I[f] = int_a^b f(x) e^{i omega x^r} dx with the stationary point at 0.
 
-    The amplitude is an Amplitude or a plain callable; a plain callable is
-    taken to be entire.
+    The amplitude must be an Amplitude, so that its analyticity radius is
+    declared and the descent paths are audited against it.
     """
 
     a: float
     b: float
     omega: float
     r: int
-    amplitude: object
+    amplitude: Amplitude
 
     def __post_init__(self):
+        if not isinstance(self.amplitude, Amplitude):
+            raise ValueError("amplitude must be an Amplitude (see oscillatory.amplitude)")
         if not (self.a < 0 < self.b):
             raise ValueError("need a < 0 < b so the stationary point is interior")
         if self.omega <= 0:
@@ -226,7 +229,7 @@ def _segment_distance(z, a: float, b: float) -> float:
 
 
 def _check_path_in_region(points, spec: OscillatoryIntegralSpec, label: str):
-    radius = spec.amplitude.radius if isinstance(spec.amplitude, Amplitude) else math.inf
+    radius = spec.amplitude.radius
     if radius == math.inf:
         return
     for t, z in points:
@@ -287,27 +290,34 @@ def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
 # Oracles
 # ---------------------------------------------------------------------------
 
+def _ray_quadrature(g, spec: opq.WeightSpec):
+    """(dhi hi - dlo lo, est_hi + est_lo) per component of g(d, rho), unfinalized.
+
+    hi and lo integrate g along the rays rho * d of spec by 40-point
+    Gauss-Legendre on the panels of precision.ray_cuts, at the ambient
+    precision; the contour runs in along the low ray and out along the high.
+    """
+    dhi, dlo = spec.ray_directions()
+    cuts = ray_cuts(spec.r)
+    (hi, est_hi), (lo, est_lo) = [panel_quad_vector(lambda rho: g(d, rho), cuts, 40)
+                                  for d in (dhi, dlo)]
+    return ([dhi * a - dlo * b for a, b in zip(hi, lo)],
+            [a + b for a, b in zip(est_hi, est_lo)])
+
+
 def stationary_oracle(f, r: int, omega, ctx: PrecisionContext):
     """(value, error_estimate) for int_Gamma f(z) e^{i omega z^r} dz.
 
-    Independent of the Gaussian rule: integrates f(omega^{-1/r} rho e^{i
-    theta}) e^{-rho^r} along both rays directly, by 40-point Gauss-Legendre
-    on the panels of precision.ray_cuts (rho^r = 0, 1, 4, 16, ..., truncated
-    where e^{-rho^r} drops below working precision).  The estimate sums the
-    two rays' whole-vs-halved panel differences.
+    Independent of the Gaussian rule: integrates f(omega^{-1/r} rho d)
+    e^{-rho^r} along both rays directly (_ray_quadrature) and multiplies
+    by s = omega^{-1/r} last.  The estimate sums the two rays'
+    whole-vs-halved panel differences.
     """
-    spec = opq.WeightSpec(r=r)
     with ctx.working():
         s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
-        dir_hi, dir_lo = spec.ray_directions()
-        cuts = ray_cuts(r)
-
-        def ray(d):
-            return panel_quad(lambda rho: f(s * rho * d) * mp.exp(-rho ** r), cuts, 40)
-
-        (hi, est_hi), (lo, est_lo) = ray(dir_hi), ray(dir_lo)
-        return (ctx.finalize(s * (dir_hi * hi - dir_lo * lo)),
-                ctx.finalize(s * (est_hi + est_lo)))
+        (value,), (est,) = _ray_quadrature(
+            lambda d, rho: (f(s * rho * d) * mp.exp(-rho ** r),), opq.WeightSpec(r=r))
+        return ctx.finalize(s * value), ctx.finalize(s * est)
 
 
 def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:

@@ -10,7 +10,8 @@ one shell command.
 
 Where a check needs an independent oracle, the oracle shares no code path
 with the implementation under test: moments are re-derived by panelled
-Gauss-Legendre quadrature along the truncated contour rays, the phase
+Gauss-Legendre quadrature along the truncated contour rays (the two-ray
+quadrature of the oscillatory module's stationary oracle), the phase
 function phi2 by integrating the analytic continuation of Q^{1/2} along
 explicit cut-avoiding polygonal paths from z2 (sharing one branch-sign
 evaluation with phi2), and the oscillatory integrals by the oscillatory
@@ -29,7 +30,7 @@ from mpmath import mp
 
 from . import asymptotics as asym
 from . import opq, oscillatory, scurve
-from .precision import PrecisionContext, panel_quad_vector, ray_cuts
+from .precision import PrecisionContext
 
 __all__ = [
     "SUITE_NAMES",
@@ -151,9 +152,8 @@ def criterion_curve() -> dict:
                 scurve.d_on_curve(complex(z0), side)).imag))
     _check(rep, "max_abs_im_D_on_curve", im_d, im_d <= 1e-8, bound=1e-8)
 
-    k = int(np.flatnonzero(np.diff(np.sign(pts.real)) > 0)[0])
-    t = -pts.real[k] / (pts.real[k + 1] - pts.real[k])
-    crossing = float(pts.imag[k] + t * (pts.imag[k + 1] - pts.imag[k]))
+    # gamma is a graph over Re z (checked when it is traced)
+    crossing = float(np.interp(0.0, pts.real, pts.imag))
     _check(rep, "imaginary_axis_crossing", crossing,
            (1.0 - SQRT2) < crossing < 1.0, bound=[1.0 - SQRT2, 1.0])
     return _finish(rep, t0)
@@ -219,9 +219,8 @@ def criterion_zeros() -> dict:
     dists = [r["max_distance"] for r in reports]
     kss = [r["ks_statistic"] for r in reports]
     for r in reports:
-        rep["checks"][f"max_distance_n{r['n']}"] = {"value": r["max_distance"],
-                                                    "ok": True}
-        rep["checks"][f"ks_n{r['n']}"] = {"value": r["ks_statistic"], "ok": True}
+        _check(rep, f"max_distance_n{r['n']}", r["max_distance"], True)
+        _check(rep, f"ks_n{r['n']}", r["ks_statistic"], True)
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     _check(rep, "max_distance_strictly_decreasing", dists, decreasing)
     _check(rep, "ks_contraction", kss[-1],
@@ -269,8 +268,8 @@ def criterion_asymptotics() -> dict:
                 worst = max(worst, err)
             errs[n] = worst
         order = math.log2(errs[20] / errs[40])
-        rep["checks"][f"{region}_err_n20"] = {"value": errs[20], "ok": True}
-        rep["checks"][f"{region}_err_n40"] = {"value": errs[40], "ok": True}
+        _check(rep, f"{region}_err_n20", errs[20], True)
+        _check(rep, f"{region}_err_n40", errs[40], True)
         _check(rep, f"{region}_two_point_order", order,
                0.7 <= order <= 1.3, bound=[0.7, 1.3])
         _check(rep, f"{region}_probes_classified", misclass, misclass == 0,
@@ -311,8 +310,7 @@ def criterion_quadrature_order() -> dict:
                bound=1e-3 * kept)
         _check(rep, f"case_runtime_n{n}_r{r}", dt, dt < per_case_budget,
                bound=per_case_budget)
-        rep["checks"][f"points_used_n{n}_r{r}"] = {
-            "value": len(case["errors"]), "ok": True}
+        _check(rep, f"points_used_n{n}_r{r}", len(case["errors"]), True)
     return _finish(rep, t0)
 
 
@@ -324,29 +322,21 @@ def _moment_ray_quadrature(kmax: int, spec: opq.WeightSpec, ctx: PrecisionContex
     """(values, estimates) of M_0..M_kmax by direct quadrature along the two rays.
 
     Independent of the Gamma-function closed form: on either ray z = t*d
-    the oscillatory factor collapses to exp(-t^r), integrated by 40-point
-    Gauss-Legendre on the truncated ray panels of precision.ray_cuts.  Each
-    node evaluates exp(-t^r) once and builds every (d t)^k from it by a
-    running product.  Orientation runs in along the low ray and out along
-    the high; each estimate sums the two rays' panel estimates.
+    the oscillatory factor collapses to exp(-t^r), integrated by the
+    stationary oracle's oscillatory._ray_quadrature.  Each node evaluates
+    exp(-t^r) once and builds every (d t)^k from it by a running product.
     """
+    r = spec.r
+
+    def powers(d, t):
+        out, dt = [mp.exp(-t ** r)], d * t
+        for _ in range(kmax):
+            out.append(out[-1] * dt)
+        return out
+
     with ctx.working():
-        dhi, dlo = spec.ray_directions()
-        r = spec.r
-        cuts = ray_cuts(r)
-
-        def radial(d):
-            def powers(t):
-                out, dt = [mp.exp(-t ** r)], d * t
-                for _ in range(kmax):
-                    out.append(out[-1] * dt)
-                return out
-
-            return panel_quad_vector(powers, cuts, 40)
-
-        (hi, est_hi), (lo, est_lo) = radial(dhi), radial(dlo)
-        return ([ctx.finalize(dhi * a - dlo * b) for a, b in zip(hi, lo)],
-                [ctx.finalize(a + b) for a, b in zip(est_hi, est_lo)])
+        values, estimates = oscillatory._ray_quadrature(powers, spec)
+        return [ctx.finalize(v) for v in values], [ctx.finalize(e) for e in estimates]
 
 
 def _vandermonde_weights(nodes, moments: opq.MomentSequence) -> list:
@@ -360,6 +350,12 @@ def _vandermonde_weights(nodes, moments: opq.MomentSequence) -> list:
         A = mp.matrix([[mp.mpmathify(z) ** k for z in nodes] for k in range(n)])
         w = mp.lu_solve(A, mp.matrix([moments[k] for k in range(n)]))
         return [w[j] for j in range(n)]
+
+
+def _max_rel_dev(xs, ys, ctx: PrecisionContext) -> float:
+    """max |x - y| / max(1, |y|) over the pairs, at ctx's working precision."""
+    with ctx.working():
+        return max(float(abs(x - y)) / max(1.0, float(abs(y))) for x, y in zip(xs, ys))
 
 
 def criterion_consistency() -> dict:
@@ -399,20 +395,14 @@ def criterion_consistency() -> dict:
     for n in range(1, 9):
         a = opq.monic_coefficients(opq.build_recurrence(moments, n))
         b = opq.hankel_monic_coefficients(moments, n)
-        with ctx.working():
-            dev = max(float(abs(x - y)) / max(1.0, float(abs(y)))
-                      for x, y in zip(a, b))
-        worst = max(worst, dev)
+        worst = max(worst, _max_rel_dev(a, b, ctx))
     _check(rep, "recurrence_vs_hankel", worst, worst <= bar, bound=bar)
 
     worst = 0.0
     for n in range(1, 9):
         rule = opq.build_rule(n, spec, ctx)
         vdm = _vandermonde_weights(rule.nodes, moments)
-        with ctx.working():
-            dev = max(float(abs(x - y)) / max(1.0, float(abs(y)))
-                      for x, y in zip(rule.weights, vdm))
-        worst = max(worst, dev)
+        worst = max(worst, _max_rel_dev(rule.weights, vdm, ctx))
     _check(rep, "christoffel_vs_vandermonde", worst, worst <= bar, bound=bar)
 
     worst = max(abs(np.linalg.det(asym.n_matrix(z, phase)) - 1.0) for z in DETN_PROBES)
@@ -452,9 +442,6 @@ def criterion_end_to_end() -> dict:
 # Suite dispatch
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("curve", "measure", "zeros", "asymp", "order",
-               "consistency", "endtoend")
-
 _RUNNERS = {
     "curve": criterion_curve,
     "measure": criterion_measure,
@@ -464,6 +451,7 @@ _RUNNERS = {
     "consistency": criterion_consistency,
     "endtoend": criterion_end_to_end,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(names=None) -> dict:

@@ -28,6 +28,10 @@ CASES = {
     "asymp_n20.json": ["asymp", "--n", "20"],
     "verify_curve.json": ["verify", "--suite", "curve"],
     "verify_measure.json": ["verify", "--suite", "measure"],
+    "verify_zeros.json": ["verify", "--suite", "zeros"],
+    "verify_asymp.json": ["verify", "--suite", "asymp"],
+    "verify_order.json": ["verify", "--suite", "order"],
+    "verify_consistency.json": ["verify", "--suite", "consistency"],
 }
 
 DIGESTS = {

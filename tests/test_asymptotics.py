@@ -50,9 +50,9 @@ def test_beta_on_cut_raises(phase):
 
 
 def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
-    # projections onto the arc: outer = classification only (the curve-branch
-    # on-cut guard returns on the bounding box of gamma), band =
-    # classification + the tube check, disks = none
+    # projections onto the arc: outer and band = classification only (the
+    # curve-branch on-cut guard returns on the bounding box of gamma, and the
+    # band formula does not repeat the tube check), disks = none
     calls = []
     nearest = geometry.nearest_on_polyline
 
@@ -64,7 +64,7 @@ def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
     on_arc = complex(scurve.curve_points_at_mass(phase.gamma, 0.5 * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(on_arc)
     band = on_arc + 0.05 * q.conjugate() / abs(q)
-    for z, region, expected in ((3 + 4j, "outer", 1), (band, "band", 2),
+    for z, region, expected in ((3 + 4j, "outer", 1), (band, "band", 1),
                                 (scurve.Z2 + 0.2, "disk2", 0)):
         calls.clear()
         assert asym.pn_asymptotic(20, z, phase)[0] == region
@@ -102,9 +102,12 @@ def test_conformal_map_winding():
     assert asym.boundary_winding() == 1
 
 
-def test_outside_disk_raises():
+def test_outside_disk_raises(phase):
     with pytest.raises(OutsideDiskError):
         asym.conformal_f(scurve.Z2 + 0.7)
+    # a point in neither endpoint disk
+    with pytest.raises(OutsideDiskError):
+        asym.pn_airy(20, 3 + 4j, phase)
 
 
 def test_region_classification(phase):

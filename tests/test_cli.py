@@ -190,6 +190,13 @@ def test_exit_code_construction_failure(tmp_path, capsys):
     doc = json.loads((tmp_path / "curve.json").read_text())
     del doc["curves"]["gamma"]["points_im"][-5:]
     (tmp_path / "short.json").write_text(json.dumps(doc))
+    # an array that is not a list, and a null entry
+    doc = json.loads((tmp_path / "curve.json").read_text())
+    doc["curves"]["gamma"]["points_re"] = 5
+    (tmp_path / "scalar.json").write_text(json.dumps(doc))
+    doc = json.loads((tmp_path / "curve.json").read_text())
+    doc["curves"]["gamma"]["points_re"][3] = None
+    (tmp_path / "null.json").write_text(json.dumps(doc))
     for argv in (("curve", "--precision", "10"),
                  ("measure", "--curve-json", str(tmp_path / "empty.json")),
                  ("measure", "--curve-json", str(tmp_path / "list.json")),
@@ -199,6 +206,8 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("quad", "--amplitude", "exp", "--amplitude-params", '{"skale": 5}'),
                  ("moments", "--config", str(tmp_path / "huge.json")),
                  ("measure", "--curve-json", str(tmp_path / "short.json")),
+                 ("measure", "--curve-json", str(tmp_path / "scalar.json")),
+                 ("measure", "--curve-json", str(tmp_path / "null.json")),
                  # counts below their minimum
                  ("moments", "--kmax", "-1"),
                  ("measure", "--samples", "0"),

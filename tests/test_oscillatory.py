@@ -43,6 +43,9 @@ def test_spec_validation():
         osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=-3.0, r=3, amplitude=amp)
     with pytest.raises(ValueError):
         osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=10.0, r=1, amplitude=amp)
+    # a plain callable declares no analyticity radius
+    with pytest.raises(ValueError):
+        osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=10.0, r=3, amplitude=lambda z: z)
 
 
 def test_laguerre_rule_closed_forms():
