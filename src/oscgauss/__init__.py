@@ -25,7 +25,7 @@ from . import (asymptotics, geometry, opq, oscillatory, precision,
 from .errors import (AnalyticityBudgetError, DegenerateFunctionalError,
                      IllConditionedError, NoiseFloorError, NonconvergenceError,
                      NonFiniteError, OnCutError, OutsideDiskError, PoleError,
-                     RegionError, ToolkitError, TraceDivergedError)
+                     ToolkitError, TraceDivergedError)
 from .opq import (MomentSequence, QuadratureRule, RecurrenceCoefficients,
                   WeightSpec, build_recurrence, build_rule, moment,
                   moment_sequence, zeros)
@@ -55,6 +55,6 @@ __all__ = [
     # errors
     "ToolkitError", "PoleError", "OnCutError", "DegenerateFunctionalError",
     "NonconvergenceError", "IllConditionedError", "TraceDivergedError",
-    "RegionError", "OutsideDiskError", "AnalyticityBudgetError",
+    "OutsideDiskError", "AnalyticityBudgetError",
     "NoiseFloorError", "NonFiniteError",
 ]

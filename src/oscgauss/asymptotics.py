@@ -5,9 +5,10 @@ Three closed-form approximations, each tied to a region of the plane:
 * ``pn_outer``   -- away from the limiting curve: e^{n g(z)} times the
   (1,1) entry of the global parametrix ``n_matrix``, built from ``beta``,
   the fourth root of the Moebius ratio (z - z2)/(z - z1) cut along the arc.
-* ``pn_band``    -- in a tube around the open arc: a two-term formula in
-  the chord branch of the phase, analytic across the arc itself, so a
-  single expression is valid on both sides (and on the arc).
+* the band   -- in a tube around the open arc: a two-term formula in
+  the chord branch of the phase, analytic across the arc itself, so one
+  expression is valid on both sides (and on the arc); ``pn_asymptotic``
+  evaluates it once ``region_classify`` has placed z in the tube.
 * ``pn_airy``    -- in disks around the branch points: Airy functions of
   n^{2/3} f(z), where f = ``conformal_f`` is the conformal map
   straightening the phase ((3/2) phi)^{2/3}.  The disk at the left
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.special
 
 from . import geometry, opq
-from .errors import OutsideDiskError, RegionError
+from .errors import OutsideDiskError
 from .precision import PrecisionContext, ensure_finite
 from .scurve import (
     L_CONST,
@@ -52,7 +53,6 @@ __all__ = [
     "boundary_winding",
     "region_classify",
     "pn_outer",
-    "pn_band",
     "pn_airy",
     "pn_asymptotic",
     "exact_pn",
@@ -180,7 +180,7 @@ def pn_outer(n: int, z: complex, phase: PhaseContext) -> complex:
     return ensure_finite(np.exp(n * gv) * n11, "pn_outer")
 
 
-def pn_band(n: int, z: complex, phase: PhaseContext) -> complex:
+def _band(n: int, z: complex) -> complex:
     """Two-term band formula, one analytic expression on both sides of the arc.
 
     With H = -phi2_chord (the continuation from above) and
@@ -188,23 +188,12 @@ def pn_band(n: int, z: complex, phase: PhaseContext) -> complex:
         P_n ~ e^{n(V/2 - l)} [ e^{-nH} (bt + 1/bt)/2 + e^{nH} (bt - 1/bt)/(2i) ].
     Both ingredients are analytic across the arc inside the tube (the chord
     branch has its cut elsewhere), so the formula needs no side bookkeeping
-    and can be evaluated on the arc itself.  Raises RegionError farther
-    than TUBE_WIDTH from the arc.
+    and can be evaluated on the arc itself.  For z within TUBE_WIDTH of it.
     """
-    z = complex(z)
-    dist = geometry.nearest_on_polyline(z, phase.gamma.points)[0]
-    if dist > TUBE_WIDTH:
-        raise RegionError(
-            f"band formula requested {dist:.3f} from the arc (tube width {TUBE_WIDTH})")
-    return _band(n, z)
-
-
-def _band(n: int, z: complex) -> complex:
-    """pn_band at a complex z already known to lie in the tube."""
     n11, n12 = _n_entries(1j * complex(_q4((z - Z2) / (z - Z1))))
     h = -complex(phi2_chord(z))
     val = np.exp(_v_half_minus_l(z, n)) * (np.exp(-n * h) * n11 + np.exp(n * h) * n12)
-    return ensure_finite(val, "pn_band")
+    return ensure_finite(val, "band formula")
 
 
 def pn_airy(n: int, z: complex, phase: PhaseContext) -> complex:
@@ -260,18 +249,12 @@ def exact_pn(n: int, z: complex):
 
 
 def pn_relative_error(n: int, z: complex, phase: PhaseContext) -> tuple[str, float]:
-    """(region, |formula - exact| / |exact|), comparing in high precision.
+    """(region, |formula - exact| / |exact|), compared in mpmath at any |P_n|.
 
-    When the exact value is astronomically large the comparison switches to
-    log-magnitudes plus phases, which stays meaningful past the float range.
+    A formula value past the float range has already raised NonFiniteError.
     """
     region, approx = pn_asymptotic(n, z, phase)
     exact = exact_pn(n, z)
-    if abs(exact) > 1e300 or abs(exact) < 1e-300:
-        la, le = mp.log(mp.mpc(approx)), mp.log(exact)
-        diff = la - le
-        diff = mp.mpc(mp.re(diff), mp.fmod(mp.im(diff) + mp.pi, 2 * mp.pi) - mp.pi)
-        return region, float(abs(mp.expm1(diff)))
     return region, float(abs(mp.mpc(approx) - exact) / abs(exact))
 
 
@@ -322,9 +305,8 @@ def airy_model_matrix(zeta: complex) -> np.ndarray:
     w = _OMEGA
     ai0, aip0, _, _ = scipy.special.airy(zeta)
     ai2, aip2, _, _ = scipy.special.airy(w ** 2 * zeta)
-    y0, y0p = ai0, aip0
     y2, y2p = w ** 2 * ai2, w * aip2          # chain rule: d/dz w^2 Ai(w^2 z)
-    return np.sqrt(2 * np.pi) * np.array([[y0, -y2], [-1j * y0p, 1j * y2p]],
+    return np.sqrt(2 * np.pi) * np.array([[ai0, -y2], [-1j * aip0, 1j * y2p]],
                                          dtype=complex)
 
 

@@ -74,8 +74,9 @@ def _cmd_moments(args):
 def _cmd_opq(args):
     if args.n is None:
         raise ValueError("opq requires --n (or an 'n' config entry)")
+    floor = PrecisionContext(args.precision)   # rejects fewer than 30 digits
     ctx = PrecisionContext(max(opq.precision_schedule(args.n).decimal_digits,
-                               args.precision))
+                               floor.decimal_digits))
     rule = opq.build_rule(args.n, opq.WeightSpec(r=args.r), ctx)
     if args.rescaled:
         rule = opq.rescale_to_Pn(rule, args.n, args.r)
@@ -219,7 +220,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     flags: dict[str, dict[str, argparse.Action]] = {}
 
     def command(name: str, handler, help: str):
-        """Add a subcommand with the global flags; returns its add-flag function."""
+        """Add a subcommand with --config and --out; returns its add-flag function."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         actions = flags[name] = {}
@@ -228,8 +229,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
             action = p.add_argument(*names, **kwargs)
             actions[action.dest] = action
 
-        arg("--precision", type=int, default=30,
-            help="working decimal digits (>= 30; default 30)")
         arg("--config", help="flat JSON file of flag defaults")
         arg("--out", help="output file (default: stdout)")
         return arg
@@ -237,12 +236,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     arg = command("moments", _cmd_moments, "modified moments M_k as CSV")
     arg("--r", type=int, default=3)
     arg("--kmax", type=int, default=20)
+    arg("--precision", type=int, default=30,
+        help="decimal digits computed and printed (>= 30; default 30)")
 
     arg = command("opq", _cmd_opq, "n-point quadrature rule (nodes/weights CSV)")
     arg("--n", type=int)
     arg("--r", type=int, default=3)
     arg("--rescaled", action="store_true",
         help="emit the P_n-scale rule (nodes on the limit curve)")
+    arg("--precision", type=int, default=30,
+        help="decimal digits printed (>= 30; default 30); the rule is built at "
+             "this many or at its precision schedule, whichever is more")
 
     arg = command("curve", _cmd_curve, "gamma, gamma1, gamma2 polylines as JSON")
     arg("--step-tolerance", type=float, default=1e-7)
@@ -271,6 +275,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         choices=list(oscillatory.AMPLITUDE_NAMES))
     arg("--amplitude-params",
         help='JSON object of amplitude parameters, e.g. {"scale": 2}')
+    arg("--precision", type=int, default=30,
+        help="working decimal digits of the evaluation, also printed (>= 30; default 30)")
 
     arg = command("fields", _cmd_fields, "diagnostic scalar field on a grid as JSON")
     arg("--which", default="ReD",
@@ -295,8 +301,6 @@ def main(argv=None) -> int:
                 return 4
             _apply_config(flags[args.command], config)
             args = parser.parse_args(argv)
-        if args.precision < 30:
-            raise ValueError("precision must be at least 30 decimal digits")
         text, code = args.handler(args)
     except OSError as exc:
         print(f"oscgauss: i/o failure: {exc}", file=sys.stderr)

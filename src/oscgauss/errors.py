@@ -48,10 +48,6 @@ class TraceDivergedError(ToolkitError):
     """Trajectory tracing exceeded its arc-length budget without terminating."""
 
 
-class RegionError(ToolkitError):
-    """Asymptotic formula evaluated outside its region of validity."""
-
-
 class OutsideDiskError(ToolkitError):
     """Conformal map / Airy formula evaluated outside the turning-point disk."""
 

@@ -249,8 +249,6 @@ def monic_coefficients(coeffs: RecurrenceCoefficients) -> list:
     with ctx.working():
         p_prev = [mp.mpc(1)]              # pi_0
         p = [-mp.mpmathify(coeffs.alpha[0]), mp.mpc(1)]  # pi_1
-        if coeffs.n == 0:
-            return []
         for k in range(1, coeffs.n):
             shifted = [mp.mpc(0)] + p
             scaled = [coeffs.alpha[k] * c for c in p] + [mp.mpc(0)]

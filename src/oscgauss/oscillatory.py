@@ -395,15 +395,11 @@ def convergence_report(f, n: int, r: int, omega_list) -> dict:
             "no slope can be fitted")
     lx = np.log10(np.array([omegas[i] for i in keep]))
     ly = np.log10(np.array([errors[i] for i in keep]))
-    slope, intercept = np.polyfit(lx, ly, 1)
+    slope = np.polyfit(lx, ly, 1)[0]
     return {
-        "n": n,
-        "r": r,
-        "omegas": omegas,
         "errors": errors,
         "oracle_estimates": estimates,
         "excluded": [i for i in range(len(omegas)) if i not in keep],
         "slope": float(slope),
-        "intercept": float(intercept),
         "expected_slope": -(2 * n + 1) / r,
     }

@@ -48,7 +48,7 @@ class PrecisionContext:
 
     def __post_init__(self):
         if self.decimal_digits < 30:
-            raise ValueError("decimal_digits must be >= 30")
+            raise ValueError("precision must be at least 30 decimal digits")
 
     def working(self):
         """Context manager setting mpmath to decimal_digits + GUARD_DIGITS."""

@@ -62,7 +62,7 @@ __all__ = [
     "trace_gamma", "trace_extension",
     "equilibrium_measure", "measure_quadrature", "curve_points_at_mass",
     "near_quadrature", "potential_quadrature", "g_quadrature_unwrapped",
-    "build_phase_context", "q_sqrt", "phi2", "phi1", "d_eval", "g_eval",
+    "build_phase_context", "q_sqrt", "phi2", "g_eval",
     "phi2_on_curve", "d_on_curve", "re_v", "phi2_path_integral",
     "verify_equilibrium", "sample_field_grid",
 ]
@@ -290,6 +290,7 @@ def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
     Steps also shrink geometrically towards z2 (the direction field is
     singular at both simple zeros); within 10*step_tolerance of z2 the
     trace stops and appends z2 exactly.  The arc budget is 10 |z2 - z1|.
+    The polyline carries no density or cdf: equilibrium_measure adds them.
     """
     def cap(z, arc):
         d_end = abs(z - Z2)
@@ -298,8 +299,7 @@ def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
     pts = _trace(Z1, -math.atan(2.0 * SQRT2) / 3.0, 1, step_tolerance, 10.0 * abs(Z2 - Z1), cap)
     points = np.array(pts + [Z2], dtype=complex)
     return CurvePolyline(kind="gamma", points=points, s=geometry.cumulative_arclength(points),
-                         density=np.abs(q_sqrt_chord(points)) / math.pi,
-                         cdf=np.full(len(points), float("nan")))
+                         density=None, cdf=None)
 
 
 def trace_extension(length: float = 2.5, step_tolerance: float = 1e-7) -> CurvePolyline:
@@ -493,18 +493,20 @@ def _require_off_cut(z: complex, curve: CurvePolyline) -> None:
         raise OnCutError(f"point {zc} within {res:.2g} of the cut (distance {dist:.2g})")
 
 
-def _curve_sign(z, phase: PhaseContext) -> int:
-    """Sign of the curve branch against the chord branch: -1 in the lens, +1 elsewhere.
-
-    Applies the on-cut guard first (OnCutError on the open arc).
-    """
-    _require_off_cut(z, phase.gamma)
-    return -1 if _in_lens(complex(z), phase.gamma) else 1
+def _curve_sign(z: complex, phase: PhaseContext) -> int:
+    """Curve branch over chord branch: -1 in the lens, +1 elsewhere (no on-cut guard)."""
+    return -1 if _in_lens(z, phase.gamma) else 1
 
 
 def q_sqrt(z, phase: PhaseContext):
     """Q^{1/2}(z) with branch cut along the traced gamma; ~ -i z^2/2 - 1/z at infinity."""
-    return _curve_sign(z, phase) * q_sqrt_chord(complex(z))
+    _require_off_cut(z, phase.gamma)
+    return _curve_sign(complex(z), phase) * q_sqrt_chord(complex(z))
+
+
+def _phi2_off_cut(z: complex, phase: PhaseContext) -> complex:
+    """Float phi2 at a z already known to lie off the cut."""
+    return complex(_phi2_from_w(z, _curve_sign(z, phase) * w_chord(z)))
 
 
 def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
@@ -515,10 +517,10 @@ def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
     on {Im z = 1, Re z < -sqrt 2} which is immaterial in e^{n phi2} and
     avoided by all built-in probe placements.
     """
-    sign = _curve_sign(z, phase)
+    _require_off_cut(z, phase.gamma)
     if ctx is None:
-        zc = complex(z)
-        return complex(_phi2_from_w(zc, sign * w_chord(zc)))
+        return _phi2_off_cut(complex(z), phase)
+    sign = _curve_sign(complex(z), phase)
     with ctx.working():
         zm = mp.mpmathify(z)
         z1m, z2m = _branch_points_mp()
@@ -526,16 +528,6 @@ def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
         val = -mp.mpc(0, 1) / 6 * zm * (zm + mp.mpc(0, 1)) * w \
             - mp.log(zm - mp.mpc(0, 1) + w) + mp.log(2) / 2
         return ctx.finalize(val)
-
-
-def phi1(z, phase: PhaseContext):
-    """phi1(z) = conj(phi2(-conj z)): the z1-anchored phase, phi1(z1) = 0."""
-    return complex(phi2(-complex(z).conjugate(), phase)).conjugate()
-
-
-def d_eval(z, phase: PhaseContext):
-    """D(z) = phi1(z)/(pi i); real on gamma, D(z2) = 1."""
-    return complex(phi1(z, phase)) / (math.pi * 1j)
 
 
 def g_eval(z, phase: PhaseContext):
@@ -555,12 +547,13 @@ def phi2_on_curve(z_on_gamma, side: int):
 
 
 def d_on_curve(z_on_gamma, side: int):
-    """Boundary value of D = phi1/(pi i) on gamma: +- the mass function.
+    """Boundary value on gamma of D = phi1/(pi i): +- the mass function.
 
-    The reflection z -> -conj(z) that defines phi1 preserves the
-    geometric upper/lower side of the symmetric curve, so the same side
-    is used for the phi2 boundary value; the limit from above (side=+1)
-    is + cdf, the one from below is - cdf.
+    Here phi1(z) = conj(phi2(-conj z)), the z1-anchored phase.  The
+    reflection z -> -conj(z) that defines phi1 preserves the geometric
+    upper/lower side of the symmetric curve, so the same side is used for
+    the phi2 boundary value; the limit from above (side=+1) is + cdf, the
+    one from below is - cdf.
     """
     return np.conj(phi2_on_curve(-np.conj(z_on_gamma), side)) / (math.pi * 1j)
 
@@ -778,8 +771,10 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
     """Evaluate a diagnostic field on a rectangular grid.
 
     which in {ReD, ImD, ReQ, ImQ, RePhi2}; grid_spec = (x0, x1, nx, y0, y1, ny).
-    Branch-dependent fields are not evaluated on cut-adjacent cells; those
-    entries are NaN and flagged in the returned mask.
+    D(z) = conj(phi2(-conj z))/(pi i) is real on gamma with D(z2) = 1.
+    Branch-dependent fields are not evaluated within 1.5 resolutions of the
+    cut (of its mirror image for D); those entries are NaN and flagged in
+    the returned mask, so the others lie beyond phi2's on-cut guard.
     """
     x0, x1, nx, y0, y1, ny = grid_spec
     xs = np.linspace(x0, x1, int(nx))
@@ -802,9 +797,10 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
                 geometry.nearest_on_polyline(zz, phase.gamma.points)[0] <= guard:
             mask[idx] = True
             continue
+        p = _phi2_off_cut(zz, phase)
         if which == "RePhi2":
-            V[idx] = phi2(z, phase).real
+            V[idx] = p.real
         else:
-            d = d_eval(z, phase)
+            d = p.conjugate() / (math.pi * 1j)
             V[idx] = d.real if which == "ReD" else d.imag
     return X, Y, V, mask

@@ -128,23 +128,27 @@ def curve_json_dict(curves: dict) -> dict:
 
 
 def curve_from_json_dict(doc: dict) -> CurvePolyline:
-    """Rebuild gamma from a curve_json_dict document (floats from strings).
+    """Rebuild gamma's vertices and arc length from a curve_json_dict document.
 
-    Raises ValueError for any other shape, null entries and ragged arrays included.
+    Reads only kind, points_re, points_im and arclength (floats from
+    strings); the measure annotations are left to equilibrium_measure.
+    Raises ValueError for any other shape, a field that is not a JSON array,
+    null entries and ragged arrays included.
     """
     try:
         d = doc["curves"]["gamma"]
-        kind, re, im, s = d["kind"], d["points_re"], d["points_im"], d["arclength"]
-        lengths = {k: len(v) for k, v in d.items() if isinstance(v, list)}
+        kind = d["kind"]
+        arrays = {k: d[k] for k in ("points_re", "points_im", "arclength")}
+        for k, v in arrays.items():
+            if not isinstance(v, list):
+                raise ValueError(f"curve field {k!r} is not a JSON array")
+        lengths = {k: len(v) for k, v in arrays.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"curve arrays differ in length: {lengths}")
-        pts = np.array([complex(float(a), float(b)) for a, b in zip(re, im)])
-        s = np.array([float(x) for x in s])
-        density = np.array([float(x) for x in d["density"]]) if "density" in d else None
-        cdf = np.array([float(x) for x in d["cdf"]]) if "cdf" in d else None
-        total = float(d["total_mass"]) if "total_mass" in d else float("nan")
+        pts = np.array([complex(float(a), float(b))
+                        for a, b in zip(arrays["points_re"], arrays["points_im"])])
+        s = np.array([float(x) for x in arrays["arclength"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a curve document with a well-formed curves['gamma'] "
                          f"({type(exc).__name__}: {exc})") from exc
-    return CurvePolyline(kind=kind, points=pts, s=s, density=density, cdf=cdf,
-                         total_mass=total)
+    return CurvePolyline(kind=kind, points=pts, s=s, density=None, cdf=None)

@@ -3,7 +3,10 @@
 Each criterion_* runner recomputes one advertised property of the toolkit
 from scratch and returns a plain report dict: named checks with the
 measured value, the bound it must satisfy, and a boolean verdict, plus
-wall-clock timing against the runner's budget.  The CLI's verify command
+wall-clock timing against the runner's budget.  A suite is declared once,
+by decorating its criterion with _suite(name, budget_seconds), which
+registers it under that name in definition order (SUITE_NAMES) and adds
+the report, the timing and the runtime check.  The CLI's verify command
 and the acceptance test suite both dispatch through run_suite, so the
 numbers a release is judged on are the numbers a user can reproduce with
 one shell command.
@@ -43,8 +46,6 @@ __all__ = [
     "criterion_end_to_end",
     "run_suite",
 ]
-
-SQRT2 = math.sqrt(2.0)
 
 # ---------------------------------------------------------------------------
 # Frozen probe sets
@@ -99,11 +100,6 @@ PHI2_PROBES = (
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def _new_report(name: str, budget_seconds: float) -> dict:
-    return {"name": name, "passed": True, "budget_seconds": budget_seconds,
-            "checks": {}}
-
-
 def _check(rep: dict, label: str, value, ok: bool, bound=None) -> None:
     entry = {"value": value, "ok": bool(ok)}
     if bound is not None:
@@ -112,26 +108,41 @@ def _check(rep: dict, label: str, value, ok: bool, bound=None) -> None:
     rep["passed"] = rep["passed"] and bool(ok)
 
 
-def _finish(rep: dict, t0: float) -> dict:
-    rep["elapsed_seconds"] = time.perf_counter() - t0
-    _check(rep, "runtime", rep["elapsed_seconds"],
-           rep["elapsed_seconds"] < rep["budget_seconds"],
-           bound=rep["budget_seconds"])
-    return rep
+_RUNNERS: dict = {}
+
+
+def _suite(name: str, budget_seconds: float):
+    """Register the decorated criterion, which fills the report it is handed,
+    as suite `name`: its runner takes no arguments and creates, times and
+    runtime-checks that report against budget_seconds."""
+    def register(criterion):
+        def runner() -> dict:
+            rep = {"name": name, "passed": True, "budget_seconds": budget_seconds,
+                   "checks": {}}
+            t0 = time.perf_counter()
+            criterion(rep)
+            rep["elapsed_seconds"] = time.perf_counter() - t0
+            _check(rep, "runtime", rep["elapsed_seconds"],
+                   rep["elapsed_seconds"] < budget_seconds, bound=budget_seconds)
+            return rep
+        runner.__name__ = runner.__qualname__ = criterion.__name__
+        runner.__doc__ = criterion.__doc__
+        _RUNNERS[name] = runner
+        return runner
+    return register
 
 
 # ---------------------------------------------------------------------------
 # 1. Curve existence
 # ---------------------------------------------------------------------------
 
-def criterion_curve() -> dict:
+@_suite("curve", budget_seconds=10.0)
+def criterion_curve(rep: dict) -> None:
     """Trajectory from z1 reaches z2; D is real on it; axis crossing in range."""
-    rep = _new_report("curve", budget_seconds=10.0)
-    t0 = time.perf_counter()
     phase = scurve.build_phase_context()
     pts = phase.gamma.points
 
-    theta0 = -math.atan(2.0 * SQRT2) / 3.0
+    theta0 = -math.atan(2.0 * scurve.SQRT2) / 3.0
     ang_dev = min(abs(a - theta0) for a in scurve.critical_angles("z1"))
     _check(rep, "seed_angle_is_critical", ang_dev, ang_dev <= 1e-12, bound=1e-12)
     tangent = np.angle(pts[1] - pts[0])
@@ -155,8 +166,7 @@ def criterion_curve() -> dict:
     # gamma is a graph over Re z (checked when it is traced)
     crossing = float(np.interp(0.0, pts.real, pts.imag))
     _check(rep, "imaginary_axis_crossing", crossing,
-           (1.0 - SQRT2) < crossing < 1.0, bound=[1.0 - SQRT2, 1.0])
-    return _finish(rep, t0)
+           (1.0 - scurve.SQRT2) < crossing < 1.0, bound=[1.0 - scurve.SQRT2, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +181,9 @@ def _endpoint_exponent(curve: scurve.CurvePolyline, end: str) -> float:
     return float(np.polyfit(np.log(t[keep]), np.log(d[keep]), 1)[0])
 
 
-def criterion_measure() -> dict:
+@_suite("measure", budget_seconds=60.0)
+def criterion_measure(rep: dict) -> None:
     """Probability mass, positivity, edge exponents, equilibrium + S-property."""
-    rep = _new_report("measure", budget_seconds=60.0)
-    t0 = time.perf_counter()
     phase = scurve.build_phase_context()
     curve = phase.gamma
 
@@ -202,17 +211,15 @@ def criterion_measure() -> dict:
     _check(rep, "s_property_order_min", eq["s_order_min"],
            eq["s_order_min"] >= 1.0, bound=1.0)
     rep["equilibrium"] = eq
-    return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
 # 3. Zero accumulation
 # ---------------------------------------------------------------------------
 
-def criterion_zeros() -> dict:
+@_suite("zeros", budget_seconds=300.0)
+def criterion_zeros(rep: dict) -> None:
     """Rescaled zeros approach gamma; counting measure approaches equilibrium."""
-    rep = _new_report("zeros", budget_seconds=300.0)
-    t0 = time.perf_counter()
     phase = scurve.build_phase_context()
 
     reports = [asym.zero_distribution_report(n, phase) for n in ZERO_DEGREES]
@@ -227,7 +234,6 @@ def criterion_zeros() -> dict:
            kss[-1] < kss[0] / 1.5, bound=kss[0] / 1.5)
     mirror = max(r["reflection_mismatch"] for r in reports)
     _check(rep, "reflection_symmetry", mirror, mirror <= 1e-8, bound=1e-8)
-    return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +256,9 @@ def _region_probes(phase: scurve.PhaseContext) -> dict:
     return probes
 
 
-def criterion_asymptotics() -> dict:
+@_suite("asymp", budget_seconds=300.0)
+def criterion_asymptotics(rep: dict) -> None:
     """Per-region error of the three formulas shrinks at empirical rate ~1/n."""
-    rep = _new_report("asymp", budget_seconds=300.0)
-    t0 = time.perf_counter()
     phase = scurve.build_phase_context()
 
     for region, probes in _region_probes(phase).items():
@@ -281,17 +286,15 @@ def criterion_asymptotics() -> dict:
     # |w - 1| for the winding number w of f around 0 (1 iff f is one-to-one)
     dev = abs(asym.boundary_winding() - 1.0)
     _check(rep, "conformal_f_winding", dev, dev <= 1e-9, bound=1e-9)
-    return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
 # 5. Oscillatory quadrature order
 # ---------------------------------------------------------------------------
 
-def criterion_quadrature_order() -> dict:
+@_suite("order", budget_seconds=360.0)
+def criterion_quadrature_order(rep: dict) -> None:
     """Stationary-point error slope vs omega matches -(2n+1)/r within 15%."""
-    rep = _new_report("order", budget_seconds=360.0)
-    t0 = time.perf_counter()
     omegas = list(np.geomspace(10.0, 1000.0, 9))
     f = oscillatory.amplitude("exp")
     per_case_budget = 120.0
@@ -311,7 +314,6 @@ def criterion_quadrature_order() -> dict:
         _check(rep, f"case_runtime_n{n}_r{r}", dt, dt < per_case_budget,
                bound=per_case_budget)
         _check(rep, f"points_used_n{n}_r{r}", len(case["errors"]), True)
-    return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +360,9 @@ def _max_rel_dev(xs, ys, ctx: PrecisionContext) -> float:
         return max(float(abs(x - y)) / max(1.0, float(abs(y))) for x, y in zip(xs, ys))
 
 
-def criterion_consistency() -> dict:
+@_suite("consistency", budget_seconds=300.0)
+def criterion_consistency(rep: dict) -> None:
     """Dual-route agreement: moments, phi2, recurrence, weights, det N, Airy identity."""
-    rep = _new_report("consistency", budget_seconds=300.0)
-    t0 = time.perf_counter()
     phase = scurve.build_phase_context()
     ctx = PrecisionContext(CONSISTENCY_DIGITS)
     bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
@@ -390,18 +391,17 @@ def criterion_consistency() -> dict:
     _check(rep, "phi2_path_estimate", worst_est, worst_est <= 1e-3 * bar,
            bound=1e-3 * bar)
 
-    moments = opq.moment_sequence(spec, 16, ctx)
     worst = 0.0
     for n in range(1, 9):
-        a = opq.monic_coefficients(opq.build_recurrence(moments, n))
-        b = opq.hankel_monic_coefficients(moments, n)
+        a = opq.monic_coefficients(opq.build_recurrence(closed, n))
+        b = opq.hankel_monic_coefficients(closed, n)
         worst = max(worst, _max_rel_dev(a, b, ctx))
     _check(rep, "recurrence_vs_hankel", worst, worst <= bar, bound=bar)
 
     worst = 0.0
     for n in range(1, 9):
         rule = opq.build_rule(n, spec, ctx)
-        vdm = _vandermonde_weights(rule.nodes, moments)
+        vdm = _vandermonde_weights(rule.nodes, closed)
         worst = max(worst, _max_rel_dev(rule.weights, vdm, ctx))
     _check(rep, "christoffel_vs_vandermonde", worst, worst <= bar, bound=bar)
 
@@ -410,17 +410,15 @@ def criterion_consistency() -> dict:
 
     worst = max(float(asym.airy_connection_residual(z)) for z in AIRY_ZETAS)
     _check(rep, "airy_connection_residual", worst, worst <= 1e-12, bound=1e-12)
-    return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
 # 7. End-to-end oscillatory integral
 # ---------------------------------------------------------------------------
 
-def criterion_end_to_end() -> dict:
+@_suite("endtoend", budget_seconds=300.0)
+def criterion_end_to_end(rep: dict) -> None:
     """evaluate_report() at omega=200, n=6 matches the real-interval oracle to 1e-8."""
-    rep = _new_report("endtoend", budget_seconds=300.0)
-    t0 = time.perf_counter()
     for name in ("constant", "exp"):
         spec = oscillatory.OscillatoryIntegralSpec(
             a=-1.0, b=1.0, omega=200.0, r=3,
@@ -435,22 +433,12 @@ def criterion_end_to_end() -> dict:
         # the oracle must resolve the gate 1e3 times over
         _check(rep, f"oracle_estimate_{name}", rel_est, rel_est <= 1e-11,
                bound=1e-11)
-    return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
 # Suite dispatch
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "curve": criterion_curve,
-    "measure": criterion_measure,
-    "zeros": criterion_zeros,
-    "asymp": criterion_asymptotics,
-    "order": criterion_quadrature_order,
-    "consistency": criterion_consistency,
-    "endtoend": criterion_end_to_end,
-}
 SUITE_NAMES = tuple(_RUNNERS)
 
 

@@ -2,7 +2,8 @@
 
 Each case runs `cli.main` in-process and compares stdout with the file of
 the same name in this directory.  Artifacts too large to commit are pinned
-by the SHA-256 of their stdout instead.  A change that alters one of these
+by the SHA-256 of their stdout instead; "{curve}" in such a command stands
+for the file that `curve --out` writes.  A change that alters one of these
 is an artifact change and has to be declared as such.
 """
 
@@ -37,6 +38,10 @@ CASES = {
 DIGESTS = {
     # the three traced polylines, 455 KB of JSON
     "curve": (["curve"], "82c66ac8e196bed64ec582d98cb37b7625a6c06e9d2552bcf099020b9711a75f"),
+    # the curve JSON of `curve --out` read back and annotated again; the
+    # same bytes as measure_samples50.csv
+    "measure_curve_json": (["measure", "--curve-json", "{curve}", "--samples", "50"],
+                           "1918043250a978adeee95c954f171336d22b9ff41798d21f0005cb6811af2eb9"),
 }
 
 
@@ -47,7 +52,11 @@ def test_cli_output_matches_golden_file(name, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_cli_output_matches_golden_digest(name, capsys):
+def test_cli_output_matches_golden_digest(name, capsys, tmp_path):
     argv, digest = DIGESTS[name]
+    if "{curve}" in argv:
+        curve = str(tmp_path / "curve.json")
+        assert cli.main(["curve", "--out", curve]) == 0
+        argv = [curve if a == "{curve}" else a for a in argv]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

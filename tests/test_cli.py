@@ -197,6 +197,10 @@ def test_exit_code_construction_failure(tmp_path, capsys):
     doc = json.loads((tmp_path / "curve.json").read_text())
     doc["curves"]["gamma"]["points_re"][3] = None
     (tmp_path / "null.json").write_text(json.dumps(doc))
+    # a string as long as the array it replaces
+    doc = json.loads((tmp_path / "curve.json").read_text())
+    doc["curves"]["gamma"]["points_re"] = "0" * len(doc["curves"]["gamma"]["points_im"])
+    (tmp_path / "string.json").write_text(json.dumps(doc))
     for argv in (("curve", "--precision", "10"),
                  ("measure", "--curve-json", str(tmp_path / "empty.json")),
                  ("measure", "--curve-json", str(tmp_path / "list.json")),
@@ -208,6 +212,12 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("measure", "--curve-json", str(tmp_path / "short.json")),
                  ("measure", "--curve-json", str(tmp_path / "scalar.json")),
                  ("measure", "--curve-json", str(tmp_path / "null.json")),
+                 ("measure", "--curve-json", str(tmp_path / "string.json")),
+                 # --precision is a flag of moments, opq and quad only
+                 ("measure", "--samples", "2", "--precision", "40"),
+                 ("fields", "--grid=-1,1,2,-1,1,2", "--precision", "40"),
+                 # below 30 digits, though the opq schedule never goes below 60
+                 ("opq", "--n", "3", "--precision", "10"),
                  # counts below their minimum
                  ("moments", "--kmax", "-1"),
                  ("measure", "--samples", "0"),
@@ -220,6 +230,8 @@ def test_exit_code_construction_failure(tmp_path, capsys):
         assert code == 3 and len(err.splitlines()) == 1, (argv, err)
         assert out == "", argv
     assert "n must be >= 1" in run_main(capsys, "opq", "--n", "0")[2]
+    assert "points_re" in run_main(capsys, "measure", "--curve-json",
+                                   str(tmp_path / "string.json"))[2]
     # help is not a usage error
     with pytest.raises(SystemExit) as exc:
         cli.main(["moments", "-h"])

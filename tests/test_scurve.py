@@ -225,9 +225,11 @@ def test_boundary_values_give_ell_tilde(phase):
 
 
 def test_phi1_phi2_offset_is_pi_i(phase):
+    # phi1(z) = conj(phi2(-conj z)), the z1-anchored phase
     for z, sign in ((0.3 + 2.0j, 1), (2.2j, 1), (-2.0 + 3.0j, 1),
                     (-1.8j, -1), (2.0 - 2.0j, -1)):
-        diff = complex(scurve.phi1(z, phase)) - complex(scurve.phi2(z, phase))
+        phi1 = complex(scurve.phi2(-z.conjugate(), phase)).conjugate()
+        diff = phi1 - complex(scurve.phi2(z, phase))
         assert abs(diff - sign * math.pi * 1j) <= 1e-10
 
 
@@ -323,8 +325,8 @@ def test_sample_field_grid_masks_near_cut(phase):
 
 def test_sample_field_grid_projection_count(phase, monkeypatch):
     # only cells within the grid's guard distance of the bounding box of
-    # gamma are projected for that guard, and phi2's on-cut guard projects
-    # again only the cells within the resolution of the box (18 in all)
+    # gamma are projected, once each: the cells that guard keeps are
+    # evaluated without phi2's own on-cut guard (9 in all)
     from oscgauss import geometry
     calls = []
     nearest = geometry.nearest_on_polyline
@@ -335,7 +337,7 @@ def test_sample_field_grid_projection_count(phase, monkeypatch):
 
     monkeypatch.setattr(geometry, "nearest_on_polyline", counting)
     scurve.sample_field_grid("RePhi2", (-3, 3, 21, -3, 3, 21), phase)
-    assert len(calls) <= 30   # 441 cells
+    assert len(calls) <= 9   # 441 cells
 
 
 def test_sample_field_grid_rejects_unknown(phase):

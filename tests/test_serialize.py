@@ -62,6 +62,11 @@ def test_curve_json_round_trip(phase):
     # only the {"curves": {name: ...}} document is read back
     with pytest.raises(ValueError):
         serialize.curve_from_json_dict(json.loads(text)["curves"]["gamma"])
+    # a string is not a coordinate array, though it has a length
+    doc = json.loads(text)
+    doc["curves"]["gamma"]["points_re"] = "0" * len(pts_a)
+    with pytest.raises(ValueError, match="points_re"):
+        serialize.curve_from_json_dict(doc)
 
 
 def test_measure_csv_requires_annotation(phase):

@@ -1,7 +1,8 @@
 """Every module of the package compiles with warnings raised as errors,
 every name it exports in __all__ exists, no module calls mpmath's adaptive
 quadrature, every optional parameter of a public function is set by some
-library or benchmark call, and every library name the benchmark tracer
+library or benchmark call, every public function is referred to by some
+library or benchmark code, and every library name the benchmark tracer
 rebinds or the benchmark workloads call exists."""
 
 import ast
@@ -93,6 +94,43 @@ def test_every_optional_parameter_has_a_caller():
         # harness stays fixed while the library changes under it
         "oscillatory.laguerre_rule.ctx",
     }
+
+
+def _references(tree, skip=None) -> set:
+    """Names a module refers to, by name or as an attribute, outside the
+    body of its top-level function `skip`."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == skip:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    # A public function that no library code or benchmark refers to is
+    # reached only from tests: it is promoted into a verification check or
+    # deleted.  Tests do not count as callers; a decorated function counts
+    # as reached, because its decorator registers it.
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    bench = set().union(*(_references(ast.parse(path.read_text()))
+                          for path in sorted(PERFBENCH.glob("*.py"))))
+    unreached = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_") \
+                    or node.decorator_list:
+                continue
+            if node.name in bench or any(
+                    node.name in _references(other, node.name if name == stem else None)
+                    for name, other in trees.items()):
+                continue
+            unreached.append(f"{stem}.{node.name}")
+    assert unreached == []
 
 
 def _tracing():
