@@ -16,11 +16,11 @@ Three closed-form approximations, each tied to a region of the plane:
   P_n(z) = (-1)^n conj(P_n(-conj z)).
 
 ``pn_asymptotic`` classifies a point once and evaluates the matching
-formula without repeating that region's test.  The only contour data the
-parametrices read is the traced arc (for the lens side of ``beta``); f is
-fixed by Q alone.  All three formulas can be checked against exact
-recurrence evaluation at scheduled precision (``exact_pn``); the observed
-convergence rate is O(1/n).
+formula without repeating that region's test.  Only the classification
+reads the traced arc (the band is a tube around it); the parametrices,
+the lens side of ``beta`` and f are fixed by Q alone.  All three formulas
+can be checked against exact recurrence evaluation at scheduled precision
+(``exact_pn``); the observed convergence rate is O(1/n).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _q4(w):
 # Global parametrix
 # ---------------------------------------------------------------------------
 
-def beta(z: complex, phase: PhaseContext) -> complex:
+def beta(z: complex) -> complex:
     """beta(z) = ((z - z2)/(z - z1))^{1/4} with its cut moved onto the arc.
 
     The principal fourth root of the Moebius ratio is discontinuous across
@@ -96,7 +96,7 @@ def beta(z: complex, phase: PhaseContext) -> complex:
     """
     z = complex(z)
     b = complex(_q4((z - Z2) / (z - Z1)))
-    if _in_lens(z, phase.gamma):
+    if _in_lens(z):
         b *= 1j
     return ensure_finite(b, "beta")
 
@@ -106,10 +106,10 @@ def _n_entries(b: complex) -> tuple[complex, complex]:
     return (b + 1 / b) / 2, (b - 1 / b) / 2j
 
 
-def n_matrix(z: complex, phase: PhaseContext) -> np.ndarray:
+def n_matrix(z: complex) -> np.ndarray:
     """2x2 global parametrix [[n11, n12], [-n12, n11]]; det = n11^2 + n12^2 = 1."""
-    _require_off_cut(z, phase.gamma)
-    n11, n12 = _n_entries(beta(z, phase))
+    _require_off_cut(z)
+    n11, n12 = _n_entries(beta(z))
     return np.array([[n11, n12], [-n12, n11]], dtype=complex)
 
 
@@ -169,14 +169,14 @@ def _v_half_minus_l(z: complex, n: int) -> complex:
     return n * (v / 2 - L_CONST)
 
 
-def pn_outer(n: int, z: complex, phase: PhaseContext) -> complex:
+def pn_outer(n: int, z: complex) -> complex:
     """Leading outer asymptotics e^{n g(z)} (beta + 1/beta)/2.
 
     g_eval runs first: it applies the on-cut guard (OnCutError).
     """
     z = complex(z)
-    gv = g_eval(z, phase)
-    n11, _ = _n_entries(beta(z, phase))
+    gv = g_eval(z)
+    n11, _ = _n_entries(beta(z))
     return ensure_finite(np.exp(n * gv) * n11, "pn_outer")
 
 
@@ -196,7 +196,7 @@ def _band(n: int, z: complex) -> complex:
     return ensure_finite(val, "band formula")
 
 
-def pn_airy(n: int, z: complex, phase: PhaseContext) -> complex:
+def pn_airy(n: int, z: complex) -> complex:
     """Airy-type formula in the endpoint disks.
 
     In the right disk,
@@ -209,13 +209,13 @@ def pn_airy(n: int, z: complex, phase: PhaseContext) -> complex:
     """
     z = complex(z)
     if abs(z - Z2) > AIRY_RADIUS and abs(z - Z1) <= AIRY_RADIUS:
-        return (-1) ** n * np.conj(pn_airy(n, -np.conj(z), phase))
+        return (-1) ** n * np.conj(pn_airy(n, -np.conj(z)))
     f = conformal_f(z)
     # f is real negative exactly on the arc, so the cut of the principal
     # f^{1/4} falls on the arc with f^{1/4}_+ = i f^{1/4}_-, the jump of
     # beta: f^{1/4}/beta and beta/f^{1/4} are continuous across the arc.
     f14 = complex(_q4(f))
-    b = beta(z, phase)
+    b = beta(z)
     ai, aip, _, _ = scipy.special.airy(n ** (2.0 / 3.0) * f)
     val = (np.sqrt(np.pi) * np.exp(_v_half_minus_l(z, n))
            * (n ** (1.0 / 6.0) * f14 / b * ai
@@ -227,10 +227,10 @@ def pn_asymptotic(n: int, z: complex, phase: PhaseContext) -> tuple[str, complex
     """Classify z once and evaluate the matching formula; returns (region, value)."""
     region = region_classify(z, phase)
     if region in ("disk1", "disk2"):
-        return region, pn_airy(n, z, phase)
+        return region, pn_airy(n, z)
     if region == "band":
         return region, _band(n, complex(z))
-    return region, pn_outer(n, z, phase)
+    return region, pn_outer(n, z)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,8 @@ def pn_relative_error(n: int, z: complex, phase: PhaseContext) -> tuple[str, flo
 
     A formula value past the float range has already raised NonFiniteError.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     region, approx = pn_asymptotic(n, z, phase)
     exact = exact_pn(n, z)
     return region, float(abs(mp.mpc(approx) - exact) / abs(exact))

@@ -166,6 +166,8 @@ def _cmd_fields(args):
             float(raw[3]), float(raw[4]), int(raw[5]))
     if grid[2] < 1 or grid[5] < 1:
         raise ValueError("grid point counts nx and ny must be >= 1")
+    if not np.all(np.isfinite([grid[0], grid[1], grid[3], grid[4]])):
+        raise ValueError("grid bounds x0, x1, y0 and y1 must be finite")
     X, Y, V, mask = scurve.sample_field_grid(args.which, grid,
                                              scurve.build_phase_context())
     doc = {

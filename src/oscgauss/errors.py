@@ -18,7 +18,7 @@ class PoleError(ToolkitError):
 
 
 class OnCutError(ToolkitError):
-    """Branch evaluation requested on (or too close to) the cut polyline."""
+    """Branch evaluation requested on (or too close to) the cut gamma."""
 
 
 class DegenerateFunctionalError(ToolkitError):

@@ -24,10 +24,10 @@ Two square-root branches are in play and kept strictly separate:
 * the *chord branch* w_p (principal factor product, cut on the straight
   chord between z1 and z2) is analytic in a strip around the open arc and
   is what the tracer and all on-curve evaluations use;
-* the *curve branch* R = sign * w_p, cut along the traced gamma itself,
-  defines q_sqrt, phi2 and g off the curve.  The two branches differ only
-  in the lens between gamma and the chord, so sign is -1 there and +1
-  elsewhere (_in_lens below; gamma is a graph over Re z).
+* the *curve branch* R = sign * w_p, cut along gamma itself, defines
+  q_sqrt, phi2 and g off the curve.  The two branches differ only in the
+  lens between gamma and the chord, so sign is -1 there and +1 elsewhere;
+  _in_lens and the on-cut guard decide from Q alone, not the polyline.
 
 The lens lies above gamma, so on gamma the curve branch has the fixed
 boundary values -w_p from above and +w_p from below: one-sided limits
@@ -77,6 +77,7 @@ ELL = 2.0 * L_CONST                          # equilibrium constant on gamma
 ELL_TILDE = 0.0                              # Im(V - g_+ - g_-) on gamma
 
 _BASE_STEP = 2e-3       # largest tracing step, away from the endpoints
+_GAMMA_IM_MIN = 0.637   # below gamma's lowest point, Im 0.63716 at Re z = 0
 # composite Gauss-Legendre layout of the measure quadratures, in the mass variable
 _MID_CELLS = 220        # cells per unit mass between the two end windows
 _END_WINDOW = 0.08      # mass of each endpoint window, as a fraction of the total
@@ -140,8 +141,8 @@ class CurvePolyline:
 class PhaseContext:
     """The traced contour: gamma (the cut of the curve branch) and its extensions.
 
-    Everything else the phase and g evaluators need is fixed by Q and lives
-    in module constants (L_CONST, ELL, ELL_TILDE) and in the lens rule.
+    Only geometry reads it (the equilibrium check, grid masks, region
+    tubes): the phase and g evaluators are fixed by Q alone.
     """
 
     gamma: CurvePolyline
@@ -467,49 +468,47 @@ def _branch_points_mp():
     return -s + mp.mpc(0, 1), s + mp.mpc(0, 1)
 
 
-def _in_lens(z: complex, curve: CurvePolyline) -> bool:
+def _in_lens(z: complex) -> bool:
     """True iff z lies strictly between gamma and the chord Im z = 1.
 
-    gamma is a graph over Re z (checked by build_phase_context), so the
-    lens is |Re z| < sqrt 2, gamma(Re z) < Im z < 1.  The principal product
-    sqrt(z - z1) sqrt(z - z2) has its cut on the chord and takes the limit
-    from above there, so points on the chord count as outside.
+    Re phi2_chord vanishes on gamma, is positive above it up to the chord
+    and negative below it down to Im z ~ -2.2 (hence the lower bound).  On
+    its cut, the chord, the chord branch takes the limit from above: outside.
     """
-    x, y = z.real, z.imag
-    pts = curve.points
-    return abs(x) < SQRT2 and y < 1.0 and y > float(np.interp(x, pts.real, pts.imag))
+    return abs(z.real) < SQRT2 and 1.0 - SQRT2 < z.imag < 1.0 and phi2_chord(z).real > 0
 
 
-def _require_off_cut(z: complex, curve: CurvePolyline) -> None:
+def _require_off_cut(z: complex) -> None:
+    """OnCutError within _BASE_STEP of the open arc gamma, nearer its interior
+    than either endpoint (a branch *point* may be approached from outside).
+
+    The distance is |z - p| >= the true one for the Newton projection p onto
+    Re phi2_chord = 0 on gamma: Im p <= 1 and Im phi2_chord(p) in (0, pi)
+    (mass in (0, 1)), which the other trajectories through z1, z2 fail.
+    """
     zc = complex(z)
-    res = max(curve.resolution, 1e-13)
-    if not curve.near_box(zc, res):
+    if not (abs(zc.real) <= SQRT2 + _BASE_STEP
+            and _GAMMA_IM_MIN - _BASE_STEP <= zc.imag <= 1.0 + _BASE_STEP):
         return
-    dist = geometry.nearest_on_polyline(zc, curve.points)[0]
-    # Approaching a branch *point* from outside the arc is fine (the cut is
-    # the open arc); forbid only points nearest to the cut interior.
-    d_ends = min(abs(zc - complex(curve.points[0])), abs(zc - complex(curve.points[-1])))
-    if dist <= res and d_ends > dist * (1.0 + 1e-9):
-        raise OnCutError(f"point {zc} within {res:.2g} of the cut (distance {dist:.2g})")
+    p = _project(zc, 1)
+    dist = abs(zc - p)
+    if p.imag <= 1.0 and 0.0 < phi2_chord(p).imag < math.pi and dist <= _BASE_STEP \
+            and min(abs(zc - Z1), abs(zc - Z2)) > dist * (1.0 + 1e-9):
+        raise OnCutError(f"point {zc} within {_BASE_STEP:.2g} of the cut (distance {dist:.2g})")
 
 
-def _curve_sign(z: complex, phase: PhaseContext) -> int:
-    """Curve branch over chord branch: -1 in the lens, +1 elsewhere (no on-cut guard)."""
-    return -1 if _in_lens(z, phase.gamma) else 1
+def q_sqrt(z):
+    """Q^{1/2}(z) with branch cut along gamma; ~ -i z^2/2 - 1/z at infinity."""
+    _require_off_cut(z)
+    return (-1 if _in_lens(complex(z)) else 1) * q_sqrt_chord(complex(z))
 
 
-def q_sqrt(z, phase: PhaseContext):
-    """Q^{1/2}(z) with branch cut along the traced gamma; ~ -i z^2/2 - 1/z at infinity."""
-    _require_off_cut(z, phase.gamma)
-    return _curve_sign(complex(z), phase) * q_sqrt_chord(complex(z))
-
-
-def _phi2_off_cut(z: complex, phase: PhaseContext) -> complex:
+def _phi2_off_cut(z: complex) -> complex:
     """Float phi2 at a z already known to lie off the cut."""
-    return complex(_phi2_from_w(z, _curve_sign(z, phase) * w_chord(z)))
+    return complex(_phi2_from_w(z, (-1 if _in_lens(z) else 1) * w_chord(z)))
 
 
-def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
+def phi2(z, ctx: PrecisionContext | None = None):
     """Explicit phi2 with the curve-branch square root (cut along gamma).
 
     Float arithmetic, or mpmath at ctx when given.  Normalized so
@@ -517,10 +516,10 @@ def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
     on {Im z = 1, Re z < -sqrt 2} which is immaterial in e^{n phi2} and
     avoided by all built-in probe placements.
     """
-    _require_off_cut(z, phase.gamma)
+    _require_off_cut(z)
     if ctx is None:
-        return _phi2_off_cut(complex(z), phase)
-    sign = _curve_sign(complex(z), phase)
+        return _phi2_off_cut(complex(z))
+    sign = -1 if _in_lens(complex(z)) else 1
     with ctx.working():
         zm = mp.mpmathify(z)
         z1m, z2m = _branch_points_mp()
@@ -530,10 +529,10 @@ def phi2(z, phase: PhaseContext, ctx: PrecisionContext | None = None):
         return ctx.finalize(val)
 
 
-def g_eval(z, phase: PhaseContext):
+def g_eval(z):
     """g(z) = V/2 - phi2 - l with V = -i z^3/3; behaves like log z at infinity."""
     zc = complex(z)
-    return -1j * zc ** 3 / 6.0 - phi2(zc, phase) - L_CONST
+    return -1j * zc ** 3 / 6.0 - phi2(zc) - L_CONST
 
 
 def phi2_on_curve(z_on_gamma, side: int):
@@ -568,8 +567,12 @@ def build_phase_context(step_tolerance: float = 1e-7,
     """Trace gamma and gamma2, mirror gamma2 into gamma1, and freeze the three.
 
     Memoised per process: the same (step_tolerance, extension_length)
-    returns the same frozen PhaseContext.
+    returns the same frozen PhaseContext.  Settings not finite and > 0
+    raise ValueError before any tracing.
     """
+    for name, val in (("step_tolerance", step_tolerance), ("extension_length", extension_length)):
+        if not (math.isfinite(val) and val > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {val!r}")
     return _build_phase_context(step_tolerance, extension_length)
 
 
@@ -611,7 +614,7 @@ def _panel_cuts(t0, t1, step) -> list:
     return cuts
 
 
-def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionContext):
+def phi2_path_integral(target, waypoints, ctx: PrecisionContext):
     """(phi2(target), error_estimate) by integrating Q^{1/2} from z2 along segments.
 
     The independent oracle for the closed-form phi2.  `waypoints` are the
@@ -620,9 +623,9 @@ def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionCon
     along the path: R = sign * sqrt(z - z1) sqrt(z - z2) (principal
     factors), whose product jumps only across the open chord Im z = 1,
     |Re z| < sqrt 2, so sign flips at every crossing of it.  The starting
-    sign is read once from the curve branch (q_sqrt) at the first segment's
-    midpoint; that is all the oracle shares with phi2.  A path that crosses
-    gamma therefore continues onto the other sheet and disagrees with phi2.
+    sign is read once from the curve branch (q_sqrt, its lens rule and
+    on-cut guard) at the first segment's midpoint: all it shares with phi2.
+    A path that crosses gamma continues onto the other sheet and disagrees.
 
     The first segment, leaving z2, is integrated in u with z = z2 + u^2 (b -
     z2), which removes the square-root singularity at z2.  Every piece gets
@@ -639,7 +642,7 @@ def phi2_path_integral(target, waypoints, phase: PhaseContext, ctx: PrecisionCon
     # outside the chord, so the first segment never crosses the open chord
     mid = (path[0] + path[1]) / 2
     # both vanish only at the double zero -i, which lies outside the lens
-    sign = -1 if (q_sqrt(mid, phase) * q_sqrt_chord(mid).conjugate()).real < 0 else 1
+    sign = -1 if (q_sqrt(mid) * q_sqrt_chord(mid).conjugate()).real < 0 else 1
     with ctx.working():
         z1, z2 = _branch_points_mp()
         i = mp.mpc(0, 1)
@@ -797,7 +800,7 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
                 geometry.nearest_on_polyline(zz, phase.gamma.points)[0] <= guard:
             mask[idx] = True
             continue
-        p = _phi2_off_cut(zz, phase)
+        p = _phi2_off_cut(zz)
         if which == "RePhi2":
             V[idx] = p.real
         else:

@@ -363,7 +363,6 @@ def _max_rel_dev(xs, ys, ctx: PrecisionContext) -> float:
 @_suite("consistency", budget_seconds=300.0)
 def criterion_consistency(rep: dict) -> None:
     """Dual-route agreement: moments, phi2, recurrence, weights, det N, Airy identity."""
-    phase = scurve.build_phase_context()
     ctx = PrecisionContext(CONSISTENCY_DIGITS)
     bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
 
@@ -381,8 +380,8 @@ def criterion_consistency(rep: dict) -> None:
 
     worst = worst_est = 0.0
     for target, waypoints in PHI2_PROBES:
-        direct = scurve.phi2(target, phase, ctx)
-        path, est = scurve.phi2_path_integral(target, waypoints, phase, ctx)
+        direct = scurve.phi2(target, ctx)
+        path, est = scurve.phi2_path_integral(target, waypoints, ctx)
         with ctx.working():
             dev = float(abs(direct - path) / max(1, abs(path)))
             worst_est = max(worst_est, float(est / max(1, abs(path))))
@@ -405,7 +404,7 @@ def criterion_consistency(rep: dict) -> None:
         worst = max(worst, _max_rel_dev(rule.weights, vdm, ctx))
     _check(rep, "christoffel_vs_vandermonde", worst, worst <= bar, bound=bar)
 
-    worst = max(abs(np.linalg.det(asym.n_matrix(z, phase)) - 1.0) for z in DETN_PROBES)
+    worst = max(abs(np.linalg.det(asym.n_matrix(z)) - 1.0) for z in DETN_PROBES)
     _check(rep, "det_N_minus_one", float(worst), worst <= 1e-12, bound=1e-12)
 
     worst = max(float(asym.airy_connection_residual(z)) for z in AIRY_ZETAS)

@@ -14,12 +14,12 @@ from oscgauss.precision import PrecisionContext
 SQRT2 = math.sqrt(2.0)
 
 
-def test_global_parametrix_det_and_infinity(phase):
+def test_global_parametrix_det_and_infinity():
     for z in (3 + 4j, -0.5 - 1.5j, -3 + 0.2j):
-        det = np.linalg.det(asym.n_matrix(z, phase))
+        det = np.linalg.det(asym.n_matrix(z))
         assert abs(det - 1.0) <= 1e-12
     # N -> I at infinity
-    far = asym.n_matrix(1e6 + 1e6j, phase)
+    far = asym.n_matrix(1e6 + 1e6j)
     assert np.max(np.abs(far - np.eye(2))) <= 1e-5
 
 
@@ -30,11 +30,11 @@ def test_beta_jump_ratio_is_i(phase):
     nrm = q.conjugate() / abs(q)
 
     def ratio(h):
-        return asym.beta(z + h * nrm, phase) / asym.beta(z - h * nrm, phase)
+        return asym.beta(z + h * nrm) / asym.beta(z - h * nrm)
 
     # offsets must clear the on-cut guard; the O(h) drift is removed by
     # one Richardson step, leaving the boundary-value ratio itself
-    h = 4.0 * phase.gamma.resolution
+    h = 4.0 * scurve._BASE_STEP
     extrapolated = 2.0 * ratio(h / 2.0) - ratio(h)
     assert abs(extrapolated - 1j) <= 5e-3
 
@@ -44,15 +44,15 @@ def test_beta_on_cut_raises(phase):
     # parametrix and the outer formula built on it refuse the cut
     mid = complex(phase.gamma.points[len(phase.gamma) // 2])
     with pytest.raises(OnCutError):
-        asym.n_matrix(mid, phase)
+        asym.n_matrix(mid)
     with pytest.raises(OnCutError):
-        asym.pn_outer(20, mid, phase)
+        asym.pn_outer(20, mid)
 
 
 def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
-    # projections onto the arc: outer and band = classification only (the
-    # curve-branch on-cut guard returns on the bounding box of gamma, and the
-    # band formula does not repeat the tube check), disks = none
+    # projections onto the polyline: outer and band = classification only
+    # (the on-cut guard reads Q alone, and the band formula does not repeat
+    # the tube check), disks = none
     calls = []
     nearest = geometry.nearest_on_polyline
 
@@ -102,12 +102,12 @@ def test_conformal_map_winding():
     assert asym.boundary_winding() == 1
 
 
-def test_outside_disk_raises(phase):
+def test_outside_disk_raises():
     with pytest.raises(OutsideDiskError):
         asym.conformal_f(scurve.Z2 + 0.7)
     # a point in neither endpoint disk
     with pytest.raises(OutsideDiskError):
-        asym.pn_airy(20, 3 + 4j, phase)
+        asym.pn_airy(20, 3 + 4j)
 
 
 def test_region_classification(phase):
@@ -145,11 +145,11 @@ def test_airy_formula_accuracy_both_disks(phase):
             assert err <= 5e-3
 
 
-def test_disk1_reflection_consistency(phase):
+def test_disk1_reflection_consistency():
     # the P_n symmetry P_n(z) = (-1)^n conj(P_n(-conj(z))) carries disk2 to disk1
     z = scurve.Z1 + 0.2 * np.exp(2.5j)
-    a = asym.pn_airy(21, z, phase)
-    b = (-1) ** 21 * np.conj(asym.pn_airy(21, -np.conj(z), phase))
+    a = asym.pn_airy(21, z)
+    b = (-1) ** 21 * np.conj(asym.pn_airy(21, -np.conj(z)))
     assert abs(a - b) <= 1e-12 * abs(a)
 
 

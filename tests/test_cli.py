@@ -223,6 +223,16 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("measure", "--samples", "0"),
                  ("measure", "--samples", "1"),
                  ("opq", "--n", "0"),
+                 # degenerate tracing settings, refused before any tracing
+                 ("curve", "--extension-length", "0"),
+                 ("curve", "--extension-length", "-1"),
+                 ("curve", "--extension-length", "inf"),
+                 ("curve", "--step-tolerance", "nan"),
+                 ("curve", "--step-tolerance", "0"),
+                 ("measure", "--step-tolerance", "-1e-7"),
+                 # a non-finite grid bound
+                 ("fields", "--which", "RePhi2", "--grid", "nan,1,2,0,1,2"),
+                 ("fields", "--grid=-1,inf,2,-1,1,2"),
                  # usage errors: a malformed value and an unknown flag
                  ("moments", "--kmax", "abc"),
                  ("moments", "--no-such-flag")):
@@ -241,7 +251,7 @@ def test_exit_code_construction_failure(tmp_path, capsys):
 def test_exit_code_explicit_zero_is_not_replaced_by_default():
     # only an unset count takes the default; 0 reaches the library and fails
     for argv in (("quad", "--n", "0"), ("quad", "--n-endpoint", "0"),
-                 ("asymp", "--n", "0")):
+                 ("asymp", "--n", "0"), ("asymp", "--n", "-3")):
         proc = run_failing(*argv)
         assert proc.returncode == 3, (argv, proc.stdout)
         assert "n must be >= 1" in proc.stderr

@@ -67,29 +67,39 @@ def test_cached_contour_arrays_are_read_only(phase):
 
 
 def test_lens_predicate_fixed_points(phase):
-    gamma = phase.gamma
-    assert scurve._in_lens(0.8j, gamma)                 # gamma dips to Im 0.637
-    assert scurve._in_lens(-1.0 + 0.95j, gamma)
-    assert not scurve._in_lens(0.5j, gamma)             # below gamma
-    assert not scurve._in_lens(0.3 + 1.2j, gamma)       # above the chord
-    assert not scurve._in_lens(-2.0 + 0.9j, gamma)      # left of z1
-    assert not scurve._in_lens(2.0 + 0.9j, gamma)       # right of z2
+    assert scurve._in_lens(0.8j)                 # gamma dips to Im 0.637
+    assert scurve._in_lens(-1.0 + 0.95j)
+    assert not scurve._in_lens(0.5j)             # below gamma
+    assert not scurve._in_lens(0.3 + 1.2j)       # above the chord
+    assert not scurve._in_lens(-2.0 + 0.9j)      # left of z1
+    assert not scurve._in_lens(2.0 + 0.9j)       # right of z2
+    assert not scurve._in_lens(-2.5j)            # Re phi2_chord > 0 again
     # the curve branch is minus the chord branch exactly inside the lens
     for z in (0.8j, -1.0 + 0.95j, 0.5j, 0.3 + 1.2j, -2.0 + 0.9j, 2.0 + 0.9j):
-        sign = -1 if scurve._in_lens(z, gamma) else 1
-        assert scurve.q_sqrt(z, phase) == sign * scurve.q_sqrt_chord(z)
+        sign = -1 if scurve._in_lens(z) else 1
+        assert scurve.q_sqrt(z) == sign * scurve.q_sqrt_chord(z)
+    # the rule reads Q alone; the reference reads the traced polyline, a
+    # graph over Re z: strictly between gamma and the chord
+    pts = phase.gamma.points
+    xs = np.linspace(-SQRT2 - 0.1, SQRT2 + 0.1, 121)
+    ys = np.linspace(1 - SQRT2 - 0.1, 1.1, 121)
+    X, Y = np.meshgrid(xs, ys)
+    reference = (np.abs(X) < SQRT2) & (Y < 1) & (Y > np.interp(X, pts.real, pts.imag))
+    lens = np.vectorize(lambda x, y: scurve._in_lens(complex(x, y)))(X, Y)
+    assert reference.any()
+    assert np.array_equal(lens, reference)
 
 
 @pytest.mark.parametrize("x", [-2.5, -1.0, 0.0, 0.7, 1.3, 2.0])
-def test_q_sqrt_continuous_across_the_chord_row(phase, x):
+def test_q_sqrt_continuous_across_the_chord_row(x):
     # Im z = 1 is the principal cut of the chord branch, not of the curve
     # branch: inside and outside |Re z| < sqrt 2 the probe on the row agrees
     # with its neighbours just above and below.
     z = complex(x, 1.0)
-    assert not scurve._in_lens(z, phase.gamma)
-    val = scurve.q_sqrt(z, phase)
+    assert not scurve._in_lens(z)
+    val = scurve.q_sqrt(z)
     for dz in (1e-9j, -1e-9j):
-        assert abs(scurve.q_sqrt(z + dz, phase) - val) <= 1e-8
+        assert abs(scurve.q_sqrt(z + dz) - val) <= 1e-8
     assert abs(val ** 2 - scurve.q_eval(z)) <= 1e-12 * max(1.0, abs(val) ** 2)
 
 
@@ -172,16 +182,34 @@ def test_q_sqrt_squares_to_q(phase):
         d = scurve.geometry.nearest_on_polyline(z, phase.gamma.points)[0]
         if d < 0.05 or abs(z + 1j) < 0.05:
             continue
-        w = scurve.q_sqrt(z, phase)
+        w = scurve.q_sqrt(z)
         q = scurve.q_eval(z)
         assert abs(w * w - q) <= 1e-10 * max(1.0, abs(q))
         count += 1
 
 
 def test_q_sqrt_on_cut_raises(phase):
-    mid = complex(phase.gamma.points[len(phase.gamma) // 2])
+    for z in phase.gamma.points[1:-1]:
+        with pytest.raises(OnCutError):
+            scurve.q_sqrt(complex(z))
+    # the guard returns at once below _GAMMA_IM_MIN - _BASE_STEP, which lies
+    # more than one guard width below every vertex; just under the lowest
+    # vertex it still raises
+    lowest = complex(phase.gamma.points[np.argmin(phase.gamma.points.imag)])
+    assert lowest.imag > scurve._GAMMA_IM_MIN
     with pytest.raises(OnCutError):
-        scurve.q_sqrt(mid, phase)
+        scurve.q_sqrt(lowest - 0.5j * scurve._BASE_STEP)
+    # the other two trajectory directions at each endpoint are off the cut,
+    # though the guard's projection onto Re phi2_chord = 0 lands on their
+    # trajectories
+    radii = np.geomspace(1e-5, 0.3, 50)
+    for zero, seed in (("z1", -math.atan(2 * SQRT2) / 3),
+                       ("z2", math.atan(2 * SQRT2) / 3 - math.pi)):
+        others = [a for a in scurve.critical_angles(zero) if abs(a - seed) > 1e-9]
+        assert len(others) == 2
+        for a in others:
+            for z in {"z1": scurve.Z1, "z2": scurve.Z2}[zero] + radii * np.exp(1j * a):
+                scurve.q_sqrt(complex(z))
 
 
 def test_q_sqrt_one_sided_limits_match_chord_branch(phase):
@@ -190,10 +218,10 @@ def test_q_sqrt_one_sided_limits_match_chord_branch(phase):
     q = scurve.q_sqrt_chord(z)
     nrm = q.conjugate() / abs(q)
     # the two branches agree (up to sign) in a whole neighbourhood of the
-    # arc, so h only needs to clear the polyline's on-cut guard
-    h = 4.0 * phase.gamma.resolution
-    above = scurve.q_sqrt(z + h * nrm, phase)
-    below = scurve.q_sqrt(z - h * nrm, phase)
+    # arc, so h only needs to clear the on-cut guard
+    h = 4.0 * scurve._BASE_STEP
+    above = scurve.q_sqrt(z + h * nrm)
+    below = scurve.q_sqrt(z - h * nrm)
     # the lens lies above gamma: minus the chord branch there, plus below
     qa = scurve.q_sqrt_chord(z + h * nrm)
     qb = scurve.q_sqrt_chord(z - h * nrm)
@@ -208,9 +236,9 @@ def test_phi2_off_curve_approaches_its_boundary_value(phase, m):
     z = complex(scurve.curve_points_at_mass(phase.gamma, m * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(z)
     nrm = q.conjugate() / abs(q)       # left normal of the z1 -> z2 orientation
-    h = 4.0 * phase.gamma.resolution
+    h = 4.0 * scurve._BASE_STEP
     for side in (+1, -1):
-        val = scurve.phi2(z + side * h * nrm, phase)
+        val = scurve.phi2(z + side * h * nrm)
         near = abs(val - scurve.phi2_on_curve(z, side))
         far = abs(val - scurve.phi2_on_curve(z, -side))
         assert near <= 0.02
@@ -224,27 +252,27 @@ def test_boundary_values_give_ell_tilde(phase):
     assert np.max(np.abs(both.imag - scurve.ELL_TILDE)) <= 1e-12
 
 
-def test_phi1_phi2_offset_is_pi_i(phase):
+def test_phi1_phi2_offset_is_pi_i():
     # phi1(z) = conj(phi2(-conj z)), the z1-anchored phase
     for z, sign in ((0.3 + 2.0j, 1), (2.2j, 1), (-2.0 + 3.0j, 1),
                     (-1.8j, -1), (2.0 - 2.0j, -1)):
-        phi1 = complex(scurve.phi2(-z.conjugate(), phase)).conjugate()
-        diff = phi1 - complex(scurve.phi2(z, phase))
+        phi1 = complex(scurve.phi2(-z.conjugate())).conjugate()
+        diff = phi1 - complex(scurve.phi2(z))
         assert abs(diff - sign * math.pi * 1j) <= 1e-10
 
 
-def test_g_has_log_asymptotics(phase):
+def test_g_has_log_asymptotics():
     # g(z) = log z - (int s dmu)/z + O(z^-2) with int s dmu = 3i/4
     z = 4.0e3 + 1.0e3j
-    g = complex(scurve.g_eval(z, phase))
+    g = complex(scurve.g_eval(z))
     expected = np.log(z) - 0.75j / z
     assert abs(g - expected) <= 1e-6
 
 
-def test_phi2_path_integral_single_probe(phase):
+def test_phi2_path_integral_single_probe():
     ctx = PrecisionContext(30)
-    direct = scurve.phi2(3 + 4j, phase, ctx)
-    path, _ = scurve.phi2_path_integral(3 + 4j, (2 + 1.2j, 2 + 4j), phase, ctx)
+    direct = scurve.phi2(3 + 4j, ctx)
+    path, _ = scurve.phi2_path_integral(3 + 4j, (2 + 1.2j, 2 + 4j), ctx)
     with ctx.working():
         dev = float(abs(direct - path))
     assert dev <= 1e-15
@@ -257,19 +285,19 @@ def test_phi2_path_integral_single_probe(phase):
     # straight from z2 into the lens: the starting sign is -1
     (0.2 + 0.9j, ()),
 ])
-def test_phi2_path_integral_agrees_inside_the_lens(phase, ctx30, target, waypoints):
-    direct = scurve.phi2(target, phase, ctx30)
-    path, est = scurve.phi2_path_integral(target, waypoints, phase, ctx30)
+def test_phi2_path_integral_agrees_inside_the_lens(ctx30, target, waypoints):
+    direct = scurve.phi2(target, ctx30)
+    path, est = scurve.phi2_path_integral(target, waypoints, ctx30)
     with ctx30.working():
         assert float(abs(direct - path)) <= 1e-25
     assert est <= 1e-25
 
 
-def test_phi2_path_integral_continues_across_gamma(phase, ctx30):
+def test_phi2_path_integral_continues_across_gamma(ctx30):
     # the last segment climbs through gamma into the lens: analytic
     # continuation lands on the other sheet, the cut-along-gamma phi2 does not
-    direct = scurve.phi2(0.8j, phase, ctx30)
-    path, est = scurve.phi2_path_integral(0.8j, (2.2, 0), phase, ctx30)
+    direct = scurve.phi2(0.8j, ctx30)
+    path, est = scurve.phi2_path_integral(0.8j, (2.2, 0), ctx30)
     with ctx30.working():
         assert float(abs(direct - path)) > 1
     assert est <= 1e-25
@@ -281,12 +309,12 @@ def test_phi2_path_integral_continues_across_gamma(phase, ctx30):
     (-3 + 1j, ()),                                 # segment through z1
     (2 + 1.2j, (2 + 1.2j,)),                       # zero-length segment
 ])
-def test_phi2_path_integral_rejects_degenerate_paths(phase, ctx30, target, waypoints):
+def test_phi2_path_integral_rejects_degenerate_paths(ctx30, target, waypoints):
     with pytest.raises(ValueError):
-        scurve.phi2_path_integral(target, waypoints, phase, ctx30)
+        scurve.phi2_path_integral(target, waypoints, ctx30)
 
 
-def test_phi2_path_integral_reads_the_curve_branch_once(phase, ctx30, monkeypatch):
+def test_phi2_path_integral_reads_the_curve_branch_once(ctx30, monkeypatch):
     from oscgauss import geometry
     calls = {"q_sqrt": 0, "nearest_on_polyline": 0}
 
@@ -300,8 +328,8 @@ def test_phi2_path_integral_reads_the_curve_branch_once(phase, ctx30, monkeypatc
 
     counting(scurve, "q_sqrt")
     counting(geometry, "nearest_on_polyline")
-    scurve.phi2_path_integral(0.0 + 0.8j, (2.2 + 1.3j, 0.0 + 1.3j), phase, ctx30)
-    # the one curve-branch read lies outside the bounding box of gamma
+    scurve.phi2_path_integral(0.0 + 0.8j, (2.2 + 1.3j, 0.0 + 1.3j), ctx30)
+    # the one curve-branch read decides its sheet from Q, not the polyline
     assert calls == {"q_sqrt": 1, "nearest_on_polyline": 0}
 
 

@@ -2,8 +2,9 @@
 every name it exports in __all__ exists, no module calls mpmath's adaptive
 quadrature, every optional parameter of a public function is set by some
 library or benchmark call, every public function is referred to by some
-library or benchmark code, and every library name the benchmark tracer
-rebinds or the benchmark workloads call exists."""
+library or benchmark code, every library name the benchmark tracer
+rebinds or the benchmark workloads call exists, and no evaluator of the
+curve branch takes the traced contour."""
 
 import ast
 import importlib
@@ -214,3 +215,43 @@ def test_workload_calls_resolve():
 
     assert [".".join(p) for p in sorted(aliases) if resolve(p) is None] == []
     assert [".".join(p) for p in sorted(calls) if not callable(resolve(p))] == []
+
+
+# The sheet of Q^{1/2} on either side of gamma is a property of Q (gamma
+# has the S-property), so these decide it from z alone.
+CURVE_BRANCH_EVALUATORS = {
+    "q_sqrt", "phi2", "g_eval", "beta", "n_matrix", "pn_outer", "pn_airy",
+    "phi2_path_integral", "_in_lens", "_require_off_cut", "_phi2_off_cut",
+}
+
+
+CONTOUR_TYPES = {"PhaseContext", "CurvePolyline"}
+CONTOUR_PARAMS = {"phase", "curve"}
+CONTOUR_NAMES = CONTOUR_TYPES | {"build_phase_context", "_build_phase_context"}
+CONTOUR_ATTRS = {"gamma", "gamma1", "gamma2"} | CONTOUR_NAMES
+
+
+def test_curve_branch_evaluators_take_no_contour():
+    """No evaluator takes the contour as a parameter (by annotation or by
+    name) or reaches it in its body (building it, or reading .gamma)."""
+    found, contour = set(), []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.FunctionDef) and node.name in CURVE_BRANCH_EVALUATORS):
+                continue
+            found.add(node.name)
+            where = f"{path.stem}.{node.name}"
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            for a in params:
+                annotation = ast.unparse(a.annotation) if a.annotation is not None else ""
+                if a.arg in CONTOUR_PARAMS or any(t in annotation for t in CONTOUR_TYPES):
+                    contour.append(f"{where}({a.arg})")
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in CONTOUR_NAMES:
+                    contour.append(f"{where}: {sub.id}")
+                elif isinstance(sub, ast.Attribute) and sub.attr in CONTOUR_ATTRS:
+                    contour.append(f"{where}: .{sub.attr}")
+    assert found == CURVE_BRANCH_EVALUATORS
+    assert contour == []
