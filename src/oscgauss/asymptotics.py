@@ -239,7 +239,7 @@ def pn_asymptotic(n: int, z: complex, phase: PhaseContext) -> tuple[str, complex
 
 @functools.lru_cache(maxsize=64)
 def _rescaled_recurrence(n: int) -> opq.RecurrenceCoefficients:
-    mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n, opq.precision_schedule(n))
+    mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n - 1, opq.precision_schedule(n))
     return opq.rescale_to_Pn(opq.build_recurrence(mom, n), n, 3)
 
 

@@ -13,9 +13,11 @@ e^{iz^r} = e^{-rho^r}, so every monomial moment has the closed form
 From the moment table we build the monic orthogonal polynomials pi_n via
 a Chebyshev-algorithm recursion on raw moments (the functional is complex
 bilinear and only quasi-definite, so every divisor is checked and a
-vanishing Hankel determinant is reported, not repaired).  A
-Hankel-determinant linear solve gives an independent construction for
-cross-checks at small degree.
+vanishing Hankel determinant is reported, not repaired).  As the weight
+vanishes at both ends of the contour, the recurrence alone must satisfy
+the string (Freud) equations, which string_equation_residual checks without
+reading a moment (G. Freud, Proc. R. Irish Acad. A 76, 1976; A. P. Magnus,
+J. Comput. Appl. Math. 57, 1995).
 
 Rules come from the recurrence alone (Golub & Welsch, Math. Comp. 23, 1969;
 Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1).  The weight fixes
@@ -29,9 +31,9 @@ sits exactly on the fixed set (exactly 0 for even r).  The weights are the
 Christoffel numbers h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)), h_{n-1} = M_0
 beta_0 ... beta_{n-2}, averaged over each pair, so for odd r a node on the
 axis carries an exactly real weight.  A rule is delivered only if
-|pi_n(z_j)| <= 10^(-digits/2) times the size of the monomial terms and the
-rule is exact to 10^(-digits/3) through degree 2n-1.  Nodes come in
-ascending (Re, Im) order.  Rules are memoised per process
+|pi_n(z_j)| <= 10^(-digits/2) times the same recurrence run on absolute
+values and the rule is exact to 10^(-digits/3) through degree 2n-1.
+Nodes come in ascending (Re, Im) order.  Rules are memoised per process
 (functools.lru_cache, 64 entries) keyed on (n, r, decimal_digits);
 QuadratureRule is frozen and holds tuples, so callers share the cached
 objects safely.
@@ -67,8 +69,7 @@ __all__ = [
     "moment_sequence",
     "build_recurrence",
     "pi_eval",
-    "monic_coefficients",
-    "hankel_monic_coefficients",
+    "string_equation_residual",
     "zeros",
     "christoffel_weights",
     "rule_exactness_residual",
@@ -243,39 +244,36 @@ def pi_eval(coeffs: RecurrenceCoefficients, z):
         return p
 
 
-def monic_coefficients(coeffs: RecurrenceCoefficients) -> list:
-    """Ascending coefficient list [c_0, ..., c_{n-1}] of pi_n = z^n + sum c_j z^j."""
-    ctx = coeffs.ctx
-    with ctx.working():
-        p_prev = [mp.mpc(1)]              # pi_0
-        p = [-mp.mpmathify(coeffs.alpha[0]), mp.mpc(1)]  # pi_1
-        for k in range(1, coeffs.n):
-            shifted = [mp.mpc(0)] + p
-            scaled = [coeffs.alpha[k] * c for c in p] + [mp.mpc(0)]
-            prev_pad = [coeffs.beta[k - 1] * c for c in p_prev] + [mp.mpc(0)] * (len(p) + 1 - len(p_prev))
-            nxt = [shifted[j] - scaled[j] - prev_pad[j] for j in range(len(shifted))]
-            p_prev, p = p, nxt
-        return p[:-1]
+def string_equation_residual(coeffs: RecurrenceCoefficients, r: int) -> mp.mpf:
+    """Largest relative residual of the string equations of e^{iz^r}.
 
-
-def hankel_monic_coefficients(moments: MomentSequence, n: int) -> list:
-    """Independent monic coefficients from the Hankel linear system.
-
-    Solves sum_j M_{k+j} c_j = -M_{k+n}, k = 0..n-1, by LU at working
-    precision.  Meant for cross-validation at small n only.
+    With J the monic Jacobi operator (J_{k,k+1} = 1, J_{k,k} = alpha_k,
+    J_{k,k-1} = beta_{k-1}), integrating (pi_k^2 w)' and (pi_k pi_{k-1} w)'
+    gives (J^{r-1})_{k,k} = 0 and k + i r (J^{r-1})_{k,k-1} = 0; at r = 3,
+    beta_k = -alpha_k^2 - beta_{k-1} and alpha_k = i k / (3 beta_{k-1}) -
+    alpha_{k-1}.  Each row k the truncated recurrence determines is checked
+    against the same sums on |J|.  No moment is read.
     """
-    ctx = moments.ctx
-    if len(moments) < 2 * n:
-        raise ValueError("need moments through index 2n-1")
-    with ctx.working():
-        A = mp.matrix(n, n)
-        b = mp.matrix(n, 1)
+    n = coeffs.n
+    with coeffs.ctx.working():
+        def row(k, a, b):
+            """{j: (J^{r-1})_{k,j}} for the n x n truncation of J."""
+            js = range(max(0, k - r), min(n, k + r))    # covers the row's support
+            v = {j: mp.mpf(j == k) for j in js}
+            for _ in range(r - 1):
+                v = {j: v.get(j - 1, 0) + a[j] * v[j] + (b[j] * v[j + 1] if j + 1 in v else 0)
+                     for j in js}
+            return v
+
+        absolute = ([abs(a) for a in coeffs.alpha], [abs(b) for b in coeffs.beta])
+        worst = mp.mpf(0)
         for k in range(n):
-            for j in range(n):
-                A[k, j] = moments[k + j]
-            b[k] = -moments[k + n]
-        c = mp.lu_solve(A, b)
-        return [c[j] for j in range(n)]
+            v, s = row(k, coeffs.alpha, coeffs.beta), row(k, *absolute)
+            if k + (r - 1) // 2 < n:
+                worst = max(worst, abs(v[k]) / (s[k] or 1))
+            if 0 < k and k + (r - 2) // 2 < n:
+                worst = max(worst, abs(k + 1j * r * v[k - 1]) / (k + r * s[k - 1]))
+        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +297,14 @@ def _pi_with_derivative(coeffs: RecurrenceCoefficients, z):
     return p, dp, p_prev
 
 
-def _monomial_residual(coeffs_ascending, z):
-    """(p(z), |z|^n + sum |c_j| |z|^j) for the monic p = z^n + sum c_j z^j, by Horner."""
-    p, scale = mp.mpc(1), mp.mpf(1)
-    for c in reversed(coeffs_ascending):
-        p, scale = p * z + c, scale * abs(z) + abs(c)
-    return p, scale
+def _root_residual(coeffs: RecurrenceCoefficients, z):
+    """|pi_n(z)| relative to the same recurrence run on |z| + |alpha_k|, |beta_{k-1}|."""
+    az, p_prev, p, s_prev, s = abs(z), 0, 1, 0, 1
+    for k in range(coeffs.n):
+        a, b = coeffs.alpha[k], (coeffs.beta[k - 1] if k else 0)
+        p, p_prev = (z - a) * p - b * p_prev, p
+        s, s_prev = (az + abs(a)) * s + abs(b) * s_prev, s
+    return abs(p) / (s or 1)
 
 
 def _jacobi_seeds(coeffs: RecurrenceCoefficients):
@@ -326,8 +326,9 @@ def zeros(coeffs: RecurrenceCoefficients, symmetry: str) -> list:
     pair, set its partner to the exact mirror image and project a
     self-paired root onto the fixed set.  They stop when no root moves by
     more than 10^-decimal_digits (relative), or raise NonconvergenceError
-    after ABERTH_SWEEPS sweeps.  Every root must satisfy |pi_n(root)| <=
-    10^{-decimal_digits/2} * (local scale) on the monomial form.
+    after ABERTH_SWEEPS sweeps.  One root per pair must then satisfy
+    |pi_n(root)| <= 10^{-decimal_digits/2} times the recurrence run on
+    absolute values (_root_residual); its partner's residual is the same.
     """
     ctx, n = coeffs.ctx, coeffs.n
     if n == 0:
@@ -359,12 +360,11 @@ def zeros(coeffs: RecurrenceCoefficients, symmetry: str) -> list:
             raise NonconvergenceError(
                 f"Aberth iteration did not reach {mp.nstr(tol, 3)} in {ABERTH_SWEEPS} iterations (n={n})"
             )
-        c = monic_coefficients(coeffs)
-        for z in zs:
-            p, scale = _monomial_residual(c, z)
-            if not abs(p) <= tiny * scale:
+        for i, _ in orbits:
+            resid = _root_residual(coeffs, zs[i])
+            if not resid <= tiny:
                 raise NonconvergenceError(
-                    f"root residual {mp.nstr(abs(p) / scale, 3)} exceeds 10^(-digits/2) (n={n})"
+                    f"root residual {mp.nstr(resid, 3)} exceeds 10^(-digits/2) (n={n})"
                 )
         return sorted((ctx.finalize(z) for z in zs), key=lambda z: (mp.re(z), mp.im(z)))
 

@@ -567,12 +567,15 @@ def build_phase_context(step_tolerance: float = 1e-7,
     """Trace gamma and gamma2, mirror gamma2 into gamma1, and freeze the three.
 
     Memoised per process: the same (step_tolerance, extension_length)
-    returns the same frozen PhaseContext.  Settings not finite and > 0
-    raise ValueError before any tracing.
+    returns the same frozen PhaseContext.  Settings not finite and > 0, or a
+    step_tolerance above _BASE_STEP / 20 (a first step, 20 step_tolerance,
+    longer than any later one), raise ValueError before any tracing.
     """
     for name, val in (("step_tolerance", step_tolerance), ("extension_length", extension_length)):
         if not (math.isfinite(val) and val > 0):
             raise ValueError(f"{name} must be finite and > 0, got {val!r}")
+    if step_tolerance > _BASE_STEP / 20:
+        raise ValueError(f"step_tolerance must be <= {_BASE_STEP / 20:g}, got {step_tolerance!r}")
     return _build_phase_context(step_tolerance, extension_length)
 
 

@@ -20,7 +20,8 @@ explicit cut-avoiding polygonal paths from z2 (sharing one branch-sign
 evaluation with phi2), and the oscillatory integrals by the oscillatory
 module's ray and real-interval oracles.  All four oracles report their own
 error estimates, and the order, consistency and endtoend suites gate each
-at 1e-3 of the tolerance it is compared against.
+at 1e-3 of the tolerance it is compared against.  The recurrences are
+held to their string equations, which read no moment.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ DETN_PROBES = (3.0 + 4.0j, -0.5 - 1.5j, -3.0 + 0.2j, 1.0 + 2.0j, 0.0 - 1.0j)
 AIRY_ZETAS = (0.7 + 0.3j, -1.2 + 2.0j, 3.0 + 0.0j, -2.0 + 0.5j)
 ZERO_DEGREES = (10, 20, 40)            # zeros suite: n of the rescaled P_n
 CONSISTENCY_DIGITS = 30                # consistency suite: working digits
+# consistency suite: (r, n) of the string-equation checks, at the schedule; r = 3
+# at ZERO_DEGREES are the zeros suite's rules and (unscaled) exact_pn's.
+STRING_EQUATION_CASES = tuple((3, n) for n in ZERO_DEGREES) + ((2, 18), (4, 14), (5, 17))
 
 # phi2 oracle probes: (target, waypoints after z2).  Every polygonal path
 # starts at z2 and must stay off the cut (the arc gamma, which spans
@@ -341,28 +345,24 @@ def _moment_ray_quadrature(kmax: int, spec: opq.WeightSpec, ctx: PrecisionContex
         return [ctx.finalize(v) for v in values], [ctx.finalize(e) for e in estimates]
 
 
-def _vandermonde_weights(nodes, moments: opq.MomentSequence) -> list:
-    """Weights solving sum_j w_j z_j^k = M_k, k < n, by LU at working precision.
+def _vandermonde_deviation(rule: opq.QuadratureRule, moments: opq.MomentSequence) -> float:
+    """max |w_j - v_j| / max(1, |v_j|) against the weights v solving
+    sum_j v_j z_j^k = M_k, k < n, by LU at the moments' working precision.
 
-    Independent of the Christoffel numbers opq.build_rule delivers: it
-    uses only the nodes and the moments.
+    Independent of the Christoffel numbers opq.build_rule delivers: v uses
+    only the nodes and the moments.
     """
-    n = len(nodes)
+    n = len(rule.nodes)
     with moments.ctx.working():
-        A = mp.matrix([[mp.mpmathify(z) ** k for z in nodes] for k in range(n)])
-        w = mp.lu_solve(A, mp.matrix([moments[k] for k in range(n)]))
-        return [w[j] for j in range(n)]
-
-
-def _max_rel_dev(xs, ys, ctx: PrecisionContext) -> float:
-    """max |x - y| / max(1, |y|) over the pairs, at ctx's working precision."""
-    with ctx.working():
-        return max(float(abs(x - y)) / max(1.0, float(abs(y))) for x, y in zip(xs, ys))
+        A = mp.matrix([[mp.mpmathify(z) ** k for z in rule.nodes] for k in range(n)])
+        v = mp.lu_solve(A, mp.matrix([moments[k] for k in range(n)]))
+        return max(float(abs(w - v[j])) / max(1.0, float(abs(v[j])))
+                   for j, w in enumerate(rule.weights))
 
 
 @_suite("consistency", budget_seconds=300.0)
 def criterion_consistency(rep: dict) -> None:
-    """Dual-route agreement: moments, phi2, recurrence, weights, det N, Airy identity."""
+    """Dual-route agreement: moments, phi2, weights, det N; string equations, Airy identity."""
     ctx = PrecisionContext(CONSISTENCY_DIGITS)
     bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
 
@@ -391,17 +391,12 @@ def criterion_consistency(rep: dict) -> None:
            bound=1e-3 * bar)
 
     worst = 0.0
-    for n in range(1, 9):
-        a = opq.monic_coefficients(opq.build_recurrence(closed, n))
-        b = opq.hankel_monic_coefficients(closed, n)
-        worst = max(worst, _max_rel_dev(a, b, ctx))
-    _check(rep, "recurrence_vs_hankel", worst, worst <= bar, bound=bar)
+    for r, n in STRING_EQUATION_CASES:
+        mom = opq.moment_sequence(opq.WeightSpec(r=r), 2 * n - 1, opq.precision_schedule(n))
+        worst = max(worst, float(opq.string_equation_residual(opq.build_recurrence(mom, n), r)))
+    _check(rep, "recurrence_string_residual", worst, worst <= bar, bound=bar)
 
-    worst = 0.0
-    for n in range(1, 9):
-        rule = opq.build_rule(n, spec, ctx)
-        vdm = _vandermonde_weights(rule.nodes, closed)
-        worst = max(worst, _max_rel_dev(rule.weights, vdm, ctx))
+    worst = max(_vandermonde_deviation(opq.build_rule(n, spec, ctx), closed) for n in range(1, 9))
     _check(rep, "christoffel_vs_vandermonde", worst, worst <= bar, bound=bar)
 
     worst = max(abs(np.linalg.det(asym.n_matrix(z)) - 1.0) for z in DETN_PROBES)

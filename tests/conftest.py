@@ -1,6 +1,8 @@
+import copy
+
 import pytest
 
-from oscgauss import scurve
+from oscgauss import scurve, verify
 from oscgauss.precision import PrecisionContext
 
 
@@ -13,3 +15,19 @@ def phase():
 @pytest.fixture(scope="session")
 def ctx30():
     return PrecisionContext(30)
+
+
+@pytest.fixture(scope="session")
+def suite_run():
+    """suite_run(name): verify.run_suite([name]), run once per session.
+
+    The acceptance gate and the golden verify cases judge the same run, so
+    each suite is computed once.  Callers get a copy of the cached result.
+    """
+    run, results = verify.run_suite, {}
+
+    def get(name):
+        if name not in results:
+            results[name] = run([name])
+        return copy.deepcopy(results[name])
+    return get

@@ -1,10 +1,12 @@
 """CLI artifacts checked byte for byte against committed golden files.
 
 Each case runs `cli.main` in-process and compares stdout with the file of
-the same name in this directory.  Artifacts too large to commit are pinned
-by the SHA-256 of their stdout instead; "{curve}" in such a command stands
-for the file that `curve --out` writes.  A change that alters one of these
-is an artifact change and has to be declared as such.
+the same name in this directory; a verify case prints the session's one
+run of its suite (the `suite_run` fixture), which the acceptance gate also
+judges.  Artifacts too large to commit are pinned by the SHA-256 of their
+stdout instead; "{curve}" in such a command stands for the file that
+`curve --out` writes.  A change that alters one of these is an artifact
+change and has to be declared as such.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from oscgauss import cli
+from oscgauss import cli, verify
 
 GOLDEN = Path(__file__).parent
 
@@ -46,7 +48,10 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden_file(name, capsys):
+def test_cli_output_matches_golden_file(name, capsys, monkeypatch, suite_run):
+    if CASES[name][0] == "verify":
+        # the CLI prints the session's one run of the suite (see conftest)
+        monkeypatch.setattr(verify, "run_suite", lambda names: suite_run(*names))
     assert cli.main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 

@@ -1,9 +1,11 @@
 """Top-level verification gate: every shipping criterion must hold.
 
-Each test drives the corresponding suite runner and fails with the full list
-of violated checks (label, value, bound) so a regression is self-describing.
-The contour comes from scurve.build_phase_context(), which is memoised, so
-whichever test asks first traces it and every later suite and fixture reuses it.
+Each test reads the corresponding suite's report and fails with the full
+list of violated checks (label, value, bound) so a regression is
+self-describing.  The reports come from the session's `suite_run` fixture,
+so the golden verify cases judge the same run.  The contour comes from
+scurve.build_phase_context(), which is memoised, so whichever suite asks
+first traces it and every later suite and fixture reuses it.
 """
 
 import pytest
@@ -11,7 +13,9 @@ import pytest
 from oscgauss import verify
 
 
-def _require(rep):
+def _require(result, name):
+    rep = result["suites"][name]
+    assert rep["name"] == name and result["passed"] is rep["passed"]
     if rep["passed"]:
         return
     bad = [f"{label}: value={entry['value']!r} bound={entry.get('bound')!r}"
@@ -19,32 +23,32 @@ def _require(rep):
     pytest.fail(f"suite '{rep['name']}' failed:\n" + "\n".join(bad))
 
 
-def test_curve_reaches_z2_and_is_admissible():
-    _require(verify.criterion_curve())
+def test_curve_reaches_z2_and_is_admissible(suite_run):
+    _require(suite_run("curve"), "curve")
 
 
-def test_equilibrium_measure_and_variational_conditions():
-    _require(verify.criterion_measure())
+def test_equilibrium_measure_and_variational_conditions(suite_run):
+    _require(suite_run("measure"), "measure")
 
 
-def test_zero_attraction_to_curve():
-    _require(verify.criterion_zeros())
+def test_zero_attraction_to_curve(suite_run):
+    _require(suite_run("zeros"), "zeros")
 
 
-def test_strong_asymptotics_by_region():
-    _require(verify.criterion_asymptotics())
+def test_strong_asymptotics_by_region(suite_run):
+    _require(suite_run("asymp"), "asymp")
 
 
-def test_quadrature_convergence_rates():
-    _require(verify.criterion_quadrature_order())
+def test_quadrature_convergence_rates(suite_run):
+    _require(suite_run("order"), "order")
 
 
-def test_dual_route_consistency():
-    _require(verify.criterion_consistency())
+def test_dual_route_consistency(suite_run):
+    _require(suite_run("consistency"), "consistency")
 
 
-def test_end_to_end_interval_quadrature():
-    _require(verify.criterion_end_to_end())
+def test_end_to_end_interval_quadrature(suite_run):
+    _require(suite_run("endtoend"), "endtoend")
 
 
 def test_run_suite_order_independent():

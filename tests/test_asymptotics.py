@@ -9,7 +9,6 @@ from mpmath import mp
 from oscgauss import asymptotics as asym
 from oscgauss import geometry, opq, scurve
 from oscgauss.errors import OnCutError, OutsideDiskError
-from oscgauss.precision import PrecisionContext
 
 SQRT2 = math.sqrt(2.0)
 
@@ -153,22 +152,16 @@ def test_disk1_reflection_consistency():
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
-def test_exact_pn_dual_route(ctx30):
-    # recurrence evaluation vs explicit monic coefficients, n = 5
+def test_exact_pn_dual_route():
+    # recurrence evaluation vs the product over the rescaled rule nodes, n = 5
     n = 5
-    mom = opq.moment_sequence(opq.WeightSpec(r=3), 2 * n, PrecisionContext(40))
-    rec = opq.build_recurrence(mom, n)
-    coeffs = opq.monic_coefficients(rec)
-    lam = opq.lambda_n(n, 3, PrecisionContext(40))
+    rule = opq.build_rule(n, opq.WeightSpec(r=3))
+    nodes = opq.rescale_to_Pn(rule, n, 3).nodes
     for z in (0.3 + 0.8j, -1.1 + 0.4j):
         direct = asym.exact_pn(n, z)
-        with PrecisionContext(40).working():
-            zz = lam * mp.mpmathify(z)
-            horner = mp.mpc(1)
-            for c in reversed(coeffs):
-                horner = horner * zz + c
-            horner = horner / lam ** n
-            dev = abs(mp.mpc(direct) - horner) / abs(horner)
+        with rule.ctx.working():
+            product = mp.fprod(mp.mpmathify(z) - zj for zj in nodes)
+            dev = abs(mp.mpc(direct) - product) / abs(product)
         assert float(dev) <= 1e-25
 
 

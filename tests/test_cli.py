@@ -230,6 +230,9 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("curve", "--step-tolerance", "nan"),
                  ("curve", "--step-tolerance", "0"),
                  ("measure", "--step-tolerance", "-1e-7"),
+                 # a first step longer than the longest later one
+                 ("curve", "--step-tolerance", "0.05"),
+                 ("measure", "--step-tolerance", "1"),
                  # a non-finite grid bound
                  ("fields", "--which", "RePhi2", "--grid", "nan,1,2,0,1,2"),
                  ("fields", "--grid=-1,inf,2,-1,1,2"),

@@ -1,11 +1,13 @@
 """Moments -> recurrence -> zeros -> weights pipeline for the weight e^{iz^r}."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oscgauss import opq, oscillatory
+from oscgauss import opq, oscillatory, verify
 from oscgauss.errors import DegenerateFunctionalError, NonconvergenceError
 from oscgauss.precision import PrecisionContext
 
@@ -56,12 +58,8 @@ def test_recurrence_alpha0_and_beta0(ctx30):
     with ctx30.working():
         ratio = mp.gamma(mp.mpf(2) / 3) / mp.gamma(mp.mpf(1) / 3)
         assert abs(rec.alpha[0] - 1j * ratio) < mp.mpf(10) ** -25
-        # beta_1 relates pi_1 to its norm ratio: h_1/h_0 = M_0 beta_1-form;
-        # check against the Hankel route instead of a convention guess.
-    a_rec = opq.monic_coefficients(rec)
-    a_hank = opq.hankel_monic_coefficients(ms, 4)
-    for x, y in zip(a_rec, a_hank):
-        assert abs(complex(x) - complex(y)) <= 1e-20
+        # the first string equation at r = 3: (J^2)_{0,0} = alpha_0^2 + beta_0 = 0
+        assert abs(rec.beta[0] + rec.alpha[0] ** 2) < mp.mpf(10) ** -25
 
 
 def test_alpha_symmetry_pattern(ctx30):
@@ -210,6 +208,58 @@ def test_rule_properties(r, n):
             assert weight_at[invol(z)] == wmap(w)
     keys = [(mp.re(z), mp.im(z)) for z in rule.nodes]
     assert keys == sorted(keys)
+
+
+def _scheduled_recurrence(r, n):
+    ctx = opq.precision_schedule(n)
+    return opq.build_recurrence(opq.moment_sequence(opq.WeightSpec(r=r), 2 * n - 1, ctx), n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(r=st.integers(2, 6), n=st.integers(1, 30))
+def test_string_equations_hold_at_the_schedule(r, n):
+    # the bar of the consistency suite's recurrence_string_residual check
+    assert opq.string_equation_residual(_scheduled_recurrence(r, n), r) <= 1e-15
+
+
+def test_string_equation_residual_detects_a_perturbed_coefficient():
+    # at 60 digits the residual sits near 1e-55; one coefficient moved by
+    # 1e-20 relative lifts it above 10^(-digits/2), one moved by 1e-12 above
+    # the 1e-15 gate of the consistency suite
+    n, r = 10, 3
+    rec = _scheduled_recurrence(r, n)
+    bar = mp.mpf(10) ** (-mp.mpf(rec.ctx.decimal_digits) / 2)
+    assert opq.string_equation_residual(rec, r) <= bar
+    for field, k in (("alpha", 4), ("beta", 6), ("alpha", n - 1)):
+        for eps, gate in ((mp.mpf("1e-20"), bar), (mp.mpf("1e-12"), 1e-15)):
+            values = list(getattr(rec, field))
+            with rec.ctx.working():
+                values[k] *= 1 + eps
+            moved = replace(rec, **{field: tuple(values)})
+            assert opq.string_equation_residual(moved, r) > gate, (field, k, eps)
+
+
+def test_string_residual_covers_every_suite_recurrence():
+    # the zeros suite's rules and exact_pn's recurrences are r = 3 at ZERO_DEGREES
+    assert {(3, n) for n in verify.ZERO_DEGREES} <= set(verify.STRING_EQUATION_CASES)
+    assert {r for r, _ in verify.STRING_EQUATION_CASES} == {2, 3, 4, 5}
+
+
+def test_root_residual_passes_a_converged_root_and_fails_a_moved_one(monkeypatch):
+    n = 20
+    rec = _scheduled_recurrence(3, n)
+    digits = rec.ctx.decimal_digits
+    bar = mp.mpf(10) ** (-(digits // 2))
+    zs = opq.zeros(rec, "neg_conj")
+    with rec.ctx.working():
+        for z in zs:
+            assert opq._root_residual(rec, z) <= bar
+            moved = z * (1 + mp.mpf(10) ** (-mp.mpf(digits) / 3))
+            assert opq._root_residual(rec, moved) > bar
+    # zeros() delivers no root set whose residual fails the bar
+    monkeypatch.setattr(opq, "_root_residual", lambda coeffs, z: 2 * bar)
+    with pytest.raises(NonconvergenceError, match="root residual"):
+        opq.zeros(rec, "neg_conj")
 
 
 def test_even_r_odd_n_origin_node_is_exact():
