@@ -17,7 +17,8 @@ vanishing Hankel determinant is reported, not repaired).  As the weight
 vanishes at both ends of the contour, the recurrence alone must satisfy
 the string (Freud) equations, which string_equation_residual checks without
 reading a moment (G. Freud, Proc. R. Irish Acad. A 76, 1976; A. P. Magnus,
-J. Comput. Appl. Math. 57, 1995).
+J. Comput. Appl. Math. 57, 1995).  At r = 3 they determine the recurrence
+from M_0 and M_1 alone (cubic_string_recurrence).
 
 Rules come from the recurrence alone (Golub & Welsch, Math. Comp. 23, 1969;
 Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1).  The weight fixes
@@ -70,6 +71,7 @@ __all__ = [
     "build_recurrence",
     "pi_eval",
     "string_equation_residual",
+    "cubic_string_recurrence",
     "zeros",
     "christoffel_weights",
     "rule_exactness_residual",
@@ -274,6 +276,37 @@ def string_equation_residual(coeffs: RecurrenceCoefficients, r: int) -> mp.mpf:
             if 0 < k and k + (r - 2) // 2 < n:
                 worst = max(worst, abs(k + 1j * r * v[k - 1]) / (k + r * s[k - 1]))
         return worst
+
+
+def cubic_string_recurrence(n: int, ctx: PrecisionContext) -> RecurrenceCoefficients:
+    """alpha_0..alpha_{n-1}, beta_0..beta_{n-2} of e^{iz^3} from its string equations.
+
+    At r = 3 the equations of string_equation_residual run forward from
+    M_0 and M_1 alone: alpha_0 = M_1/M_0, beta_0 = -alpha_0^2, then
+    alpha_k = i k / (3 beta_{k-1}) - alpha_{k-1} and
+    beta_k = -alpha_k^2 - beta_{k-1}.  Like the Chebyshev algorithm it loses
+    about one digit per step, so ctx should carry n digits beyond those
+    wanted.  A beta_{k-1} that cancels to build_recurrence's bar raises
+    DegenerateFunctionalError(k).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    spec = WeightSpec(r=3)
+    m0, m1 = moment(0, spec, ctx), moment(1, spec, ctx)
+    with ctx.working():
+        tiny = mp.mpf(10) ** (-(ctx.decimal_digits + GUARD_DIGITS // 2))
+        if abs(m0) <= tiny:
+            raise DegenerateFunctionalError(0, "zeroth moment vanishes")
+        alpha, beta = [m1 / m0], []
+        for k in range(1, n):
+            prev = beta[-1] if beta else 0
+            b = -alpha[-1] ** 2 - prev
+            if abs(b) <= tiny * (abs(alpha[-1]) ** 2 + abs(prev) + 1):
+                raise DegenerateFunctionalError(k, f"beta_{k - 1} cancels to working precision")
+            beta.append(b)
+            alpha.append(mp.mpc(0, k) / (3 * b) - alpha[-1])
+        return RecurrenceCoefficients(alpha=tuple(ctx.finalize(a) for a in alpha),
+                                      beta=tuple(ctx.finalize(b) for b in beta), ctx=ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ evaluation with phi2), and the oscillatory integrals by the oscillatory
 module's ray and real-interval oracles.  All four oracles report their own
 error estimates, and the order, consistency and endtoend suites gate each
 at 1e-3 of the tolerance it is compared against.  The recurrences are
-held to their string equations, which read no moment.
+held to their string equations, which read no moment, and at r = 3 to the
+recurrences those equations build from M_0 and M_1.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ AIRY_ZETAS = (0.7 + 0.3j, -1.2 + 2.0j, 3.0 + 0.0j, -2.0 + 0.5j)
 ZERO_DEGREES = (10, 20, 40)            # zeros suite: n of the rescaled P_n
 CONSISTENCY_DIGITS = 30                # consistency suite: working digits
 # consistency suite: (r, n) of the string-equation checks, at the schedule; r = 3
-# at ZERO_DEGREES are the zeros suite's rules and (unscaled) exact_pn's.
+# at ZERO_DEGREES are the recurrences of the zeros suite's rules, which are
+# also held to exact_pn's (built from the string equations) at those n.
 STRING_EQUATION_CASES = tuple((3, n) for n in ZERO_DEGREES) + ((2, 18), (4, 14), (5, 17))
 
 # phi2 oracle probes: (target, waypoints after z2).  Every polygonal path
@@ -360,9 +362,17 @@ def _vandermonde_deviation(rule: opq.QuadratureRule, moments: opq.MomentSequence
                    for j, w in enumerate(rule.weights))
 
 
+def _max_rel_dev(rec: opq.RecurrenceCoefficients, ref: opq.RecurrenceCoefficients) -> float:
+    """max |x - y| / |y| over the coefficients x of rec and y of ref, at rec's precision."""
+    with rec.ctx.working():
+        return max(float(abs(x - y) / abs(y))
+                   for x, y in zip(rec.alpha + rec.beta, ref.alpha + ref.beta))
+
+
 @_suite("consistency", budget_seconds=300.0)
 def criterion_consistency(rep: dict) -> None:
-    """Dual-route agreement: moments, phi2, weights, det N; string equations, Airy identity."""
+    """Dual-route agreement: moments, phi2, recurrences, weights, det N;
+    string equations, Airy identity."""
     ctx = PrecisionContext(CONSISTENCY_DIGITS)
     bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
 
@@ -390,11 +400,16 @@ def criterion_consistency(rep: dict) -> None:
     _check(rep, "phi2_path_estimate", worst_est, worst_est <= 1e-3 * bar,
            bound=1e-3 * bar)
 
-    worst = 0.0
+    worst = dual = 0.0
     for r, n in STRING_EQUATION_CASES:
         mom = opq.moment_sequence(opq.WeightSpec(r=r), 2 * n - 1, opq.precision_schedule(n))
-        worst = max(worst, float(opq.string_equation_residual(opq.build_recurrence(mom, n), r)))
+        rec = opq.build_recurrence(mom, n)
+        worst = max(worst, float(opq.string_equation_residual(rec, r)))
+        if r == 3 and n in ZERO_DEGREES:
+            rescaled = opq.rescale_to_Pn(rec, n, 3)
+            dual = max(dual, _max_rel_dev(rescaled, asym._rescaled_recurrence(n)))
     _check(rep, "recurrence_string_residual", worst, worst <= bar, bound=bar)
+    _check(rep, "recurrence_chebyshev_vs_string", dual, dual <= bar, bound=bar)
 
     worst = max(_vandermonde_deviation(opq.build_rule(n, spec, ctx), closed) for n in range(1, 9))
     _check(rep, "christoffel_vs_vandermonde", worst, worst <= bar, bound=bar)

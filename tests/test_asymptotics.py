@@ -165,6 +165,44 @@ def test_exact_pn_dual_route():
         assert float(dev) <= 1e-25
 
 
+def _chebyshev_pn_recurrence(n):
+    """The recurrence of P_n by moments and the Chebyshev algorithm at the schedule."""
+    ctx = opq.precision_schedule(n)
+    rec = opq.build_recurrence(opq.moment_sequence(opq.WeightSpec(r=3), 2 * n - 1, ctx), n)
+    return opq.rescale_to_Pn(rec, n, 3)
+
+
+def test_reference_recurrence_matches_the_chebyshev_route():
+    for n in (20, 40):
+        ref, got = _chebyshev_pn_recurrence(n), asym._rescaled_recurrence(n)
+        assert got.n == n and got.ctx.decimal_digits == asym.EXACT_DIGITS
+        with ref.ctx.working():
+            dev = max(abs(mp.mpmathify(x) - y) / abs(y)
+                      for x, y in zip(got.alpha + got.beta, ref.alpha + ref.beta))
+        assert dev <= 1e-55
+
+
+def test_exact_pn_matches_the_scheduled_recurrence(phase):
+    n = 40
+    ref = _chebyshev_pn_recurrence(n)
+    z0 = complex(scurve.curve_points_at_mass(phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    disks = (scurve.Z1 + 0.25 * np.exp(2.73j), scurve.Z2 + 0.25 * np.exp(0.41j))
+    for z in (3 + 4j, z0 + 0.05j) + disks:
+        exact = opq.pi_eval(ref, z)
+        with ref.ctx.working():
+            assert abs(mp.mpmathify(asym.exact_pn(n, z)) - exact) / abs(exact) <= 1e-45
+
+
+def test_reference_recurrence_reads_two_moments(monkeypatch):
+    # the string recursion starts from M_0 and M_1; no moment table is built
+    read = []
+    real = opq.moment
+    monkeypatch.setattr(opq, "moment", lambda k, spec, ctx: read.append(k) or real(k, spec, ctx))
+    asym._rescaled_recurrence.cache_clear()
+    asym._rescaled_recurrence(160)
+    assert sorted(read) == [0, 1]
+
+
 def test_zero_distribution_report_frozen(phase):
     rep = asym.zero_distribution_report(10, phase)
     assert rep["n"] == 10 and len(rep["zeros"]) == 10

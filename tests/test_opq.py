@@ -78,6 +78,25 @@ def test_degenerate_functional_raises(ctx30):
         opq.build_recurrence(ms, 4)
 
 
+def test_cubic_string_recurrence_reports_a_vanishing_divisor(monkeypatch):
+    with pytest.raises(ValueError):
+        opq.cubic_string_recurrence(0, opq.precision_schedule(1))
+    ctx = PrecisionContext(60)
+    with mp.workdps(80):
+        # M_1/M_0 = (-i/6)^(1/3) gives alpha_1 = alpha_0, so beta_1 cancels
+        root = mp.cbrt(mp.mpc(0, -1) / 6)
+    real = opq.moment
+    zero, one = mp.mpc(0), mp.mpc(1)
+    for m0, m1, index in ((zero, one, 0), (one, zero, 1), (one, root, 2)):
+        first = {0: m0, 1: m1}
+        monkeypatch.setattr(opq, "moment", lambda k, spec, c: first[k])
+        with pytest.raises(DegenerateFunctionalError) as err:
+            opq.cubic_string_recurrence(6, ctx)
+        assert err.value.index == index
+    monkeypatch.setattr(opq, "moment", real)
+    assert opq.cubic_string_recurrence(6, ctx).n == 6
+
+
 def test_zeros_n2_closed_form():
     rule = opq.build_rule(2, SPEC3)
     nodes = sorted((complex(z) for z in rule.nodes), key=lambda z: z.real)
@@ -240,7 +259,7 @@ def test_string_equation_residual_detects_a_perturbed_coefficient():
 
 
 def test_string_residual_covers_every_suite_recurrence():
-    # the zeros suite's rules and exact_pn's recurrences are r = 3 at ZERO_DEGREES
+    # the zeros suite's rules are r = 3 at ZERO_DEGREES
     assert {(3, n) for n in verify.ZERO_DEGREES} <= set(verify.STRING_EQUATION_CASES)
     assert {r for r, _ in verify.STRING_EQUATION_CASES} == {2, 3, 4, 5}
 
