@@ -16,8 +16,9 @@ flags or input files), 4 I/O failure.
 Every default lives in build_parser.  An optional --config FILE is a flat
 JSON object keyed by flag name ('-' or '_'); each entry becomes the default
 of the subcommand's flag of that name, converted like the flag's own value,
-before a second parse, so explicit flag > config > built-in default.  Keys
-the subcommand has no flag for are ignored.
+before a second parse, so explicit flag > config > built-in default.  A
+switch takes only true or false, a valued flag no boolean, and an integer
+flag no fraction.  Keys the subcommand has no flag for are ignored.
 """
 
 from __future__ import annotations
@@ -48,15 +49,28 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _config_value(action: argparse.Action, val):
+    """A config entry converted for its flag: a switch (nargs 0) takes only a
+    JSON boolean; a valued flag takes no boolean and converts like its
+    command-line string, so 4, 4.0 and "4" all give --kmax 4 but 3.7 fails."""
+    if action.nargs == 0:
+        if not isinstance(val, bool):
+            raise ValueError(f"expected true or false, got {val!r}")
+        return val
+    if isinstance(val, bool):
+        raise ValueError(f"expected a value, not the boolean {val!r}")
+    if action.type is int and isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"expected an integer, got {val!r}")
+    return (action.type or str)(val)
+
+
 def _apply_config(flags: dict, config: dict) -> None:
     """Make each config entry the default of the flag it names (null entries are skipped)."""
     for dest, action in flags.items():
         val = config.get(dest, config.get(dest.replace("_", "-")))
         if val is not None:
-            # a switch (nargs 0) takes the entry's truth; a valued flag converts
-            # like its command-line string, so 4, 4.0 and "4" all give --kmax 4
             try:
-                action.default = val if action.nargs == 0 else (action.type or str)(val)
+                action.default = _config_value(action, val)
             except (OverflowError, ValueError) as exc:
                 raise ValueError(f"config value for {dest!r}: {exc}") from exc
 
@@ -84,7 +98,7 @@ def _cmd_opq(args):
 
 
 def _cmd_curve(args):
-    phase = scurve.build_phase_context(args.step_tolerance, args.extension_length)
+    phase = scurve.build_phase_context()
     doc = serialize.curve_json_dict({"gamma": phase.gamma,
                                      "gamma1": phase.gamma1,
                                      "gamma2": phase.gamma2})
@@ -97,7 +111,7 @@ def _cmd_measure(args):
             doc = json.load(fh)
         meas = scurve.equilibrium_measure(serialize.curve_from_json_dict(doc))
     else:
-        meas = scurve.build_phase_context(args.step_tolerance).gamma
+        meas = scurve.build_phase_context().gamma
     if args.samples is not None:
         if args.samples < 2:
             raise ValueError("--samples must be >= 2")
@@ -250,15 +264,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="decimal digits printed (>= 30; default 30); the rule is built at "
              "this many or at its precision schedule, whichever is more")
 
-    arg = command("curve", _cmd_curve, "gamma, gamma1, gamma2 polylines as JSON")
-    arg("--step-tolerance", type=float, default=1e-7)
-    arg("--extension-length", type=float, default=2.5)
+    command("curve", _cmd_curve, "gamma, gamma1, gamma2 polylines as JSON")
 
     arg = command("measure", _cmd_measure, "equilibrium density/CDF table as CSV")
     arg("--curve-json", help="re-annotate a previously exported curve JSON")
     arg("--samples", type=int,
         help="resample to this many (>= 2) equal-arclength rows")
-    arg("--step-tolerance", type=float, default=1e-7)
 
     arg = command("asymp", _cmd_asymp, "formula-vs-recurrence probe comparison JSON")
     arg("--n", type=int, default=20)

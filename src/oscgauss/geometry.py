@@ -1,8 +1,8 @@
 """Planar geometry helpers for polylines.
 
 Everything in this module is plain float arithmetic on complex numbers /
-numpy arrays: chordal arc length, the longest segment and the
-nearest-point projection onto a polyline.
+numpy arrays: chordal arc length and the nearest-point projection onto a
+polyline.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "cumulative_arclength",
-    "max_segment_length",
     "nearest_on_polyline",
 ]
 
@@ -20,13 +19,6 @@ def cumulative_arclength(pts) -> np.ndarray:
     """Chordal cumulative arc length along a polyline (starts at 0)."""
     seg = np.abs(np.diff(np.asarray(pts, dtype=complex)))
     return np.concatenate([[0.0], np.cumsum(seg)])
-
-
-def max_segment_length(pts) -> float:
-    z = np.asarray(pts, dtype=complex)
-    if len(z) < 2:
-        return 0.0
-    return float(np.max(np.abs(np.diff(z))))
 
 
 def nearest_on_polyline(z: complex, pts):

@@ -34,10 +34,10 @@ beta_0 ... beta_{n-2}, averaged over each pair, so for odd r a node on the
 axis carries an exactly real weight.  A rule is delivered only if
 |pi_n(z_j)| <= 10^(-digits/2) times the same recurrence run on absolute
 values and the rule is exact to 10^(-digits/3) through degree 2n-1.
-Nodes come in ascending (Re, Im) order.  Rules are memoised per process
-(functools.lru_cache, 64 entries) keyed on (n, r, decimal_digits);
-QuadratureRule is frozen and holds tuples, so callers share the cached
-objects safely.
+Nodes come in ascending (Re, Im) order.  Rules, and the moments and
+recurrence each comes from, are memoised per process (functools.lru_cache,
+64 entries each) keyed on (n, r, decimal_digits); the three types are
+frozen and hold tuples, so callers share the cached objects safely.
 
 All computations run under a PrecisionContext; the default schedule for
 degree n is max(60, 12 + 4n) working digits.  A rule carries the
@@ -510,11 +510,16 @@ def build_rule(n: int, spec: WeightSpec, ctx: PrecisionContext | None = None) ->
 
 
 @functools.lru_cache(maxsize=64)
+def _recurrence(n: int, r: int, decimal_digits: int):
+    """(moments M_0..M_{2n-1}, recurrence of degree n) at decimal_digits, memoised."""
+    mom = moment_sequence(WeightSpec(r=r), 2 * n - 1, PrecisionContext(decimal_digits))
+    return mom, build_recurrence(mom, n)
+
+
+@functools.lru_cache(maxsize=64)
 def _build_rule(n: int, r: int, decimal_digits: int) -> QuadratureRule:
-    ctx = PrecisionContext(decimal_digits)
-    mom = moment_sequence(WeightSpec(r=r), 2 * n - 1, ctx)
-    rec = build_recurrence(mom, n)
+    mom, rec = _recurrence(n, r, decimal_digits)
     symmetry = "neg_conj" if r % 2 else "neg"
     zs = zeros(rec, symmetry)
     return QuadratureRule(nodes=tuple(zs),
-                          weights=tuple(christoffel_weights(rec, zs, mom, symmetry)), ctx=ctx)
+                          weights=tuple(christoffel_weights(rec, zs, mom, symmetry)), ctx=mom.ctx)

@@ -129,6 +129,9 @@ class OscillatoryIntegralSpec:
     def __post_init__(self):
         if not isinstance(self.amplitude, Amplitude):
             raise ValueError("amplitude must be an Amplitude (see oscillatory.amplitude)")
+        for name in ("a", "b", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.a < 0 < self.b):
             raise ValueError("need a < 0 < b so the stationary point is interior")
         if self.omega <= 0:

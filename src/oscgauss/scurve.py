@@ -34,9 +34,9 @@ boundary values -w_p from above and +w_p from below: one-sided limits
 come from the chord branch with that sign.  It follows that
 Im(phi2_+ + phi2_-) = 0 on gamma, the constant ELL_TILDE.
 
-build_phase_context is memoised per process (functools.lru_cache keyed on
-its two tracing settings); PhaseContext is frozen, so callers share the
-cached contour safely.
+Q also fixes the traced contour, so nothing about the trace is a setting:
+build_phase_context is memoised per process (one functools.cache entry) and
+PhaseContext is frozen, so callers share the cached contour safely.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ ELL = 2.0 * L_CONST                          # equilibrium constant on gamma
 ELL_TILDE = 0.0                              # Im(V - g_+ - g_-) on gamma
 
 _BASE_STEP = 2e-3       # largest tracing step, away from the endpoints
+_FIRST_STEP = 1e-4      # first tracing step off a branch point, and the least one
+_END_GAP = 1e-6         # the gamma trace stops this close to z2 and appends z2
+_EXTENSION_LENGTH = 2.5  # arc length of gamma1 and gamma2
 _GAMMA_IM_MIN = 0.637   # below gamma's lowest point, Im 0.63716 at Re z = 0
 # composite Gauss-Legendre layout of the measure quadratures, in the mass variable
 _MID_CELLS = 220        # cells per unit mass between the two end windows
@@ -111,23 +114,6 @@ class CurvePolyline:
         for arr in (self.points, self.s, self.density, self.cdf):
             if arr is not None:
                 arr.flags.writeable = False
-
-    @functools.cached_property
-    def resolution(self) -> float:
-        """Longest segment; computed once, the vertices being read-only."""
-        return geometry.max_segment_length(self.points)
-
-    @functools.cached_property
-    def box(self) -> tuple:
-        """(min Re, max Re, min Im, max Im) of the vertices; computed once."""
-        x, y = self.points.real, self.points.imag
-        return float(x.min()), float(x.max()), float(y.min()), float(y.max())
-
-    def near_box(self, z: complex, margin: float) -> bool:
-        """False iff z lies more than margin outside the box, and so more
-        than margin from every point of the polyline."""
-        x0, x1, y0, y1 = self.box
-        return x0 - margin <= z.real <= x1 + margin and y0 - margin <= z.imag <= y1 + margin
 
     @property
     def total_length(self) -> float:
@@ -255,20 +241,18 @@ def _rk4(z: complex, h: float, fld) -> complex:
     return z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _trace(start: complex, theta: float, c: complex, step_tolerance: float,
-           budget: float, cap) -> list:
+def _trace(start: complex, theta: float, c: complex, budget: float, cap) -> list:
     """Vertices of the trajectory {Re(c phi2_chord) = 0} leaving `start` at angle theta.
 
     Fourth-order steps on the unit tangent field _field(c), with a Newton
     projection back onto the level set after every step, keep the level
     condition an invariant rather than an accumulating error.  Steps start
-    at d0 = max(1e-4, 20 step_tolerance), grow with the distance from
-    `start` (where the field is singular) up to _BASE_STEP, and are at most
-    cap(z, arc); a cap of None stops the trace.  Raises TraceDivergedError
-    past an arc length of `budget` or 200000 steps.
+    at _FIRST_STEP, grow with the distance from `start` (where the field is
+    singular) up to _BASE_STEP, and are at most cap(z, arc); a cap of None
+    stops the trace.  Raises TraceDivergedError past an arc length of
+    `budget` or 200000 steps.
     """
-    d0 = max(1e-4, 20.0 * step_tolerance)
-    z = _project(start + d0 * complex(math.cos(theta), math.sin(theta)), c)
+    z = _project(start + _FIRST_STEP * complex(math.cos(theta), math.sin(theta)), c)
     pts = [start, z]
     arc = abs(z - start)
     fld = _field(c)
@@ -276,7 +260,7 @@ def _trace(start: complex, theta: float, c: complex, step_tolerance: float,
         h = cap(z, arc)
         if h is None:
             return pts
-        h = min(_BASE_STEP, max(0.5 * abs(z - start), d0), h)
+        h = min(_BASE_STEP, max(0.5 * abs(z - start), _FIRST_STEP), h)
         z = _project(_rk4(z, h, fld), c)
         arc += abs(z - pts[-1])
         pts.append(z)
@@ -285,37 +269,37 @@ def _trace(start: complex, theta: float, c: complex, step_tolerance: float,
     raise TraceDivergedError(f"trace from {start} reached the step limit")
 
 
-def trace_gamma(step_tolerance: float = 1e-7) -> CurvePolyline:
+def trace_gamma() -> CurvePolyline:
     """Trace the critical trajectory {Re phi2 = 0} from z1 (tangent theta_0) to z2.
 
     Steps also shrink geometrically towards z2 (the direction field is
-    singular at both simple zeros); within 10*step_tolerance of z2 the
-    trace stops and appends z2 exactly.  The arc budget is 10 |z2 - z1|.
+    singular at both simple zeros); within _END_GAP of z2 the trace stops
+    and appends z2 exactly.  The arc budget is 10 |z2 - z1|.
     The polyline carries no density or cdf: equilibrium_measure adds them.
     """
     def cap(z, arc):
         d_end = abs(z - Z2)
-        return None if d_end <= 10.0 * step_tolerance else 0.35 * d_end
+        return None if d_end <= _END_GAP else 0.35 * d_end
 
-    pts = _trace(Z1, -math.atan(2.0 * SQRT2) / 3.0, 1, step_tolerance, 10.0 * abs(Z2 - Z1), cap)
+    pts = _trace(Z1, -math.atan(2.0 * SQRT2) / 3.0, 1, 10.0 * abs(Z2 - Z1), cap)
     points = np.array(pts + [Z2], dtype=complex)
     return CurvePolyline(kind="gamma", points=points, s=geometry.cumulative_arclength(points),
                          density=None, cdf=None)
 
 
-def trace_extension(length: float = 2.5, step_tolerance: float = 1e-7) -> CurvePolyline:
-    """Trace gamma2 out of z2 (phi2 real, increasing) for arc length `length`.
+def trace_extension() -> CurvePolyline:
+    """Trace gamma2 out of z2 (phi2 real, increasing) for arc length _EXTENSION_LENGTH.
 
     gamma2 leaves z2 along the direction where phi2 grows through real
     positive values.  gamma1 is not traced: build_phase_context takes it
     as -conj(gamma2) by the z -> -conj(z) symmetry of Q, after which the
     defining property phi1 real increasing holds by reflection.  The arc
-    budget is 10 * length.
+    budget is 10 _EXTENSION_LENGTH.
     """
     def cap(z, arc):
-        return None if arc >= length else length - arc + 0.5 * _BASE_STEP
+        return None if arc >= _EXTENSION_LENGTH else _EXTENSION_LENGTH - arc + 0.5 * _BASE_STEP
 
-    pts = _trace(Z2, math.atan(2.0 * SQRT2) / 3.0, -1j, step_tolerance, 10.0 * length, cap)
+    pts = _trace(Z2, math.atan(2.0 * SQRT2) / 3.0, -1j, 10.0 * _EXTENSION_LENGTH, cap)
     points = np.array(pts, dtype=complex)
     return CurvePolyline(kind="gamma2", points=points, s=geometry.cumulative_arclength(points),
                          density=np.zeros(len(points)), cdf=np.zeros(len(points)))
@@ -478,6 +462,12 @@ def _in_lens(z: complex) -> bool:
     return abs(z.real) < SQRT2 and 1.0 - SQRT2 < z.imag < 1.0 and phi2_chord(z).real > 0
 
 
+def _near_gamma_box(z: complex, margin: float) -> bool:
+    """False iff z lies more than margin outside the box |Re z| <= sqrt 2,
+    _GAMMA_IM_MIN <= Im z <= 1 around gamma, and so more than margin from it."""
+    return abs(z.real) <= SQRT2 + margin and _GAMMA_IM_MIN - margin <= z.imag <= 1.0 + margin
+
+
 def _require_off_cut(z: complex) -> None:
     """OnCutError within _BASE_STEP of the open arc gamma, nearer its interior
     than either endpoint (a branch *point* may be approached from outside).
@@ -487,8 +477,7 @@ def _require_off_cut(z: complex) -> None:
     (mass in (0, 1)), which the other trajectories through z1, z2 fail.
     """
     zc = complex(z)
-    if not (abs(zc.real) <= SQRT2 + _BASE_STEP
-            and _GAMMA_IM_MIN - _BASE_STEP <= zc.imag <= 1.0 + _BASE_STEP):
+    if not _near_gamma_box(zc, _BASE_STEP):
         return
     p = _project(zc, 1)
     dist = abs(zc - p)
@@ -562,31 +551,22 @@ def re_v(z):
     return np.real(-1j * z ** 3 / 3.0)
 
 
-def build_phase_context(step_tolerance: float = 1e-7,
-                        extension_length: float = 2.5) -> PhaseContext:
+def build_phase_context() -> PhaseContext:
     """Trace gamma and gamma2, mirror gamma2 into gamma1, and freeze the three.
 
-    Memoised per process: the same (step_tolerance, extension_length)
-    returns the same frozen PhaseContext.  Settings not finite and > 0, or a
-    step_tolerance above _BASE_STEP / 20 (a first step, 20 step_tolerance,
-    longer than any later one), raise ValueError before any tracing.
+    Memoised per process: every call returns the same frozen PhaseContext.
     """
-    for name, val in (("step_tolerance", step_tolerance), ("extension_length", extension_length)):
-        if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {val!r}")
-    if step_tolerance > _BASE_STEP / 20:
-        raise ValueError(f"step_tolerance must be <= {_BASE_STEP / 20:g}, got {step_tolerance!r}")
-    return _build_phase_context(step_tolerance, extension_length)
+    return _build_phase_context()
 
 
-@functools.lru_cache(maxsize=8)
-def _build_phase_context(step_tolerance: float, extension_length: float) -> PhaseContext:
-    traced = trace_gamma(step_tolerance)
+@functools.cache
+def _build_phase_context() -> PhaseContext:
+    traced = trace_gamma()
     if not np.all(np.diff(traced.points.real) > 0):
         raise TraceDivergedError("traced gamma is not a graph over Re z (Re z not "
                                  "strictly increasing from z1 to z2)")
     curve = equilibrium_measure(traced)
-    g2 = trace_extension(extension_length, step_tolerance)
+    g2 = trace_extension()
     g1 = replace(g2, kind="gamma1", points=-np.conj(g2.points))
     return PhaseContext(gamma=curve, gamma1=g1, gamma2=g2)
 
@@ -778,9 +758,10 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
 
     which in {ReD, ImD, ReQ, ImQ, RePhi2}; grid_spec = (x0, x1, nx, y0, y1, ny).
     D(z) = conj(phi2(-conj z))/(pi i) is real on gamma with D(z2) = 1.
-    Branch-dependent fields are not evaluated within 1.5 resolutions of the
-    cut (of its mirror image for D); those entries are NaN and flagged in
-    the returned mask, so the others lie beyond phi2's on-cut guard.
+    Branch-dependent fields are not evaluated within 1.5 _BASE_STEP of the
+    traced cut (of its mirror image for D), _BASE_STEP bounding every traced
+    segment; those entries are NaN and flagged in the returned mask, so the
+    others lie beyond phi2's on-cut guard.
     """
     x0, x1, nx, y0, y1, ny = grid_spec
     xs = np.linspace(x0, x1, int(nx))
@@ -795,11 +776,11 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
     if which not in ("ReD", "ImD", "RePhi2"):
         raise ValueError(f"unknown field {which!r}")
     V = np.full(Z.shape, np.nan)
-    guard = 1.5 * phase.gamma.resolution
+    guard = 1.5 * _BASE_STEP
     for idx in np.ndindex(Z.shape):
         z = complex(Z[idx])
         zz = -z.conjugate() if which in ("ReD", "ImD") else z
-        if phase.gamma.near_box(zz, guard) and \
+        if _near_gamma_box(zz, guard) and \
                 geometry.nearest_on_polyline(zz, phase.gamma.points)[0] <= guard:
             mask[idx] = True
             continue

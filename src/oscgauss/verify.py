@@ -402,8 +402,7 @@ def criterion_consistency(rep: dict) -> None:
 
     worst = dual = 0.0
     for r, n in STRING_EQUATION_CASES:
-        mom = opq.moment_sequence(opq.WeightSpec(r=r), 2 * n - 1, opq.precision_schedule(n))
-        rec = opq.build_recurrence(mom, n)
+        _, rec = opq._recurrence(n, r, opq.precision_schedule(n).decimal_digits)
         worst = max(worst, float(opq.string_equation_residual(rec, r)))
         if r == 3 and n in ZERO_DEGREES:
             rescaled = opq.rescale_to_Pn(rec, n, 3)

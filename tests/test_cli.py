@@ -157,10 +157,11 @@ def test_config_precedence(tmp_path, capsys):
         assert run_main(capsys, "moments", "--config", str(cfg)) \
             == (0, via_config, ""), entry
     # a dashed key names the same flag as its underscored dest
-    cfg.write_text(json.dumps({"step-tolerance": 1e-6}))
-    _, curve, _ = run_main(capsys, "curve", "--config", str(cfg))
-    assert curve == run_main(capsys, "curve", "--step-tolerance", "1e-6")[1]
-    assert curve != run_main(capsys, "curve")[1]
+    argv = ("quad", "--omega", "200", "--n", "2")
+    cfg.write_text(json.dumps({"n-stationary": 3}))
+    _, quad, _ = run_main(capsys, *argv, "--config", str(cfg))
+    assert quad == run_main(capsys, *argv, "--n-stationary", "3")[1]
+    assert quad != run_main(capsys, *argv)[1]
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -185,6 +186,14 @@ def test_exit_code_construction_failure(tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     # 1e400 parses as an infinite float, which no integer flag can take
     (tmp_path / "huge.json").write_text('{"kmax": 1e400}')
+    # a switch takes only a JSON boolean, a valued flag no boolean, and an
+    # integer flag no fraction
+    configs = {"rescaled_string": {"n": 6, "rescaled": "false"},
+               "rescaled_number": {"n": 6, "rescaled": 1},
+               "n_fraction": {"n": 3.7}, "kmax_boolean": {"kmax": True},
+               "omega_boolean": {"omega": False}}
+    for name, doc in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     # a curve file whose points_im lost its last 5 entries
     stdout_of(capsys, "curve", "--out", str(tmp_path / "curve.json"))
     doc = json.loads((tmp_path / "curve.json").read_text())
@@ -209,6 +218,15 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("quad", "--amplitude-params", "[1]"),
                  ("quad", "--amplitude", "exp", "--amplitude-params", '{"skale": 5}'),
                  ("moments", "--config", str(tmp_path / "huge.json")),
+                 ("opq", "--config", str(tmp_path / "rescaled_string.json")),
+                 ("opq", "--config", str(tmp_path / "rescaled_number.json")),
+                 ("opq", "--config", str(tmp_path / "n_fraction.json")),
+                 ("moments", "--config", str(tmp_path / "kmax_boolean.json")),
+                 ("quad", "--config", str(tmp_path / "omega_boolean.json")),
+                 # non-finite integral bounds, refused before any rule is built
+                 ("quad", "--omega", "nan"),
+                 ("quad", "--omega", "inf"),
+                 ("quad", "--b", "inf"),
                  ("measure", "--curve-json", str(tmp_path / "short.json")),
                  ("measure", "--curve-json", str(tmp_path / "scalar.json")),
                  ("measure", "--curve-json", str(tmp_path / "null.json")),
@@ -223,16 +241,6 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("measure", "--samples", "0"),
                  ("measure", "--samples", "1"),
                  ("opq", "--n", "0"),
-                 # degenerate tracing settings, refused before any tracing
-                 ("curve", "--extension-length", "0"),
-                 ("curve", "--extension-length", "-1"),
-                 ("curve", "--extension-length", "inf"),
-                 ("curve", "--step-tolerance", "nan"),
-                 ("curve", "--step-tolerance", "0"),
-                 ("measure", "--step-tolerance", "-1e-7"),
-                 # a first step longer than the longest later one
-                 ("curve", "--step-tolerance", "0.05"),
-                 ("measure", "--step-tolerance", "1"),
                  # a non-finite grid bound
                  ("fields", "--which", "RePhi2", "--grid", "nan,1,2,0,1,2"),
                  ("fields", "--grid=-1,inf,2,-1,1,2"),
@@ -243,6 +251,9 @@ def test_exit_code_construction_failure(tmp_path, capsys):
         assert code == 3 and len(err.splitlines()) == 1, (argv, err)
         assert out == "", argv
     assert "n must be >= 1" in run_main(capsys, "opq", "--n", "0")[2]
+    assert "omega must be finite" in run_main(capsys, "quad", "--omega", "nan")[2]
+    assert "expected an integer" in run_main(
+        capsys, "opq", "--config", str(tmp_path / "n_fraction.json"))[2]
     assert "points_re" in run_main(capsys, "measure", "--curve-json",
                                    str(tmp_path / "string.json"))[2]
     # help is not a usage error

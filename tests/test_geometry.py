@@ -13,7 +13,6 @@ def test_cumulative_arclength_unit_square():
     pts = np.array([0, 1, 1 + 1j, 1j, 0], dtype=complex)
     s = geometry.cumulative_arclength(pts)
     assert np.allclose(s, [0, 1, 2, 3, 4])
-    assert geometry.max_segment_length(pts) == 1.0
 
 
 def test_nearest_on_polyline_exact_cases():

@@ -46,6 +46,13 @@ def test_spec_validation():
     # a plain callable declares no analyticity radius
     with pytest.raises(ValueError):
         osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=10.0, r=3, amplitude=lambda z: z)
+    # a non-finite bound or frequency is named before any rule is built
+    for field, value in (("a", -math.inf), ("a", math.nan), ("b", math.inf),
+                         ("b", math.nan), ("omega", math.inf), ("omega", math.nan)):
+        fields = dict(a=-1.0, b=1.0, omega=10.0, r=3, amplitude=amp)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            osc.OscillatoryIntegralSpec(**fields)
 
 
 def test_laguerre_rule_closed_forms():

@@ -42,9 +42,6 @@ def test_critical_angles_structure():
 def test_phase_context_is_memoised_and_frozen(phase):
     assert scurve.build_phase_context() is phase
     assert scurve.build_phase_context() is scurve.build_phase_context()
-    finer = scurve.build_phase_context(step_tolerance=1e-6)
-    assert finer is not phase
-    assert scurve.build_phase_context(step_tolerance=1e-6) is finer
     with pytest.raises(dataclasses.FrozenInstanceError):
         phase.gamma = phase.gamma1
     assert [f.name for f in dataclasses.fields(phase)] == ["gamma", "gamma1", "gamma2"]
@@ -108,9 +105,9 @@ def test_non_graph_trace_raises(monkeypatch):
     fake = scurve.CurvePolyline(kind="gamma", points=zigzag,
                                 s=scurve.geometry.cumulative_arclength(zigzag),
                                 density=np.zeros(4), cdf=np.full(4, np.nan))
-    monkeypatch.setattr(scurve, "trace_gamma", lambda step_tolerance: fake)
+    monkeypatch.setattr(scurve, "trace_gamma", lambda: fake)
     with pytest.raises(TraceDivergedError):
-        scurve._build_phase_context.__wrapped__(1e-7, 2.5)
+        scurve._build_phase_context.__wrapped__()
 
 
 def test_gamma_trace_endpoints_and_length(phase):
@@ -119,6 +116,17 @@ def test_gamma_trace_endpoints_and_length(phase):
     assert pts[-1] == scurve.Z2
     assert abs(phase.gamma.s[-1] - 2.9411574665892) <= 1e-6
     assert abs(pts[-2] - scurve.Z2) <= 1e-6
+
+
+def test_traced_contour_meets_its_constants(phase):
+    # what the fixed tracing constants promise, read back from the trace:
+    # the on-cut guard and the field-grid mask rely on the first two
+    pts = phase.gamma.points
+    assert np.max(np.abs(np.diff(pts))) <= scurve._BASE_STEP
+    assert all(scurve._near_gamma_box(complex(z), 0.0) for z in pts)
+    assert abs(pts[-2] - scurve.Z2) <= scurve._END_GAP
+    assert phase.gamma2.s[-1] >= scurve._EXTENSION_LENGTH
+    assert len(pts) == 1498
 
 
 def test_gamma_reflection_symmetry(phase):

@@ -3,21 +3,25 @@ every name it exports in __all__ exists, no module calls mpmath's adaptive
 quadrature, every optional parameter of a public function is set by some
 library or benchmark call, every public function is referred to by some
 library or benchmark code, every library name the benchmark tracer
-rebinds or the benchmark workloads call exists, and no evaluator of the
-curve branch takes the traced contour."""
+rebinds or the benchmark workloads call exists, no evaluator of the
+curve branch takes the traced contour, and every flag the README names is
+a flag of the command line."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 import warnings
 
 import pytest
 
 import oscgauss
+from oscgauss import cli
 
 SOURCES = sorted(pathlib.Path(oscgauss.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 MODULES = ["oscgauss"] + [f"oscgauss.{p.stem}" for p in SOURCES if p.stem != "__init__"]
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -255,3 +259,12 @@ def test_curve_branch_evaluators_take_no_contour():
                     contour.append(f"{where}: .{sub.attr}")
     assert found == CURVE_BRANCH_EVALUATORS
     assert contour == []
+
+
+def test_readme_flags_exist():
+    # A flag deleted from the command line must not linger in the docs.
+    _, flags = cli.build_parser()
+    known = {opt for actions in flags.values() for action in actions.values()
+             for opt in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
+    assert named - known - {"--no-build-isolation"} == set()   # pip's, in the install line
