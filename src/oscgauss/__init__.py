@@ -33,7 +33,7 @@ from .oscillatory import (Amplitude, OscillatoryIntegralSpec, amplitude,
                           evaluate_report, laguerre_rule, stationary_rule)
 from .precision import PrecisionContext
 from .scurve import (CurvePolyline, PhaseContext, build_phase_context,
-                     equilibrium_measure, trace_gamma, verify_equilibrium)
+                     trace_gamma, verify_equilibrium)
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -49,9 +49,8 @@ __all__ = [
     "PhaseContext", "Amplitude", "OscillatoryIntegralSpec",
     # headline operations
     "moment", "moment_sequence", "build_recurrence", "zeros", "build_rule",
-    "trace_gamma", "build_phase_context", "equilibrium_measure",
-    "verify_equilibrium", "amplitude", "laguerre_rule", "stationary_rule",
-    "evaluate_report", "run_suite",
+    "trace_gamma", "build_phase_context", "verify_equilibrium", "amplitude",
+    "laguerre_rule", "stationary_rule", "evaluate_report", "run_suite",
     # errors
     "ToolkitError", "PoleError", "OnCutError", "DegenerateFunctionalError",
     "NonconvergenceError", "IllConditionedError", "TraceDivergedError",

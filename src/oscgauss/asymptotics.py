@@ -60,7 +60,7 @@ __all__ = [
     "zero_distribution_report",
     "airy_model_matrix",
     "airy_model_residual",
-    "airy_connection_residual",
+    "airy_deviation",
 ]
 
 # Q'(z2) = -z2^3 + i for the quadratic differential Q(z) dz^2 with
@@ -217,6 +217,10 @@ def pn_airy(n: int, z: complex) -> complex:
     # beta: f^{1/4}/beta and beta/f^{1/4} are continuous across the arc.
     f14 = complex(_q4(f))
     b = beta(z)
+    if f == 0:
+        # z = z2, where f and beta vanish: f ~ FC (z - z2), so the removable
+        # 0/0 f^{1/4}/beta has the limit (FC (z2 - z1))^{1/4}
+        f14, b = complex(_q4(FC * (Z2 - Z1))), 1.0
     ai, aip, _, _ = scipy.special.airy(n ** (2.0 / 3.0) * f)
     val = (np.sqrt(np.pi) * np.exp(_v_half_minus_l(z, n))
            * (n ** (1.0 / 6.0) * f14 / b * ai
@@ -321,7 +325,7 @@ def zero_distribution_report(n: int, phase: PhaseContext) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Airy model problem: connection identity and matching estimate
+# Airy model problem: the Airy values and the matching estimate
 # ---------------------------------------------------------------------------
 
 def airy_model_matrix(zeta: complex) -> np.ndarray:
@@ -358,11 +362,12 @@ def airy_model_residual() -> float:
     return worst
 
 
-def airy_connection_residual(zeta: complex):
-    """|Ai(z) + w Ai(w z) + w^2 Ai(w^2 z)| at 30 digits (identically zero)."""
-    ctx = PrecisionContext(30)
-    with ctx.working():
-        z = mp.mpmathify(zeta)
-        w = mp.expjpi(mp.mpf(2) / 3)
-        total = mp.airyai(z) + w * mp.airyai(w * z) + w ** 2 * mp.airyai(w ** 2 * z)
-        return ctx.finalize(abs(total))
+def airy_deviation(zeta: complex) -> float:
+    """Larger relative deviation of scipy's Ai(zeta) and Ai'(zeta), which the
+    formulas evaluate, from mp.airyai at 30 digits."""
+    ai, aip, _, _ = scipy.special.airy(complex(zeta))
+    with PrecisionContext(30).working():
+        z = mp.mpmathify(complex(zeta))
+        refs = (mp.airyai(z), mp.airyai(z, derivative=1))
+        return max(float(abs((mp.mpmathify(got) - ref) / ref))
+                   for got, ref in zip((ai, aip), refs))

@@ -106,12 +106,7 @@ def _cmd_curve(args):
 
 
 def _cmd_measure(args):
-    if args.curve_json:
-        with open(args.curve_json) as fh:
-            doc = json.load(fh)
-        meas = scurve.equilibrium_measure(serialize.curve_from_json_dict(doc))
-    else:
-        meas = scurve.build_phase_context().gamma
+    meas = scurve.build_phase_context().gamma
     if args.samples is not None:
         if args.samples < 2:
             raise ValueError("--samples must be >= 2")
@@ -267,7 +262,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     command("curve", _cmd_curve, "gamma, gamma1, gamma2 polylines as JSON")
 
     arg = command("measure", _cmd_measure, "equilibrium density/CDF table as CSV")
-    arg("--curve-json", help="re-annotate a previously exported curve JSON")
     arg("--samples", type=int,
         help="resample to this many (>= 2) equal-arclength rows")
 

@@ -33,7 +33,8 @@ from .errors import (
     NoiseFloorError,
     NonconvergenceError,
 )
-from .precision import PrecisionContext, ensure_finite, panel_quad, panel_quad_vector, ray_cuts
+from .precision import (PrecisionContext, _is_finite_number, ensure_finite, panel_quad,
+                        panel_quad_vector, ray_cuts)
 
 __all__ = [
     "Amplitude",
@@ -82,12 +83,20 @@ _AMPLITUDE_PARAMS = {"constant": ("value",), "monomial": ("k",),
 AMPLITUDE_NAMES = tuple(_AMPLITUDE_PARAMS)
 
 
+def _finite(key: str, v):
+    """v, or ValueError naming amplitude parameter `key` if v is a bool or no finite number."""
+    if isinstance(v, bool) or not _is_finite_number(v):
+        raise ValueError(f"amplitude parameter {key!r} must be a finite number, got {v!r}")
+    return v
+
+
 def amplitude(name: str, **params) -> Amplitude:
     """Named amplitude families usable from the CLI (all entire).
 
     constant(value=1) | monomial(k=1) | polynomial(coeffs=...) |
-    exp(scale=1) | cos(scale=1).  An unknown family or parameter name
-    raises ValueError.
+    exp(scale=1) | cos(scale=1).  An unknown family or parameter name, or a
+    value that is not a finite number (coeffs: a sequence of them; k: an
+    integer >= 0, so 2.0 is 2), raises ValueError.
     """
     if name not in _AMPLITUDE_PARAMS:
         raise ValueError(f"unknown amplitude family {name!r}")
@@ -96,17 +105,22 @@ def amplitude(name: str, **params) -> Amplitude:
         raise ValueError(f"amplitude {name!r} has no parameter {', '.join(unknown)}; "
                          f"it takes {', '.join(_AMPLITUDE_PARAMS[name])}")
     if name == "constant":
-        v = params.get("value", 1)
+        v = _finite("value", params.get("value", 1))
         return Amplitude(lambda z, v=v: mp.mpmathify(v))
     if name == "monomial":
-        k = int(params.get("k", 1))
-        if k < 0:
-            raise ValueError("monomial degree must be >= 0")
+        k = _finite("k", params.get("k", 1))
+        x = mp.mpmathify(k)
+        if not (isinstance(x, mp.mpf) and mp.isint(x) and x >= 0):
+            raise ValueError(f"amplitude parameter 'k' must be a non-negative integer, got {k!r}")
+        k = k if isinstance(k, int) else int(x)   # an int keeps all its digits
         return Amplitude(lambda z, k=k: mp.mpmathify(z) ** k)
     if name == "polynomial":
-        coeffs = tuple(params.get("coeffs", (1,)))
+        coeffs = params.get("coeffs", (1,))
+        if not isinstance(coeffs, (list, tuple, np.ndarray)):
+            raise ValueError(f"amplitude parameter 'coeffs' must be a sequence, got {coeffs!r}")
+        coeffs = tuple(_finite("coeffs", c) for c in coeffs)
         return Amplitude(lambda z, c=coeffs: _horner(c, mp.mpmathify(z)))
-    s = params.get("scale", 1)
+    s = _finite("scale", params.get("scale", 1))
     if name == "exp":
         return Amplitude(lambda z, s=s: mp.exp(mp.mpmathify(s) * mp.mpmathify(z)))
     return Amplitude(lambda z, s=s: mp.cos(mp.mpmathify(s) * mp.mpmathify(z)))

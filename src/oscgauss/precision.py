@@ -63,7 +63,7 @@ class PrecisionContext:
 def _is_finite_number(x) -> bool:
     try:
         return mp.isfinite(mp.mpmathify(x))
-    except (TypeError, ValueError):
+    except (AttributeError, TypeError, ValueError):   # mpmath fails on "ej" with AttributeError
         return False
 
 

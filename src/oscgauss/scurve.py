@@ -60,7 +60,7 @@ __all__ = [
     "q_eval", "q_prime", "critical_angles",
     "w_chord", "q_sqrt_chord", "phi2_chord",
     "trace_gamma", "trace_extension",
-    "equilibrium_measure", "measure_quadrature", "curve_points_at_mass",
+    "measure_quadrature", "curve_points_at_mass",
     "near_quadrature", "potential_quadrature", "g_quadrature_unwrapped",
     "build_phase_context", "q_sqrt", "phi2", "g_eval",
     "phi2_on_curve", "d_on_curve", "re_v", "phi2_path_integral",
@@ -97,23 +97,20 @@ _PATH_MAX_U_PANEL = 0.25  # panel cap in u on the first segment, z = z2 + u^2 (b
 
 @dataclass(frozen=True)
 class CurvePolyline:
-    """Traced curve with per-vertex arc length, density and cdf annotations.
+    """Traced curve with per-vertex arc length, density and cdf (zero on the
+    extensions, whose total_mass is NaN).  The arrays are made read-only on
+    construction, so a cached contour cannot be changed in place by one of
+    its callers."""
 
-    The arrays are made read-only on construction, so a cached contour
-    cannot be changed in place by one of its callers.
-    """
-
-    kind: str                    # 'gamma' | 'gamma1' | 'gamma2'
     points: np.ndarray           # complex vertices
     s: np.ndarray                # chordal arc length from the first vertex
-    density: np.ndarray          # |Q^{1/2}|/pi at the vertices
+    density: np.ndarray          # |Q^{1/2}|/pi at the vertices (gamma only)
     cdf: np.ndarray              # equilibrium mass of the initial arc (gamma only)
     total_mass: float = float("nan")
 
     def __post_init__(self):
         for arr in (self.points, self.s, self.density, self.cdf):
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
 
     @property
     def total_length(self) -> float:
@@ -270,12 +267,18 @@ def _trace(start: complex, theta: float, c: complex, budget: float, cap) -> list
 
 
 def trace_gamma() -> CurvePolyline:
-    """Trace the critical trajectory {Re phi2 = 0} from z1 (tangent theta_0) to z2.
+    """Trace the critical trajectory {Re phi2 = 0} from z1 (tangent theta_0) to z2,
+    with the density |Q^{1/2}|/pi of its equilibrium measure and the cdf.
 
     Steps also shrink geometrically towards z2 (the direction field is
     singular at both simple zeros); within _END_GAP of z2 the trace stops
     and appends z2 exactly.  The arc budget is 10 |z2 - z1|.
-    The polyline carries no density or cdf: equilibrium_measure adds them.
+
+    The cdf comes from the exact differential relation |Q^{1/2}| ds =
+    |d phi2| along the curve: phi2_chord is purely imaginary there and
+    Im phi2_chord decreases strictly from pi at z1 to 0 at z2, so the mass
+    of an initial arc is (pi - Im phi2_chord)/pi evaluated at its endpoint.
+    The total then checks the unit normalization of the measure.
     """
     def cap(z, arc):
         d_end = abs(z - Z2)
@@ -283,8 +286,17 @@ def trace_gamma() -> CurvePolyline:
 
     pts = _trace(Z1, -math.atan(2.0 * SQRT2) / 3.0, 1, 10.0 * abs(Z2 - Z1), cap)
     points = np.array(pts + [Z2], dtype=complex)
-    return CurvePolyline(kind="gamma", points=points, s=geometry.cumulative_arclength(points),
-                         density=None, cdf=None)
+    im = phi2_chord(points).imag
+    # the exact endpoints sit on the log branch line of the closed form;
+    # unwrap them by 2 pi onto the on-curve limit seen by their neighbours
+    im[0] += 2.0 * math.pi * round((im[1] - im[0]) / (2.0 * math.pi))
+    im[-1] += 2.0 * math.pi * round((im[-2] - im[-1]) / (2.0 * math.pi))
+    if not np.all(np.diff(im) < 0):
+        raise NonFiniteError("Im phi2_chord is not strictly decreasing along the traced curve")
+    cdf = (im[0] - im) / math.pi
+    return CurvePolyline(points=points, s=geometry.cumulative_arclength(points),
+                         density=np.abs(q_sqrt_chord(points)) / math.pi, cdf=cdf,
+                         total_mass=float(cdf[-1]))
 
 
 def trace_extension() -> CurvePolyline:
@@ -301,7 +313,7 @@ def trace_extension() -> CurvePolyline:
 
     pts = _trace(Z2, math.atan(2.0 * SQRT2) / 3.0, -1j, 10.0 * _EXTENSION_LENGTH, cap)
     points = np.array(pts, dtype=complex)
-    return CurvePolyline(kind="gamma2", points=points, s=geometry.cumulative_arclength(points),
+    return CurvePolyline(points=points, s=geometry.cumulative_arclength(points),
                          density=np.zeros(len(points)), cdf=np.zeros(len(points)))
 
 
@@ -309,41 +321,17 @@ def trace_extension() -> CurvePolyline:
 # Equilibrium measure on gamma
 # ---------------------------------------------------------------------------
 
-def equilibrium_measure(curve: CurvePolyline) -> CurvePolyline:
-    """Annotate the traced gamma with density |Q^{1/2}|/pi and its cdf.
-
-    The cdf comes from the exact differential relation |Q^{1/2}| ds =
-    |d phi2| along the curve: phi2_chord is purely imaginary there and
-    Im phi2_chord decreases strictly from pi at z1 to 0 at z2, so the mass
-    of an initial arc is (pi - Im phi2_chord)/pi evaluated at its endpoint.
-    The total then checks the unit normalization of the measure.
-    """
-    if curve.kind != "gamma":
-        raise ValueError("equilibrium_measure expects the gamma polyline")
-    im = phi2_chord(curve.points).imag
-    # the exact endpoints sit on the log branch line of the closed form;
-    # unwrap them by 2 pi onto the on-curve limit seen by their neighbours
-    im[0] += 2.0 * math.pi * round((im[1] - im[0]) / (2.0 * math.pi))
-    im[-1] += 2.0 * math.pi * round((im[-2] - im[-1]) / (2.0 * math.pi))
-    if not np.all(np.diff(im) < 0):
-        raise NonFiniteError("Im phi2_chord is not strictly decreasing along the traced curve")
-    cdf = (im[0] - im) / math.pi
-    total = float(cdf[-1])
-    density = np.abs(q_sqrt_chord(curve.points)) / math.pi
-    return replace(curve, density=density, cdf=cdf, total_mass=total)
-
-
 def curve_points_at_mass(meas: CurvePolyline, m) -> np.ndarray:
     """Points z(m) on gamma at prescribed equilibrium masses m (vectorized).
 
-    Starts from linear interpolation of the annotated polyline in the cdf
+    Starts from linear interpolation of gamma's vertices in the cdf
     variable and runs four rounds of a normal Newton correction (onto
     Re phi2 = 0) followed by a tangential one (mass-matching), then a last
-    normal correction.
+    normal correction.  ValueError for an extension, which has no measure.
     """
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if np.isnan(meas.total_mass):
-        raise ValueError("curve must be annotated by equilibrium_measure first")
+        raise ValueError("curve carries no equilibrium measure (gamma1 and gamma2 have none)")
     m = np.clip(m, 1e-13, meas.total_mass - 1e-13)  # keep |Q^{1/2}| > 0
     z = np.interp(m, meas.cdf, meas.points.real) + 1j * np.interp(m, meas.cdf, meas.points.imag)
     for rnd in range(5):
@@ -561,14 +549,13 @@ def build_phase_context() -> PhaseContext:
 
 @functools.cache
 def _build_phase_context() -> PhaseContext:
-    traced = trace_gamma()
-    if not np.all(np.diff(traced.points.real) > 0):
+    gamma = trace_gamma()
+    if not np.all(np.diff(gamma.points.real) > 0):
         raise TraceDivergedError("traced gamma is not a graph over Re z (Re z not "
                                  "strictly increasing from z1 to z2)")
-    curve = equilibrium_measure(traced)
     g2 = trace_extension()
-    g1 = replace(g2, kind="gamma1", points=-np.conj(g2.points))
-    return PhaseContext(gamma=curve, gamma1=g1, gamma2=g2)
+    g1 = replace(g2, points=-np.conj(g2.points))
+    return PhaseContext(gamma=gamma, gamma1=g1, gamma2=g2)
 
 
 def _check_path(path: list) -> None:

@@ -1,9 +1,10 @@
-"""Deterministic decimal-string serialization for the CLI file formats.
+"""Deterministic decimal-string writers for the CLI file formats.
 
-Every numeric value crosses the process boundary as a decimal string at an
-explicit digit count (never a binary float), so extended-precision results
-survive the round trip and two runs with the same configuration produce
-byte-identical files.  Integers and booleans stay native JSON.
+Pure formatting: every numeric value leaves the process as a decimal string
+at an explicit digit count (never a binary float), so extended-precision
+results keep their digits and two runs with the same configuration produce
+byte-identical files.  Integers and booleans stay native JSON.  Nothing is
+read back.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 import mpmath as mp
 import numpy as np
 
-from .scurve import CurvePolyline
-
 __all__ = [
     "fmt",
     "fmt_complex",
@@ -22,7 +21,6 @@ __all__ = [
     "rule_csv",
     "measure_csv",
     "curve_json_dict",
-    "curve_from_json_dict",
     "report_json",
 ]
 
@@ -91,10 +89,8 @@ def rule_csv(rule, digits: int = DEFAULT_DIGITS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def measure_csv(curve: CurvePolyline) -> str:
-    """Rows s, point, density, cdf along an annotated curve."""
-    if curve.density is None or curve.cdf is None:
-        raise ValueError("curve carries no measure annotation")
+def measure_csv(curve) -> str:
+    """Rows s, point, density, cdf along a CurvePolyline."""
     lines = ["s,re,im,density,cdf"]
     for s, z, d, c in zip(curve.s, curve.points, curve.density, curve.cdf):
         zr, zi = fmt_complex(z)
@@ -106,49 +102,19 @@ def measure_csv(curve: CurvePolyline) -> str:
 # Curve JSON
 # ---------------------------------------------------------------------------
 
-def _curve_dict(curve: CurvePolyline) -> dict:
+def _curve_dict(name: str, curve) -> dict:
     pts = curve.points
-    d = {
-        "kind": curve.kind,
+    return {
+        "kind": name,
         "points_re": [fmt(x) for x in pts.real],
         "points_im": [fmt(x) for x in pts.imag],
         "arclength": [fmt(x) for x in curve.s],
+        "density": [fmt(x) for x in curve.density],
+        "cdf": [fmt(x) for x in curve.cdf],
+        "total_mass": fmt(curve.total_mass),
     }
-    if curve.density is not None:
-        d["density"] = [fmt(x) for x in curve.density]
-    if curve.cdf is not None:
-        d["cdf"] = [fmt(x) for x in curve.cdf]
-        d["total_mass"] = fmt(curve.total_mass)
-    return d
 
 
 def curve_json_dict(curves: dict) -> dict:
-    """{"curves": {name: curve-dict}} for any mapping of named polylines."""
-    return {"curves": {name: _curve_dict(c) for name, c in curves.items()}}
-
-
-def curve_from_json_dict(doc: dict) -> CurvePolyline:
-    """Rebuild gamma's vertices and arc length from a curve_json_dict document.
-
-    Reads only kind, points_re, points_im and arclength (floats from
-    strings); the measure annotations are left to equilibrium_measure.
-    Raises ValueError for any other shape, a field that is not a JSON array,
-    null entries and ragged arrays included.
-    """
-    try:
-        d = doc["curves"]["gamma"]
-        kind = d["kind"]
-        arrays = {k: d[k] for k in ("points_re", "points_im", "arclength")}
-        for k, v in arrays.items():
-            if not isinstance(v, list):
-                raise ValueError(f"curve field {k!r} is not a JSON array")
-        lengths = {k: len(v) for k, v in arrays.items()}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(f"curve arrays differ in length: {lengths}")
-        pts = np.array([complex(float(a), float(b))
-                        for a, b in zip(arrays["points_re"], arrays["points_im"])])
-        s = np.array([float(x) for x in arrays["arclength"]])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not a curve document with a well-formed curves['gamma'] "
-                         f"({type(exc).__name__}: {exc})") from exc
-    return CurvePolyline(kind=kind, points=pts, s=s, density=None, cdf=None)
+    """{"curves": {name: curve-dict}} for any mapping of named CurvePolylines."""
+    return {"curves": {name: _curve_dict(name, c) for name, c in curves.items()}}

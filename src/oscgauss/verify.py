@@ -372,7 +372,7 @@ def _max_rel_dev(rec: opq.RecurrenceCoefficients, ref: opq.RecurrenceCoefficient
 @_suite("consistency", budget_seconds=300.0)
 def criterion_consistency(rep: dict) -> None:
     """Dual-route agreement: moments, phi2, recurrences, weights, det N;
-    string equations, Airy identity."""
+    string equations, scipy's Airy against mpmath's."""
     ctx = PrecisionContext(CONSISTENCY_DIGITS)
     bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
 
@@ -416,8 +416,8 @@ def criterion_consistency(rep: dict) -> None:
     worst = max(abs(np.linalg.det(asym.n_matrix(z)) - 1.0) for z in DETN_PROBES)
     _check(rep, "det_N_minus_one", float(worst), worst <= 1e-12, bound=1e-12)
 
-    worst = max(float(asym.airy_connection_residual(z)) for z in AIRY_ZETAS)
-    _check(rep, "airy_connection_residual", worst, worst <= 1e-12, bound=1e-12)
+    worst = max(asym.airy_deviation(z) for z in AIRY_ZETAS)
+    _check(rep, "airy_vs_mpmath", worst, worst <= 1e-12, bound=1e-12)
 
 
 # ---------------------------------------------------------------------------

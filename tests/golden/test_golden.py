@@ -4,8 +4,7 @@ Each case runs `cli.main` in-process and compares stdout with the file of
 the same name in this directory; a verify case prints the session's one
 run of its suite (the `suite_run` fixture), which the acceptance gate also
 judges.  Artifacts too large to commit are pinned by the SHA-256 of their
-stdout instead; "{curve}" in such a command stands for the file that
-`curve --out` writes.  A change that alters one of these is an artifact
+stdout instead.  A change that alters one of these is an artifact
 change and has to be declared as such.
 """
 
@@ -40,10 +39,6 @@ CASES = {
 DIGESTS = {
     # the three traced polylines, 455 KB of JSON
     "curve": (["curve"], "82c66ac8e196bed64ec582d98cb37b7625a6c06e9d2552bcf099020b9711a75f"),
-    # the curve JSON of `curve --out` read back and annotated again; the
-    # same bytes as measure_samples50.csv
-    "measure_curve_json": (["measure", "--curve-json", "{curve}", "--samples", "50"],
-                           "1918043250a978adeee95c954f171336d22b9ff41798d21f0005cb6811af2eb9"),
 }
 
 
@@ -57,11 +52,7 @@ def test_cli_output_matches_golden_file(name, capsys, monkeypatch, suite_run):
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_cli_output_matches_golden_digest(name, capsys, tmp_path):
+def test_cli_output_matches_golden_digest(name, capsys):
     argv, digest = DIGESTS[name]
-    if "{curve}" in argv:
-        curve = str(tmp_path / "curve.json")
-        assert cli.main(["curve", "--out", curve]) == 0
-        argv = [curve if a == "{curve}" else a for a in argv]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

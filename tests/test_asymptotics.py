@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from oscgauss import asymptotics as asym
-from oscgauss import geometry, opq, scurve
+from oscgauss import geometry, opq, scurve, verify
 from oscgauss.errors import OnCutError, OutsideDiskError
 
 SQRT2 = math.sqrt(2.0)
@@ -144,6 +144,18 @@ def test_airy_formula_accuracy_both_disks(phase):
             assert err <= 5e-3
 
 
+@pytest.mark.parametrize("n", [20, 40, 160])
+def test_airy_formula_at_the_branch_points(phase, n):
+    # f and beta both vanish at z2 (and, by reflection, at z1); the ratio
+    # f^{1/4}/beta has a finite limit, so the formula is finite there and
+    # continuous with its neighbour 1e-7 away
+    for z, step in ((scurve.Z2, 1e-7), (scurve.Z1, -1e-7)):
+        region, err = asym.pn_relative_error(n, z, phase)
+        _, near = asym.pn_relative_error(n, z + step, phase)
+        assert region in ("disk1", "disk2")
+        assert np.isfinite(err) and abs(err - near) <= 1e-6, (n, z, err, near)
+
+
 def test_disk1_reflection_consistency():
     # the P_n symmetry P_n(z) = (-1)^n conj(P_n(-conj(z))) carries disk2 to disk1
     z = scurve.Z1 + 0.2 * np.exp(2.5j)
@@ -222,6 +234,19 @@ def test_airy_model_matching_residual():
     assert asym.airy_model_residual() <= bound
 
 
-def test_airy_connection_identity():
-    for zeta in (0.7 + 0.3j, -1.2 + 2.0j):
-        assert float(asym.airy_connection_residual(zeta)) <= 1e-12
+def test_airy_matches_mpmath(monkeypatch):
+    # the scipy Ai and Ai' that pn_airy evaluates, at the consistency
+    # suite's points and at n^{2/3} f(z) for disk probes up to n = 160
+    zetas = [*verify.AIRY_ZETAS]
+    for n in (20, 160):
+        zetas += [n ** (2 / 3) * asym.conformal_f(scurve.Z2 + 0.4 * np.exp(1j * th))
+                  for th in (0.41, 2.0, -1.2, 3.0)]
+    assert max(asym.airy_deviation(z) for z in zetas) <= 1e-12
+    # an Ai' off by 1e-9 relative is caught
+    airy = asym.scipy.special.airy
+
+    def perturbed(z):
+        ai, aip, bi, bip = airy(z)
+        return ai, aip * (1 + 1e-9), bi, bip
+    monkeypatch.setattr(asym.scipy.special, "airy", perturbed)
+    assert asym.airy_deviation(0.7 + 0.3j) > 1e-10

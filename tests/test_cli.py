@@ -93,16 +93,24 @@ def test_curve_endpoints(capsys):
     assert {"gamma", "gamma1", "gamma2"} <= set(doc["curves"])
 
 
-def test_measure_round_trip_mass(tmp_path, capsys):
-    curve_path = tmp_path / "curve.json"
-    stdout_of(capsys, "curve", "--out", str(curve_path))
-    lines = stdout_of(capsys, "measure", "--curve-json", str(curve_path)).splitlines()
+def test_measure_round_trip_mass(capsys):
+    # the full table of the memoised gamma: a row per vertex, mass 0 to 1
+    lines = stdout_of(capsys, "measure").splitlines()
     assert lines[0] == "s,re,im,density,cdf"
-    assert abs(float(lines[-1].split(",")[4]) - 1.0) <= 1e-8
+    assert len(lines) == 1 + 1498
+    assert abs(float(lines[-1].split(",")[4]) - 1.0) <= 1e-10
 
 
 def test_measure_resampled_row_count(capsys):
     assert len(stdout_of(capsys, "measure", "--samples", "33").splitlines()) == 34
+
+
+def test_asymp_at_the_branch_points(tmp_path, capsys):
+    probes = tmp_path / "probes.json"
+    probes.write_text(json.dumps([[2.0 ** 0.5, 1.0], [-(2.0 ** 0.5), 1.0]]))
+    rows = json.loads(stdout_of(capsys, "asymp", "--probes", str(probes)))["probes"]
+    assert [row["region"] for row in rows] == ["disk2", "disk1"]
+    assert all(float(row["relative_error"]) < 1e-3 for row in rows)
 
 
 def test_quad_symmetric_constant_matches_oracle(capsys):
@@ -181,9 +189,7 @@ def test_exit_code_construction_failure(tmp_path, capsys):
     proc = run_failing("moments", "--precision", "10")
     assert proc.returncode == 3
     # malformed input is one stderr line and exit 3, never a traceback
-    files = {"empty": {}, "list": [1, 2], "ragged": [[1, 2], [3]]}
-    for name, doc in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "ragged.json").write_text(json.dumps([[1, 2], [3]]))
     # 1e400 parses as an infinite float, which no integer flag can take
     (tmp_path / "huge.json").write_text('{"kmax": 1e400}')
     # a switch takes only a JSON boolean, a valued flag no boolean, and an
@@ -194,29 +200,21 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                "omega_boolean": {"omega": False}}
     for name, doc in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    # a curve file whose points_im lost its last 5 entries
-    stdout_of(capsys, "curve", "--out", str(tmp_path / "curve.json"))
-    doc = json.loads((tmp_path / "curve.json").read_text())
-    del doc["curves"]["gamma"]["points_im"][-5:]
-    (tmp_path / "short.json").write_text(json.dumps(doc))
-    # an array that is not a list, and a null entry
-    doc = json.loads((tmp_path / "curve.json").read_text())
-    doc["curves"]["gamma"]["points_re"] = 5
-    (tmp_path / "scalar.json").write_text(json.dumps(doc))
-    doc = json.loads((tmp_path / "curve.json").read_text())
-    doc["curves"]["gamma"]["points_re"][3] = None
-    (tmp_path / "null.json").write_text(json.dumps(doc))
-    # a string as long as the array it replaces
-    doc = json.loads((tmp_path / "curve.json").read_text())
-    doc["curves"]["gamma"]["points_re"] = "0" * len(doc["curves"]["gamma"]["points_im"])
-    (tmp_path / "string.json").write_text(json.dumps(doc))
     for argv in (("curve", "--precision", "10"),
-                 ("measure", "--curve-json", str(tmp_path / "empty.json")),
-                 ("measure", "--curve-json", str(tmp_path / "list.json")),
                  ("asymp", "--probes", str(tmp_path / "ragged.json")),
                  ("fields", "--grid=-1,1,0,-1,1,3"),
                  ("quad", "--amplitude-params", "[1]"),
                  ("quad", "--amplitude", "exp", "--amplitude-params", '{"skale": 5}'),
+                 # amplitude values that are not finite numbers, refused
+                 # before any rule is built
+                 ("quad", "--amplitude", "polynomial", "--amplitude-params", '{"coeffs": 5}'),
+                 ("quad", "--amplitude", "polynomial",
+                  "--amplitude-params", '{"coeffs": "abc"}'),
+                 ("quad", "--amplitude-params", '{"value": [1, 2]}'),
+                 ("quad", "--amplitude-params", '{"value": "x"}'),
+                 ("quad", "--amplitude", "exp", "--amplitude-params", '{"scale": null}'),
+                 ("quad", "--amplitude", "monomial", "--amplitude-params", '{"k": 1.5}'),
+                 ("quad", "--amplitude", "monomial", "--amplitude-params", '{"k": true}'),
                  ("moments", "--config", str(tmp_path / "huge.json")),
                  ("opq", "--config", str(tmp_path / "rescaled_string.json")),
                  ("opq", "--config", str(tmp_path / "rescaled_number.json")),
@@ -227,10 +225,6 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("quad", "--omega", "nan"),
                  ("quad", "--omega", "inf"),
                  ("quad", "--b", "inf"),
-                 ("measure", "--curve-json", str(tmp_path / "short.json")),
-                 ("measure", "--curve-json", str(tmp_path / "scalar.json")),
-                 ("measure", "--curve-json", str(tmp_path / "null.json")),
-                 ("measure", "--curve-json", str(tmp_path / "string.json")),
                  # --precision is a flag of moments, opq and quad only
                  ("measure", "--samples", "2", "--precision", "40"),
                  ("fields", "--grid=-1,1,2,-1,1,2", "--precision", "40"),
@@ -246,7 +240,9 @@ def test_exit_code_construction_failure(tmp_path, capsys):
                  ("fields", "--grid=-1,inf,2,-1,1,2"),
                  # usage errors: a malformed value and an unknown flag
                  ("moments", "--kmax", "abc"),
-                 ("moments", "--no-such-flag")):
+                 ("moments", "--no-such-flag"),
+                 # measure reads only the memoised contour, never a curve file
+                 ("measure", "--curve-json", "x.json")):
         code, out, err = run_main(capsys, *argv)
         assert code == 3 and len(err.splitlines()) == 1, (argv, err)
         assert out == "", argv
@@ -254,8 +250,6 @@ def test_exit_code_construction_failure(tmp_path, capsys):
     assert "omega must be finite" in run_main(capsys, "quad", "--omega", "nan")[2]
     assert "expected an integer" in run_main(
         capsys, "opq", "--config", str(tmp_path / "n_fraction.json"))[2]
-    assert "points_re" in run_main(capsys, "measure", "--curve-json",
-                                   str(tmp_path / "string.json"))[2]
     # help is not a usage error
     with pytest.raises(SystemExit) as exc:
         cli.main(["moments", "-h"])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oscgauss import opq
@@ -33,6 +34,44 @@ def test_amplitude_registry():
 def test_amplitude_rejects_unknown_parameters(name, params):
     with pytest.raises(ValueError, match="no parameter"):
         osc.amplitude(name, **params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("polynomial", {"coeffs": 5}), ("polynomial", {"coeffs": "abc"}),
+    ("polynomial", {"coeffs": [1, None]}), ("constant", {"value": [1, 2]}),
+    ("constant", {"value": "x"}), ("constant", {"value": "ej"}),
+    ("constant", {"value": math.nan}),
+    ("exp", {"scale": None}), ("cos", {"scale": math.inf}),
+    ("monomial", {"k": 1.5}), ("monomial", {"k": True}), ("monomial", {"k": -1}),
+])
+def test_amplitude_rejects_bad_values(name, params):
+    (key,) = params
+    with pytest.raises(ValueError, match=repr(key)):
+        osc.amplitude(name, **params)
+
+
+def test_amplitude_integral_k():
+    # a float or string holding an integer is that integer
+    for k in (2, 2.0, "2"):
+        assert osc.amplitude("monomial", k=k)(3) == 9
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(osc.AMPLITUDE_NAMES)),
+       value=_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=4))
+def test_amplitude_refuses_or_is_finite(name, value):
+    # any JSON scalar or list as the family's parameter: a ValueError at
+    # construction, or an amplitude that evaluates to a finite number
+    (key,) = osc._AMPLITUDE_PARAMS[name]
+    try:
+        amp = osc.amplitude(name, **{key: value})
+    except ValueError:
+        return
+    assert mp.isfinite(amp(0.5))
 
 
 def test_spec_validation():

@@ -48,7 +48,6 @@ def test_phase_context_is_memoised_and_frozen(phase):
 
 
 def test_gamma1_is_the_mirror_of_gamma2(phase):
-    assert (phase.gamma1.kind, phase.gamma2.kind) == ("gamma1", "gamma2")
     assert np.array_equal(phase.gamma1.points, -np.conj(phase.gamma2.points))
     assert np.array_equal(phase.gamma1.s,
                           scurve.geometry.cumulative_arclength(phase.gamma1.points))
@@ -102,7 +101,7 @@ def test_q_sqrt_continuous_across_the_chord_row(x):
 
 def test_non_graph_trace_raises(monkeypatch):
     zigzag = np.array([scurve.Z1, 0.5 + 0.8j, -0.5 + 0.7j, scurve.Z2])
-    fake = scurve.CurvePolyline(kind="gamma", points=zigzag,
+    fake = scurve.CurvePolyline(points=zigzag,
                                 s=scurve.geometry.cumulative_arclength(zigzag),
                                 density=np.zeros(4), cdf=np.full(4, np.nan))
     monkeypatch.setattr(scurve, "trace_gamma", lambda: fake)

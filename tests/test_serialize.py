@@ -3,10 +3,8 @@
 import json
 
 import numpy as np
-import pytest
 
-from oscgauss import opq, scurve, serialize
-from oscgauss.precision import PrecisionContext
+from oscgauss import opq, serialize
 
 
 def test_fmt_round_trips_doubles():
@@ -47,34 +45,6 @@ def test_rule_csv_deterministic():
     assert serialize.rule_csv(rule) == serialize.rule_csv(rule)
     header = serialize.rule_csv(rule).splitlines()[0]
     assert header == "k,node_re,node_im,weight_re,weight_im"
-
-
-def test_curve_json_round_trip(phase):
-    doc = serialize.curve_json_dict({"gamma": phase.gamma})
-    text = serialize.report_json(doc)
-    back = serialize.curve_from_json_dict(json.loads(text))
-    meas = scurve.equilibrium_measure(back)
-    assert abs(meas.total_mass - 1.0) <= 1e-8
-    pts_a = phase.gamma.points
-    pts_b = meas.points
-    assert len(pts_a) == len(pts_b)
-    assert np.max(np.abs(pts_a - pts_b)) <= 1e-15
-    # only the {"curves": {name: ...}} document is read back
-    with pytest.raises(ValueError):
-        serialize.curve_from_json_dict(json.loads(text)["curves"]["gamma"])
-    # a string is not a coordinate array, though it has a length
-    doc = json.loads(text)
-    doc["curves"]["gamma"]["points_re"] = "0" * len(pts_a)
-    with pytest.raises(ValueError, match="points_re"):
-        serialize.curve_from_json_dict(doc)
-
-
-def test_measure_csv_requires_annotation(phase):
-    bare = scurve.CurvePolyline(kind="gamma",
-                                points=phase.gamma.points,
-                                s=phase.gamma.s, density=None, cdf=None)
-    with pytest.raises(ValueError):
-        serialize.measure_csv(bare)
 
 
 def test_measure_csv_header_and_mass(phase):
