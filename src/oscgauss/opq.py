@@ -26,9 +26,9 @@ the involution the nodes are closed under: z -> -conj z (odd r), z -> -z
 (even r), z -> conj z (Gauss-Laguerre); the caller names it and nothing
 classifies it.  The float64 eigenvalues of the Jacobi matrix, paired once
 through the involution, seed Aberth sweeps that move one root per pair with
-pi_n and pi_n' from the recurrence at working precision, run to
-10^-digits; the partner is the exact mirror image and a self-paired root
-sits exactly on the fixed set (exactly 0 for even r).  The weights are the
+pi_n and pi_n' from the recurrence, run to 10^-digits; the partner is the
+exact mirror image and a self-paired root sits exactly on the fixed set
+(exactly 0 for even r).  The weights are the
 Christoffel numbers h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)), h_{n-1} = M_0
 beta_0 ... beta_{n-2}, averaged over each pair, so for odd r a node on the
 axis carries an exactly real weight.  A rule is delivered only if
@@ -38,6 +38,11 @@ Nodes come in ascending (Re, Im) order.  Rules, and the moments and
 recurrence each comes from, are memoised per process (functools.lru_cache,
 64 entries each) keyed on (n, r, decimal_digits); the three types are
 frozen and hold tuples, so callers share the cached objects safely.
+
+One kernel, _run_recurrence, evaluates the recurrence for pi_eval, the
+Aberth sweeps, the Christoffel weights and the root residual, on Python
+ints in block floating point at the working precision plus
+KERNEL_GUARD_BITS (241 bits at 60 digits): no mpmath call per step.
 
 All computations run under a PrecisionContext; the default schedule for
 degree n is max(60, 12 + 4n) working digits.  A rule carries the
@@ -49,15 +54,18 @@ asked for; nothing is retried.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, to_fixed
 
 from .errors import (
     DegenerateFunctionalError,
     IllConditionedError,
     NonconvergenceError,
+    NonFiniteError,
 )
 from .precision import GUARD_DIGITS, PrecisionContext, ensure_finite, gamma
 
@@ -129,6 +137,23 @@ class RecurrenceCoefficients:
     def n(self) -> int:
         """Degree of pi_n."""
         return len(self.alpha)
+
+    @functools.cached_property
+    def _fixed(self):
+        """(F, working bits, [(Re, Im, |.|) of alpha_k 2^F], same of beta_k) as ints.
+
+        F = (decimal_digits + GUARD_DIGITS) log2 10 + KERNEL_GUARD_BITS, so
+        each coefficient is held to 2^-F absolute.  Computed once per object.
+        """
+        digits = self.ctx.decimal_digits + GUARD_DIGITS
+        bits = math.ceil(digits * math.log2(10)) + KERNEL_GUARD_BITS
+
+        def fixed(v):
+            re, im = _to_fixed(v, bits)
+            return re, im, math.isqrt(re * re + im * im)
+
+        return (bits, dps_to_prec(digits), [fixed(a) for a in self.alpha],
+                [fixed(b) for b in self.beta])
 
 
 @dataclass(frozen=True)
@@ -224,6 +249,85 @@ def build_recurrence(moments: MomentSequence, n: int) -> RecurrenceCoefficients:
     return RecurrenceCoefficients(alpha=tuple(alpha), beta=tuple(beta), ctx=ctx)
 
 
+# ---------------------------------------------------------------------------
+# The three-term recurrence in integer arithmetic
+# ---------------------------------------------------------------------------
+
+# Bits carried beyond the working precision by _run_recurrence.
+KERNEL_GUARD_BITS = 8
+
+
+def _to_fixed(x, bits: int) -> tuple:
+    """(Re x, Im x) as ints scaled by 2^bits, rounded down; NonFiniteError for inf or nan."""
+    x = mp.mpmathify(x)
+    if not mp.isfinite(x):
+        raise NonFiniteError(f"recurrence input is not finite: {x!r}")
+    re, im = x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
+    return to_fixed(re, bits), to_fixed(im, bits)
+
+
+def _normalize(nr, ni, pr, pi, bits: int) -> tuple:
+    """Shift the pair (n, p << bits) so that its larger member keeps `bits` bits.
+
+    n = nr + i ni and p = pr + i pi share one block exponent, n's; returns
+    the shifted (nr, ni, pr, pi) and the shift s >= 0 to add to that
+    exponent.  n moves down by s and p by s - bits, which is negative (p
+    moves up) when the pair shrank.
+    """
+    s = max(nr.bit_length(), ni.bit_length(), max(pr.bit_length(), pi.bit_length()) + bits) - bits
+    u = bits - s
+    if u >= 0:
+        return nr >> s, ni >> s, pr << u, pi << u, s
+    return nr >> s, ni >> s, pr >> -u, pi >> -u, s
+
+
+def _run_recurrence(coeffs: RecurrenceCoefficients, z, derivative=False, absolute=False):
+    """(pi_n(z), pi_{n-1}(z), pi_n'(z) or None, s_n or None) for n >= 1.
+
+    The one evaluation of pi_{k+1} = (z - alpha_k) pi_k - beta_{k-1} pi_{k-1}.
+    s_n is the same recurrence run on |z| + |alpha_k| and |beta_{k-1}|, which
+    bounds |pi_n| and the error of pi_n.  z and the coefficients
+    (RecurrenceCoefficients._fixed) are complex fixed-point ints with F
+    fractional bits, F = (decimal_digits + GUARD_DIGITS) log2 10 +
+    KERNEL_GUARD_BITS; each of the pairs (pi_k, pi_{k-1}), (pi_k', pi_{k-1}')
+    and (s_k, s_{k-1}) carries one block exponent, and after every step both
+    members are shifted, up or down, so that the larger keeps F bits.  The
+    error is then about n 2^-F s_n.  The results are mpmath numbers at the
+    working precision of coeffs.ctx.
+    """
+    bits, prec, alphas, betas = coeffs._fixed
+    zr, zi = _to_fixed(z, bits)
+    one = 1 << bits
+    ar, ai, aa = alphas[0]
+    pr, pi, qr, qi, e = zr - ar, zi - ai, one, 0, -bits
+    if derivative:
+        dr, di, dqr, dqi, ed = one, 0, 0, 0, -bits
+    if absolute:
+        za = math.isqrt(zr * zr + zi * zi)
+        s, sq, es = za + aa, one, -bits
+    for (ar, ai, aa), (br, bi, ba) in zip(alphas[1:], betas):
+        tr, ti = zr - ar, zi - ai
+        if derivative:
+            g = e - ed + bits               # pi_k at the exponent of the raw pi_{k+1}'
+            xr, xi = (pr << g, pi << g) if g >= 0 else (pr >> -g, pi >> -g)
+            dr, di, dqr, dqi, sh = _normalize(tr * dr - ti * di - br * dqr + bi * dqi + xr,
+                                              tr * di + ti * dr - br * dqi - bi * dqr + xi,
+                                              dr, di, bits)
+            ed += sh - bits
+        if absolute:
+            s, _, sq, _, sh = _normalize((za + aa) * s + ba * sq, 0, s, 0, bits)
+            es += sh - bits
+        pr, pi, qr, qi, sh = _normalize(tr * pr - ti * pi - br * qr + bi * qi,
+                                        tr * pi + ti * pr - br * qi - bi * qr, pr, pi, bits)
+        e += sh - bits
+
+    def value(re, im, exp):
+        return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
+
+    return (value(pr, pi, e), value(qr, qi, e), value(dr, di, ed) if derivative else None,
+            mp.make_mpf(from_man_exp(s, es, prec, "n")) if absolute else None)
+
+
 # Per symmetry class: the root-set involution, its action on the weights (the
 # node invol(z) carries the weight wmap(w(z))) and the projection onto its
 # fixed set.  "neg_conj" is odd r, "neg" even r, "real" Gauss-Laguerre.
@@ -235,15 +339,11 @@ _INVOLUTIONS = {
 
 
 def pi_eval(coeffs: RecurrenceCoefficients, z):
-    """Evaluate monic pi_n(z) by the three-term recurrence."""
-    with coeffs.ctx.working():
-        if coeffs.n == 0:
+    """Evaluate monic pi_n(z) by the three-term recurrence (_run_recurrence)."""
+    if coeffs.n == 0:
+        with coeffs.ctx.working():
             return mp.mpc(1)
-        zz = mp.mpmathify(z)
-        p_prev, p = mp.mpc(1), zz - coeffs.alpha[0]
-        for k in range(1, coeffs.n):
-            p, p_prev = (zz - coeffs.alpha[k]) * p - coeffs.beta[k - 1] * p_prev, p
-        return p
+    return _run_recurrence(coeffs, z)[0]
 
 
 def string_equation_residual(coeffs: RecurrenceCoefficients, r: int) -> mp.mpf:
@@ -322,22 +422,15 @@ ABERTH_SWEEPS = 250
 
 def _pi_with_derivative(coeffs: RecurrenceCoefficients, z):
     """(pi_n(z), pi_n'(z), pi_{n-1}(z)) by the three-term recurrence, n >= 1."""
-    p_prev, p = 1, z - coeffs.alpha[0]
-    dp_prev, dp = 0, 1
-    for k in range(1, coeffs.n):
-        t, b = z - coeffs.alpha[k], coeffs.beta[k - 1]
-        p, p_prev, dp, dp_prev = t * p - b * p_prev, p, p + t * dp - b * dp_prev, dp
+    p, p_prev, dp, _ = _run_recurrence(coeffs, z, derivative=True)
     return p, dp, p_prev
 
 
 def _root_residual(coeffs: RecurrenceCoefficients, z):
     """|pi_n(z)| relative to the same recurrence run on |z| + |alpha_k|, |beta_{k-1}|."""
-    az, p_prev, p, s_prev, s = abs(z), 0, 1, 0, 1
-    for k in range(coeffs.n):
-        a, b = coeffs.alpha[k], (coeffs.beta[k - 1] if k else 0)
-        p, p_prev = (z - a) * p - b * p_prev, p
-        s, s_prev = (az + abs(a)) * s + abs(b) * s_prev, s
-    return abs(p) / (s or 1)
+    p, _, _, s = _run_recurrence(coeffs, z, absolute=True)
+    with coeffs.ctx.working():
+        return abs(p) / (s or 1)
 
 
 def _jacobi_seeds(coeffs: RecurrenceCoefficients):

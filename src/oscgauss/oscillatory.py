@@ -180,12 +180,16 @@ def laguerre_rule(n: int, ctx: PrecisionContext | None = None) -> opq.Quadrature
     return _laguerre_rule(n, ctx.decimal_digits)
 
 
+def _laguerre_recurrence(n: int, ctx: PrecisionContext) -> opq.RecurrenceCoefficients:
+    """alpha_k = 2k+1, beta_k = k^2 of the monic Laguerre polynomials, degree n."""
+    return opq.RecurrenceCoefficients(alpha=tuple(mp.mpf(2 * k + 1) for k in range(n)),
+                                      beta=tuple(mp.mpf(k * k) for k in range(1, n)), ctx=ctx)
+
+
 @functools.lru_cache(maxsize=64)
 def _laguerre_rule(n: int, decimal_digits: int) -> opq.QuadratureRule:
     ctx = PrecisionContext(decimal_digits)
-    rec = opq.RecurrenceCoefficients(
-        alpha=tuple(mp.mpf(2 * k + 1) for k in range(n)),
-        beta=tuple(mp.mpf(k * k) for k in range(1, n)), ctx=ctx)
+    rec = _laguerre_recurrence(n, ctx)
     roots = opq.zeros(rec, "real")
     weights = opq.christoffel_weights(rec, roots, laguerre_moment_sequence(2 * n - 1, ctx), "real")
     with ctx.working():

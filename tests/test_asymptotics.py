@@ -48,6 +48,18 @@ def test_beta_on_cut_raises(phase):
         asym.pn_outer(20, mid)
 
 
+def test_branch_points_end_the_cut(phase):
+    # beta is 0 at z2 and infinite at z1: beta, the parametrix and the outer
+    # formula raise OnCutError there, while pn_asymptotic takes the Airy value
+    for z in (scurve.Z1, scurve.Z2):
+        for evaluate in (asym.beta, asym.n_matrix, lambda z: asym.pn_outer(20, z)):
+            with pytest.raises(OnCutError, match="branch point"):
+                evaluate(z)
+        region, value = asym.pn_asymptotic(20, z, phase)
+        assert region in ("disk1", "disk2")
+        assert value == asym.pn_airy(20, z) and np.isfinite(value)
+
+
 def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
     # projections onto the polyline: outer and band = classification only
     # (the on-cut guard reads Q alone, and the band formula does not repeat

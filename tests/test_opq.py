@@ -1,14 +1,16 @@
 """Moments -> recurrence -> zeros -> weights pipeline for the weight e^{iz^r}."""
 
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from oscgauss import opq, oscillatory, verify
-from oscgauss.errors import DegenerateFunctionalError, NonconvergenceError
+from oscgauss import asymptotics, opq, oscillatory, verify
+from oscgauss.errors import DegenerateFunctionalError, NonconvergenceError, NonFiniteError
 from oscgauss.precision import PrecisionContext
 
 SPEC3 = opq.WeightSpec(r=3)
@@ -325,6 +327,104 @@ def test_zeros_evaluates_pi_once_per_orbit_and_sweep(monkeypatch):
     assert len(zs) == n and len(calls) <= 100
     with ctx.working():
         assert set(zs) == {-mp.conj(z) for z in zs}
+
+
+# The r = 2..5 recurrences of the kernel test are prefixes of one degree-160
+# recurrence per r from opq._recurrence at KERNEL_TEST_DIGITS, where the
+# Chebyshev algorithm still reaches n = 160 (at r = 3 its string residual
+# is 5e-48 there); node probes are zeros of pi_n for n <= KERNEL_TEST_NODES.
+KERNEL_TEST_DIGITS = 200
+KERNEL_TEST_NODES = 16
+KERNEL_TEST_SOURCES = (2, 3, 4, 5, "laguerre", "rescaled")
+
+
+@functools.cache
+def _kernel_test_recurrence(source, n):
+    if source == "laguerre":
+        return oscillatory._laguerre_recurrence(n, opq.precision_schedule(n))
+    if source == "rescaled":
+        return asymptotics._rescaled_recurrence(n)
+    full = opq._recurrence(160, source, KERNEL_TEST_DIGITS)[1]
+    return replace(full, alpha=full.alpha[:n], beta=full.beta[:n - 1])
+
+
+@functools.cache
+def _kernel_test_nodes(source, n):
+    symmetry = {"laguerre": "real", "rescaled": "neg_conj"}.get(source)
+    if symmetry is None:
+        symmetry = "neg_conj" if source % 2 else "neg"
+    return opq.zeros(_kernel_test_recurrence(source, n), symmetry)
+
+
+def _mpmath_recurrence(rec, z):
+    """(p_n, p_n', p_{n-1}) and (s_n, s_n', s_{n-1}), s the recurrence on
+    |z| + |alpha_k| and |beta_{k-1}|, by mpmath at the ambient precision."""
+    z = mp.mpmathify(z)
+    p_prev, p, dp_prev, dp = mp.mpc(1), z - rec.alpha[0], mp.mpc(0), mp.mpc(1)
+    s_prev, s, ds_prev, ds = mp.mpf(1), abs(z) + abs(rec.alpha[0]), mp.mpf(0), mp.mpf(1)
+    for a, b in zip(rec.alpha[1:], rec.beta):
+        t, ta = z - a, abs(z) + abs(a)
+        p, p_prev, dp, dp_prev = t * p - b * p_prev, p, p + t * dp - b * dp_prev, dp
+        s, s_prev, ds, ds_prev = ta * s + abs(b) * s_prev, s, s + ta * ds + abs(b) * ds_prev, ds
+    return (p, dp, p_prev), (s, ds, s_prev)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(n=st.one_of(st.integers(1, KERNEL_TEST_NODES), st.integers(1, 160)),
+       log_radius=st.floats(-3, 3), angle=st.floats(-math.pi, math.pi),
+       at_alpha=st.floats(0, 1), at_node=st.floats(0, 1))
+@example(n=160, log_radius=3.0, angle=0.25, at_alpha=1.0, at_node=0.0)
+@example(n=KERNEL_TEST_NODES, log_radius=-3.0, angle=-2.0, at_alpha=0.0, at_node=1.0)
+def test_recurrence_kernel_matches_an_mpmath_loop(n, log_radius, angle, at_alpha, at_node):
+    # the integer kernel behind pi_eval, _pi_with_derivative and _root_residual
+    # against the recurrence on mpmath numbers at twice the digits: p, p' and
+    # p_{n-1} agree to 10^-digits relative to the recurrence on absolute values.
+    # Probes: |z| in [1e-3, 1e3], z = alpha_k, a zero of pi_n and one moved by
+    # 10^(-digits/3)
+    for source in KERNEL_TEST_SOURCES:
+        rec = _kernel_test_recurrence(source, n)
+        digits = rec.ctx.decimal_digits
+        with rec.ctx.working():
+            probes = [mp.mpf(10) ** log_radius * mp.expj(angle),
+                      rec.alpha[min(int(at_alpha * n), n - 1)]]
+            if n <= KERNEL_TEST_NODES:
+                node = _kernel_test_nodes(source, n)[min(int(at_node * n), n - 1)]
+                probes += [node, node * (1 + mp.mpf(10) ** (-mp.mpf(digits) / 3))]
+            for z in probes:
+                got = opq._pi_with_derivative(rec, z)
+                value, residual = opq.pi_eval(rec, z), opq._root_residual(rec, z)
+                with mp.workdps(2 * digits):
+                    want, scale = _mpmath_recurrence(rec, z)
+                    for g, w, s in zip(got, want, scale):
+                        assert abs(g - w) <= mp.mpf(10) ** -digits * s, (source, n, z, g, w)
+                    assert value == got[0]
+                    assert abs(residual - abs(want[0]) / (scale[0] or 1)) <= mp.mpf(10) ** -digits
+
+
+def test_every_recurrence_evaluation_runs_the_one_kernel(monkeypatch):
+    # pi_eval, the Aberth sweep, the Christoffel weights and the root residual
+    # share _run_recurrence: with it broken, each of them fails
+    n = 6
+    mom, rec = opq._recurrence(n, 3, opq.precision_schedule(n).decimal_digits)
+    nodes = opq.zeros(rec, "neg_conj")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel called")
+
+    monkeypatch.setattr(opq, "_run_recurrence", broken)
+    for evaluate in (lambda: opq.pi_eval(rec, 0.5j), lambda: opq.zeros(rec, "neg_conj"),
+                     lambda: opq.christoffel_weights(rec, nodes, mom, "neg_conj"),
+                     lambda: opq._root_residual(rec, nodes[0])):
+        with pytest.raises(RuntimeError, match="kernel called"):
+            evaluate()
+
+
+def test_recurrence_argument_must_be_finite():
+    # the kernel's fixed-point conversion would read inf and nan as 0
+    rec = _kernel_test_recurrence("rescaled", 5)
+    for z in (mp.nan, mp.mpc(0, mp.inf), complex("nan")):
+        with pytest.raises(NonFiniteError):
+            opq.pi_eval(rec, z)
 
 
 def test_build_rule_failure_is_not_retried(monkeypatch):
