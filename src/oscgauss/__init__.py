@@ -10,7 +10,7 @@ cross-validated against an independent oracle.
 Layers (importable submodules):
 
     precision    arbitrary-precision contexts, Gamma, panelled quadrature
-    geometry     polylines, arclength, nearest points
+    geometry     polyline arc length
     opq          moments -> recurrence -> zeros -> weights pipeline
     scurve       cubic-case curve gamma, equilibrium measure, phases, g
     asymptotics  outer/band/Airy-edge formulas and zero diagnostics
@@ -25,7 +25,7 @@ from . import (asymptotics, geometry, opq, oscillatory, precision,
 from .errors import (AnalyticityBudgetError, DegenerateFunctionalError,
                      IllConditionedError, NoiseFloorError, NonconvergenceError,
                      NonFiniteError, OnCutError, OutsideDiskError, PoleError,
-                     ToolkitError, TraceDivergedError)
+                     ToolkitError)
 from .opq import (MomentSequence, QuadratureRule, RecurrenceCoefficients,
                   WeightSpec, build_recurrence, build_rule, moment,
                   moment_sequence, zeros)
@@ -53,7 +53,6 @@ __all__ = [
     "laguerre_rule", "stationary_rule", "evaluate_report", "run_suite",
     # errors
     "ToolkitError", "PoleError", "OnCutError", "DegenerateFunctionalError",
-    "NonconvergenceError", "IllConditionedError", "TraceDivergedError",
-    "OutsideDiskError", "AnalyticityBudgetError",
-    "NoiseFloorError", "NonFiniteError",
+    "NonconvergenceError", "IllConditionedError", "OutsideDiskError",
+    "AnalyticityBudgetError", "NoiseFloorError", "NonFiniteError",
 ]

@@ -16,10 +16,11 @@ Three closed-form approximations, each tied to a region of the plane:
   P_n(z) = (-1)^n conj(P_n(-conj z)).
 
 ``pn_asymptotic`` classifies a point once and evaluates the matching
-formula without repeating that region's test.  Only the classification
-reads the traced arc (the band is a tube around it); the parametrices,
-the lens side of ``beta`` and f are fixed by Q alone.  All three formulas
-can be checked against ``exact_pn``, the recurrence of P_n from the string
+formula without repeating that region's test.  The band is a tube around
+the arc, measured by the Newton projection onto it
+(``scurve._nearest_on_gamma``): like the parametrices, the lens side of
+``beta`` and f, it is fixed by Q alone.  All three formulas can be
+checked against ``exact_pn``, the recurrence of P_n from the string
 equations of the weight, rounded to 60 digits and evaluated by opq's
 integer kernel at 241 bits; the observed convergence rate is O(1/n).
 """
@@ -32,7 +33,7 @@ import mpmath as mp
 import numpy as np
 import scipy.special
 
-from . import geometry, opq
+from . import opq
 from .errors import OnCutError, OutsideDiskError
 from .precision import PrecisionContext, ensure_finite
 from .scurve import (
@@ -42,6 +43,7 @@ from .scurve import (
     Z1,
     Z2,
     _in_lens,
+    _nearest_on_gamma,
     _require_off_cut,
     g_eval,
     phi2_chord,
@@ -72,7 +74,7 @@ FC = QP2 ** (1.0 / 3.0)          # principal root; arg = -atan(2 sqrt 2)/3
 _OMEGA = np.exp(2j * np.pi / 3)
 
 # The regions of the three formulas: the Airy disks |z - z1|, |z - z2| <=
-# AIRY_RADIUS, then the band within TUBE_WIDTH of the traced arc.
+# AIRY_RADIUS, then the band within TUBE_WIDTH of the arc.
 AIRY_RADIUS = 0.5
 TUBE_WIDTH = 0.25
 
@@ -159,14 +161,13 @@ def boundary_winding() -> float:
 # ---------------------------------------------------------------------------
 
 def region_classify(z: complex, phase: PhaseContext) -> str:
-    """'disk2' | 'disk1' | 'band' | 'outer' (disks take precedence)."""
+    """'disk2' | 'disk1' | 'band' | 'outer' (disks take precedence); `phase` is unread."""
     z = complex(z)
     if abs(z - Z2) <= AIRY_RADIUS:
         return "disk2"
     if abs(z - Z1) <= AIRY_RADIUS:
         return "disk1"
-    dist = geometry.nearest_on_polyline(z, phase.gamma.points)[0]
-    return "band" if dist <= TUBE_WIDTH else "outer"
+    return "band" if _nearest_on_gamma(z)[0] <= TUBE_WIDTH else "outer"
 
 
 def _v_half_minus_l(z: complex, n: int) -> complex:
@@ -305,19 +306,13 @@ def zero_distribution_report(n: int, phase: PhaseContext) -> dict:
     """How closely the P_n zeros shadow the curve and its measure.
 
     The zeros are the nodes of the scheduled r = 3 rule, rescaled to P_n.
-    Returns max distance to the polyline, the Kolmogorov-Smirnov statistic
-    of the projected masses against uniform order statistics, and the worst
-    mismatch of the zero set under z -> -conj(z).
+    Returns their max distance to gamma, the Kolmogorov-Smirnov statistic
+    of their masses (both by _nearest_on_gamma) against uniform order
+    statistics, and the worst mismatch of the zero set under z -> -conj(z).
     """
     rule = opq.build_rule(n, opq.WeightSpec(r=3))
     zs = np.array([complex(z) for z in opq.rescale_to_Pn(rule, n, 3).nodes])
-    pts = phase.gamma.points
-    cdf = phase.gamma.cdf
-    dists, masses = [], []
-    for z in zs:
-        d, k, t = geometry.nearest_on_polyline(complex(z), pts)
-        dists.append(d)
-        masses.append(cdf[k] + t * (cdf[k + 1] - cdf[k]))
+    dists, masses = zip(*(_nearest_on_gamma(complex(z)) for z in zs))
     masses = np.sort(np.array(masses))
     ks = max(max((k + 1) / n - masses[k], masses[k] - k / n) for k in range(n))
     mirror = -np.conj(zs)

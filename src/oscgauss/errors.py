@@ -44,10 +44,6 @@ class IllConditionedError(ToolkitError):
         super().__init__(message or f"solve ill-conditioned: ~{digits_lost:.1f} digits lost")
 
 
-class TraceDivergedError(ToolkitError):
-    """Trajectory tracing exceeded its arc-length budget without terminating."""
-
-
 class OutsideDiskError(ToolkitError):
     """Conformal map / Airy formula evaluated outside the turning-point disk."""
 

@@ -6,13 +6,14 @@ trajectory of the quadratic differential Q(z) dz^2 with
 
     Q(z) = -z^4/4 + i z - 3/4 = -(1/4) (z+i)^2 (z^2 - 2iz - 3).
 
-This module traces gamma and its two unbounded extensions, carries the
-phase function
+This module carries the phase function
 
     phi2(z) = -(i/6) z (z+i) w - log(z - i + w) + (1/2) log 2,
     w^2 = z^2 - 2iz - 3,
 
-(normalized so phi2(z2) = 0 and phi2'(z) = Q^{1/2}(z)), and builds the
+(normalized so phi2(z2) = 0 and phi2'(z) = Q^{1/2}(z)), inverts it for
+gamma (phi2_chord = i pi (1 - m) at equilibrium mass m) and its two
+unbounded extensions (phi2_chord real, positive), and builds the
 equilibrium measure |Q^{1/2}|/pi |dz| on gamma, one quadrature rule over it
 (composite Gauss-Legendre in the mass variable, which near_quadrature
 refines around a point of gamma), the potential U and the g-function, and
@@ -23,7 +24,7 @@ Two square-root branches are in play and kept strictly separate:
 
 * the *chord branch* w_p (principal factor product, cut on the straight
   chord between z1 and z2) is analytic in a strip around the open arc and
-  is what the tracer and all on-curve evaluations use;
+  is what the contour's Newton solves and all on-curve evaluations use;
 * the *curve branch* R = sign * w_p, cut along gamma itself, defines
   q_sqrt, phi2 and g off the curve.  The two branches differ only in the
   lens between gamma and the chord, so sign is -1 there and +1 elsewhere;
@@ -34,9 +35,10 @@ boundary values -w_p from above and +w_p from below: one-sided limits
 come from the chord branch with that sign.  It follows that
 Im(phi2_+ + phi2_-) = 0 on gamma, the constant ELL_TILDE.
 
-Q also fixes the traced contour, so nothing about the trace is a setting:
+Q also fixes the contour, so nothing about it is a setting:
 build_phase_context is memoised per process (one functools.cache entry) and
-PhaseContext is frozen, so callers share the cached contour safely.
+PhaseContext is frozen, so callers share the cached contour safely.  Its
+polylines are an output: distances to gamma and masses come from phi2.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from numpy.polynomial.legendre import leggauss
 import mpmath as mp
 
 from . import geometry
-from .errors import NonFiniteError, OnCutError, TraceDivergedError
+from .errors import NonconvergenceError, OnCutError
 from .precision import PrecisionContext, panel_quad
 
 __all__ = [
@@ -76,10 +78,11 @@ L_CONST = 1.0 / 3.0 + 0.5 * math.log(2.0)   # phi2(z) = V/2 - log z - l + O(1/z)
 ELL = 2.0 * L_CONST                          # equilibrium constant on gamma
 ELL_TILDE = 0.0                              # Im(V - g_+ - g_-) on gamma
 
-_BASE_STEP = 2e-3       # largest tracing step, away from the endpoints
-_FIRST_STEP = 1e-4      # first tracing step off a branch point, and the least one
-_END_GAP = 1e-6         # the gamma trace stops this close to z2 and appends z2
-_EXTENSION_LENGTH = 2.5  # arc length of gamma1 and gamma2
+_CUT_GUARD = 2e-3       # width of the on-cut guard around the open arc gamma
+_EXTENSION_PHI2 = 10.52  # phi2 at the far end of gamma2, at arc length 2.5 from z2
+_EXTENSION_VERTICES = 1000  # vertices of gamma1 and gamma2
+_NEWTON_TOL = 4e-15     # residual of _invert_phi2, relative to 1 + |target|
+_NEWTON_STEPS = 20      # Newton steps _invert_phi2 allows
 _GAMMA_IM_MIN = 0.637   # below gamma's lowest point, Im 0.63716 at Re z = 0
 # composite Gauss-Legendre layout of the measure quadratures, in the mass variable
 _MID_CELLS = 220        # cells per unit mass between the two end windows
@@ -97,7 +100,7 @@ _PATH_MAX_U_PANEL = 0.25  # panel cap in u on the first segment, z = z2 + u^2 (b
 
 @dataclass(frozen=True)
 class CurvePolyline:
-    """Traced curve with per-vertex arc length, density and cdf (zero on the
+    """Contour polyline with per-vertex arc length, density and cdf (zero on the
     extensions, whose total_mass is NaN).  The arrays are made read-only on
     construction, so a cached contour cannot be changed in place by one of
     its callers."""
@@ -122,10 +125,11 @@ class CurvePolyline:
 
 @dataclass(frozen=True)
 class PhaseContext:
-    """The traced contour: gamma (the cut of the curve branch) and its extensions.
+    """The contour: gamma (the cut of the curve branch) and its extensions.
 
-    Only geometry reads it (the equilibrium check, grid masks, region
-    tubes): the phase and g evaluators are fixed by Q alone.
+    Only the outputs read it (the curve and measure tables, the equilibrium
+    check): the phase and g evaluators, the on-cut guard, the region tubes
+    and the grid masks are fixed by Q alone.
     """
 
     gamma: CurvePolyline
@@ -189,110 +193,63 @@ def phi2_chord(z):
 
 
 # ---------------------------------------------------------------------------
-# Trajectory tracing
+# The contour as the inverse of phi2_chord
 # ---------------------------------------------------------------------------
 
-def _project(z: complex, c: complex) -> complex:
-    """Newton correction of z along the normal onto {Re(c phi2_chord) = 0}.
-
-    c = 1 selects gamma (Re phi2_chord = 0), c = -i the extensions
-    (Im phi2_chord = 0).
-    """
+def _project(z: complex) -> complex:
+    """Newton correction of z onto the zero set of Re phi2_chord, which holds
+    gamma, along its gradient conj(Q^{1/2}): the step F conj(q)/|q|^2 = F/q."""
     for _ in range(4):
-        F = (c * phi2_chord(z)).real
+        F = phi2_chord(z).real
         q = q_sqrt_chord(z)
-        aq = abs(q)
-        if aq == 0.0:
+        if q == 0:
             break
-        n = 1j * (1j * c * q.conjugate() / aq)
-        dF = (c * q * n).real
-        if dF == 0.0:
-            break
-        z = z - F / dF * n
+        z = z - F / q
         if abs(F) <= 1e-13:
             break
     return z
 
 
-def _field(c: complex):
-    """Unit field -i conj(c q)/|q| along {Re(c phi2_chord) = 0}, q = q_sqrt_chord.
+def _invert_phi2(target, z) -> np.ndarray:
+    """Solve phi2_chord(z) = target by Newton's method from the seeds z (vectorized).
 
-    c = 1 strictly decreases Im phi2 (chord branch, +pi at z1 down to 0 at
-    z2), orienting gamma z1 -> z2; c = -i strictly increases Re phi2,
-    outward along gamma1/gamma2.
+    Steps z -= r / q_sqrt_chord(z), r = phi2_chord(z) - target, and returns
+    after the first step taken from residuals all at most _NEWTON_TOL
+    (1 + |target|): 8 steps from the seeds of gamma, 6 from those of gamma2;
+    NonconvergenceError after _NEWTON_STEPS.
     """
-    def field(z: complex) -> complex:
-        q = q_sqrt_chord(z)
-        aq = abs(q)
-        if aq == 0.0:
-            raise TraceDivergedError("direction field hit a zero of Q away from the endpoints")
-        return -1j * (c * q).conjugate() / aq
-    return field
+    for _ in range(_NEWTON_STEPS):
+        r = phi2_chord(z) - target
+        z = z - r / q_sqrt_chord(z)
+        if np.all(np.abs(r) <= _NEWTON_TOL * (1.0 + np.abs(target))):
+            return z
+    raise NonconvergenceError(f"phi2_chord inversion: residual {np.max(np.abs(r)):.3g}")
 
 
-def _rk4(z: complex, h: float, fld) -> complex:
-    k1 = fld(z)
-    k2 = fld(z + 0.5 * h * k1)
-    k3 = fld(z + 0.5 * h * k2)
-    k4 = fld(z + h * k3)
-    return z + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+def curve_points_at_mass(m) -> np.ndarray:
+    """Points z(m) of gamma at equilibrium masses m (vectorized).
 
-
-def _trace(start: complex, theta: float, c: complex, budget: float, cap) -> list:
-    """Vertices of the trajectory {Re(c phi2_chord) = 0} leaving `start` at angle theta.
-
-    Fourth-order steps on the unit tangent field _field(c), with a Newton
-    projection back onto the level set after every step, keep the level
-    condition an invariant rather than an accumulating error.  Steps start
-    at _FIRST_STEP, grow with the distance from `start` (where the field is
-    singular) up to _BASE_STEP, and are at most cap(z, arc); a cap of None
-    stops the trace.  Raises TraceDivergedError past an arc length of
-    `budget` or 200000 steps.
+    The mass of gamma's initial arc to z is 1 - Im phi2_chord(z)/pi, and
+    Re phi2_chord = 0 on gamma, so z(m) solves phi2_chord(z) = i pi (1 - m),
+    from the chord bent towards gamma, z1 + (z2 - z1) m - 0.3 i sin(pi m).
+    m is clipped to [1e-13, 1 - 1e-13], off the zeros of Q^{1/2}.
     """
-    z = _project(start + _FIRST_STEP * complex(math.cos(theta), math.sin(theta)), c)
-    pts = [start, z]
-    arc = abs(z - start)
-    fld = _field(c)
-    for _ in range(200000):
-        h = cap(z, arc)
-        if h is None:
-            return pts
-        h = min(_BASE_STEP, max(0.5 * abs(z - start), _FIRST_STEP), h)
-        z = _project(_rk4(z, h, fld), c)
-        arc += abs(z - pts[-1])
-        pts.append(z)
-        if arc > budget:
-            raise TraceDivergedError(f"trace from {start} exceeded arc budget {budget:.2f}")
-    raise TraceDivergedError(f"trace from {start} reached the step limit")
+    m = np.clip(np.atleast_1d(np.asarray(m, dtype=float)), 1e-13, 1.0 - 1e-13)
+    return _invert_phi2(1j * math.pi * (1.0 - m), Z1 + (Z2 - Z1) * m - 0.3j * np.sin(math.pi * m))
 
 
 def trace_gamma() -> CurvePolyline:
-    """Trace the critical trajectory {Re phi2 = 0} from z1 (tangent theta_0) to z2,
-    with the density |Q^{1/2}|/pi of its equilibrium measure and the cdf.
-
-    Steps also shrink geometrically towards z2 (the direction field is
-    singular at both simple zeros); within _END_GAP of z2 the trace stops
-    and appends z2 exactly.  The arc budget is 10 |z2 - z1|.
-
-    The cdf comes from the exact differential relation |Q^{1/2}| ds =
-    |d phi2| along the curve: phi2_chord is purely imaginary there and
-    Im phi2_chord decreases strictly from pi at z1 to 0 at z2, so the mass
-    of an initial arc is (pi - Im phi2_chord)/pi evaluated at its endpoint.
-    The total then checks the unit normalization of the measure.
+    """gamma as a polyline: z1, the nodes of measure_quadrature and z2, with the
+    density |Q^{1/2}|/pi of its equilibrium measure and the cdf (pi - Im
+    phi2_chord)/pi, whose total checks the unit normalization of the measure.
     """
-    def cap(z, arc):
-        d_end = abs(z - Z2)
-        return None if d_end <= _END_GAP else 0.35 * d_end
-
-    pts = _trace(Z1, -math.atan(2.0 * SQRT2) / 3.0, 1, 10.0 * abs(Z2 - Z1), cap)
-    points = np.array(pts + [Z2], dtype=complex)
+    edge = 1.0 - _END_WINDOW
+    points = np.concatenate([[Z1], curve_points_at_mass(_mass_rule(1.0, edge, edge)[0]), [Z2]])
     im = phi2_chord(points).imag
     # the exact endpoints sit on the log branch line of the closed form;
     # unwrap them by 2 pi onto the on-curve limit seen by their neighbours
     im[0] += 2.0 * math.pi * round((im[1] - im[0]) / (2.0 * math.pi))
     im[-1] += 2.0 * math.pi * round((im[-2] - im[-1]) / (2.0 * math.pi))
-    if not np.all(np.diff(im) < 0):
-        raise NonFiniteError("Im phi2_chord is not strictly decreasing along the traced curve")
     cdf = (im[0] - im) / math.pi
     return CurvePolyline(points=points, s=geometry.cumulative_arclength(points),
                          density=np.abs(q_sqrt_chord(points)) / math.pi, cdf=cdf,
@@ -300,52 +257,46 @@ def trace_gamma() -> CurvePolyline:
 
 
 def trace_extension() -> CurvePolyline:
-    """Trace gamma2 out of z2 (phi2 real, increasing) for arc length _EXTENSION_LENGTH.
+    """gamma2 out of z2 as a polyline, where phi2_chord = s is real, increasing.
 
-    gamma2 leaves z2 along the direction where phi2 grows through real
-    positive values.  gamma1 is not traced: build_phase_context takes it
-    as -conj(gamma2) by the z -> -conj(z) symmetry of Q, after which the
-    defining property phi1 real increasing holds by reflection.  The arc
-    budget is 10 _EXTENSION_LENGTH.
+    s = _EXTENSION_PHI2 t^{3/2} at equally spaced t, seeded by the leading
+    term at z2, z2 + (1.5 s / |Q'(z2)|^{1/2})^{2/3} e^{i atan(2 sqrt 2)/3}.
+    build_phase_context takes gamma1 as -conj(gamma2), by the z -> -conj(z)
+    symmetry of Q, after which phi1 real increasing holds by reflection.
     """
-    def cap(z, arc):
-        return None if arc >= _EXTENSION_LENGTH else _EXTENSION_LENGTH - arc + 0.5 * _BASE_STEP
-
-    pts = _trace(Z2, math.atan(2.0 * SQRT2) / 3.0, -1j, 10.0 * _EXTENSION_LENGTH, cap)
-    points = np.array(pts, dtype=complex)
+    s = _EXTENSION_PHI2 * np.linspace(0.0, 1.0, _EXTENSION_VERTICES)[1:] ** 1.5
+    seed = Z2 + (1.5 * s / abs(q_prime(Z2)) ** 0.5) ** (2 / 3) \
+        * np.exp(1j * math.atan(2 * SQRT2) / 3)
+    points = np.concatenate([[Z2], _invert_phi2(s, seed)])
     return CurvePolyline(points=points, s=geometry.cumulative_arclength(points),
                          density=np.zeros(len(points)), cdf=np.zeros(len(points)))
+
+
+def _nearest_on_gamma(z: complex) -> tuple[float, float]:
+    """(distance, mass 1 - Im phi2_chord(p)/pi) of the point p of gamma nearest z.
+
+    p is _project(z) slid along gamma's tangent to the foot of the normal
+    and projected again.  Unless it converged in gamma's box with 0 < Im
+    phi2_chord(p) < pi (the other trajectories of Re phi2_chord = 0 fail
+    that), or if an endpoint is nearer, that endpoint stands in.
+    """
+    end = min((abs(z - Z1), 0.0), (abs(z - Z2), 1.0))
+    p = _project(z)
+    q = q_sqrt_chord(p)
+    if q != 0:
+        t = 1j * q.conjugate() / abs(q)
+        p = _project(p + ((z - p) * t.conjugate()).real * t)
+    f = complex(phi2_chord(p))
+    dist = abs(z - p)
+    if abs(f.real) <= 1e-12 and _near_gamma_box(p, 0.0) and 0.0 < f.imag < math.pi \
+            and end[0] > dist * (1.0 + 1e-9):
+        return dist, 1.0 - f.imag / math.pi
+    return end
 
 
 # ---------------------------------------------------------------------------
 # Equilibrium measure on gamma
 # ---------------------------------------------------------------------------
-
-def curve_points_at_mass(meas: CurvePolyline, m) -> np.ndarray:
-    """Points z(m) on gamma at prescribed equilibrium masses m (vectorized).
-
-    Starts from linear interpolation of gamma's vertices in the cdf
-    variable and runs four rounds of a normal Newton correction (onto
-    Re phi2 = 0) followed by a tangential one (mass-matching), then a last
-    normal correction.  ValueError for an extension, which has no measure.
-    """
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    if np.isnan(meas.total_mass):
-        raise ValueError("curve carries no equilibrium measure (gamma1 and gamma2 have none)")
-    m = np.clip(m, 1e-13, meas.total_mass - 1e-13)  # keep |Q^{1/2}| > 0
-    z = np.interp(m, meas.cdf, meas.points.real) + 1j * np.interp(m, meas.cdf, meas.points.imag)
-    for rnd in range(5):
-        q = q_sqrt_chord(z)
-        n = 1j * (-1j * np.conj(q) / np.abs(q))     # left normal of z1 -> z2
-        z = z - phi2_chord(z).real / (q * n).real * n
-        if rnd == 4:
-            return z
-        q = q_sqrt_chord(z)
-        aq = np.abs(q)
-        # cdf = 1 - Im phi2 / pi along the trace; dm/ds = |Q^{1/2}|/pi
-        step = (m - (1.0 - phi2_chord(z).imag / math.pi)) / (aq / math.pi)
-        z = z + np.clip(step, -2e-2, 2e-2) * (-1j * np.conj(q) / aq)
-
 
 def _gl_cells(edges: np.ndarray, npts: int):
     """Composite Gauss-Legendre nodes/weights on consecutive cells."""
@@ -386,7 +337,7 @@ def measure_quadrature(meas: CurvePolyline):
     """
     edge = meas.total_mass - _END_WINDOW * meas.total_mass
     m, w = _mass_rule(meas.total_mass, edge, edge)
-    return curve_points_at_mass(meas, m), w
+    return curve_points_at_mass(m), w
 
 
 def near_quadrature(meas: CurvePolyline, m_center: float):
@@ -410,7 +361,7 @@ def near_quadrature(meas: CurvePolyline, m_center: float):
                                _NEAR_GL_POINTS)
     m_far, w_far = _mass_rule(total, m_center - w, m_center + w)
     k = np.searchsorted(m_far, m_center)
-    return curve_points_at_mass(meas, np.insert(m_far, k, m_near)), np.insert(w_far, k, w_near)
+    return curve_points_at_mass(np.insert(m_far, k, m_near)), np.insert(w_far, k, w_near)
 
 
 def potential_quadrature(z0: complex, zq: np.ndarray, wq: np.ndarray) -> float:
@@ -457,21 +408,17 @@ def _near_gamma_box(z: complex, margin: float) -> bool:
 
 
 def _require_off_cut(z: complex) -> None:
-    """OnCutError within _BASE_STEP of the open arc gamma, nearer its interior
+    """OnCutError within _CUT_GUARD of the open arc gamma, nearer its interior
     than either endpoint (a branch *point* may be approached from outside).
 
-    The distance is |z - p| >= the true one for the Newton projection p onto
-    Re phi2_chord = 0 on gamma: Im p <= 1 and Im phi2_chord(p) in (0, pi)
-    (mass in (0, 1)), which the other trajectories through z1, z2 fail.
+    The distance is that of _nearest_on_gamma.
     """
     zc = complex(z)
-    if not _near_gamma_box(zc, _BASE_STEP):
+    if not _near_gamma_box(zc, _CUT_GUARD):
         return
-    p = _project(zc, 1)
-    dist = abs(zc - p)
-    if p.imag <= 1.0 and 0.0 < phi2_chord(p).imag < math.pi and dist <= _BASE_STEP \
-            and min(abs(zc - Z1), abs(zc - Z2)) > dist * (1.0 + 1e-9):
-        raise OnCutError(f"point {zc} within {_BASE_STEP:.2g} of the cut (distance {dist:.2g})")
+    dist, mass = _nearest_on_gamma(zc)
+    if dist <= _CUT_GUARD and 0.0 < mass < 1.0:
+        raise OnCutError(f"point {zc} within {_CUT_GUARD:.2g} of the cut (distance {dist:.2g})")
 
 
 def q_sqrt(z):
@@ -540,7 +487,10 @@ def re_v(z):
 
 
 def build_phase_context() -> PhaseContext:
-    """Trace gamma and gamma2, mirror gamma2 into gamma1, and freeze the three.
+    """Build gamma and gamma2, mirror gamma2 into gamma1, and freeze the three.
+
+    NonconvergenceError if gamma's vertices are not a graph over Re z, as
+    when a Newton solve settles on another trajectory of Re phi2_chord = 0.
 
     Memoised per process: every call returns the same frozen PhaseContext.
     """
@@ -551,8 +501,8 @@ def build_phase_context() -> PhaseContext:
 def _build_phase_context() -> PhaseContext:
     gamma = trace_gamma()
     if not np.all(np.diff(gamma.points.real) > 0):
-        raise TraceDivergedError("traced gamma is not a graph over Re z (Re z not "
-                                 "strictly increasing from z1 to z2)")
+        raise NonconvergenceError("gamma is not a graph over Re z (Re z not "
+                                  "strictly increasing from z1 to z2)")
     g2 = trace_extension()
     g1 = replace(g2, points=-np.conj(g2.points))
     return PhaseContext(gamma=gamma, gamma1=g1, gamma2=g2)
@@ -676,7 +626,7 @@ def verify_equilibrium(phase: PhaseContext) -> dict:
     """
     curve = phase.gamma
     ms = np.linspace(0.0, 1.0, 13)[1:-1] * curve.total_mass
-    zs = curve_points_at_mass(curve, ms)
+    zs = curve_points_at_mass(ms)
     eq_devs, tilde_devs = [], []
     s_h = np.geomspace(1e-3, 1e-2, 6)
     mismatches = np.zeros((len(ms), len(s_h)))
@@ -745,10 +695,10 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
 
     which in {ReD, ImD, ReQ, ImQ, RePhi2}; grid_spec = (x0, x1, nx, y0, y1, ny).
     D(z) = conj(phi2(-conj z))/(pi i) is real on gamma with D(z2) = 1.
-    Branch-dependent fields are not evaluated within 1.5 _BASE_STEP of the
-    traced cut (of its mirror image for D), _BASE_STEP bounding every traced
-    segment; those entries are NaN and flagged in the returned mask, so the
-    others lie beyond phi2's on-cut guard.
+    Branch-dependent fields are not evaluated within 1.5 _CUT_GUARD of gamma
+    (of its mirror image for D) by _nearest_on_gamma; those entries are NaN
+    and flagged in the returned mask, so the others lie beyond phi2's on-cut
+    guard.  `phase` is not read.
     """
     x0, x1, nx, y0, y1, ny = grid_spec
     xs = np.linspace(x0, x1, int(nx))
@@ -763,12 +713,11 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
     if which not in ("ReD", "ImD", "RePhi2"):
         raise ValueError(f"unknown field {which!r}")
     V = np.full(Z.shape, np.nan)
-    guard = 1.5 * _BASE_STEP
+    guard = 1.5 * _CUT_GUARD
     for idx in np.ndindex(Z.shape):
         z = complex(Z[idx])
         zz = -z.conjugate() if which in ("ReD", "ImD") else z
-        if _near_gamma_box(zz, guard) and \
-                geometry.nearest_on_polyline(zz, phase.gamma.points)[0] <= guard:
+        if _near_gamma_box(zz, guard) and _nearest_on_gamma(zz)[0] <= guard:
             mask[idx] = True
             continue
         p = _phi2_off_cut(zz)

@@ -155,21 +155,21 @@ def criterion_curve(rep: dict) -> None:
     _check(rep, "initial_tangent_deviation", float(abs(tangent - theta0)),
            abs(tangent - theta0) <= 2e-2, bound=2e-2)
 
-    # pts[-1] is z2 appended exactly once the trace is within range, so the
-    # honest terminal distance is from the last *traced* point.
+    # pts[-1] is z2 itself, so the honest terminal distance is from the
+    # last vertex solved for, the one at mass 1 minus about 5e-11.
     terminal = abs(pts[-2] - scurve.Z2)
     _check(rep, "terminal_distance_to_z2", float(terminal),
            terminal <= 1e-6, bound=1e-6)
 
     ms = np.linspace(0.02, 0.98, 33) * phase.gamma.total_mass
     im_d = 0.0
-    for z0 in scurve.curve_points_at_mass(phase.gamma, ms):
+    for z0 in scurve.curve_points_at_mass(ms):
         for side in (+1, -1):
             im_d = max(im_d, abs(complex(
                 scurve.d_on_curve(complex(z0), side)).imag))
     _check(rep, "max_abs_im_D_on_curve", im_d, im_d <= 1e-8, bound=1e-8)
 
-    # gamma is a graph over Re z (checked when it is traced)
+    # gamma is a graph over Re z (checked when it is built)
     crossing = float(np.interp(0.0, pts.real, pts.imag))
     _check(rep, "imaginary_axis_crossing", crossing,
            (1.0 - scurve.SQRT2) < crossing < 1.0, bound=[1.0 - scurve.SQRT2, 1.0])
@@ -249,8 +249,7 @@ def criterion_zeros(rep: dict) -> None:
 def _region_probes(phase: scurve.PhaseContext) -> dict:
     probes = {"outer": list(OUTER_PROBES), "band": [], "disk2": [], "disk1": []}
     for m in BAND_MASSES:
-        z0 = complex(scurve.curve_points_at_mass(
-            phase.gamma, m * phase.gamma.total_mass)[0])
+        z0 = complex(scurve.curve_points_at_mass(m * phase.gamma.total_mass)[0])
         q = scurve.q_sqrt_chord(z0)
         nrm = q.conjugate() / abs(q)
         for off in BAND_OFFSETS:
@@ -454,7 +453,7 @@ def run_suite(names=None) -> dict:
     """Run the named criteria (default: all) and aggregate verdicts.
 
     The suites that need the contour share scurve.build_phase_context(),
-    which is memoised, so the contour is traced once per process.
+    which is memoised, so the contour is built once per process.
     """
     names = list(names) if names else list(SUITE_NAMES)
     unknown = [nm for nm in names if nm not in _RUNNERS]

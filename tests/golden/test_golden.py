@@ -37,8 +37,8 @@ CASES = {
 }
 
 DIGESTS = {
-    # the three traced polylines, 455 KB of JSON
-    "curve": (["curve"], "82c66ac8e196bed64ec582d98cb37b7625a6c06e9d2552bcf099020b9711a75f"),
+    # the three contour polylines, 415 KB of JSON
+    "curve": (["curve"], "0c6e938b81152e944e54e51306ed933b1ec36603edf54243515c62e42e27ad1c"),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from oscgauss import asymptotics as asym
-from oscgauss import geometry, opq, scurve, verify
+from oscgauss import opq, scurve, verify
 from oscgauss.errors import OnCutError, OutsideDiskError
 
 SQRT2 = math.sqrt(2.0)
@@ -23,8 +23,7 @@ def test_global_parametrix_det_and_infinity():
 
 
 def test_beta_jump_ratio_is_i(phase):
-    z = complex(scurve.curve_points_at_mass(
-        phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    z = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(z)
     nrm = q.conjugate() / abs(q)
 
@@ -33,7 +32,7 @@ def test_beta_jump_ratio_is_i(phase):
 
     # offsets must clear the on-cut guard; the O(h) drift is removed by
     # one Richardson step, leaving the boundary-value ratio itself
-    h = 4.0 * scurve._BASE_STEP
+    h = 4.0 * scurve._CUT_GUARD
     extrapolated = 2.0 * ratio(h / 2.0) - ratio(h)
     assert abs(extrapolated - 1j) <= 5e-3
 
@@ -61,18 +60,19 @@ def test_branch_points_end_the_cut(phase):
 
 
 def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
-    # projections onto the polyline: outer and band = classification only
-    # (the on-cut guard reads Q alone, and the band formula does not repeat
-    # the tube check), disks = none
+    # projections onto gamma: outer and band = classification only (the
+    # on-cut guard returns before projecting so far from gamma, and the band
+    # formula does not repeat the tube check), disks = none
     calls = []
-    nearest = geometry.nearest_on_polyline
+    nearest = scurve._nearest_on_gamma
 
-    def counting(*args):
-        calls.append(1)
-        return nearest(*args)
+    def counting(z):
+        calls.append(z)
+        return nearest(z)
 
-    monkeypatch.setattr(geometry, "nearest_on_polyline", counting)
-    on_arc = complex(scurve.curve_points_at_mass(phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    for module in (scurve, asym):
+        monkeypatch.setattr(module, "_nearest_on_gamma", counting)
+    on_arc = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(on_arc)
     band = on_arc + 0.05 * q.conjugate() / abs(q)
     for z, region, expected in ((3 + 4j, "outer", 1), (band, "band", 1),
@@ -125,8 +125,7 @@ def test_region_classification(phase):
     assert asym.region_classify(3 + 4j, phase) == "outer"
     assert asym.region_classify(scurve.Z2 + 0.1, phase) == "disk2"
     assert asym.region_classify(scurve.Z1 + 0.1j, phase) == "disk1"
-    mid = complex(scurve.curve_points_at_mass(
-        phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    mid = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
     assert asym.region_classify(mid + 0.05j, phase) == "band"
 
 
@@ -136,8 +135,7 @@ def test_outer_formula_accuracy(phase):
 
 
 def test_band_formula_accuracy_on_and_off_curve(phase):
-    z = complex(scurve.curve_points_at_mass(
-        phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    z = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(z)
     nrm = q.conjugate() / abs(q)
     for probe in (z, z + 0.1 * nrm, z - 0.1 * nrm):
@@ -209,7 +207,7 @@ def test_reference_recurrence_matches_the_chebyshev_route():
 def test_exact_pn_matches_the_scheduled_recurrence(phase):
     n = 40
     ref = _chebyshev_pn_recurrence(n)
-    z0 = complex(scurve.curve_points_at_mass(phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    z0 = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
     disks = (scurve.Z1 + 0.25 * np.exp(2.73j), scurve.Z2 + 0.25 * np.exp(0.41j))
     for z in (3 + 4j, z0 + 0.05j) + disks:
         exact = opq.pi_eval(ref, z)

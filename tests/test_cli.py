@@ -97,7 +97,7 @@ def test_measure_round_trip_mass(capsys):
     # the full table of the memoised gamma: a row per vertex, mass 0 to 1
     lines = stdout_of(capsys, "measure").splitlines()
     assert lines[0] == "s,re,im,density,cdf"
-    assert len(lines) == 1 + 1498
+    assert len(lines) == 1 + 1592
     assert abs(float(lines[-1].split(",")[4]) - 1.0) <= 1e-10
 
 

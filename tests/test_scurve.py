@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oscgauss import scurve
-from oscgauss.errors import OnCutError, TraceDivergedError
+from oscgauss import asymptotics, scurve
+from oscgauss.errors import NonconvergenceError, OnCutError
 from oscgauss.precision import PrecisionContext
 
 SQRT2 = math.sqrt(2.0)
@@ -105,7 +106,7 @@ def test_non_graph_trace_raises(monkeypatch):
                                 s=scurve.geometry.cumulative_arclength(zigzag),
                                 density=np.zeros(4), cdf=np.full(4, np.nan))
     monkeypatch.setattr(scurve, "trace_gamma", lambda: fake)
-    with pytest.raises(TraceDivergedError):
+    with pytest.raises(NonconvergenceError):
         scurve._build_phase_context.__wrapped__()
 
 
@@ -118,33 +119,98 @@ def test_gamma_trace_endpoints_and_length(phase):
 
 
 def test_traced_contour_meets_its_constants(phase):
-    # what the fixed tracing constants promise, read back from the trace:
-    # the on-cut guard and the field-grid mask rely on the first two
+    # the vertices are z1, the masses of the measure quadrature and z2; the
+    # on-cut guard's box holds them all
     pts = phase.gamma.points
-    assert np.max(np.abs(np.diff(pts))) <= scurve._BASE_STEP
     assert all(scurve._near_gamma_box(complex(z), 0.0) for z in pts)
-    assert abs(pts[-2] - scurve.Z2) <= scurve._END_GAP
-    assert phase.gamma2.s[-1] >= scurve._EXTENSION_LENGTH
-    assert len(pts) == 1498
+    zq, _ = scurve.measure_quadrature(phase.gamma)
+    assert np.array_equal(pts[1:-1], zq)
+    assert len(pts) == 1592
+    assert pts[0] == scurve.Z1 and pts[-1] == scurve.Z2
+    assert abs(pts[-2] - scurve.Z2) <= 1e-6
+    assert len(phase.gamma2) == scurve._EXTENSION_VERTICES
+    assert phase.gamma2.points[0] == scurve.Z2
+    assert phase.gamma2.s[-1] >= 2.5
 
 
-def test_gamma_reflection_symmetry(phase):
-    # the trajectory is invariant under z -> -conj(z)
-    pts = phase.gamma.points
-    mirrored = -np.conj(pts)[::-1]
-    sub = pts[:: max(1, len(pts) // 200)]
-    for z in sub:
-        d = scurve.geometry.nearest_on_polyline(complex(z), mirrored)[0]
-        assert d <= 1e-6
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.floats(1e-3, 1 - 1e-3))
+def test_gamma_reflection_symmetry(m):
+    # the trajectory is invariant under z -> -conj(z), which maps mass m to 1 - m
+    z, mirror = scurve.curve_points_at_mass([m, 1.0 - m])
+    assert abs(mirror + np.conj(z)) <= 1e-13
 
 
-def test_imaginary_axis_crossing_value(phase):
-    pts = phase.gamma.points
-    k = int(np.flatnonzero(np.diff(np.sign(pts.real)) > 0)[0])
-    t = -pts.real[k] / (pts.real[k + 1] - pts.real[k])
-    y = pts.imag[k] + t * (pts.imag[k + 1] - pts.imag[k])
-    assert abs(y - 0.637160109) <= 1e-6
+def _axis_crossing_root():
+    """Im of gamma's crossing of the imaginary axis: Re phi2_chord(iy) = 0 at 40 digits."""
+    with mp.workdps(40):
+        z1, z2 = -mp.sqrt(2) + 1j, mp.sqrt(2) + 1j
+
+        def re_phi2(y):
+            z = mp.mpc(0, y)
+            w = mp.sqrt(z - z1) * mp.sqrt(z - z2)
+            return mp.re(-1j / 6 * z * (z + 1j) * w - mp.log(z - 1j + w) + mp.log(2) / 2)
+        return mp.findroot(re_phi2, mp.mpf("0.637"))
+
+
+def test_imaginary_axis_crossing_value():
+    y = _axis_crossing_root()
+    assert abs(y - mp.mpf("0.63715993413560")) <= 1e-14
     assert 1 - SQRT2 < y < 1
+    # mass 1/2 sits on the axis by the reflection symmetry
+    z = complex(scurve.curve_points_at_mass(0.5)[0])
+    assert abs(z.imag - float(y)) <= 1e-13
+    assert abs(z.real) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.floats(1e-12, 1 - 1e-12))
+def test_mass_inverse_solves_the_phase_equation(m):
+    # z(m) solves phi2_chord(z) = i pi (1 - m)
+    p = complex(scurve.phi2_chord(scurve.curve_points_at_mass(m)[0]))
+    assert abs(p.real) <= 1e-13
+    assert abs(1 - p.imag / math.pi - m) <= 1e-13
+
+
+def test_extension_phase_is_real_and_increasing(phase):
+    p = scurve.phi2_chord(phase.gamma2.points[1:])
+    assert np.max(np.abs(p.imag)) <= 1e-13
+    assert p.real[0] > 0 and np.all(np.diff(p.real) > 0)
+    assert abs(p.real[-1] - scurve._EXTENSION_PHI2) <= 1e-12
+
+
+def test_inverse_that_cannot_converge_raises(monkeypatch):
+    # with Q^{1/2} ten times too large Newton converges only linearly
+    q = scurve.q_sqrt_chord
+    monkeypatch.setattr(scurve, "q_sqrt_chord", lambda z: 10.0 * q(z))
+    with pytest.raises(NonconvergenceError):
+        scurve.curve_points_at_mass(0.5)
+
+
+# gamma at the 4,001 masses k / 4000, for brute-force distances
+_DENSE = np.concatenate([[scurve.Z1], scurve.curve_points_at_mass(np.linspace(0, 1, 4001)[1:-1]),
+                         [scurve.Z2]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.floats(-1.5, 1.5), y=st.floats(0.3, 1.35))
+def test_nearest_on_gamma_matches_brute_force(x, y):
+    z = complex(x, y)
+    k = int(np.argmin(np.abs(_DENSE - z)))
+    brute = float(abs(_DENSE[k] - z))
+    if brute > 0.3 or min(abs(z - scurve.Z1), abs(z - scurve.Z2)) <= asymptotics.AIRY_RADIUS:
+        return
+    dist, mass = scurve._nearest_on_gamma(z)
+    # within 0.1% of the minimum over those points, which overestimates
+    # the distance by at most half their spacing; the nearest of them sits
+    # at mass k / 4000
+    assert brute - 4e-4 <= dist <= 1.001 * brute
+    assert abs(mass - k / 4000) <= 1e-3
+    # band / outer classification agrees with the brute force, away from
+    # the edge of the tube by more than that 0.1%
+    if abs(brute - asymptotics.TUBE_WIDTH) > 1e-3 * asymptotics.TUBE_WIDTH:
+        region = asymptotics.region_classify(z, scurve.build_phase_context())
+        assert (region == "band") == (brute <= asymptotics.TUBE_WIDTH)
 
 
 def test_phi2_chord_odd_in_w():
@@ -164,8 +230,7 @@ def test_phi2_vanishes_at_z2(phase):
 def test_on_curve_mass_coordinate(phase):
     # interior identity: cdf(z) = 1 - Im(phi2_chord(z)) / pi
     for m in (0.2, 0.5, 0.8):
-        z = complex(scurve.curve_points_at_mass(
-            phase.gamma, m * phase.gamma.total_mass)[0])
+        z = complex(scurve.curve_points_at_mass(m * phase.gamma.total_mass)[0])
         p2 = scurve.phi2_chord(z)
         assert abs((1 - p2.imag / math.pi) - m) <= 1e-6
         assert abs(p2.real) <= 1e-6
@@ -173,8 +238,7 @@ def test_on_curve_mass_coordinate(phase):
 
 def test_d_on_curve_boundary_values(phase):
     for m in (0.25, 0.5, 0.75):
-        z = complex(scurve.curve_points_at_mass(
-            phase.gamma, m * phase.gamma.total_mass)[0])
+        z = complex(scurve.curve_points_at_mass(m * phase.gamma.total_mass)[0])
         dp = complex(scurve.d_on_curve(z, +1))
         dm = complex(scurve.d_on_curve(z, -1))
         assert abs(dp - m) <= 1e-6
@@ -186,7 +250,7 @@ def test_q_sqrt_squares_to_q(phase):
     count = 0
     while count < 6:
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        d = scurve.geometry.nearest_on_polyline(z, phase.gamma.points)[0]
+        d = scurve._nearest_on_gamma(z)[0]
         if d < 0.05 or abs(z + 1j) < 0.05:
             continue
         w = scurve.q_sqrt(z)
@@ -205,7 +269,7 @@ def test_q_sqrt_on_cut_raises(phase):
     lowest = complex(phase.gamma.points[np.argmin(phase.gamma.points.imag)])
     assert lowest.imag > scurve._GAMMA_IM_MIN
     with pytest.raises(OnCutError):
-        scurve.q_sqrt(lowest - 0.5j * scurve._BASE_STEP)
+        scurve.q_sqrt(lowest - 0.5j * scurve._CUT_GUARD)
     # the other two trajectory directions at each endpoint are off the cut,
     # though the guard's projection onto Re phi2_chord = 0 lands on their
     # trajectories
@@ -220,13 +284,12 @@ def test_q_sqrt_on_cut_raises(phase):
 
 
 def test_q_sqrt_one_sided_limits_match_chord_branch(phase):
-    z = complex(scurve.curve_points_at_mass(
-        phase.gamma, 0.5 * phase.gamma.total_mass)[0])
+    z = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(z)
     nrm = q.conjugate() / abs(q)
     # the two branches agree (up to sign) in a whole neighbourhood of the
     # arc, so h only needs to clear the on-cut guard
-    h = 4.0 * scurve._BASE_STEP
+    h = 4.0 * scurve._CUT_GUARD
     above = scurve.q_sqrt(z + h * nrm)
     below = scurve.q_sqrt(z - h * nrm)
     # the lens lies above gamma: minus the chord branch there, plus below
@@ -240,10 +303,10 @@ def test_q_sqrt_one_sided_limits_match_chord_branch(phase):
 def test_phi2_off_curve_approaches_its_boundary_value(phase, m):
     # the fixed side convention of phi2_on_curve against the curve branch:
     # just above gamma phi2 is near the side +1 value, just below near -1
-    z = complex(scurve.curve_points_at_mass(phase.gamma, m * phase.gamma.total_mass)[0])
+    z = complex(scurve.curve_points_at_mass(m * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(z)
     nrm = q.conjugate() / abs(q)       # left normal of the z1 -> z2 orientation
-    h = 4.0 * scurve._BASE_STEP
+    h = 4.0 * scurve._CUT_GUARD
     for side in (+1, -1):
         val = scurve.phi2(z + side * h * nrm)
         near = abs(val - scurve.phi2_on_curve(z, side))
@@ -254,7 +317,7 @@ def test_phi2_off_curve_approaches_its_boundary_value(phase, m):
 
 def test_boundary_values_give_ell_tilde(phase):
     ms = np.linspace(0.02, 0.98, 49) * phase.gamma.total_mass
-    zs = scurve.curve_points_at_mass(phase.gamma, ms)
+    zs = scurve.curve_points_at_mass(ms)
     both = scurve.phi2_on_curve(zs, +1) + scurve.phi2_on_curve(zs, -1)
     assert np.max(np.abs(both.imag - scurve.ELL_TILDE)) <= 1e-12
 
@@ -322,22 +385,17 @@ def test_phi2_path_integral_rejects_degenerate_paths(ctx30, target, waypoints):
 
 
 def test_phi2_path_integral_reads_the_curve_branch_once(ctx30, monkeypatch):
-    from oscgauss import geometry
-    calls = {"q_sqrt": 0, "nearest_on_polyline": 0}
+    calls = []
+    q_sqrt = scurve.q_sqrt
 
-    def counting(module, name):
-        fn = getattr(module, name)
+    def counting(z):
+        calls.append(z)
+        return q_sqrt(z)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(scurve, "q_sqrt")
-    counting(geometry, "nearest_on_polyline")
+    monkeypatch.setattr(scurve, "q_sqrt", counting)
     scurve.phi2_path_integral(0.0 + 0.8j, (2.2 + 1.3j, 0.0 + 1.3j), ctx30)
-    # the one curve-branch read decides its sheet from Q, not the polyline
-    assert calls == {"q_sqrt": 1, "nearest_on_polyline": 0}
+    # the one curve-branch read decides the starting sheet
+    assert len(calls) == 1
 
 
 def test_sample_field_grid_req(phase):
@@ -362,15 +420,14 @@ def test_sample_field_grid_projection_count(phase, monkeypatch):
     # only cells within the grid's guard distance of the bounding box of
     # gamma are projected, once each: the cells that guard keeps are
     # evaluated without phi2's own on-cut guard (9 in all)
-    from oscgauss import geometry
     calls = []
-    nearest = geometry.nearest_on_polyline
+    nearest = scurve._nearest_on_gamma
 
-    def counting(*args):
-        calls.append(1)
-        return nearest(*args)
+    def counting(z):
+        calls.append(z)
+        return nearest(z)
 
-    monkeypatch.setattr(geometry, "nearest_on_polyline", counting)
+    monkeypatch.setattr(scurve, "_nearest_on_gamma", counting)
     scurve.sample_field_grid("RePhi2", (-3, 3, 21, -3, 3, 21), phase)
     assert len(calls) <= 9   # 441 cells
 

@@ -4,8 +4,8 @@ quadrature, every optional parameter of a public function is set by some
 library or benchmark call, every public function is referred to by some
 library or benchmark code, every library name the benchmark tracer
 rebinds or the benchmark workloads call exists, no evaluator of the
-curve branch takes the traced contour, and every flag the README names is
-a flag of the command line."""
+curve branch takes the contour, no distance to gamma reads its polyline,
+and every flag the README names is a flag of the command line."""
 
 import ast
 import importlib
@@ -259,6 +259,25 @@ def test_curve_branch_evaluators_take_no_contour():
                     contour.append(f"{where}: .{sub.attr}")
     assert found == CURVE_BRANCH_EVALUATORS
     assert contour == []
+
+
+# Distances to gamma and masses on it come from phi2 (the Newton projection
+# of scurve._nearest_on_gamma), so the polyline stays an output.
+POLYLINE_FREE = {"region_classify", "zero_distribution_report", "sample_field_grid",
+                 "_require_off_cut", "_nearest_on_gamma"}
+POLYLINE_ARRAYS = {"points", "cdf", "s", "density"}
+
+
+def test_distances_to_gamma_read_no_polyline():
+    found, reads = set(), []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in POLYLINE_FREE:
+                found.add(node.name)
+                reads += [f"{path.stem}.{node.name}: .{sub.attr}" for sub in ast.walk(node)
+                          if isinstance(sub, ast.Attribute) and sub.attr in POLYLINE_ARRAYS]
+    assert found == POLYLINE_FREE
+    assert reads == []
 
 
 def test_readme_flags_exist():
