@@ -536,17 +536,21 @@ def rule_exactness_residual(nodes, weights, moments: MomentSequence) -> mp.mpf:
     """Max relative residual |sum w z^k - M_k| / scale over k = 0..2n-1.
 
     The terms w z^k come from running products, one multiplication per node
-    and degree; scale = sum |w z^k| + |M_k|.
+    and degree; scale = sum |w z^k| + |M_k|, with |w z^k| = |w| |z|^k from
+    real running products, so only one complex abs is taken per node.
     """
     ctx = moments.ctx
     with ctx.working():
         zs = [mp.mpmathify(z) for z in nodes]
         terms = [mp.mpmathify(w) for w in weights]
+        abs_zs = [abs(z) for z in zs]
+        abs_terms = [abs(t) for t in terms]
         worst = mp.mpf(0)
         for k in range(2 * len(nodes)):
-            scale = mp.fsum(abs(t) for t in terms) + abs(moments[k])
+            scale = mp.fsum(abs_terms) + abs(moments[k])
             worst = max(worst, abs(mp.fsum(terms) - moments[k]) / (scale or 1))
             terms = [t * z for t, z in zip(terms, zs)]
+            abs_terms = [t * z for t, z in zip(abs_terms, abs_zs)]
         return worst
 
 

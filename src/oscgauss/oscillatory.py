@@ -12,10 +12,11 @@ Along an endpoint path z(t)^r = x^r + i t / omega, so dz/dt = i/(r omega
 z^{r-1}) needs no branch choice once z is known.  The module also carries
 the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
 stationary rule and two independent oracles, both panelled Gauss-Legendre
-(precision.panel_quad) with a whole-vs-halved error estimate: one on the
-truncated rays of the stationary contour (the two-ray quadrature the
-moment oracle of verify also runs), one on the real interval at 120
-digits with a panel per oscillation cycle.
+(precision.panel_quad) with a whole-vs-halved error estimate and with as
+many points per panel as _panel_points gives the digits they run at: one
+on the truncated rays of the stationary contour (the two-ray quadrature
+the moment oracle of verify also runs), one on the real interval with a
+panel per oscillation cycle.
 """
 
 from __future__ import annotations
@@ -311,17 +312,32 @@ def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
 # Oracles
 # ---------------------------------------------------------------------------
 
-def _ray_quadrature(g, spec: opq.WeightSpec):
+def _panel_points(ctx: PrecisionContext) -> int:
+    """Gauss-Legendre points per panel for an oracle running at ctx.
+
+    One rule for the ray and interval oracles: 2/3 of the digits carried
+    (20 at the 30-digit floor, 40 at 60).  The panels are sized to the integrand
+    (one decay quadrupling or one oscillation cycle each), so the points
+    need not grow with omega or r; at the floor the estimates read about
+    1e-26 on the rays and 1e-17 relative on the interval, each at least
+    1e3 times below the gate that reads it.
+    """
+    return 2 * ctx.decimal_digits // 3
+
+
+def _ray_quadrature(g, spec: opq.WeightSpec, ctx: PrecisionContext):
     """(dhi hi - dlo lo, est_hi + est_lo) per component of g(d, rho), unfinalized.
 
-    hi and lo integrate g along the rays rho * d of spec by 40-point
-    Gauss-Legendre on the panels of precision.ray_cuts, at the ambient
-    precision; the contour runs in along the low ray and out along the high.
+    hi and lo integrate g along the rays rho * d of spec by Gauss-Legendre
+    with _panel_points(ctx) points on each panel of precision.ray_cuts, at
+    the ambient precision (the caller enters ctx.working()); the contour
+    runs in along the low ray and out along the high.
     """
     dhi, dlo = spec.ray_directions()
     cuts = ray_cuts(spec.r)
-    (hi, est_hi), (lo, est_lo) = [panel_quad_vector(lambda rho: g(d, rho), cuts, 40)
-                                  for d in (dhi, dlo)]
+    (hi, est_hi), (lo, est_lo) = [
+        panel_quad_vector(lambda rho: g(d, rho), cuts, _panel_points(ctx))
+        for d in (dhi, dlo)]
     return ([dhi * a - dlo * b for a, b in zip(hi, lo)],
             [a + b for a, b in zip(est_hi, est_lo)])
 
@@ -337,7 +353,7 @@ def stationary_oracle(f, r: int, omega, ctx: PrecisionContext):
     with ctx.working():
         s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
         (value,), (est,) = _ray_quadrature(
-            lambda d, rho: (f(s * rho * d) * mp.exp(-rho ** r),), opq.WeightSpec(r=r))
+            lambda d, rho: (f(s * rho * d) * mp.exp(-rho ** r),), opq.WeightSpec(r=r), ctx)
         return ctx.finalize(s * value), ctx.finalize(s * est)
 
 
@@ -359,24 +375,22 @@ def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:
     return sorted(cuts)
 
 
-def interval_oracle(spec: OscillatoryIntegralSpec):
-    """(value, error_estimate) for I[f] on the real interval at 120 digits.
+def interval_oracle(spec: OscillatoryIntegralSpec, ctx: PrecisionContext):
+    """(value, error_estimate) for I[f] on the real interval, at ctx.
 
-    The oracle carries 4x the 30-digit working floor.  Panels no wider than
-    one oscillation cycle, each integrated by Gauss-Legendre with half as
-    many points as the oracle carries digits, whole and halved
+    Panels no wider than one oscillation cycle, each integrated by
+    Gauss-Legendre with _panel_points(ctx) points, whole and halved
     (precision.panel_quad); the difference is the reported error estimate.
     The integrand is entire on every panel, so the rule converges
     geometrically.  Valid at desk scale (omega <= 1e4 or so) and fully
     independent of the descent machinery.
     """
-    octx = PrecisionContext(120)
     f, omega, r = spec.amplitude, spec.omega, spec.r
-    with octx.working():
+    with ctx.working():
         def g(x):
             return f(x) * mp.expj(mp.mpf(omega) * mp.mpf(x) ** r)
-        value, est = panel_quad(g, _phase_breakpoints(spec), octx.decimal_digits // 2)
-        return octx.finalize(value), octx.finalize(est)
+        value, est = panel_quad(g, _phase_breakpoints(spec), _panel_points(ctx))
+        return ctx.finalize(value), ctx.finalize(est)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +400,14 @@ def interval_oracle(spec: OscillatoryIntegralSpec):
 def convergence_report(f, n: int, r: int, omega_list) -> dict:
     """Fit log|M_rule - M_oracle| against log omega for the stationary piece.
 
-    The oracle runs at 60 digits, twice the 30-digit working floor.  Points
-    at the precision floor (8 digits short of the oracle's or the rule's
-    ctx, whichever is less) are excluded (and reported); if fewer than
+    The oracle runs at the 30-digit working floor.  Points at the
+    precision floor (8 digits short of the oracle's or the rule's ctx,
+    whichever is less) are excluded (and reported); if fewer than
     three informative points remain the measurement aborts with
     NoiseFloorError.  The oracle's own error estimate at every omega is
     reported alongside.  Expected slope: -(2n+1)/r.
     """
-    octx = PrecisionContext(60)
+    octx = PrecisionContext()
     omegas = [float(w) for w in omega_list]
     if len(omegas) < 3 or max(omegas) / min(omegas) < 10 ** 1.5:
         raise ValueError("omega_list must span at least 1.5 decades with >= 3 points")

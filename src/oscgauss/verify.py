@@ -169,8 +169,8 @@ def criterion_curve(rep: dict) -> None:
                 scurve.d_on_curve(complex(z0), side)).imag))
     _check(rep, "max_abs_im_D_on_curve", im_d, im_d <= 1e-8, bound=1e-8)
 
-    # gamma is a graph over Re z (checked when it is built)
-    crossing = float(np.interp(0.0, pts.real, pts.imag))
+    # gamma is symmetric under z -> -conj(z), so half its mass sits on the axis
+    crossing = float(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0].imag)
     _check(rep, "imaginary_axis_crossing", crossing,
            (1.0 - scurve.SQRT2) < crossing < 1.0, bound=[1.0 - scurve.SQRT2, 1.0])
 
@@ -342,7 +342,7 @@ def _moment_ray_quadrature(kmax: int, spec: opq.WeightSpec, ctx: PrecisionContex
         return out
 
     with ctx.working():
-        values, estimates = oscillatory._ray_quadrature(powers, spec)
+        values, estimates = oscillatory._ray_quadrature(powers, spec, ctx)
         return [ctx.finalize(v) for v in values], [ctx.finalize(e) for e in estimates]
 
 
@@ -432,7 +432,7 @@ def criterion_end_to_end(rep: dict) -> None:
             amplitude=oscillatory.amplitude(name))
         ctx = PrecisionContext()
         out = oscillatory.evaluate_report(spec, 6, 6, ctx)
-        oracle, est = oscillatory.interval_oracle(spec)
+        oracle, est = oscillatory.interval_oracle(spec, ctx)
         with ctx.working():
             rel = float(abs(out["value"] - oracle) / abs(oracle))
             rel_est = float(est / abs(oracle))

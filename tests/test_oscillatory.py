@@ -175,7 +175,7 @@ def test_evaluate_matches_oracle_moderate_omega():
                                        amplitude=osc.amplitude("constant"))
     ctx = PrecisionContext(30)
     rep = osc.evaluate_report(spec, 4, 4, ctx)
-    oracle, est = osc.interval_oracle(spec)
+    oracle, est = osc.interval_oracle(spec, ctx)
     with ctx.working():
         rel = float(abs(rep["value"] - oracle) / abs(oracle))
     assert rel <= 1e-6
@@ -214,19 +214,45 @@ def _monomial_interval_integral(k, a, b, omega, r):
     return half(b) + (-1) ** k * left
 
 
-@pytest.mark.parametrize("k,r,a,b,omega", [
+INTERVAL_CASES = [
     (0, 3, -0.8, 1.1, 50.0),
     (1, 3, -0.8, 1.1, 50.0),
     (2, 2, -1.0, 0.7, 30.0),
-])
+]
+
+
+@pytest.mark.parametrize("k,r,a,b,omega", INTERVAL_CASES)
 def test_interval_oracle_matches_incomplete_gamma(k, r, a, b, omega):
     spec = osc.OscillatoryIntegralSpec(a=a, b=b, omega=omega, r=r,
                                        amplitude=osc.amplitude("monomial", k=k))
-    value, est = osc.interval_oracle(spec)
+    value, est = osc.interval_oracle(spec, PrecisionContext(60))
     with mp.workdps(130):
         exact = _monomial_interval_integral(k, a, b, omega, r)
         assert abs(value - exact) <= mp.mpf(10) ** -40 * abs(exact)
         assert est <= mp.mpf(10) ** -40 * abs(exact)
+
+
+@pytest.mark.parametrize("k,r,a,b,omega", INTERVAL_CASES)
+def test_interval_oracle_estimate_bounds_its_error_at_the_floor(k, r, a, b, omega):
+    # At the 30-digit floor the oracle's panels shrink with its digits; the
+    # estimate it reports must still cover its true error.
+    spec = osc.OscillatoryIntegralSpec(a=a, b=b, omega=omega, r=r,
+                                       amplitude=osc.amplitude("monomial", k=k))
+    value, est = osc.interval_oracle(spec, PrecisionContext())
+    with mp.workdps(60):
+        exact = _monomial_interval_integral(k, a, b, omega, r)
+        assert abs(value - exact) <= est <= mp.mpf(10) ** -15 * abs(exact)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("omega", [10.0, 1000.0])
+def test_stationary_oracle_floor_agrees_with_60_digits(r, omega):
+    f = osc.amplitude("exp")
+    low, est = osc.stationary_oracle(f, r, omega, PrecisionContext())
+    high, _ = osc.stationary_oracle(f, r, omega, PrecisionContext(60))
+    with mp.workdps(60):
+        assert 0 < est
+        assert abs(low - high) <= est
 
 
 def test_evaluate_report_decomposition(ctx30):

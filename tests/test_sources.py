@@ -5,7 +5,8 @@ library or benchmark call, every public function is referred to by some
 library or benchmark code, every library name the benchmark tracer
 rebinds or the benchmark workloads call exists, no evaluator of the
 curve branch takes the contour, no distance to gamma reads its polyline,
-and every flag the README names is a flag of the command line."""
+every panelled oracle sizes its panels by one rule, and every flag the
+README names is a flag of the command line."""
 
 import ast
 import importlib
@@ -278,6 +279,40 @@ def test_distances_to_gamma_read_no_polyline():
                           if isinstance(sub, ast.Attribute) and sub.attr in POLYLINE_ARRAYS]
     assert found == POLYLINE_FREE
     assert reads == []
+
+
+def _calls_by_function(path):
+    """(function name, call, callee name) for every call inside a top-level function."""
+    for fn in ast.parse(path.read_text()).body:
+        if isinstance(fn, ast.FunctionDef):
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call):
+                    yield fn.name, call, getattr(call.func, "id",
+                                                 getattr(call.func, "attr", None))
+
+
+def test_oracles_size_panels_by_one_rule():
+    # An oracle's panel size follows from the digits it runs at, by
+    # oscillatory._panel_points; neither the digits nor the points are
+    # fixed where an oracle is called.  phi2_path_integral grades its
+    # panels to the branch points and keeps its fixed count.
+    literal_ctx, counts = [], {}
+    for path in SOURCES:
+        if path.stem == "precision":   # panel_quad hands its m on to panel_quad_vector
+            continue
+        for fn, call, callee in _calls_by_function(path):
+            args = call.args + [kw.value for kw in call.keywords]
+            if callee == "PrecisionContext" and path.stem in ("oscillatory", "verify") \
+                    and any(isinstance(a, ast.Constant) for a in args):
+                literal_ctx.append(f"{path.stem}.{fn}: {ast.unparse(call)}")
+            if callee in ("panel_quad", "panel_quad_vector"):
+                counts.setdefault(f"{path.stem}.{fn}", set()).add(ast.unparse(args[2]))
+    assert literal_ctx == []
+    assert counts == {
+        "oscillatory._ray_quadrature": {"_panel_points(ctx)"},
+        "oscillatory.interval_oracle": {"_panel_points(ctx)"},
+        "scurve.phi2_path_integral": {"_PATH_GL_POINTS"},
+    }
 
 
 def test_readme_flags_exist():
