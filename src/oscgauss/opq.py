@@ -26,7 +26,8 @@ the involution the nodes are closed under: z -> -conj z (odd r), z -> -z
 (even r), z -> conj z (Gauss-Laguerre); the caller names it and nothing
 classifies it.  The float64 eigenvalues of the Jacobi matrix, paired once
 through the involution, seed Aberth sweeps that move one root per pair with
-pi_n and pi_n' from the recurrence, run to 10^-digits; the partner is the
+pi_n and pi_n' from the recurrence and the Aberth sum in complex128, run
+to 10^-digits; the partner is the
 exact mirror image and a self-paired root sits exactly on the fixed set
 (exactly 0 for even r).  The weights are the
 Christoffel numbers h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)), h_{n-1} = M_0
@@ -413,10 +414,11 @@ def cubic_string_recurrence(n: int, ctx: PrecisionContext) -> RecurrenceCoeffici
 # Zeros (Aberth sweep on the recurrence, seeded by the Jacobi matrix)
 # ---------------------------------------------------------------------------
 
-# Sweep budget of zeros(); each sweep costs O(n^2) recurrence evaluations at
-# working precision.  From the Jacobi seeds the scheduled-precision rules
-# for r = 2, 3, 5 and n <= 40 converge in 3-4 sweeps, so only a stalled
-# iteration ever reaches the budget.
+# Sweep budget of zeros(); each sweep costs one recurrence evaluation at
+# working precision per mirror pair and an O(n^2) Aberth sum in complex128.
+# From the Jacobi seeds the scheduled-precision rules for r = 2, 3, 5 and
+# n <= 40 converge in 3-4 sweeps, so only a stalled iteration ever reaches
+# the budget.
 ABERTH_SWEEPS = 250
 
 
@@ -448,9 +450,12 @@ def zeros(coeffs: RecurrenceCoefficients, symmetry: str) -> list:
     eigenvalues of the Jacobi matrix are paired once, each with the free seed
     nearest its mirror image; a seed paired with itself lies on the fixed
     set.  Simultaneous Aberth sweeps (pi_n and pi_n' from the recurrence at
-    working precision, the Aberth sum over all n roots) move one root per
-    pair, set its partner to the exact mirror image and project a
-    self-paired root onto the fixed set.  They stop when no root moves by
+    working precision, the Aberth sum s over all n roots on a complex128
+    copy of them) move one root per pair by p / (p' - p s), set its partner
+    to the exact mirror image and project a self-paired root onto the fixed
+    set.  s only steers the step: near convergence an error ds in it moves
+    the root by about (p/p')^2 ds, so the roots are those of a sum at
+    working precision.  They stop when no root moves by
     more than 10^-decimal_digits (relative), or raise NonconvergenceError
     after ABERTH_SWEEPS sweeps.  One root per pair must then satisfy
     |pi_n(root)| <= 10^{-decimal_digits/2} times the recurrence run on
@@ -470,15 +475,21 @@ def zeros(coeffs: RecurrenceCoefficients, symmetry: str) -> list:
             orbits.append((i, j))
         tol = mp.mpf(10) ** (-ctx.decimal_digits)
         tiny = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
+        # complex128 copy of zs for the Aberth sum, and its stand-in for a
+        # zero difference (10^-300 at most, so that it never underflows to 0)
+        cz = [complex(z) for z in zs]
+        floor = 10.0 ** -min(ctx.decimal_digits // 2, 300)
         for _ in range(ABERTH_SWEEPS):
             move = mp.mpf(0)
             for i, j in orbits:
                 p, dp, _ = _pi_with_derivative(coeffs, zs[i])
-                s = mp.fsum(1 / ((zs[i] - zs[k]) or tiny) for k in range(n) if k != i)
+                zi = cz[i]
+                s = sum(1 / ((zi - cz[k]) or floor) for k in range(n) if k != i)
                 denom = dp - p * s
                 delta = p / denom if denom else mp.mpc(0)
                 zs[i] = zs[i] - delta if i != j else fix(zs[i] - delta)
                 zs[j] = invol(zs[i])
+                cz[i], cz[j] = complex(zs[i]), complex(zs[j])
                 move = max(move, abs(delta) / (1 + abs(zs[i])))
             if move <= tol:
                 break

@@ -15,8 +15,9 @@ stationary rule and two independent oracles, both panelled Gauss-Legendre
 (precision.panel_quad) with a whole-vs-halved error estimate and with as
 many points per panel as _panel_points gives the digits they run at: one
 on the truncated rays of the stationary contour (the two-ray quadrature
-the moment oracle of verify also runs), one on the real interval with a
-panel per oscillation cycle.
+the moment oracle of verify also runs), which serves a whole list of
+frequencies in one pass, one on the real interval with a panel per
+oscillation cycle.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Amplitude:
 
 def _horner(coeffs, z):
     acc = mp.mpmathify(0)
-    for c in reversed(list(coeffs)):
+    for c in reversed(coeffs):
         acc = acc * z + mp.mpmathify(c)
     return acc
 
@@ -119,7 +120,11 @@ def amplitude(name: str, **params) -> Amplitude:
         coeffs = params.get("coeffs", (1,))
         if not isinstance(coeffs, (list, tuple, np.ndarray)):
             raise ValueError(f"amplitude parameter 'coeffs' must be a sequence, got {coeffs!r}")
-        coeffs = tuple(_finite("coeffs", c) for c in coeffs)
+        coeffs = [_finite("coeffs", c) for c in coeffs]
+        # a float converts exactly at any precision, so once; an int or a
+        # decimal string converts at the precision of each call
+        coeffs = tuple(mp.mpmathify(c) if isinstance(c, (float, complex)) else c
+                       for c in coeffs)
         return Amplitude(lambda z, c=coeffs: _horner(c, mp.mpmathify(z)))
     s = _finite("scale", params.get("scale", 1))
     if name == "exp":
@@ -233,12 +238,16 @@ def stationary_rule(n: int, r: int, omega) -> opq.QuadratureRule:
 # Descent paths from the endpoints
 # ---------------------------------------------------------------------------
 
-def _descent_z(x, r: int, omega, t):
-    """Point of the endpoint descent path: z(t)^r = x^r + i t/omega, z(0) = x."""
+def _descent_path(x, r: int, omega):
+    """t -> z(t) on the endpoint descent path z(t)^r = x^r + i t/omega, z(0) = x.
+
+    |x|^r and 1/r are taken once, at the ambient precision.
+    """
+    base, root = mp.mpf(abs(x)) ** r, mp.mpf(1) / r
     if x > 0:
-        return mp.power(mp.mpf(x) ** r + 1j * t / omega, mp.mpf(1) / r)
-    sgn = 1 if r % 2 == 0 else -1
-    return -mp.power(mp.mpf(-x) ** r + sgn * 1j * t / omega, mp.mpf(1) / r)
+        return lambda t: mp.power(base + 1j * t / omega, root)
+    step = 1j if r % 2 == 0 else -1j
+    return lambda t: -mp.power(base + step * t / omega, root)
 
 
 def _segment_distance(z, a: float, b: float) -> float:
@@ -268,16 +277,19 @@ def _endpoint_contribution(spec: OscillatoryIntegralSpec, x: float,
     """F_x = e^{i omega x^r} int_0^inf f(z(t)) z'(t) e^{-t} dt by Laguerre."""
     r, omega, f = spec.r, spec.omega, spec.amplitude
     t_max = ctx.decimal_digits * math.log(10)
-    # analyticity audit along the continuous path, then the actual nodes
-    audit = [mp.mpf(t) for t in np.geomspace(1e-3, t_max, 96)]
-    _check_path_in_region(((t, _descent_z(x, r, omega, t)) for t in audit),
-                          spec, f"endpoint {x:g}")
+    path, label = _descent_path(x, r, omega), f"endpoint {x:g}"
+    audited = f.radius != math.inf
+    if audited:
+        # analyticity audit along the continuous path, then the actual nodes
+        audit = [mp.mpf(t) for t in np.geomspace(1e-3, t_max, 96)]
+        _check_path_in_region(((t, path(t)) for t in audit), spec, label)
     acc = mp.mpc(0)
     for t, w in zip(rule.nodes, rule.weights):
         if t > t_max:
             continue  # weight below precision: truncated
-        z = _descent_z(x, r, omega, t)
-        _check_path_in_region([(t, z)], spec, f"endpoint {x:g}")
+        z = path(t)
+        if audited:
+            _check_path_in_region([(t, z)], spec, label)
         dz = 1j / (r * omega * z ** (r - 1))
         acc += w * f(z) * dz
     return mp.exp(1j * mp.mpf(omega) * mp.mpf(x) ** r) * acc
@@ -342,19 +354,31 @@ def _ray_quadrature(g, spec: opq.WeightSpec, ctx: PrecisionContext):
             [a + b for a, b in zip(est_hi, est_lo)])
 
 
-def stationary_oracle(f, r: int, omega, ctx: PrecisionContext):
-    """(value, error_estimate) for int_Gamma f(z) e^{i omega z^r} dz.
+def stationary_oracle(f, r: int, omegas, ctx: PrecisionContext) -> tuple:
+    """((value, error_estimate), ...) for int_Gamma f(z) e^{i omega z^r} dz, one per omega.
 
     Independent of the Gaussian rule: integrates f(omega^{-1/r} rho d)
     e^{-rho^r} along both rays directly (_ray_quadrature) and multiplies
-    by s = omega^{-1/r} last.  The estimate sums the two rays'
-    whole-vs-halved panel differences.
+    by s = omega^{-1/r} last.  One pass serves the whole list: each ray
+    node computes e^{-rho^r} once and gives one component per omega.  The
+    estimate sums the two rays' whole-vs-halved panel differences.
+    Memoised per process on (f, r, omegas, ctx), so f must be hashable.
     """
+    return _stationary_oracle(f, r, tuple(omegas), ctx)
+
+
+@functools.lru_cache(maxsize=16)
+def _stationary_oracle(f, r: int, omegas: tuple, ctx: PrecisionContext) -> tuple:
     with ctx.working():
-        s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
-        (value,), (est,) = _ray_quadrature(
-            lambda d, rho: (f(s * rho * d) * mp.exp(-rho ** r),), opq.WeightSpec(r=r), ctx)
-        return ctx.finalize(s * value), ctx.finalize(s * est)
+        scales = [mp.power(mp.mpf(w), -mp.mpf(1) / r) for w in omegas]
+
+        def g(d, rho):
+            e = mp.exp(-rho ** r)
+            return [f(s * rho * d) * e for s in scales]
+
+        values, ests = _ray_quadrature(g, opq.WeightSpec(r=r), ctx)
+        return tuple((ctx.finalize(s * value), ctx.finalize(s * est))
+                     for s, value, est in zip(scales, values, ests))
 
 
 def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:
@@ -400,7 +424,8 @@ def interval_oracle(spec: OscillatoryIntegralSpec, ctx: PrecisionContext):
 def convergence_report(f, n: int, r: int, omega_list) -> dict:
     """Fit log|M_rule - M_oracle| against log omega for the stationary piece.
 
-    The oracle runs at the 30-digit working floor.  Points at the
+    The oracle runs once for the whole omega list, at the 30-digit working
+    floor, before the rule is evaluated at each omega.  Points at the
     precision floor (8 digits short of the oracle's or the rule's ctx,
     whichever is less) are excluded (and reported); if fewer than
     three informative points remain the measurement aborts with
@@ -412,10 +437,10 @@ def convergence_report(f, n: int, r: int, omega_list) -> dict:
     if len(omegas) < 3 or max(omegas) / min(omegas) < 10 ** 1.5:
         raise ValueError("omega_list must span at least 1.5 decades with >= 3 points")
     errors, floors, estimates = [], [], []
-    for w in omegas:
+    oracle = stationary_oracle(f, r, omegas, octx)
+    for w, (exact, est) in zip(omegas, oracle):
         rule = stationary_rule(n, r, w)
         noise_digits = min(octx.decimal_digits, rule.ctx.decimal_digits) - 8
-        exact, est = stationary_oracle(f, r, w, octx)
         estimates.append(float(est))
         with octx.working():
             approx = mp.fsum((wt * f(z) for z, wt in zip(rule.nodes, rule.weights)),

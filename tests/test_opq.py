@@ -348,12 +348,17 @@ def _kernel_test_recurrence(source, n):
     return replace(full, alpha=full.alpha[:n], beta=full.beta[:n - 1])
 
 
-@functools.cache
-def _kernel_test_nodes(source, n):
+def _symmetry(source):
+    """The involution the zeros of a kernel-test source are closed under."""
     symmetry = {"laguerre": "real", "rescaled": "neg_conj"}.get(source)
     if symmetry is None:
         symmetry = "neg_conj" if source % 2 else "neg"
-    return opq.zeros(_kernel_test_recurrence(source, n), symmetry)
+    return symmetry
+
+
+@functools.cache
+def _kernel_test_nodes(source, n):
+    return opq.zeros(_kernel_test_recurrence(source, n), _symmetry(source))
 
 
 def _mpmath_recurrence(rec, z):
@@ -399,6 +404,49 @@ def test_recurrence_kernel_matches_an_mpmath_loop(n, log_radius, angle, at_alpha
                         assert abs(g - w) <= mp.mpf(10) ** -digits * s, (source, n, z, g, w)
                     assert value == got[0]
                     assert abs(residual - abs(want[0]) / (scale[0] or 1)) <= mp.mpf(10) ** -digits
+
+
+def _mpmath_sum_zeros(rec, symmetry):
+    """opq.zeros with its Aberth sum in mpmath, n - 1 complex divisions and an
+    fsum at working precision per root and sweep; no root-residual check."""
+    ctx, n = rec.ctx, rec.n
+    invol, _, fix = opq._INVOLUTIONS[symmetry]
+    with ctx.working():
+        zs = [mp.mpc(complex(s)) for s in opq._jacobi_seeds(rec)]
+        free, orbits = list(range(n)), []
+        while free:
+            i, target = free[0], invol(zs[free[0]])
+            j = min(free, key=lambda k: abs(zs[k] - target))
+            free = [k for k in free if k not in (i, j)]
+            orbits.append((i, j))
+        tol = mp.mpf(10) ** (-ctx.decimal_digits)
+        tiny = mp.mpf(10) ** (-(ctx.decimal_digits // 2))
+        for _ in range(opq.ABERTH_SWEEPS):
+            move = mp.mpf(0)
+            for i, j in orbits:
+                p, dp, _ = opq._pi_with_derivative(rec, zs[i])
+                s = mp.fsum(1 / ((zs[i] - zs[k]) or tiny) for k in range(n) if k != i)
+                denom = dp - p * s
+                delta = p / denom if denom else mp.mpc(0)
+                zs[i] = zs[i] - delta if i != j else fix(zs[i] - delta)
+                zs[j] = invol(zs[i])
+                move = max(move, abs(delta) / (1 + abs(zs[i])))
+            if move <= tol:
+                break
+        return sorted((ctx.finalize(z) for z in zs), key=lambda z: (mp.re(z), mp.im(z)))
+
+
+@pytest.mark.parametrize("source, n", [(2, 18), (3, 26), (3, 40), (4, 14), (5, 17),
+                                       ("laguerre", 11), ("laguerre", 20), ("laguerre", 28)])
+def test_zeros_float_aberth_sum_matches_an_mpmath_sum(source, n):
+    # the Aberth sum only steers the update p / (p' - p s), so its complex128
+    # copy delivers the roots of the mpmath sum bit for bit
+    if source == "laguerre":
+        rec = _kernel_test_recurrence(source, n)
+    else:
+        rec = opq._recurrence(n, source, opq.precision_schedule(n).decimal_digits)[1]
+    symmetry = _symmetry(source)
+    assert opq.zeros(rec, symmetry) == _mpmath_sum_zeros(rec, symmetry)
 
 
 def test_every_recurrence_evaluation_runs_the_one_kernel(monkeypatch):

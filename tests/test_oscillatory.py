@@ -50,6 +50,14 @@ def test_amplitude_rejects_bad_values(name, params):
         osc.amplitude(name, **params)
 
 
+def test_polynomial_coefficients_keep_their_digits():
+    # a float coefficient is exact at any precision; a decimal string is
+    # read at the precision of the call, not rounded to 15 digits once
+    p = osc.amplitude("polynomial", coeffs=["0.1", 0.1, 3])
+    with mp.workdps(50):
+        assert p(1) == mp.mpf("0.1") + mp.mpf(0.1) + 3
+
+
 def test_amplitude_integral_k():
     # a float or string holding an integer is that integer
     for k in (2, 2.0, "2"):
@@ -188,7 +196,7 @@ def test_stationary_oracle_matches_closed_form_moments(r):
     ctx = PrecisionContext(60)
     spec, omega = opq.WeightSpec(r=r), 7.0
     for k in range(6):
-        value, est = osc.stationary_oracle(osc.amplitude("monomial", k=k), r, omega, ctx)
+        ((value, est),) = osc.stationary_oracle(osc.amplitude("monomial", k=k), r, [omega], ctx)
         with ctx.working():
             scale = mp.power(omega, -mp.mpf(k + 1) / r)
             exact = opq.moment(k, spec, ctx) * scale
@@ -248,11 +256,46 @@ def test_interval_oracle_estimate_bounds_its_error_at_the_floor(k, r, a, b, omeg
 @pytest.mark.parametrize("omega", [10.0, 1000.0])
 def test_stationary_oracle_floor_agrees_with_60_digits(r, omega):
     f = osc.amplitude("exp")
-    low, est = osc.stationary_oracle(f, r, omega, PrecisionContext())
-    high, _ = osc.stationary_oracle(f, r, omega, PrecisionContext(60))
+    ((low, est),) = osc.stationary_oracle(f, r, [omega], PrecisionContext())
+    ((high, _),) = osc.stationary_oracle(f, r, [omega], PrecisionContext(60))
     with mp.workdps(60):
         assert 0 < est
         assert abs(low - high) <= est
+
+
+ORDER_OMEGAS = [float(w) for w in np.geomspace(10.0, 1000.0, 9)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_stationary_oracle_list_matches_one_pass_per_omega(r):
+    # one ray pass for the whole omega list gives, bit for bit, what one
+    # pass per omega of the same integrand gives
+    f, ctx, spec = osc.amplitude("exp"), PrecisionContext(), opq.WeightSpec(r=r)
+    got = osc.stationary_oracle(f, r, ORDER_OMEGAS, ctx)
+    assert len(got) == len(ORDER_OMEGAS)
+    for omega, pair in zip(ORDER_OMEGAS, got):
+        with ctx.working():
+            s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
+            (value,), (est,) = osc._ray_quadrature(
+                lambda d, rho: (f(s * rho * d) * mp.exp(-rho ** r),), spec, ctx)
+            assert pair == (ctx.finalize(s * value), ctx.finalize(s * est))
+
+
+def test_convergence_report_makes_one_ray_pass_per_r(monkeypatch):
+    # the order suite's cases (2, 3) and (3, 3) share one oracle pass
+    passes, ray_quadrature = [], osc._ray_quadrature
+
+    def counting(g, spec, ctx):
+        passes.append(spec.r)
+        return ray_quadrature(g, spec, ctx)
+
+    monkeypatch.setattr(osc, "_ray_quadrature", counting)
+    osc._stationary_oracle.cache_clear()
+    f = osc.amplitude("exp")
+    osc.convergence_report(f, 2, 3, ORDER_OMEGAS)
+    assert passes == [3]
+    osc.convergence_report(f, 3, 3, ORDER_OMEGAS)
+    assert passes == [3]
 
 
 def test_evaluate_report_decomposition(ctx30):
@@ -267,6 +310,41 @@ def test_evaluate_report_decomposition(ctx30):
     with ctx30.working():
         move = float(abs(rep["value"] - rep2["value"]) / abs(rep2["value"]))
     assert move <= 1e-8
+
+
+@pytest.mark.parametrize("radius, audit_points", [(math.inf, 0), (100.0, 96)])
+def test_endpoint_path_is_evaluated_at_the_kept_nodes(monkeypatch, radius, audit_points):
+    # an entire amplitude evaluates each descent path only at the Laguerre
+    # nodes within t_max and audits none of it; a finite radius audits 96
+    # points of the path first, then each node
+    seen, descent_path = [], osc._descent_path
+    audits, check_path = [], osc._check_path_in_region
+
+    def counting_path(x, r, omega):
+        path = descent_path(x, r, omega)
+        return lambda t: seen.append((x, t)) or path(t)
+
+    def counting_check(points, spec, label):
+        points = list(points)
+        audits.append((label, len(points)))
+        return check_path(points, spec, label)
+
+    monkeypatch.setattr(osc, "_descent_path", counting_path)
+    monkeypatch.setattr(osc, "_check_path_in_region", counting_check)
+    amp = osc.Amplitude(osc.amplitude("exp").fn, radius=radius)
+    spec = osc.OscillatoryIntegralSpec(a=-1.0, b=2.0, omega=40.0, r=3, amplitude=amp)
+    ctx = PrecisionContext()
+    osc.evaluate_report(spec, 22, 4, ctx)
+    t_max = ctx.decimal_digits * math.log(10)
+    kept = [t for t in osc.laguerre_rule(22).nodes if t <= t_max]
+    assert 0 < len(kept) < 22
+    for x in (spec.a, spec.b):
+        ts = [t for y, t in seen if y == x]
+        assert len(ts) == audit_points + len(kept)
+        assert ts[audit_points:] == kept
+        label = f"endpoint {x:g}"
+        expected = [(label, 96)] + [(label, 1)] * len(kept) if audit_points else []
+        assert [a for a in audits if a[0] == label] == expected
 
 
 def test_analyticity_budget_enforced():
