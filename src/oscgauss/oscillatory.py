@@ -17,7 +17,7 @@ many points per panel as _panel_points gives the digits they run at: one
 on the truncated rays of the stationary contour (the two-ray quadrature
 the moment oracle of verify also runs), which serves a whole list of
 frequencies in one pass, one on the real interval with a panel per
-oscillation cycle.
+oscillation cycle, which serves a list of amplitudes in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     NoiseFloorError,
     NonconvergenceError,
 )
-from .precision import (PrecisionContext, _is_finite_number, ensure_finite, panel_quad,
+from .precision import (PrecisionContext, _is_finite_number, ensure_finite,
                         panel_quad_vector, ray_cuts)
 
 __all__ = [
@@ -382,7 +382,13 @@ def _stationary_oracle(f, r: int, omegas: tuple, ctx: PrecisionContext) -> tuple
 
 
 def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:
-    """Panel boundaries with at most ~one oscillation cycle per panel."""
+    """Panel boundaries with at most ~one oscillation cycle per panel.
+
+    ValueError, before any cut is built, past 100,000 cycles on the longer
+    side, omega max(-a, b)^r / (2 pi).
+    """
+    if spec.omega * max(-spec.a, spec.b) ** spec.r / (2 * math.pi) > 100000:
+        raise ValueError("oracle panel count exploded; omega beyond desk scale")
     cuts = {mp.mpf(spec.a), mp.mpf(0), mp.mpf(spec.b)}
     k = 1
     while True:
@@ -394,27 +400,34 @@ def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:
         if -x > spec.a:
             cuts.add(-x)
         k += 1
-        if k > 100000:
-            raise ValueError("oracle panel count exploded; omega beyond desk scale")
     return sorted(cuts)
 
 
-def interval_oracle(spec: OscillatoryIntegralSpec, ctx: PrecisionContext):
-    """(value, error_estimate) for I[f] on the real interval, at ctx.
+def interval_oracle(specs, ctx: PrecisionContext) -> tuple:
+    """((value, error_estimate), ...) for I[f] on the real interval at ctx, one per spec.
 
-    Panels no wider than one oscillation cycle, each integrated by
-    Gauss-Legendre with _panel_points(ctx) points, whole and halved
-    (precision.panel_quad); the difference is the reported error estimate.
-    The integrand is entire on every panel, so the rule converges
-    geometrically.  Valid at desk scale (omega <= 1e4 or so) and fully
-    independent of the descent machinery.
+    The specs must share a, b, omega and r (ValueError otherwise); one pass
+    serves them all: each node computes e^{i omega x^r} once and gives one
+    component per amplitude.  Panels no wider than one oscillation cycle,
+    each integrated by Gauss-Legendre with _panel_points(ctx) points, whole
+    and halved (precision.panel_quad_vector); the difference is the
+    reported error estimate.  The integrand is entire on every panel, so
+    the rule converges geometrically.  Valid at desk scale (omega <= 1e4
+    or so) and fully independent of the descent machinery.
     """
-    f, omega, r = spec.amplitude, spec.omega, spec.r
+    specs = list(specs)
+    shape = {(s.a, s.b, s.omega, s.r) for s in specs}
+    if len(shape) != 1:
+        raise ValueError("interval_oracle needs specs that share a, b, omega and r, "
+                         f"got {len(shape)} distinct (a, b, omega, r)")
+    omega, r = specs[0].omega, specs[0].r
+    amplitudes = [s.amplitude for s in specs]
     with ctx.working():
         def g(x):
-            return f(x) * mp.expj(mp.mpf(omega) * mp.mpf(x) ** r)
-        value, est = panel_quad(g, _phase_breakpoints(spec), _panel_points(ctx))
-        return ctx.finalize(value), ctx.finalize(est)
+            e = mp.expj(mp.mpf(omega) * mp.mpf(x) ** r)
+            return [f(x) * e for f in amplitudes]
+        values, ests = panel_quad_vector(g, _phase_breakpoints(specs[0]), _panel_points(ctx))
+        return tuple((ctx.finalize(v), ctx.finalize(e)) for v, e in zip(values, ests))
 
 
 # ---------------------------------------------------------------------------

@@ -534,8 +534,70 @@ def _panel_cuts(t0, t1, step) -> list:
     return cuts
 
 
-def phi2_path_integral(target, waypoints, ctx: PrecisionContext):
-    """(phi2(target), error_estimate) by integrating Q^{1/2} from z2 along segments.
+def _phi2_leg(a: complex, b: complex, sign, ctx: PrecisionContext):
+    """(panel_quad parts, sign at b) of the integral of Q^{1/2} along the leg a -> b.
+
+    sign is that of R = sign * sqrt(z - z1) sqrt(z - z2) at a, or None for
+    the first leg, which leaves a = z2: its sign is then read from the
+    curve branch (q_sqrt) at the leg's midpoint.  The parts are unfinalized
+    (value, estimate) pairs at ctx's working precision, one per piece of
+    the leg between crossings of the open chord, where the sign flips.
+    """
+    first = sign is None
+    if first:
+        # a segment from z2 meets the line Im z = 1 only at z2 or runs along
+        # it outside the chord, so the first leg never crosses the open chord
+        mid = (a + b) / 2
+        # both vanish only at the double zero -i, which lies outside the lens
+        sign = -1 if (q_sqrt(mid) * q_sqrt_chord(mid).conjugate()).real < 0 else 1
+    with ctx.working():
+        z1, z2 = _branch_points_mp()
+        i = mp.mpc(0, 1)
+        if first:
+            d0 = mp.mpmathify(b) - z2
+            # z - z2 = u^2 d0, so sqrt(z - z2) = u sqrt(d0) and dz = 2 u d0 du
+            c0 = -i * sign * mp.sqrt(d0) * d0
+
+            def f(u):
+                w = u * u
+                z = z2 + w * d0
+                return c0 * w * (z + i) * mp.sqrt(z - z1)
+
+            def u_step(u):
+                # the z-length of [u, v] is |d0| (v^2 - u^2)
+                h = max(_PATH_MIN_PANEL, 0.5 * abs(complex(z2 + u * u * d0) - Z1))
+                return min(_PATH_MAX_U_PANEL, mp.sqrt(u * u + h / abs(d0)) - u)
+
+            return [panel_quad(f, _panel_cuts(mp.mpf(0), 1, u_step), _PATH_GL_POINTS)], sign
+
+        def panel_length(z):
+            zc = complex(z)
+            return max(_PATH_MIN_PANEL, 0.5 * min(abs(zc - Z1), abs(zc - Z2)))
+
+        a, b = mp.mpmathify(a), mp.mpmathify(b)
+        d = b - a
+        pieces = [mp.mpf(0), 1]
+        if (a.imag - 1) * (b.imag - 1) < 0:
+            t = (1 - a.imag) / (b.imag - a.imag)
+            if abs(a.real + t * d.real) < mp.sqrt(2):
+                pieces.insert(1, t)
+        parts = []
+        for j, (t0, t1) in enumerate(zip(pieces[:-1], pieces[1:])):
+            if j:
+                sign = -sign            # crossed the open chord
+
+            def g(t, c=-i / 2 * sign * d):
+                z = a + t * d
+                return c * (z + i) * mp.sqrt(z - z1) * mp.sqrt(z - z2)
+
+            cuts = _panel_cuts(t0, t1, lambda t: panel_length(a + t * d) / abs(d))
+            parts.append(panel_quad(g, cuts, _PATH_GL_POINTS))
+        return parts, sign
+
+
+def phi2_path_integral(probes, ctx: PrecisionContext) -> list:
+    """[(phi2(target), error_estimate), ...] by integrating Q^{1/2} from z2 along
+    segments, one pair per (target, waypoints) probe.
 
     The independent oracle for the closed-form phi2.  `waypoints` are the
     successive segment endpoints after z2 and before `target`; the path must
@@ -543,9 +605,9 @@ def phi2_path_integral(target, waypoints, ctx: PrecisionContext):
     along the path: R = sign * sqrt(z - z1) sqrt(z - z2) (principal
     factors), whose product jumps only across the open chord Im z = 1,
     |Re z| < sqrt 2, so sign flips at every crossing of it.  The starting
-    sign is read once from the curve branch (q_sqrt, its lens rule and
-    on-cut guard) at the first segment's midpoint: all it shares with phi2.
-    A path that crosses gamma continues onto the other sheet and disagrees.
+    sign is read from the curve branch (q_sqrt, its lens rule and on-cut
+    guard) at the first segment's midpoint: all it shares with phi2.  A
+    path that crosses gamma continues onto the other sheet and disagrees.
 
     The first segment, leaving z2, is integrated in u with z = z2 + u^2 (b -
     z2), which removes the square-root singularity at z2.  Every piece gets
@@ -553,60 +615,32 @@ def phi2_path_integral(target, waypoints, ctx: PrecisionContext):
     their start's distance to the nearest branch point (floor 0.02), and
     at most 0.25 long in u; the estimate sums the panel estimates.
 
+    Probes that share a path prefix share its legs: each distinct prefix
+    is integrated once per call (_phi2_leg), so the curve branch is read
+    once per distinct first segment, and a probe's value is the fsum of
+    its legs' parts in path order.
+
     Raises ValueError if a vertex lies on the closed chord [z1, z2] or a
     segment passes through a branch point.
     """
-    path = [Z2] + [complex(w) for w in waypoints] + [complex(target)]
-    _check_path(path)
-    # a segment from z2 meets the line Im z = 1 only at z2 or runs along it
-    # outside the chord, so the first segment never crosses the open chord
-    mid = (path[0] + path[1]) / 2
-    # both vanish only at the double zero -i, which lies outside the lens
-    sign = -1 if (q_sqrt(mid) * q_sqrt_chord(mid).conjugate()).real < 0 else 1
-    with ctx.working():
-        z1, z2 = _branch_points_mp()
-        i = mp.mpc(0, 1)
-
-        def panel_length(z):
-            zc = complex(z)
-            return max(_PATH_MIN_PANEL, 0.5 * min(abs(zc - Z1), abs(zc - Z2)))
-
-        d0 = mp.mpmathify(path[1]) - z2
-        # z - z2 = u^2 d0, so sqrt(z - z2) = u sqrt(d0) and dz = 2 u d0 du
-        c0 = -i * sign * mp.sqrt(d0) * d0
-
-        def first(u):
-            w = u * u
-            z = z2 + w * d0
-            return c0 * w * (z + i) * mp.sqrt(z - z1)
-
-        def u_step(u):
-            # the z-length of [u, v] is |d0| (v^2 - u^2)
-            h = max(_PATH_MIN_PANEL, 0.5 * abs(complex(z2 + u * u * d0) - Z1))
-            return min(_PATH_MAX_U_PANEL, mp.sqrt(u * u + h / abs(d0)) - u)
-
-        parts = [panel_quad(first, _panel_cuts(mp.mpf(0), 1, u_step), _PATH_GL_POINTS)]
-        for a, b in zip(path[1:-1], path[2:]):
-            a, b = mp.mpmathify(a), mp.mpmathify(b)
-            d = b - a
-            pieces = [mp.mpf(0), 1]
-            if (a.imag - 1) * (b.imag - 1) < 0:
-                t = (1 - a.imag) / (b.imag - a.imag)
-                if abs(a.real + t * d.real) < mp.sqrt(2):
-                    pieces.insert(1, t)
-            for j, (t0, t1) in enumerate(zip(pieces[:-1], pieces[1:])):
-                if j:
-                    sign = -sign            # crossed the open chord
-
-                def g(t, a=a, d=d, c=-i / 2 * sign * d):
-                    z = a + t * d
-                    return c * (z + i) * mp.sqrt(z - z1) * mp.sqrt(z - z2)
-
-                cuts = _panel_cuts(t0, t1, lambda t, a=a, d=d:
-                                   panel_length(a + t * d) / abs(d))
-                parts.append(panel_quad(g, cuts, _PATH_GL_POINTS))
-        return (ctx.finalize(mp.fsum(v for v, _ in parts)),
-                ctx.finalize(mp.fsum(e for _, e in parts)))
+    paths = [[Z2] + [complex(w) for w in waypoints] + [complex(target)]
+             for target, waypoints in probes]
+    for path in paths:
+        _check_path(path)
+    legs = {}   # path prefix -> (parts of its last leg, sign at its end)
+    out = []
+    for path in paths:
+        parts, sign = [], None
+        for j in range(1, len(path)):
+            key = tuple(path[:j + 1])
+            if key not in legs:
+                legs[key] = _phi2_leg(path[j - 1], path[j], sign, ctx)
+            leg, sign = legs[key]
+            parts += leg
+        with ctx.working():
+            out.append((ctx.finalize(mp.fsum(v for v, _ in parts)),
+                        ctx.finalize(mp.fsum(e for _, e in parts))))
+    return out
 
 
 # ---------------------------------------------------------------------------

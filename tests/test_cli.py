@@ -122,7 +122,7 @@ def test_quad_symmetric_constant_matches_oracle(capsys):
     spec = oscillatory.OscillatoryIntegralSpec(
         a=-1.0, b=1.0, omega=200.0, r=3,
         amplitude=oscillatory.amplitude("constant"))
-    exact, _est = oscillatory.interval_oracle(spec, PrecisionContext())
+    ((exact, _est),) = oscillatory.interval_oracle([spec], PrecisionContext())
     assert abs(float(doc["value_re"]) - float(mp.re(exact))) <= 1e-8
     parts = doc["contributions"]
     total = sum(complex(float(parts[k]["re"]), float(parts[k]["im"]))

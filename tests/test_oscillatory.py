@@ -183,7 +183,7 @@ def test_evaluate_matches_oracle_moderate_omega():
                                        amplitude=osc.amplitude("constant"))
     ctx = PrecisionContext(30)
     rep = osc.evaluate_report(spec, 4, 4, ctx)
-    oracle, est = osc.interval_oracle(spec, ctx)
+    ((oracle, est),) = osc.interval_oracle([spec], ctx)
     with ctx.working():
         rel = float(abs(rep["value"] - oracle) / abs(oracle))
     assert rel <= 1e-6
@@ -233,7 +233,7 @@ INTERVAL_CASES = [
 def test_interval_oracle_matches_incomplete_gamma(k, r, a, b, omega):
     spec = osc.OscillatoryIntegralSpec(a=a, b=b, omega=omega, r=r,
                                        amplitude=osc.amplitude("monomial", k=k))
-    value, est = osc.interval_oracle(spec, PrecisionContext(60))
+    ((value, est),) = osc.interval_oracle([spec], PrecisionContext(60))
     with mp.workdps(130):
         exact = _monomial_interval_integral(k, a, b, omega, r)
         assert abs(value - exact) <= mp.mpf(10) ** -40 * abs(exact)
@@ -246,10 +246,56 @@ def test_interval_oracle_estimate_bounds_its_error_at_the_floor(k, r, a, b, omeg
     # estimate it reports must still cover its true error.
     spec = osc.OscillatoryIntegralSpec(a=a, b=b, omega=omega, r=r,
                                        amplitude=osc.amplitude("monomial", k=k))
-    value, est = osc.interval_oracle(spec, PrecisionContext())
+    ((value, est),) = osc.interval_oracle([spec], PrecisionContext())
     with mp.workdps(60):
         exact = _monomial_interval_integral(k, a, b, omega, r)
         assert abs(value - exact) <= est <= mp.mpf(10) ** -15 * abs(exact)
+
+
+def _interval_spec(name, omega=50.0, r=3):
+    return osc.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=omega, r=r,
+                                       amplitude=osc.amplitude(name))
+
+
+def test_interval_oracle_list_matches_per_spec_calls_bit_for_bit():
+    specs = [_interval_spec("constant"), _interval_spec("exp")]
+    ctx = PrecisionContext()
+    alone = [osc.interval_oracle([spec], ctx)[0] for spec in specs]
+    together = osc.interval_oracle(specs, ctx)
+    assert [tuple(map(repr, pair)) for pair in together] == \
+        [tuple(map(repr, pair)) for pair in alone]
+
+
+@pytest.mark.parametrize("specs", [
+    [_interval_spec("constant"), _interval_spec("exp", omega=60.0)],
+    [_interval_spec("constant"), _interval_spec("exp", r=2)],
+    [],
+], ids=["omega", "r", "none"])
+def test_interval_oracle_needs_one_shared_interval(specs):
+    with pytest.raises(ValueError):
+        osc.interval_oracle(specs, PrecisionContext())
+
+
+class _CountingMpmath:
+    """A module's mpmath, counting the reads of pi (one per cycle _phase_breakpoints cuts at)."""
+
+    def __init__(self, module):
+        self.module, self.pi_reads = module, 0
+
+    def __getattr__(self, name):
+        if name == "pi":
+            self.pi_reads += 1
+        return getattr(self.module, name)
+
+
+def test_interval_oracle_refuses_too_many_cycles_before_building_cuts(monkeypatch):
+    counting = _CountingMpmath(osc.mp)
+    monkeypatch.setattr(osc, "mp", counting)
+    with pytest.raises(ValueError, match="panel count exploded"):
+        osc.interval_oracle([_interval_spec("constant", omega=1e9)], PrecisionContext())
+    assert counting.pi_reads == 0
+    osc._phase_breakpoints(_interval_spec("constant", omega=200.0))
+    assert counting.pi_reads > 0
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from oscgauss import asymptotics, scurve
+from oscgauss import asymptotics, scurve, verify
 from oscgauss.errors import NonconvergenceError, OnCutError
 from oscgauss.precision import PrecisionContext
 
@@ -342,7 +342,7 @@ def test_g_has_log_asymptotics():
 def test_phi2_path_integral_single_probe():
     ctx = PrecisionContext(30)
     direct = scurve.phi2(3 + 4j, ctx)
-    path, _ = scurve.phi2_path_integral(3 + 4j, (2 + 1.2j, 2 + 4j), ctx)
+    ((path, _),) = scurve.phi2_path_integral([(3 + 4j, (2 + 1.2j, 2 + 4j))], ctx)
     with ctx.working():
         dev = float(abs(direct - path))
     assert dev <= 1e-15
@@ -357,7 +357,7 @@ def test_phi2_path_integral_single_probe():
 ])
 def test_phi2_path_integral_agrees_inside_the_lens(ctx30, target, waypoints):
     direct = scurve.phi2(target, ctx30)
-    path, est = scurve.phi2_path_integral(target, waypoints, ctx30)
+    ((path, est),) = scurve.phi2_path_integral([(target, waypoints)], ctx30)
     with ctx30.working():
         assert float(abs(direct - path)) <= 1e-25
     assert est <= 1e-25
@@ -367,7 +367,7 @@ def test_phi2_path_integral_continues_across_gamma(ctx30):
     # the last segment climbs through gamma into the lens: analytic
     # continuation lands on the other sheet, the cut-along-gamma phi2 does not
     direct = scurve.phi2(0.8j, ctx30)
-    path, est = scurve.phi2_path_integral(0.8j, (2.2, 0), ctx30)
+    ((path, est),) = scurve.phi2_path_integral([(0.8j, (2.2, 0))], ctx30)
     with ctx30.working():
         assert float(abs(direct - path)) > 1
     assert est <= 1e-25
@@ -381,7 +381,44 @@ def test_phi2_path_integral_continues_across_gamma(ctx30):
 ])
 def test_phi2_path_integral_rejects_degenerate_paths(ctx30, target, waypoints):
     with pytest.raises(ValueError):
-        scurve.phi2_path_integral(target, waypoints, ctx30)
+        scurve.phi2_path_integral([(target, waypoints)], ctx30)
+
+
+# verify's probes that share prefixes: two far above the curve through
+# z2 -> 2+1.2j -> 2+4j, and four through z2 -> 2.2+1.3j -> 3+1.3j -> 3-2j
+SHARED_PREFIX_PROBES = [p for p in verify.PHI2_PROBES
+                        if p[1][:2] == (2 + 1.2j, 2 + 4j)
+                        or p[1][:3] == (2.2 + 1.3j, 3 + 1.3j, 3 - 2j)]
+
+
+def test_phi2_path_integral_shares_legs_bit_for_bit(ctx30):
+    # a one-probe call has no leg to share (a path's prefixes are distinct),
+    # so it integrates the probe's whole path on its own
+    assert len(SHARED_PREFIX_PROBES) == 6
+    alone = [scurve.phi2_path_integral([p], ctx30)[0] for p in SHARED_PREFIX_PROBES]
+    shared = scurve.phi2_path_integral(SHARED_PREFIX_PROBES, ctx30)
+    assert [tuple(map(repr, pair)) for pair in shared] == \
+        [tuple(map(repr, pair)) for pair in alone]
+
+
+def test_phi2_path_integral_integrates_each_piece_once(ctx30, monkeypatch):
+    calls = []
+    panel_quad = scurve.panel_quad
+
+    def counting(g, cuts, m):
+        calls.append(m)
+        return panel_quad(g, cuts, m)
+
+    monkeypatch.setattr(scurve, "panel_quad", counting)
+    # the last leg of the lens probe crosses the open chord: two pieces
+    lens = [(0.8j, (2.2 + 1.3j, 1.3j)), (0.3 + 0.8j, (2.2 + 1.3j, 1.3j, 0.8j))]
+    probes = SHARED_PREFIX_PROBES + lens
+    scurve.phi2_path_integral(probes, ctx30)
+    paths = [(scurve.Z2, *w, t) for t, w in probes]
+    prefixes = {path[:j + 1] for path in paths for j in range(1, len(path))}
+    # 18 distinct prefixes of the 33 legs, one of them in two pieces
+    assert len(prefixes) == 18 and sum(len(path) - 1 for path in paths) == 33
+    assert len(calls) == len(prefixes) + 1
 
 
 def test_phi2_path_integral_reads_the_curve_branch_once(ctx30, monkeypatch):
@@ -393,9 +430,9 @@ def test_phi2_path_integral_reads_the_curve_branch_once(ctx30, monkeypatch):
         return q_sqrt(z)
 
     monkeypatch.setattr(scurve, "q_sqrt", counting)
-    scurve.phi2_path_integral(0.0 + 0.8j, (2.2 + 1.3j, 0.0 + 1.3j), ctx30)
-    # the one curve-branch read decides the starting sheet
-    assert len(calls) == 1
+    scurve.phi2_path_integral(SHARED_PREFIX_PROBES, ctx30)
+    # one curve-branch read per distinct first leg decides its starting sheet
+    assert len({w[0] for _, w in SHARED_PREFIX_PROBES}) == len(calls) == 2
 
 
 def test_sample_field_grid_req(phase):

@@ -226,7 +226,7 @@ def test_workload_calls_resolve():
 # has the S-property), so these decide it from z alone.
 CURVE_BRANCH_EVALUATORS = {
     "q_sqrt", "phi2", "g_eval", "beta", "n_matrix", "pn_outer", "pn_airy",
-    "phi2_path_integral", "_in_lens", "_require_off_cut", "_phi2_off_cut",
+    "phi2_path_integral", "_phi2_leg", "_in_lens", "_require_off_cut", "_phi2_off_cut",
 }
 
 
@@ -294,8 +294,8 @@ def _calls_by_function(path):
 def test_oracles_size_panels_by_one_rule():
     # An oracle's panel size follows from the digits it runs at, by
     # oscillatory._panel_points; neither the digits nor the points are
-    # fixed where an oracle is called.  phi2_path_integral grades its
-    # panels to the branch points and keeps its fixed count.
+    # fixed where an oracle is called.  phi2_path_integral's legs grade their
+    # panels to the branch points and keep their fixed count.
     literal_ctx, counts = [], {}
     for path in SOURCES:
         if path.stem == "precision":   # panel_quad hands its m on to panel_quad_vector
@@ -311,7 +311,7 @@ def test_oracles_size_panels_by_one_rule():
     assert counts == {
         "oscillatory._ray_quadrature": {"_panel_points(ctx)"},
         "oscillatory.interval_oracle": {"_panel_points(ctx)"},
-        "scurve.phi2_path_integral": {"_PATH_GL_POINTS"},
+        "scurve._phi2_leg": {"_PATH_GL_POINTS"},
     }
 
 
