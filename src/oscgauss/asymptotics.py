@@ -9,8 +9,8 @@ Three closed-form approximations, each tied to a region of the plane:
   the chord branch of the phase, analytic across the arc itself, so one
   expression is valid on both sides (and on the arc); ``pn_asymptotic``
   evaluates it once ``region_classify`` has placed z in the tube.
-* ``pn_airy``    -- in disks around the branch points: Airy functions of
-  n^{2/3} f(z), where f = ``conformal_f`` is the conformal map
+* ``pn_airy``    -- in disks around the branch points: Ai and Ai' (``_airy``,
+  in-house) of n^{2/3} f(z), where f = ``conformal_f`` is the conformal map
   straightening the phase ((3/2) phi)^{2/3}.  The disk at the left
   endpoint is handled through the reflection symmetry
   P_n(z) = (-1)^n conj(P_n(-conj z)).
@@ -27,11 +27,11 @@ integer kernel at 241 bits; the observed convergence rate is O(1/n).
 
 from __future__ import annotations
 
+import cmath
 import functools
 
 import mpmath as mp
 import numpy as np
-import scipy.special
 
 from . import opq
 from .errors import OnCutError, OutsideDiskError
@@ -157,6 +157,76 @@ def boundary_winding() -> float:
 
 
 # ---------------------------------------------------------------------------
+# Ai and Ai' (Gil, Segura & Temme, ACM TOMS 28, 2002; DLMF 9.2, 9.4, 9.6, 9.7)
+# ---------------------------------------------------------------------------
+
+def _series_coefficients(k: int) -> np.ndarray:
+    """Rows F0..F3, k terms each, of the Maclaurin series (DLMF 9.4) in w = z^3:
+    Ai = F0 + z F1, Ai' = z^2 F2 + F3, from Ai'' = z Ai: c_{m+3} = c_m/((m+2)(m+3))."""
+    j = np.arange(1, k + 1)
+    a = 0.355028053887817239 * np.cumprod(np.r_[1.0, 1 / ((3 * j - 1) * 3 * j)])   # Ai(0)
+    b = -0.258819403792806798 * np.cumprod(np.r_[1.0, 1 / (3 * j * (3 * j + 1))])  # Ai'(0)
+    return np.array([a[:k], b[:k], 3 * j * a[1:], (3 * j - 2) * b[:k]])
+
+
+def _expansion_coefficients(k: int) -> np.ndarray:
+    """Rows (-1)^j u_j and (-1)^j v_j, j < k, of DLMF 9.7.5-6, by 9.7.2."""
+    i, j = np.arange(1, k), np.arange(k)
+    u = np.cumprod(np.r_[1.0, (6 * i - 5) * (6 * i - 3) * (6 * i - 1) / ((2 * i - 1) * 216 * i)])
+    return np.array([u, (6 * j + 1) / (1 - 6 * j) * u]) * (-1.0) ** j
+
+
+# Series: the first term left out is below 1e-16 of Ai and Ai' wherever used.
+# Expansion (|z| >= 9.5, |xi| >= 19.5): terms shrink to j ~ 2|xi|; the 25th is < 3e-17.
+_SERIES, _EXPANSION, _POWERS = _series_coefficients(36), _expansion_coefficients(25), np.arange(36)
+
+
+@functools.cache
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x/2, a, W) of the 36-point Golub-Welsch rules for t^a e^{-t}, a = -1/6, 1/6,
+    without nodes of weight < 1e-18: W @ (xi + x/2)^a = 2 sqrt(pi) e^{xi} (Ai, Ai')
+    by the Laplace integrals of K_{1/3}, K_{2/3} (DLMF 9.6.1-2, 10.32.8)."""
+    k, rules = np.arange(36), []
+    for a, scale in ((-1 / 6, (2 / 3) ** (1 / 6)), (1 / 6, -1.5 ** (1 / 6))):
+        off = np.sqrt(k[1:] * (k[1:] + a))
+        x, v = np.linalg.eigh(np.diag(2 * k + a + 1) + np.diag(off, 1) + np.diag(off, -1))
+        rules.append((x / 2, np.full(k.size, a), v[0] ** 2 * scale))
+    half, expo, w = (np.concatenate(part) for part in zip(*rules))
+    keep = np.abs(w) > 1e-18
+    return half[keep], expo[keep], np.array([w * (expo < 0), w * (expo > 0)])[:, keep]
+
+
+def _airy_direct(z: complex) -> tuple[complex, complex]:
+    """(Ai, Ai') for |arg z| <= 0.8 pi at |z| < 9.5, |arg z| <= 2 pi/3 beyond: the
+    Maclaurin series, Gauss-Laguerre (2.5 < |z| < 9.5, arg z within pi/3, or pi/2
+    from |z| = 3.5) and the asymptotic expansion (|z| >= 9.5)."""
+    r, th = abs(z), abs(cmath.phase(z))
+    if r < 9.5 and not (r > 2.5 and (th < cmath.pi / 3 or (r >= 3.5 and th <= cmath.pi / 2))):
+        f0, f1, f2, f3 = (_SERIES @ (z * z * z) ** _POWERS).tolist()
+        return f0 + z * f1, z * z * f2 + f3
+    xi = 2 / 3 * z ** 1.5
+    e = np.exp(-xi) / (2 * np.sqrt(np.pi))
+    if r < 9.5:
+        half, alpha, w = _laguerre_rule()
+        ai, aip = (w @ (xi + half) ** alpha).tolist()
+        return complex(e * ai), complex(e * aip)
+    (s0, s1), q = (_EXPANSION @ (1 / xi) ** _POWERS[:25]).tolist(), z ** 0.25
+    return complex(e / q * s0), complex(-e * q * s1)
+
+
+def _airy(zeta: complex) -> tuple[complex, complex]:
+    """(Ai(zeta), Ai'(zeta)); Ai(z) = -w Ai(wz) - w^2 Ai(w^2 z), w = e^{2 pi i/3}
+    (DLMF 9.2.12), where no direct method is accurate."""
+    z = complex(zeta)
+    r, th = abs(z), abs(cmath.phase(z))
+    if (r >= 3.5 and th > 0.8 * cmath.pi) or (r >= 9.5 and th > 2 * cmath.pi / 3):
+        w, w2 = complex(_OMEGA), complex(_OMEGA).conjugate()
+        (a1, p1), (a2, p2) = _airy_direct(w * z), _airy_direct(w2 * z)
+        return -w * a1 - w2 * a2, -w2 * p1 - w * p2
+    return _airy_direct(z)
+
+
+# ---------------------------------------------------------------------------
 # Region classification and the three formulas
 # ---------------------------------------------------------------------------
 
@@ -226,7 +296,7 @@ def pn_airy(n: int, z: complex) -> complex:
         f14, b = complex(_q4(FC * (Z2 - Z1))), 1.0
     else:
         f14, b = complex(_q4(f)), beta(z)
-    ai, aip, _, _ = scipy.special.airy(n ** (2.0 / 3.0) * f)
+    ai, aip = _airy(n ** (2.0 / 3.0) * f)
     val = (np.sqrt(np.pi) * np.exp(_v_half_minus_l(z, n))
            * (n ** (1.0 / 6.0) * f14 / b * ai
               - n ** (-1.0 / 6.0) * b / f14 * aip))
@@ -333,12 +403,12 @@ def zero_distribution_report(n: int, phase: PhaseContext) -> dict:
 def airy_model_matrix(zeta: complex) -> np.ndarray:
     """sqrt(2 pi) [[y0, -y2], [-i y0', i y2']] with y0 = Ai, y2 = w^2 Ai(w^2 .).
 
-    det = 1 by the Wronskian of the rotated Airy solutions.
+    Ai by ``_airy``; det = 1 by the Wronskian of the rotated Airy solutions.
     """
     zeta = complex(zeta)
     w = _OMEGA
-    ai0, aip0, _, _ = scipy.special.airy(zeta)
-    ai2, aip2, _, _ = scipy.special.airy(w ** 2 * zeta)
+    ai0, aip0 = _airy(zeta)
+    ai2, aip2 = _airy(w ** 2 * zeta)
     y2, y2p = w ** 2 * ai2, w * aip2          # chain rule: d/dz w^2 Ai(w^2 z)
     return np.sqrt(2 * np.pi) * np.array([[ai0, -y2], [-1j * aip0, 1j * y2p]],
                                          dtype=complex)
@@ -365,9 +435,9 @@ def airy_model_residual() -> float:
 
 
 def airy_deviation(zeta: complex) -> float:
-    """Larger relative deviation of scipy's Ai(zeta) and Ai'(zeta), which the
-    formulas evaluate, from mp.airyai at 30 digits."""
-    ai, aip, _, _ = scipy.special.airy(complex(zeta))
+    """Larger relative deviation of Ai(zeta) and Ai'(zeta) by ``_airy``, which
+    the formulas evaluate, from mp.airyai at 30 digits."""
+    ai, aip = _airy(zeta)
     with PrecisionContext(30).working():
         z = mp.mpmathify(complex(zeta))
         refs = (mp.airyai(z), mp.airyai(z, derivative=1))

@@ -371,7 +371,7 @@ def _max_rel_dev(rec: opq.RecurrenceCoefficients, ref: opq.RecurrenceCoefficient
 @_suite("consistency", budget_seconds=300.0)
 def criterion_consistency(rep: dict) -> None:
     """Dual-route agreement: moments, phi2, recurrences, weights, det N;
-    string equations, scipy's Airy against mpmath's."""
+    string equations, the in-house Airy against mpmath's."""
     ctx = PrecisionContext(CONSISTENCY_DIGITS)
     bar = 10.0 ** (-CONSISTENCY_DIGITS / 2.0)
 

@@ -1,14 +1,16 @@
 """Outer/band/Airy-edge formulas, parametrices, and zero diagnostics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oscgauss import asymptotics as asym
 from oscgauss import opq, scurve, verify
-from oscgauss.errors import OnCutError, OutsideDiskError
+from oscgauss.errors import NonFiniteError, OnCutError, OutsideDiskError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -245,18 +247,109 @@ def test_airy_model_matching_residual():
 
 
 def test_airy_matches_mpmath(monkeypatch):
-    # the scipy Ai and Ai' that pn_airy evaluates, at the consistency
-    # suite's points and at n^{2/3} f(z) for disk probes up to n = 160
+    # the Ai and Ai' that pn_airy evaluates, at the consistency suite's
+    # points and at n^{2/3} f(z) for disk probes up to n = 160
     zetas = [*verify.AIRY_ZETAS]
     for n in (20, 160):
         zetas += [n ** (2 / 3) * asym.conformal_f(scurve.Z2 + 0.4 * np.exp(1j * th))
                   for th in (0.41, 2.0, -1.2, 3.0)]
     assert max(asym.airy_deviation(z) for z in zetas) <= 1e-12
     # an Ai' off by 1e-9 relative is caught
-    airy = asym.scipy.special.airy
+    airy = asym._airy
 
     def perturbed(z):
-        ai, aip, bi, bip = airy(z)
-        return ai, aip * (1 + 1e-9), bi, bip
-    monkeypatch.setattr(asym.scipy.special, "airy", perturbed)
+        ai, aip = airy(z)
+        return ai, aip * (1 + 1e-9)
+    monkeypatch.setattr(asym, "_airy", perturbed)
     assert asym.airy_deviation(0.7 + 0.3j) > 1e-10
+
+
+# Where _airy switches method: radii of the series / Gauss-Laguerre /
+# expansion regions and angles |arg zeta| of the sector boundaries.
+AIRY_SWITCH_RADII = (2.5, 3.5, 9.5)
+AIRY_SWITCH_ANGLES = (math.pi / 3, math.pi / 2, 2 * math.pi / 3, 0.8 * math.pi)
+AIRY_STEP = 1e-6
+AIRY_RADII = (0.05, 1.5, 6.0, 16.0, 25.0) + tuple(
+    r + d for r in AIRY_SWITCH_RADII for d in (-AIRY_STEP, AIRY_STEP))
+AIRY_ANGLES = (0.0, math.pi) + tuple(
+    s * a for s in (1, -1) for a in (math.pi / 6, 0.9 * math.pi) + tuple(
+        t + d for t in AIRY_SWITCH_ANGLES for d in (-AIRY_STEP, AIRY_STEP)))
+
+
+def _polar(r, t):
+    return r * complex(math.cos(t), math.sin(t))
+
+
+def _near_a_real_zero(z):
+    """Within 1e-3 of a zero of Ai or Ai'.  They all lie on the negative real
+    axis, more than 0.6 apart up to |z| = 25, so a zero is that close iff the
+    function changes sign across the real interval within 1e-3 of z."""
+    if abs(z.imag) >= 1e-3 or z.real >= 0:
+        return False
+    d = math.sqrt(1e-6 - z.imag ** 2)
+    return any(mp.sign(mp.airyai(z.real - d, derivative=k))
+               != mp.sign(mp.airyai(z.real + d, derivative=k)) for k in (0, 1))
+
+
+def test_airy_matches_mpmath_across_every_switch():
+    # a polar grid over |zeta| <= 25 with points 1e-6 to either side of each
+    # switch of method; points within 1e-3 of a real zero of Ai or Ai',
+    # where a relative deviation means nothing, are left out
+    grid = [_polar(r, t) for r in AIRY_RADII for t in AIRY_ANGLES]
+    kept = [z for z in grid if not _near_a_real_zero(z)]
+    assert len(kept) >= len(grid) - 2
+    worst = 0.0
+    with mp.workdps(30):
+        for z in kept:
+            refs = (mp.airyai(z), mp.airyai(z, derivative=1))
+            worst = max([worst] + [float(abs((got - ref) / ref))
+                                   for got, ref in zip(asym._airy(z), refs)])
+    assert worst <= 1e-12, worst
+
+
+def _taylor(z, ai, aip, h):
+    """(Ai, Ai') at z + h from their values at z, to third order in h (Ai'' = z Ai)."""
+    return (ai + h * aip + h * h / 2 * z * ai + h ** 3 / 6 * (ai + z * aip),
+            aip + h * z * ai + h * h / 2 * (ai + z * aip) + h ** 3 / 6 * (2 * aip + z * z * ai))
+
+
+def test_airy_is_continuous_across_every_switch():
+    # the values just inside and just outside each switch, carried to the
+    # switch by the Airy equation, agree to 1e-12 relative
+    pairs = [(_polar(r, t), _polar(r - AIRY_STEP, t), _polar(r + AIRY_STEP, t))
+             for r in AIRY_SWITCH_RADII for t in np.linspace(-math.pi, math.pi, 25)]
+    pairs += [(_polar(r, s * t), _polar(r, s * t - AIRY_STEP), _polar(r, s * t + AIRY_STEP))
+              for r in (3.0, 6.0, 16.0) + AIRY_SWITCH_RADII
+              for t in AIRY_SWITCH_ANGLES for s in (1, -1)]
+    for z0, lo, hi in pairs:
+        a, b = (_taylor(z, *asym._airy(z), z0 - z) for z in (lo, hi))
+        for x, y in zip(a, b):
+            assert abs(x - y) <= 1e-12 * abs(x), (z0, x, y)
+
+
+_DISK_POINTS = st.one_of(
+    st.sampled_from([scurve.Z1, scurve.Z2]),
+    st.builds(lambda c, rho, t: c + _polar(rho, t),
+              st.sampled_from([scurve.Z1, scurve.Z2]),
+              st.floats(0.0, asym.AIRY_RADIUS), st.floats(-math.pi, math.pi)),
+    # gamma up to mass 0.12 from an end, which lies inside that end's disk
+    st.builds(lambda m: complex(scurve.curve_points_at_mass(m)[0]),
+              st.floats(0.0, 0.12) | st.floats(0.88, 1.0)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), z=_DISK_POINTS)
+def test_edge_formula_is_finite_or_refuses(phase, n, z):
+    # pn_asymptotic and pn_airy anywhere in the disks, for any n up to 200:
+    # a finite value or a documented refusal, from one Airy evaluation each
+    calls, airy = [], asym._airy
+    with mock.patch.object(asym, "_airy", lambda zeta: calls.append(zeta) or airy(zeta)):
+        for evaluate in (lambda: asym.pn_asymptotic(n, z, phase)[1],
+                         lambda: asym.pn_airy(n, z)):
+            before = len(calls)
+            try:
+                value = evaluate()
+            except (OnCutError, OutsideDiskError, NonFiniteError, ValueError):
+                value = None
+            assert len(calls) - before <= 1, (n, z, calls)
+            assert value is None or np.isfinite(value), (n, z, value)

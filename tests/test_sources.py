@@ -5,15 +5,19 @@ library or benchmark call, every public function is referred to by some
 library or benchmark code, every library name the benchmark tracer
 rebinds or the benchmark workloads call exists, no evaluator of the
 curve branch takes the contour, no distance to gamma reads its polyline,
-every panelled oracle sizes its panels by one rule, and every flag the
-README names is a flag of the command line."""
+every panelled oracle sizes its panels by one rule, every flag the
+README names is a flag of the command line, and no module imports scipy,
+nor does importing the package load it."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -322,3 +326,24 @@ def test_readme_flags_exist():
              for opt in action.option_strings}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
     assert named - known - {"--no-build-isolation"} == set()   # pip's, in the install line
+
+
+def test_no_module_imports_scipy():
+    # Ai and Ai' are computed in-house (asymptotics._airy), so the package's
+    # only runtime dependencies are numpy and mpmath
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+    imports = [f"{path.name}:{node.lineno}"
+               for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if any(m.split(".")[0] == "scipy" for m in modules(node))]
+    assert imports == []
+    src = str(pathlib.Path(oscgauss.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import oscgauss, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
