@@ -26,24 +26,26 @@ the involution the nodes are closed under: z -> -conj z (odd r), z -> -z
 (even r), z -> conj z (Gauss-Laguerre); the caller names it and nothing
 classifies it.  The float64 eigenvalues of the Jacobi matrix, paired once
 through the involution, seed Aberth sweeps that move one root per pair with
-pi_n and pi_n' from the recurrence and the Aberth sum in complex128, run
-to 10^-digits; the partner is the
-exact mirror image and a self-paired root sits exactly on the fixed set
-(exactly 0 for even r).  The weights are the
+pi_n and pi_n' from the recurrence and the Aberth sum in complex128, run to
+10^-digits; the partner is the exact mirror image and a self-paired root
+sits exactly on the fixed set (exactly 0 for even r).  The weights are the
 Christoffel numbers h_{n-1} / (pi_{n-1}(z_j) pi_n'(z_j)), h_{n-1} = M_0
-beta_0 ... beta_{n-2}, averaged over each pair, so for odd r a node on the
-axis carries an exactly real weight.  A rule is delivered only if
-|pi_n(z_j)| <= 10^(-digits/2) times the same recurrence run on absolute
-values and the rule is exact to 10^(-digits/3) through degree 2n-1.
-Nodes come in ascending (Re, Im) order.  Rules, and the moments and
-recurrence each comes from, are memoised per process (functools.lru_cache,
-64 entries each) keyed on (n, r, decimal_digits); the three types are
-frozen and hold tuples, so callers share the cached objects safely.
+beta_0 ... beta_{n-2}, evaluated once per pair and mapped onto the partner;
+a self-paired node takes the mean of its weight and the weight's image, so
+for odd r a node on the axis carries an exactly real weight.  A rule is
+delivered only if |pi_n(z_j)| <= 10^(-digits/2) times the same recurrence
+run on absolute values and the rule is exact to 10^(-digits/3) through
+degree 2n-1.  Nodes come in ascending (Re, Im) order.  Rules, and the
+moments and recurrence each comes from, are memoised per process
+(functools.lru_cache, 64 entries each) keyed on (n, r, decimal_digits);
+the three types are frozen and hold tuples, so callers share the cached
+objects safely.
 
 One kernel, _run_recurrence, evaluates the recurrence for pi_eval, the
 Aberth sweeps, the Christoffel weights and the root residual, on Python
 ints in block floating point at the working precision plus
-KERNEL_GUARD_BITS (241 bits at 60 digits): no mpmath call per step.
+KERNEL_GUARD_BITS (241 bits at 60 digits): no mpmath call per step.  The
+exactness residual runs its running products w z^k on the same ints.
 
 All computations run under a PrecisionContext; the default schedule for
 degree n is max(60, 12 + 4n) working digits.  A rule carries the
@@ -141,20 +143,10 @@ class RecurrenceCoefficients:
 
     @functools.cached_property
     def _fixed(self):
-        """(F, working bits, [(Re, Im, |.|) of alpha_k 2^F], same of beta_k) as ints.
-
-        F = (decimal_digits + GUARD_DIGITS) log2 10 + KERNEL_GUARD_BITS, so
-        each coefficient is held to 2^-F absolute.  Computed once per object.
-        """
-        digits = self.ctx.decimal_digits + GUARD_DIGITS
-        bits = math.ceil(digits * math.log2(10)) + KERNEL_GUARD_BITS
-
-        def fixed(v):
-            re, im = _to_fixed(v, bits)
-            return re, im, math.isqrt(re * re + im * im)
-
-        return (bits, dps_to_prec(digits), [fixed(a) for a in self.alpha],
-                [fixed(b) for b in self.beta])
+        """(F, working bits, [(Re, Im, |.|) of alpha_k 2^F], same of beta_k), computed once."""
+        bits, prec = _kernel_bits(self.ctx)
+        return bits, prec, *([_with_modulus(*_to_fixed(v, bits)) for v in values]
+                             for values in (self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
@@ -187,19 +179,35 @@ def moment(k: int, spec: WeightSpec, ctx: PrecisionContext):
     if (k + 1) * (r // 2) % r == 0:
         return ctx.finalize(mp.mpc(0))
     with ctx.working():
-        g = gamma(mp.mpf(k + 1) / r, ctx)
-        ph_hi = mp.expjpi(mp.mpf(k + 1) / (2 * r))
-        ph_lo = (-1) ** (k + 1) * (mp.conj(ph_hi) if r % 2 else ph_hi)
-        val = g / r * (ph_hi - ph_lo)
-        ensure_finite(val, "moment")
-        return ctx.finalize(val)
+        return _moment(k, r, gamma(mp.mpf(k + 1) / r, ctx), ctx)
+
+
+def _moment(k: int, r: int, g, ctx: PrecisionContext):
+    """M_k of moment() from g = Gamma((k+1)/r) as precision.gamma rounds it."""
+    ph_hi = mp.expjpi(mp.mpf(k + 1) / (2 * r))
+    ph_lo = (-1) ** (k + 1) * (mp.conj(ph_hi) if r % 2 else ph_hi)
+    val = g / r * (ph_hi - ph_lo)
+    ensure_finite(val, "moment")
+    return ctx.finalize(val)
 
 
 def moment_sequence(spec: WeightSpec, k_max: int, ctx: PrecisionContext) -> MomentSequence:
+    """M_0..M_k_max of moment(), with Gamma((k+1)/r) from mpmath only for k < r.
+
+    The others follow by Gamma(x) = (x - 1) Gamma(x - 1) at working precision,
+    each rounded as precision.gamma rounds.
+    """
     if k_max < 0:
         raise ValueError("moment index k_max must be >= 0")
-    vals = tuple(moment(k, spec, ctx) for k in range(k_max + 1))
-    return MomentSequence(values=vals, ctx=ctx)
+    r, chain, vals = spec.r, {}, []
+    with ctx.working():
+        for k in range(k_max + 1):
+            if (k + 1) * (r // 2) % r == 0:
+                vals.append(moment(k, spec, ctx))
+                continue
+            g = chain[k] = mp.gamma(mp.mpf(k + 1) / r) if k < r else chain[k - r] * (k + 1 - r) / r
+            vals.append(_moment(k, r, ctx.finalize(g), ctx))
+    return MomentSequence(values=tuple(vals), ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +266,37 @@ def build_recurrence(moments: MomentSequence, n: int) -> RecurrenceCoefficients:
 KERNEL_GUARD_BITS = 8
 
 
+def _kernel_bits(ctx: PrecisionContext) -> tuple:
+    """(F, working bits): F = (decimal_digits + GUARD_DIGITS) log2 10 + KERNEL_GUARD_BITS."""
+    digits = ctx.decimal_digits + GUARD_DIGITS
+    return math.ceil(digits * math.log2(10)) + KERNEL_GUARD_BITS, dps_to_prec(digits)
+
+
 def _to_fixed(x, bits: int) -> tuple:
     """(Re x, Im x) as ints scaled by 2^bits, rounded down; NonFiniteError for inf or nan."""
     x = mp.mpmathify(x)
     if not mp.isfinite(x):
-        raise NonFiniteError(f"recurrence input is not finite: {x!r}")
+        raise NonFiniteError(f"integer kernel input is not finite: {x!r}")
     re, im = x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
     return to_fixed(re, bits), to_fixed(im, bits)
+
+
+def _with_modulus(re: int, im: int) -> tuple:
+    """(re, im, |re + i im| rounded down)."""
+    return re, im, math.isqrt(re * re + im * im)
+
+
+def _to_block(x, bits: int) -> tuple:
+    """(re, im, |re + i im|, e) as ints: x = (re + i im) 2^e, `bits` bits in the larger part."""
+    x = mp.mpmathify(x)
+    parts = x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_,)
+    top = max((exp + bc for _, man, exp, bc in parts if man), default=0)   # |part| < 2^top
+    return (*_with_modulus(*_to_fixed(x, bits - top)), top - bits)
+
+
+def _from_block(re: int, im: int, exp: int, prec: int):
+    """The mpc (re + i im) 2^exp rounded to prec bits."""
+    return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
 
 
 def _normalize(nr, ni, pr, pi, bits: int) -> tuple:
@@ -289,12 +321,11 @@ def _run_recurrence(coeffs: RecurrenceCoefficients, z, derivative=False, absolut
     s_n is the same recurrence run on |z| + |alpha_k| and |beta_{k-1}|, which
     bounds |pi_n| and the error of pi_n.  z and the coefficients
     (RecurrenceCoefficients._fixed) are complex fixed-point ints with F
-    fractional bits, F = (decimal_digits + GUARD_DIGITS) log2 10 +
-    KERNEL_GUARD_BITS; each of the pairs (pi_k, pi_{k-1}), (pi_k', pi_{k-1}')
-    and (s_k, s_{k-1}) carries one block exponent, and after every step both
-    members are shifted, up or down, so that the larger keeps F bits.  The
-    error is then about n 2^-F s_n.  The results are mpmath numbers at the
-    working precision of coeffs.ctx.
+    fractional bits (_kernel_bits); each of the pairs (pi_k, pi_{k-1}),
+    (pi_k', pi_{k-1}') and (s_k, s_{k-1}) carries one block exponent, and
+    after every step both members are shifted, up or down, so that the larger
+    keeps F bits.  The error is then about n 2^-F s_n.  The results are
+    mpmath numbers at the working precision of coeffs.ctx.
     """
     bits, prec, alphas, betas = coeffs._fixed
     zr, zi = _to_fixed(z, bits)
@@ -322,10 +353,8 @@ def _run_recurrence(coeffs: RecurrenceCoefficients, z, derivative=False, absolut
                                         tr * pi + ti * pr - br * qi - bi * qr, pr, pi, bits)
         e += sh - bits
 
-    def value(re, im, exp):
-        return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
-
-    return (value(pr, pi, e), value(qr, qi, e), value(dr, di, ed) if derivative else None,
+    return (_from_block(pr, pi, e, prec), _from_block(qr, qi, e, prec),
+            _from_block(dr, di, ed, prec) if derivative else None,
             mp.make_mpf(from_man_exp(s, es, prec, "n")) if absolute else None)
 
 
@@ -355,7 +384,8 @@ def string_equation_residual(coeffs: RecurrenceCoefficients, r: int) -> mp.mpf:
     gives (J^{r-1})_{k,k} = 0 and k + i r (J^{r-1})_{k,k-1} = 0; at r = 3,
     beta_k = -alpha_k^2 - beta_{k-1} and alpha_k = i k / (3 beta_{k-1}) -
     alpha_{k-1}.  Each row k the truncated recurrence determines is checked
-    against the same sums on |J|.  No moment is read.
+    against the same sums on |J|.  No moment is read; a non-finite
+    coefficient, which max() would drop, raises NonFiniteError.
     """
     n = coeffs.n
     with coeffs.ctx.working():
@@ -369,6 +399,7 @@ def string_equation_residual(coeffs: RecurrenceCoefficients, r: int) -> mp.mpf:
             return v
 
         absolute = ([abs(a) for a in coeffs.alpha], [abs(b) for b in coeffs.beta])
+        ensure_finite(mp.fsum(absolute[0] + absolute[1]), "string equation coefficients")
         worst = mp.mpf(0)
         for k in range(n):
             v, s = row(k, coeffs.alpha, coeffs.beta), row(k, *absolute)
@@ -516,22 +547,25 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
 
     h_{n-1} = M_0 beta_0 ... beta_{n-2} is the squared norm of pi_{n-1}.
     `nodes` are the zeros(coeffs, symmetry), closed under the involution of
-    that class, and the weights are averaged over each orbit so that
-    w(invol z) = wmap(w(z)) holds exactly: a self-paired node of an odd-r
-    rule carries an exactly real weight.  The rule is then checked on
-    k = 0..2n-1 (Gaussian exactness); if those residuals exceed
-    10^(-decimal_digits/3) IllConditionedError reports the digits lost.
+    that class.  The kernel runs once per orbit, at the orbit's first node z;
+    its partner invol(z) gets wmap(w(z)), so w(invol z) = wmap(w(z)) holds
+    exactly, and a self-paired node gets (w + wmap(w)) / 2: for odd r an
+    exactly real weight.  The rule is then checked on k = 0..2n-1 (Gaussian
+    exactness); if those residuals exceed 10^(-decimal_digits/3)
+    IllConditionedError reports the digits lost.
     """
     ctx = coeffs.ctx
     with ctx.working():
         h = mp.mpmathify(moments[0]) * mp.fprod(coeffs.beta)
-        ws = []
-        for z in nodes:
-            _, dp, p_prev = _pi_with_derivative(coeffs, mp.mpmathify(z))
-            ws.append(h / (p_prev * dp))
         invol, wmap, _ = _INVOLUTIONS[symmetry]
         where = {z: j for j, z in enumerate(nodes)}
-        ws = [(w + wmap(ws[where[invol(z)]])) / 2 for z, w in zip(nodes, ws)]
+        ws = [None] * len(nodes)
+        for j, z in enumerate(nodes):
+            if ws[j] is None:
+                _, dp, p_prev = _pi_with_derivative(coeffs, mp.mpmathify(z))
+                w, k = h / (p_prev * dp), where[invol(z)]
+                ws[k] = wmap(w)
+                ws[j] = (w + ws[k]) / 2 if k == j else w
         resid = rule_exactness_residual(nodes, ws, moments)
         bar = mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
         if not resid <= bar:
@@ -546,22 +580,28 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
 def rule_exactness_residual(nodes, weights, moments: MomentSequence) -> mp.mpf:
     """Max relative residual |sum w z^k - M_k| / scale over k = 0..2n-1.
 
-    The terms w z^k come from running products, one multiplication per node
-    and degree; scale = sum |w z^k| + |M_k|, with |w z^k| = |w| |z|^k from
-    real running products, so only one complex abs is taken per node.
+    scale = sum |w z^k| + |M_k|.  The running products w z^k and |w| |z|^k
+    run on Python ints in block floating point with the F bits of the
+    recurrence kernel (_kernel_bits): each node and each term carries its own
+    exponent, shared by its value and its modulus, and keeps F bits; the terms
+    of each k are aligned once and summed exactly.  Only the comparisons with
+    M_k run in mpmath.  A non-finite node, weight or moment raises NonFiniteError.
     """
-    ctx = moments.ctx
-    with ctx.working():
-        zs = [mp.mpmathify(z) for z in nodes]
-        terms = [mp.mpmathify(w) for w in weights]
-        abs_zs = [abs(z) for z in zs]
-        abs_terms = [abs(t) for t in terms]
+    bits, prec = _kernel_bits(moments.ctx)
+    zs, terms = [_to_block(z, bits) for z in nodes], [_to_block(w, bits) for w in weights]
+    with moments.ctx.working():
+        ensure_finite(mp.fsum(abs(m) for m in moments.values[:2 * len(nodes)]), "moments")
         worst = mp.mpf(0)
         for k in range(2 * len(nodes)):
-            scale = mp.fsum(abs_terms) + abs(moments[k])
-            worst = max(worst, abs(mp.fsum(terms) - moments[k]) / (scale or 1))
-            terms = [t * z for t, z in zip(terms, zs)]
-            abs_terms = [t * z for t, z in zip(abs_terms, abs_zs)]
+            e = min((t[3] for t in terms if t[2]), default=0)
+            re, im, a = (sum(t[i] << t[3] - e for t in terms if t[2]) for i in range(3))
+            scale = _from_block(a, 0, e, prec).real + abs(moments[k])
+            worst = max(worst, abs(_from_block(re, im, e, prec) - moments[k]) / (scale or 1))
+            for j, (zr, zi, za, ze) in enumerate(zs):
+                tr, ti, ta, te = terms[j]
+                re, im = tr * zr - ti * zi, tr * zi + ti * zr
+                sh = max(re.bit_length(), im.bit_length(), bits) - bits
+                terms[j] = re >> sh, im >> sh, ta * za >> sh, te + ze + sh
         return worst
 
 

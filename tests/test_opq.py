@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from oscgauss import asymptotics, opq, oscillatory, verify
-from oscgauss.errors import DegenerateFunctionalError, NonconvergenceError, NonFiniteError
+from oscgauss.errors import (DegenerateFunctionalError, IllConditionedError,
+                             NonconvergenceError, NonFiniteError)
 from oscgauss.precision import PrecisionContext
 
 SPEC3 = opq.WeightSpec(r=3)
@@ -488,3 +489,142 @@ def test_build_rule_failure_is_not_retried(monkeypatch):
     with pytest.raises(NonconvergenceError):
         opq.build_rule(3, SPEC3, PrecisionContext(41))   # a key no other test builds
     assert calls == [41]
+
+
+# The stationary rules of the benchmark's rules workload, (r, n)
+BENCH_RULE_KEYS = ((3, 10), (3, 15), (3, 26), (3, 31), (3, 40), (2, 7), (2, 18), (2, 22),
+                   (4, 9), (4, 14), (4, 25), (5, 6), (5, 17), (5, 23))
+
+
+def _with_last_nonzero_moment_moved(moments, eps=mp.mpf("1e-15")):
+    """The table with its last nonzero moment times 1 + eps.
+
+    Of a table through M_{2n-1} the weights read M_0 alone, so this moves
+    only the exactness residual (M_{2n-1} itself unless it is a structural zero).
+    """
+    k = max(k for k, m in enumerate(moments.values) if m)
+    with moments.ctx.working():
+        values = list(moments.values)
+        values[k] *= 1 + eps
+    return replace(moments, values=tuple(values))
+
+
+def _mpmath_exactness_residual(nodes, weights, moments):
+    """opq.rule_exactness_residual as mpmath running products at working precision."""
+    with moments.ctx.working():
+        zs = [mp.mpmathify(z) for z in nodes]
+        terms = [mp.mpmathify(w) for w in weights]
+        abs_zs, abs_terms = [abs(z) for z in zs], [abs(t) for t in terms]
+        worst = mp.mpf(0)
+        for k in range(2 * len(nodes)):
+            scale = mp.fsum(abs_terms) + abs(moments[k])
+            worst = max(worst, abs(mp.fsum(terms) - moments[k]) / (scale or 1))
+            terms = [t * z for t, z in zip(terms, zs)]
+            abs_terms = [t * z for t, z in zip(abs_terms, abs_zs)]
+        return worst
+
+
+@pytest.mark.parametrize("source, n", [*BENCH_RULE_KEYS, ("laguerre", 11), ("laguerre", 28)])
+def test_integer_exactness_residual_matches_an_mpmath_loop(source, n):
+    # the block-floating-point residual against mpmath running products: the
+    # same verdict against 10^(-digits/3) and the same value to 1e-3, on the
+    # delivered rule and with its last moment moved by 1e-15 relative.
+    # (2, 7) has an exact 0 node
+    if source == "laguerre":
+        rule = oscillatory.laguerre_rule(n)
+        moments = oscillatory.laguerre_moment_sequence(2 * n - 1, rule.ctx)
+    else:
+        rule = opq.build_rule(n, opq.WeightSpec(r=source))
+        moments = opq._recurrence(n, source, rule.ctx.decimal_digits)[0]
+    bar = mp.mpf(10) ** (-mp.mpf(rule.ctx.decimal_digits) / 3)
+    for table, passes in ((moments, True), (_with_last_nonzero_moment_moved(moments), False)):
+        got = opq.rule_exactness_residual(rule.nodes, rule.weights, table)
+        want = _mpmath_exactness_residual(rule.nodes, rule.weights, table)
+        assert (got <= bar) == (want <= bar) == passes
+        assert abs(got - want) <= mp.mpf("1e-3") * want, (source, n, got, want)
+
+
+@pytest.mark.parametrize("digits", [30, opq.precision_schedule(40).decimal_digits])
+def test_moment_sequence_gamma_chain_matches_per_k_moments(digits):
+    # Gamma((k+1)/r) by the recursion from k < r gives the moments of
+    # per-k moment() calls bit for bit, through k = 2n - 1 at n = 40
+    ctx = PrecisionContext(digits)
+    for r in range(2, 8):
+        spec = opq.WeightSpec(r=r)
+        want = tuple(opq.moment(k, spec, ctx) for k in range(80))
+        assert opq.moment_sequence(spec, 79, ctx).values == want, r
+
+
+def _weight_case(source, n):
+    """(recurrence, its zeros, moments through 2n - 1, symmetry) at the schedule."""
+    if source == "laguerre":
+        ctx = opq.precision_schedule(n)
+        rec = oscillatory._laguerre_recurrence(n, ctx)
+        moments = oscillatory.laguerre_moment_sequence(2 * n - 1, ctx)
+        return rec, opq.zeros(rec, "real"), moments, "real"
+    mom, rec = opq._recurrence(n, source, opq.precision_schedule(n).decimal_digits)
+    symmetry = _symmetry(source)
+    return rec, opq.zeros(rec, symmetry), mom, symmetry
+
+
+@pytest.mark.parametrize("source, n, orbits", [(3, 7, 4), (2, 7, 4), ("laguerre", 5, 5)])
+def test_christoffel_weights_run_the_kernel_once_per_orbit(monkeypatch, source, n, orbits):
+    # 3 mirror pairs and one node on the axis (r = 3), 3 pairs and the
+    # origin (r = 2), 5 real nodes each their own orbit (Gauss-Laguerre)
+    rec, nodes, mom, symmetry = _weight_case(source, n)
+    calls = []
+    evaluate = opq._pi_with_derivative
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(opq, "_pi_with_derivative", counting)
+    weights = opq.christoffel_weights(rec, nodes, mom, symmetry)
+    assert len(calls) == orbits
+    invol, wmap, _ = opq._INVOLUTIONS[symmetry]
+    with rec.ctx.working():
+        weight_at = dict(zip(nodes, weights))
+        assert all(weight_at[invol(z)] == wmap(w) for z, w in weight_at.items())
+
+
+@pytest.mark.parametrize("source, n, digits, lost, residual", [
+    (3, 5, 60, 54.4605, "2.89e-16"), ("laguerre", 5, 60, 54.6990, "5.0e-16")])
+def test_christoffel_weights_report_an_ill_conditioned_rule(source, n, digits, lost, residual):
+    # M_{2n-1} moved by 1e-15 relative: the weights are unchanged, the
+    # exactness residual rises to about 1e-15 times |M_{2n-1}| / scale and
+    # the digits lost are digits + GUARD_DIGITS + log10(residual)
+    rec, nodes, mom, symmetry = _weight_case(source, n)
+    assert rec.ctx.decimal_digits == digits
+    opq.christoffel_weights(rec, nodes, mom, symmetry)
+    with pytest.raises(IllConditionedError, match=f"exactness residual {residual} ") as failure:
+        opq.christoffel_weights(rec, nodes, _with_last_nonzero_moment_moved(mom), symmetry)
+    assert failure.value.digits_lost == pytest.approx(lost, abs=1e-3)
+
+
+def test_rule_exactness_residual_rejects_a_non_finite_node_weight_or_moment():
+    # max() would drop a NaN ratio and report the clean residual of the others
+    n = 5
+    rule = opq.build_rule(n, SPEC3)
+    moments = opq.moment_sequence(SPEC3, 2 * n - 1, rule.ctx)
+
+    def spoiled(values, bad):
+        return values[:3] + (bad,) + values[4:]
+
+    for bad in (mp.mpc(mp.nan, 0), mp.mpc(0, mp.inf)):
+        for nodes, weights, table in (
+                (spoiled(rule.nodes, bad), rule.weights, moments),
+                (rule.nodes, spoiled(rule.weights, bad), moments),
+                (rule.nodes, rule.weights, replace(moments, values=spoiled(moments.values, bad)))):
+            with pytest.raises(NonFiniteError):
+                opq.rule_exactness_residual(nodes, weights, table)
+
+
+def test_string_equation_residual_rejects_a_non_finite_coefficient():
+    # with alpha_3 = NaN, max() kept the clean residual of the other rows
+    rec = _scheduled_recurrence(3, 8)
+    for field, k, bad in (("alpha", 3, mp.nan), ("beta", 5, mp.inf)):
+        values = list(getattr(rec, field))
+        values[k] = bad
+        with pytest.raises(NonFiniteError):
+            opq.string_equation_residual(replace(rec, **{field: tuple(values)}), 3)
