@@ -9,7 +9,7 @@ cross-validated against an independent oracle.
 
 Layers (importable submodules):
 
-    precision    arbitrary-precision contexts, Gamma, panelled quadrature
+    precision    arbitrary-precision contexts, panelled quadrature
     geometry     polyline arc length
     opq          moments -> recurrence -> zeros -> weights pipeline
     scurve       cubic-case curve gamma, equilibrium measure, phases, g
@@ -24,8 +24,7 @@ from . import (asymptotics, geometry, opq, oscillatory, precision,
                scurve, serialize, verify)
 from .errors import (AnalyticityBudgetError, DegenerateFunctionalError,
                      IllConditionedError, NoiseFloorError, NonconvergenceError,
-                     NonFiniteError, OnCutError, OutsideDiskError, PoleError,
-                     ToolkitError)
+                     NonFiniteError, OnCutError, OutsideDiskError, ToolkitError)
 from .opq import (MomentSequence, QuadratureRule, RecurrenceCoefficients,
                   WeightSpec, build_recurrence, build_rule, moment,
                   moment_sequence, zeros)
@@ -52,7 +51,7 @@ __all__ = [
     "trace_gamma", "build_phase_context", "verify_equilibrium", "amplitude",
     "laguerre_rule", "stationary_rule", "evaluate_report", "run_suite",
     # errors
-    "ToolkitError", "PoleError", "OnCutError", "DegenerateFunctionalError",
+    "ToolkitError", "OnCutError", "DegenerateFunctionalError",
     "NonconvergenceError", "IllConditionedError", "OutsideDiskError",
     "AnalyticityBudgetError", "NoiseFloorError", "NonFiniteError",
 ]

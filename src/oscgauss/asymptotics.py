@@ -230,8 +230,8 @@ def _airy(zeta: complex) -> tuple[complex, complex]:
 # Region classification and the three formulas
 # ---------------------------------------------------------------------------
 
-def region_classify(z: complex, phase: PhaseContext) -> str:
-    """'disk2' | 'disk1' | 'band' | 'outer' (disks take precedence); `phase` is unread."""
+def region_classify(z: complex) -> str:
+    """'disk2' | 'disk1' | 'band' | 'outer' (disks take precedence)."""
     z = complex(z)
     if abs(z - Z2) <= AIRY_RADIUS:
         return "disk2"
@@ -303,9 +303,9 @@ def pn_airy(n: int, z: complex) -> complex:
     return ensure_finite(val, "pn_airy")
 
 
-def pn_asymptotic(n: int, z: complex, phase: PhaseContext) -> tuple[str, complex]:
+def pn_asymptotic(n: int, z: complex) -> tuple[str, complex]:
     """Classify z once and evaluate the matching formula; returns (region, value)."""
-    region = region_classify(z, phase)
+    region = region_classify(z)
     if region in ("disk1", "disk2"):
         return region, pn_airy(n, z)
     if region == "band":
@@ -356,14 +356,15 @@ def exact_pn(n: int, z: complex):
     return opq.pi_eval(_rescaled_recurrence(n), complex(z))
 
 
-def pn_relative_error(n: int, z: complex, phase: PhaseContext) -> tuple[str, float]:
+def pn_relative_error(n: int, z: complex, phase: PhaseContext | None) -> tuple[str, float]:
     """(region, |formula - exact| / |exact|), compared in mpmath at any |P_n|.
 
     A formula value past the float range has already raised NonFiniteError.
+    `phase` is not read: perfbench passes the contour, the library None.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    region, approx = pn_asymptotic(n, z, phase)
+    region, approx = pn_asymptotic(n, z)
     exact = exact_pn(n, z)
     return region, float(abs(mp.mpc(approx) - exact) / abs(exact))
 
@@ -372,7 +373,7 @@ def pn_relative_error(n: int, z: complex, phase: PhaseContext) -> tuple[str, flo
 # Zero distribution diagnostics
 # ---------------------------------------------------------------------------
 
-def zero_distribution_report(n: int, phase: PhaseContext) -> dict:
+def zero_distribution_report(n: int) -> dict:
     """How closely the P_n zeros shadow the curve and its measure.
 
     The zeros are the nodes of the scheduled r = 3 rule, rescaled to P_n.

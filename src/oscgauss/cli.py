@@ -129,14 +129,13 @@ def _load_probes(path: str) -> list:
 
 
 def _cmd_asymp(args):
-    phase = scurve.build_phase_context()
     if args.probes:
         probes = _load_probes(args.probes)
     else:
-        probes = [z for zs in verify._region_probes(phase).values() for z in zs]
+        probes = [z for zs in verify._region_probes().values() for z in zs]
     rows = []
     for z in probes:
-        region, err = asym.pn_relative_error(args.n, complex(z), phase)
+        region, err = asym.pn_relative_error(args.n, complex(z), None)
         rows.append({"re": float(z.real), "im": float(z.imag),
                      "region": region, "relative_error": err})
     return serialize.report_json({"n": args.n, "probes": rows}), 0
@@ -177,8 +176,7 @@ def _cmd_fields(args):
         raise ValueError("grid point counts nx and ny must be >= 1")
     if not np.all(np.isfinite([grid[0], grid[1], grid[3], grid[4]])):
         raise ValueError("grid bounds x0, x1, y0 and y1 must be finite")
-    X, Y, V, mask = scurve.sample_field_grid(args.which, grid,
-                                             scurve.build_phase_context())
+    X, Y, V, mask = scurve.sample_field_grid(args.which, grid, None)
     doc = {
         "which": args.which,
         "x": X[0, :], "y": Y[:, 0],

@@ -13,10 +13,6 @@ class ToolkitError(Exception):
     """Base class for all toolkit failures."""
 
 
-class PoleError(ToolkitError):
-    """Gamma evaluated at a non-positive integer."""
-
-
 class OnCutError(ToolkitError):
     """Branch evaluation requested on (or too close to) the cut gamma."""
 

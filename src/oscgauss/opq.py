@@ -70,7 +70,7 @@ from .errors import (
     NonconvergenceError,
     NonFiniteError,
 )
-from .precision import GUARD_DIGITS, PrecisionContext, ensure_finite, gamma
+from .precision import GUARD_DIGITS, PrecisionContext, ensure_finite
 
 __all__ = [
     "WeightSpec",
@@ -179,11 +179,11 @@ def moment(k: int, spec: WeightSpec, ctx: PrecisionContext):
     if (k + 1) * (r // 2) % r == 0:
         return ctx.finalize(mp.mpc(0))
     with ctx.working():
-        return _moment(k, r, gamma(mp.mpf(k + 1) / r, ctx), ctx)
+        return _moment(k, r, ctx.finalize(mp.gamma(mp.mpf(k + 1) / r)), ctx)
 
 
 def _moment(k: int, r: int, g, ctx: PrecisionContext):
-    """M_k of moment() from g = Gamma((k+1)/r) as precision.gamma rounds it."""
+    """M_k of moment() from g = Gamma((k+1)/r) rounded by ctx.finalize."""
     ph_hi = mp.expjpi(mp.mpf(k + 1) / (2 * r))
     ph_lo = (-1) ** (k + 1) * (mp.conj(ph_hi) if r % 2 else ph_hi)
     val = g / r * (ph_hi - ph_lo)
@@ -195,7 +195,7 @@ def moment_sequence(spec: WeightSpec, k_max: int, ctx: PrecisionContext) -> Mome
     """M_0..M_k_max of moment(), with Gamma((k+1)/r) from mpmath only for k < r.
 
     The others follow by Gamma(x) = (x - 1) Gamma(x - 1) at working precision,
-    each rounded as precision.gamma rounds.
+    each rounded by ctx.finalize, as moment() rounds its own.
     """
     if k_max < 0:
         raise ValueError("moment index k_max must be >= 0")
@@ -547,18 +547,21 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
 
     h_{n-1} = M_0 beta_0 ... beta_{n-2} is the squared norm of pi_{n-1}.
     `nodes` are the zeros(coeffs, symmetry), closed under the involution of
-    that class.  The kernel runs once per orbit, at the orbit's first node z;
-    its partner invol(z) gets wmap(w(z)), so w(invol z) = wmap(w(z)) holds
-    exactly, and a self-paired node gets (w + wmap(w)) / 2: for odd r an
-    exactly real weight.  The rule is then checked on k = 0..2n-1 (Gaussian
-    exactness); if those residuals exceed 10^(-decimal_digits/3)
-    IllConditionedError reports the digits lost.
+    that class (else ValueError).  The kernel runs once per orbit, at its
+    first node z; its partner invol(z) gets wmap(w(z)), so w(invol z) =
+    wmap(w(z)) holds exactly, and a self-paired node gets (w + wmap(w)) / 2:
+    for odd r an exactly real weight.  The rule is then checked on k =
+    0..2n-1 (Gaussian exactness); if those residuals exceed
+    10^(-decimal_digits/3) IllConditionedError reports the digits lost.
     """
     ctx = coeffs.ctx
     with ctx.working():
         h = mp.mpmathify(moments[0]) * mp.fprod(coeffs.beta)
         invol, wmap, _ = _INVOLUTIONS[symmetry]
         where = {z: j for j, z in enumerate(nodes)}
+        stray = [z for z in nodes if invol(z) not in where]
+        if stray:
+            raise ValueError(f"node {stray[0]}: no mirror image under the {symmetry!r} symmetry")
         ws = [None] * len(nodes)
         for j, z in enumerate(nodes):
             if ws[j] is None:

@@ -12,7 +12,7 @@ Along an endpoint path z(t)^r = x^r + i t / omega, so dz/dt = i/(r omega
 z^{r-1}) needs no branch choice once z is known.  The module also carries
 the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
 stationary rule and two independent oracles, both panelled Gauss-Legendre
-(precision.panel_quad) with a whole-vs-halved error estimate and with as
+(precision.panel_quad_vector) with a whole-vs-halved error estimate and with as
 many points per panel as _panel_points gives the digits they run at: one
 on the truncated rays of the stationary contour (the two-ray quadrature
 the moment oracle of verify also runs), which serves a whole list of

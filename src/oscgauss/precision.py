@@ -1,32 +1,31 @@
-"""Extended-precision arithmetic contract, Gamma and panelled quadrature.
+"""Extended-precision arithmetic contract and panelled quadrature.
 
-The rest of the package consumes three things from here: a precision
+The rest of the package consumes two things from here: a precision
 context (intermediate arithmetic carries GUARD_DIGITS beyond the working
-digits, and results are rounded back to the working count), the Gamma
-function with its pole check, and the panelled Gauss-Legendre primitive
-the verification oracles integrate with.
+digits, and results are rounded back to the working count) with its
+non-finite check, and the panelled Gauss-Legendre primitive the
+verification oracles integrate with.
 
 Arbitrary-precision arithmetic is delegated to mpmath; the functions here
-add the error contract (pole / non-finite checks, rounding discipline)
-that the callers rely on.
+add the error contract (non-finite check, rounding discipline) that the
+callers rely on.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import NonFiniteError, PoleError
+from .errors import NonFiniteError
 
 __all__ = [
     "GUARD_DIGITS",
     "PrecisionContext",
     "ensure_finite",
-    "gamma",
-    "panel_quad",
     "panel_quad_vector",
     "ray_cuts",
 ]
@@ -61,6 +60,8 @@ class PrecisionContext:
 
 
 def _is_finite_number(x) -> bool:
+    if isinstance(x, (float, complex)):   # numpy's float64 and complex128 too
+        return cmath.isfinite(x)
     try:
         return mp.isfinite(mp.mpmathify(x))
     except (AttributeError, TypeError, ValueError):   # mpmath fails on "ej" with AttributeError
@@ -72,21 +73,6 @@ def ensure_finite(value, context: str = "operation"):
     if not _is_finite_number(value):
         raise NonFiniteError(f"{context} produced a non-finite value: {value!r}")
     return value
-
-
-def gamma(z, ctx: PrecisionContext):
-    """Gamma function with an explicit pole check.
-
-    Raises PoleError for z in {0, -1, -2, ...}; any overflow or NaN from
-    the underlying evaluation is converted into NonFiniteError.
-    """
-    with ctx.working():
-        w = mp.mpmathify(z)
-        if mp.im(w) == 0 and mp.isint(mp.re(w)) and mp.re(w) <= 0:
-            raise PoleError(f"gamma pole at z = {mp.re(w)}")
-        val = mp.gamma(w)
-        ensure_finite(val, "gamma")
-        return ctx.finalize(val)
 
 
 # ---------------------------------------------------------------------------
@@ -101,22 +87,15 @@ def _legendre_rule(m: int, dps: int) -> tuple:
         return tuple(zip(xs, ws))
 
 
-def panel_quad(g, cuts, m: int):
-    """(value, error_estimate) of the integral of g along the polyline `cuts`.
+def panel_quad_vector(g, cuts, m: int):
+    """(values, error_estimates) lists of the integrals of the components of
+    g, a function returning a sequence, along the polyline `cuts`.
 
     Every panel [u, v] (real or complex end points) gets m-point
     Gauss-Legendre, exact for polynomials of degree <= 2m-1, once whole and
     once as its two halves; the halved sum is returned with |halved - whole|
     as the estimate.  Runs at the ambient mpmath precision.  Convergence is
     geometric only where g is analytic on a neighbourhood of each panel.
-    """
-    (value,), (est,) = panel_quad_vector(lambda x: (g(x),), cuts, m)
-    return value, est
-
-
-def panel_quad_vector(g, cuts, m: int):
-    """panel_quad of a g returning a sequence: (values, error_estimates) lists.
-
     g is called once per node for all components, so integrands sharing an
     expensive factor (a family of moments) pay for it once.
     """

@@ -53,8 +53,8 @@ from numpy.polynomial.legendre import leggauss
 import mpmath as mp
 
 from . import geometry
-from .errors import NonconvergenceError, OnCutError
-from .precision import PrecisionContext, panel_quad
+from .errors import NonconvergenceError, NonFiniteError, OnCutError
+from .precision import PrecisionContext, ensure_finite, panel_quad_vector
 
 __all__ = [
     "Z0", "Z1", "Z2", "C_CONST", "L_CONST", "ELL", "ELL_TILDE",
@@ -86,7 +86,7 @@ _NEWTON_STEPS = 20      # Newton steps _invert_phi2 allows
 _GAMMA_IM_MIN = 0.637   # below gamma's lowest point, Im 0.63716 at Re z = 0
 # composite Gauss-Legendre layout of the measure quadratures, in the mass variable
 _MID_CELLS = 220        # cells per unit mass between the two end windows
-_END_WINDOW = 0.08      # mass of each endpoint window, as a fraction of the total
+_END_WINDOW = 0.08      # mass of each endpoint window
 _END_CELLS = 40         # cells in u of each endpoint window m = w u^3
 _GL_POINTS = 6          # Gauss points per cell
 _NEAR_WINDOW = 0.02     # mass half-width that near_quadrature refines
@@ -243,8 +243,7 @@ def trace_gamma() -> CurvePolyline:
     density |Q^{1/2}|/pi of its equilibrium measure and the cdf (pi - Im
     phi2_chord)/pi, whose total checks the unit normalization of the measure.
     """
-    edge = 1.0 - _END_WINDOW
-    points = np.concatenate([[Z1], curve_points_at_mass(_mass_rule(1.0, edge, edge)[0]), [Z2]])
+    points = np.concatenate([[Z1], measure_quadrature()[0], [Z2]])
     im = phi2_chord(points).imag
     # the exact endpoints sit on the log branch line of the closed form;
     # unwrap them by 2 pi onto the on-curve limit seen by their neighbours
@@ -308,58 +307,54 @@ def _gl_cells(edges: np.ndarray, npts: int):
     return nodes, wts
 
 
-def _mass_rule(total: float, lo: float, hi: float):
-    """(masses, weights) in increasing mass on [0, total] less the window (lo, hi).
+def _mass_rule(lo: float, hi: float):
+    """(masses, weights) in increasing mass on [0, 1] less the window (lo, hi).
 
-    Each end window has mass w_end = _END_WINDOW total, or less where (lo, hi)
-    reaches into it, and takes m = w_end u^3 (mirrored at total): the map z(m)
-    behaves like m^{2/3} at the endpoints and is smooth in u.  The rest gets
-    _MID_CELLS cells per unit mass.  lo = hi = total - w_end excludes nothing.
+    Each end window has mass w_end = _END_WINDOW, or less where (lo, hi) reaches
+    into it, and takes m = w_end u^3 (mirrored at 1): the map z(m) behaves like
+    m^{2/3} at the endpoints and is smooth in u.  The rest gets _MID_CELLS
+    cells per unit mass.  lo = hi = 1 - _END_WINDOW excludes nothing.
     """
-    w_end = _END_WINDOW * total
     u, wu = _gl_cells(np.linspace(0.0, 1.0, _END_CELLS + 1), _GL_POINTS)
-    b_left, b_right = min(w_end, lo), total - max(total - w_end, hi)
+    b_left, b_right = min(_END_WINDOW, lo), 1.0 - max(1.0 - _END_WINDOW, hi)
     parts = [(b_left * u ** 3, 3.0 * b_left * u ** 2 * wu)]
-    for a, b in ((w_end, lo), (hi, total - w_end)):
+    for a, b in ((_END_WINDOW, lo), (hi, 1.0 - _END_WINDOW)):
         if b - a > 1e-12:
-            ncells = max(int(round(_MID_CELLS * (b - a) / total)), 1)
+            ncells = max(int(round(_MID_CELLS * (b - a))), 1)
             parts.append(_gl_cells(np.linspace(a, b, ncells + 1), _GL_POINTS))
     u, wu = u[::-1], wu[::-1]
-    parts.append((total - b_right * u ** 3, 3.0 * b_right * u ** 2 * wu))
+    parts.append((1.0 - b_right * u ** 3, 3.0 * b_right * u ** 2 * wu))
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
-def measure_quadrature(meas: CurvePolyline):
+def measure_quadrature():
     """Quadrature (points, masses) for integrals against the equilibrium measure.
 
-    The rule of _mass_rule in the mass variable m, where the measure is
-    uniform, mapped onto gamma; nodes are sorted along the curve.
+    The rule of _mass_rule in the mass variable m, where the unit-mass
+    measure is uniform, mapped onto gamma; nodes are sorted along the curve.
     """
-    edge = meas.total_mass - _END_WINDOW * meas.total_mass
-    m, w = _mass_rule(meas.total_mass, edge, edge)
+    m, w = _mass_rule(1.0 - _END_WINDOW, 1.0 - _END_WINDOW)
     return curve_points_at_mass(m), w
 
 
-def near_quadrature(meas: CurvePolyline, m_center: float):
+def near_quadrature(m_center: float):
     """Measure quadrature resolving the curve down to mass scale _NEAR_FINEST
-    around m_center, for potentials evaluated close to the support.
+    around m_center in [0.03, 0.97] (else ValueError), for potentials
+    evaluated close to the support.
 
-    Cells halving towards m_center fill the window m_center +- w, w <=
-    _NEAR_WINDOW; _mass_rule covers the rest.  Nodes are sorted along gamma.
+    Cells halving towards m_center fill the window m_center +- w, _NEAR_WINDOW
+    >= w >= 0.015; _mass_rule covers the rest.  Nodes are sorted along gamma.
     """
-    total = meas.total_mass
-    if not (0.03 * total <= m_center <= 0.97 * total):
+    if not (0.03 <= m_center <= 0.97):
         raise ValueError("near-field sample must sit away from the curve endpoints")
-    w = min(_NEAR_WINDOW, 0.5 * m_center, 0.5 * (total - m_center))
-    if w <= _NEAR_FINEST:
-        raise ValueError("sample too close to an endpoint for the requested resolution")
+    w = min(_NEAR_WINDOW, 0.5 * m_center, 0.5 * (1.0 - m_center))
     edges = [w]
     while edges[-1] / 2.0 > _NEAR_FINEST:
         edges.append(edges[-1] / 2.0)
     edges = np.array(edges + [_NEAR_FINEST])
     m_near, w_near = _gl_cells(np.concatenate([m_center - edges, m_center + edges[::-1]]),
                                _NEAR_GL_POINTS)
-    m_far, w_far = _mass_rule(total, m_center - w, m_center + w)
+    m_far, w_far = _mass_rule(m_center - w, m_center + w)
     k = np.searchsorted(m_far, m_center)
     return curve_points_at_mass(np.insert(m_far, k, m_near)), np.insert(w_far, k, w_near)
 
@@ -408,12 +403,11 @@ def _near_gamma_box(z: complex, margin: float) -> bool:
 
 
 def _require_off_cut(z: complex) -> None:
-    """OnCutError within _CUT_GUARD of the open arc gamma, nearer its interior
-    than either endpoint (a branch *point* may be approached from outside).
-
-    The distance is that of _nearest_on_gamma.
+    """NonFiniteError for a non-finite z; OnCutError within _CUT_GUARD of the
+    open arc gamma, nearer its interior than either endpoint (a branch *point*
+    may be approached from outside).  The distance is that of _nearest_on_gamma.
     """
-    zc = complex(z)
+    zc = ensure_finite(complex(z), "complex(z)")
     if not _near_gamma_box(zc, _CUT_GUARD):
         return
     dist, mass = _nearest_on_gamma(zc)
@@ -424,7 +418,9 @@ def _require_off_cut(z: complex) -> None:
 def q_sqrt(z):
     """Q^{1/2}(z) with branch cut along gamma; ~ -i z^2/2 - 1/z at infinity."""
     _require_off_cut(z)
-    return (-1 if _in_lens(complex(z)) else 1) * q_sqrt_chord(complex(z))
+    zc = complex(z)
+    with np.errstate(over="ignore", invalid="ignore"):   # ensure_finite raises instead
+        return ensure_finite((-1 if _in_lens(zc) else 1) * q_sqrt_chord(zc), "q_sqrt")
 
 
 def _phi2_off_cut(z: complex) -> complex:
@@ -438,11 +434,12 @@ def phi2(z, ctx: PrecisionContext | None = None):
     Float arithmetic, or mpmath at ctx when given.  Normalized so
     phi2(z2) = 0; the logarithm contributes an additional 2 pi i jump line
     on {Im z = 1, Re z < -sqrt 2} which is immaterial in e^{n phi2} and
-    avoided by all built-in probe placements.
+    avoided by all built-in probe placements.  NonFiniteError for |z| past ~1e103.
     """
     _require_off_cut(z)
     if ctx is None:
-        return _phi2_off_cut(complex(z))
+        with np.errstate(over="ignore", invalid="ignore"):   # ensure_finite raises instead
+            return ensure_finite(_phi2_off_cut(complex(z)), "phi2")
     sign = -1 if _in_lens(complex(z)) else 1
     with ctx.working():
         zm = mp.mpmathify(z)
@@ -456,7 +453,10 @@ def phi2(z, ctx: PrecisionContext | None = None):
 def g_eval(z):
     """g(z) = V/2 - phi2 - l with V = -i z^3/3; behaves like log z at infinity."""
     zc = complex(z)
-    return -1j * zc ** 3 / 6.0 - phi2(zc) - L_CONST
+    try:
+        return -1j * zc ** 3 / 6.0 - phi2(zc) - L_CONST
+    except OverflowError:   # z^3 past the float range
+        raise NonFiniteError(f"g_eval: z^3 overflows the float range at {zc}") from None
 
 
 def phi2_on_curve(z_on_gamma, side: int):
@@ -535,12 +535,12 @@ def _panel_cuts(t0, t1, step) -> list:
 
 
 def _phi2_leg(a: complex, b: complex, sign, ctx: PrecisionContext):
-    """(panel_quad parts, sign at b) of the integral of Q^{1/2} along the leg a -> b.
+    """(panel_quad_vector parts, sign at b) of the integral of Q^{1/2} along a -> b.
 
     sign is that of R = sign * sqrt(z - z1) sqrt(z - z2) at a, or None for
     the first leg, which leaves a = z2: its sign is then read from the
     curve branch (q_sqrt) at the leg's midpoint.  The parts are unfinalized
-    (value, estimate) pairs at ctx's working precision, one per piece of
+    ([value], [estimate]) pairs at ctx's working precision, one per piece of
     the leg between crossings of the open chord, where the sign flips.
     """
     first = sign is None
@@ -561,14 +561,14 @@ def _phi2_leg(a: complex, b: complex, sign, ctx: PrecisionContext):
             def f(u):
                 w = u * u
                 z = z2 + w * d0
-                return c0 * w * (z + i) * mp.sqrt(z - z1)
+                return (c0 * w * (z + i) * mp.sqrt(z - z1),)
 
             def u_step(u):
                 # the z-length of [u, v] is |d0| (v^2 - u^2)
                 h = max(_PATH_MIN_PANEL, 0.5 * abs(complex(z2 + u * u * d0) - Z1))
                 return min(_PATH_MAX_U_PANEL, mp.sqrt(u * u + h / abs(d0)) - u)
 
-            return [panel_quad(f, _panel_cuts(mp.mpf(0), 1, u_step), _PATH_GL_POINTS)], sign
+            return [panel_quad_vector(f, _panel_cuts(mp.mpf(0), 1, u_step), _PATH_GL_POINTS)], sign
 
         def panel_length(z):
             zc = complex(z)
@@ -588,10 +588,10 @@ def _phi2_leg(a: complex, b: complex, sign, ctx: PrecisionContext):
 
             def g(t, c=-i / 2 * sign * d):
                 z = a + t * d
-                return c * (z + i) * mp.sqrt(z - z1) * mp.sqrt(z - z2)
+                return (c * (z + i) * mp.sqrt(z - z1) * mp.sqrt(z - z2),)
 
             cuts = _panel_cuts(t0, t1, lambda t: panel_length(a + t * d) / abs(d))
-            parts.append(panel_quad(g, cuts, _PATH_GL_POINTS))
+            parts.append(panel_quad_vector(g, cuts, _PATH_GL_POINTS))
         return parts, sign
 
 
@@ -611,7 +611,7 @@ def phi2_path_integral(probes, ctx: PrecisionContext) -> list:
 
     The first segment, leaving z2, is integrated in u with z = z2 + u^2 (b -
     z2), which removes the square-root singularity at z2.  Every piece gets
-    16-point Gauss-Legendre (precision.panel_quad) on panels at most half
+    16-point Gauss-Legendre (precision.panel_quad_vector) on panels at most half
     their start's distance to the nearest branch point (floor 0.02), and
     at most 0.25 long in u; the estimate sums the panel estimates.
 
@@ -638,8 +638,8 @@ def phi2_path_integral(probes, ctx: PrecisionContext) -> list:
             leg, sign = legs[key]
             parts += leg
         with ctx.working():
-            out.append((ctx.finalize(mp.fsum(v for v, _ in parts)),
-                        ctx.finalize(mp.fsum(e for _, e in parts))))
+            out.append((ctx.finalize(mp.fsum(v for (v,), _ in parts)),
+                        ctx.finalize(mp.fsum(e for _, (e,) in parts))))
     return out
 
 
@@ -658,8 +658,7 @@ def verify_equilibrium(phase: PhaseContext) -> dict:
          2 U^mu + Re V under h-refinement with its fitted order in h.
     Thresholds are applied by the acceptance suite, not here.
     """
-    curve = phase.gamma
-    ms = np.linspace(0.0, 1.0, 13)[1:-1] * curve.total_mass
+    ms = np.linspace(0.0, 1.0, 13)[1:-1]
     zs = curve_points_at_mass(ms)
     eq_devs, tilde_devs = [], []
     s_h = np.geomspace(1e-3, 1e-2, 6)
@@ -669,7 +668,7 @@ def verify_equilibrium(phase: PhaseContext) -> dict:
         z0 = complex(z0)
         q = q_sqrt_chord(z0)
         nrm = q.conjugate() / abs(q)       # left normal
-        zq, wq = near_quadrature(curve, float(m0))
+        zq, wq = near_quadrature(float(m0))
         h = 1e-5
         gp = 2 * g_quadrature_unwrapped(z0 + 0.5 * h * nrm, zq, wq) \
             - g_quadrature_unwrapped(z0 + h * nrm, zq, wq)
@@ -693,7 +692,7 @@ def verify_equilibrium(phase: PhaseContext) -> dict:
         orders.append(slope)
 
     # inequality on the extensions, sampled away from the endpoints
-    zq, wq = measure_quadrature(curve)
+    zq, wq = measure_quadrature()
     ineq = []
     for ext in (phase.gamma1, phase.gamma2):
         for frac in (0.08, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
@@ -724,7 +723,7 @@ def verify_equilibrium(phase: PhaseContext) -> dict:
 # Field grids for external contour plotting
 # ---------------------------------------------------------------------------
 
-def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
+def sample_field_grid(which: str, grid_spec, phase: PhaseContext | None):
     """Evaluate a diagnostic field on a rectangular grid.
 
     which in {ReD, ImD, ReQ, ImQ, RePhi2}; grid_spec = (x0, x1, nx, y0, y1, ny).
@@ -732,7 +731,7 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext):
     Branch-dependent fields are not evaluated within 1.5 _CUT_GUARD of gamma
     (of its mirror image for D) by _nearest_on_gamma; those entries are NaN
     and flagged in the returned mask, so the others lie beyond phi2's on-cut
-    guard.  `phase` is not read.
+    guard.  `phase` is not read: perfbench passes the contour, the CLI None.
     """
     x0, x1, nx, y0, y1, ny = grid_spec
     xs = np.linspace(x0, x1, int(nx))

@@ -145,8 +145,7 @@ def _suite(name: str, budget_seconds: float):
 @_suite("curve", budget_seconds=10.0)
 def criterion_curve(rep: dict) -> None:
     """Trajectory from z1 reaches z2; D is real on it; axis crossing in range."""
-    phase = scurve.build_phase_context()
-    pts = phase.gamma.points
+    pts = scurve.build_phase_context().gamma.points
 
     theta0 = -math.atan(2.0 * scurve.SQRT2) / 3.0
     ang_dev = min(abs(a - theta0) for a in scurve.critical_angles("z1"))
@@ -161,7 +160,7 @@ def criterion_curve(rep: dict) -> None:
     _check(rep, "terminal_distance_to_z2", float(terminal),
            terminal <= 1e-6, bound=1e-6)
 
-    ms = np.linspace(0.02, 0.98, 33) * phase.gamma.total_mass
+    ms = np.linspace(0.02, 0.98, 33)
     im_d = 0.0
     for z0 in scurve.curve_points_at_mass(ms):
         for side in (+1, -1):
@@ -170,7 +169,7 @@ def criterion_curve(rep: dict) -> None:
     _check(rep, "max_abs_im_D_on_curve", im_d, im_d <= 1e-8, bound=1e-8)
 
     # gamma is symmetric under z -> -conj(z), so half its mass sits on the axis
-    crossing = float(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0].imag)
+    crossing = float(scurve.curve_points_at_mass(0.5)[0].imag)
     _check(rep, "imaginary_axis_crossing", crossing,
            (1.0 - scurve.SQRT2) < crossing < 1.0, bound=[1.0 - scurve.SQRT2, 1.0])
 
@@ -226,9 +225,7 @@ def criterion_measure(rep: dict) -> None:
 @_suite("zeros", budget_seconds=300.0)
 def criterion_zeros(rep: dict) -> None:
     """Rescaled zeros approach gamma; counting measure approaches equilibrium."""
-    phase = scurve.build_phase_context()
-
-    reports = [asym.zero_distribution_report(n, phase) for n in ZERO_DEGREES]
+    reports = [asym.zero_distribution_report(n) for n in ZERO_DEGREES]
     dists = [r["max_distance"] for r in reports]
     kss = [r["ks_statistic"] for r in reports]
     for r in reports:
@@ -246,10 +243,10 @@ def criterion_zeros(rep: dict) -> None:
 # 4. Strong asymptotics
 # ---------------------------------------------------------------------------
 
-def _region_probes(phase: scurve.PhaseContext) -> dict:
+def _region_probes() -> dict:
     probes = {"outer": list(OUTER_PROBES), "band": [], "disk2": [], "disk1": []}
     for m in BAND_MASSES:
-        z0 = complex(scurve.curve_points_at_mass(m * phase.gamma.total_mass)[0])
+        z0 = complex(scurve.curve_points_at_mass(m)[0])
         q = scurve.q_sqrt_chord(z0)
         nrm = q.conjugate() / abs(q)
         for off in BAND_OFFSETS:
@@ -264,15 +261,13 @@ def _region_probes(phase: scurve.PhaseContext) -> dict:
 @_suite("asymp", budget_seconds=300.0)
 def criterion_asymptotics(rep: dict) -> None:
     """Per-region error of the three formulas shrinks at empirical rate ~1/n."""
-    phase = scurve.build_phase_context()
-
-    for region, probes in _region_probes(phase).items():
+    for region, probes in _region_probes().items():
         errs = {}
         misclass = 0
         for n in (20, 40):
             worst = 0.0
             for z in probes:
-                got_region, err = asym.pn_relative_error(n, z, phase)
+                got_region, err = asym.pn_relative_error(n, z, None)
                 if got_region != region:
                     misclass += 1
                 worst = max(worst, err)

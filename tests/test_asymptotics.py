@@ -49,14 +49,14 @@ def test_beta_on_cut_raises(phase):
         asym.pn_outer(20, mid)
 
 
-def test_branch_points_end_the_cut(phase):
+def test_branch_points_end_the_cut():
     # beta is 0 at z2 and infinite at z1: beta, the parametrix and the outer
     # formula raise OnCutError there, while pn_asymptotic takes the Airy value
     for z in (scurve.Z1, scurve.Z2):
         for evaluate in (asym.beta, asym.n_matrix, lambda z: asym.pn_outer(20, z)):
             with pytest.raises(OnCutError, match="branch point"):
                 evaluate(z)
-        region, value = asym.pn_asymptotic(20, z, phase)
+        region, value = asym.pn_asymptotic(20, z)
         assert region in ("disk1", "disk2")
         assert value == asym.pn_airy(20, z) and np.isfinite(value)
 
@@ -80,7 +80,7 @@ def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
     for z, region, expected in ((3 + 4j, "outer", 1), (band, "band", 1),
                                 (scurve.Z2 + 0.2, "disk2", 0)):
         calls.clear()
-        assert asym.pn_asymptotic(20, z, phase)[0] == region
+        assert asym.pn_asymptotic(20, z)[0] == region
         assert len(calls) == expected, region
 
 
@@ -124,11 +124,11 @@ def test_outside_disk_raises():
 
 
 def test_region_classification(phase):
-    assert asym.region_classify(3 + 4j, phase) == "outer"
-    assert asym.region_classify(scurve.Z2 + 0.1, phase) == "disk2"
-    assert asym.region_classify(scurve.Z1 + 0.1j, phase) == "disk1"
+    assert asym.region_classify(3 + 4j) == "outer"
+    assert asym.region_classify(scurve.Z2 + 0.1) == "disk2"
+    assert asym.region_classify(scurve.Z1 + 0.1j) == "disk1"
     mid = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
-    assert asym.region_classify(mid + 0.05j, phase) == "band"
+    assert asym.region_classify(mid + 0.05j) == "band"
 
 
 def test_outer_formula_accuracy(phase):
@@ -227,8 +227,8 @@ def test_reference_recurrence_reads_two_moments(monkeypatch):
     assert sorted(read) == [0, 1]
 
 
-def test_zero_distribution_report_frozen(phase):
-    rep = asym.zero_distribution_report(10, phase)
+def test_zero_distribution_report_frozen():
+    rep = asym.zero_distribution_report(10)
     assert rep["n"] == 10 and len(rep["zeros"]) == 10
     assert abs(rep["max_distance"] - 0.010354677748) <= 1e-6
     assert abs(rep["ks_statistic"] - 0.0653) <= 5e-4
@@ -339,12 +339,12 @@ _DISK_POINTS = st.one_of(
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(n=st.integers(1, 200), z=_DISK_POINTS)
-def test_edge_formula_is_finite_or_refuses(phase, n, z):
+def test_edge_formula_is_finite_or_refuses(n, z):
     # pn_asymptotic and pn_airy anywhere in the disks, for any n up to 200:
     # a finite value or a documented refusal, from one Airy evaluation each
     calls, airy = [], asym._airy
     with mock.patch.object(asym, "_airy", lambda zeta: calls.append(zeta) or airy(zeta)):
-        for evaluate in (lambda: asym.pn_asymptotic(n, z, phase)[1],
+        for evaluate in (lambda: asym.pn_asymptotic(n, z)[1],
                          lambda: asym.pn_airy(n, z)):
             before = len(calls)
             try:

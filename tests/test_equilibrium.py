@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from oscgauss import scurve
 
@@ -23,8 +24,8 @@ def test_cdf_monotone(phase):
     assert np.all(np.diff(phase.gamma.cdf) >= 0.0)
 
 
-def test_measure_moments_closed_forms(phase):
-    zq, wq = scurve.measure_quadrature(phase.gamma)
+def test_measure_moments_closed_forms():
+    zq, wq = scurve.measure_quadrature()
     assert abs(np.sum(wq) - 1.0) <= 1e-12
     # odd symmetry of gamma under z -> -conj(z) pins these exactly
     assert abs(np.sum(wq * zq) - 0.75j) <= 1e-8
@@ -41,9 +42,15 @@ def test_measure_quadrature_agrees_with_trapezoid(phase):
     assert abs(trap - 1.0) <= 1e-5
 
 
-def test_near_quadrature_total_mass(phase):
-    zq, wq = scurve.near_quadrature(phase.gamma, 0.5)
+def test_near_quadrature_total_mass():
+    zq, wq = scurve.near_quadrature(0.5)
     assert abs(np.sum(wq) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [0.0, 0.0299, 0.9701, 1.0, -0.5, math.nan])
+def test_near_quadrature_rejects_masses_off_the_interior(m):
+    with pytest.raises(ValueError, match="away from the curve endpoints"):
+        scurve.near_quadrature(m)
 
 
 def test_verify_equilibrium_report(phase):

@@ -602,6 +602,18 @@ def test_christoffel_weights_report_an_ill_conditioned_rule(source, n, digits, l
     assert failure.value.digits_lost == pytest.approx(lost, abs=1e-3)
 
 
+def test_christoffel_weights_reject_nodes_not_closed_under_the_involution(monkeypatch):
+    # one node of a 60-digit r = 3 rule moved by 1e-50 relative loses its
+    # mirror image: ValueError naming both, before any kernel call
+    rec, nodes, mom, symmetry = _weight_case(3, 5)
+    assert rec.ctx.decimal_digits == 60
+    with rec.ctx.working():
+        moved = nodes[:1] + [nodes[1] * (1 + mp.mpf("1e-50"))] + nodes[2:]
+    monkeypatch.setattr(opq, "_pi_with_derivative", None)
+    with pytest.raises(ValueError, match="no mirror image .* 'neg_conj' symmetry"):
+        opq.christoffel_weights(rec, moved, mom, symmetry)
+
+
 def test_rule_exactness_residual_rejects_a_non_finite_node_weight_or_moment():
     # max() would drop a NaN ratio and report the clean residual of the others
     n = 5

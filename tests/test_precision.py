@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oscgauss.errors import NonFiniteError, PoleError
-from oscgauss.precision import (PrecisionContext, ensure_finite, gamma,
-                                panel_quad, ray_cuts)
+from oscgauss.errors import NonFiniteError
+from oscgauss.precision import (PrecisionContext, ensure_finite, panel_quad_vector,
+                                ray_cuts)
 
 
 def test_working_context_scopes_dps():
@@ -24,21 +24,6 @@ def test_finalize_rounds_to_context_digits():
     w = ctx.finalize(v)
     with mp.workdps(30):
         assert abs(w - mp.mpf(1) / 3) < mp.mpf(10) ** -28
-
-
-def test_gamma_reflection_product():
-    # Gamma(1/3) Gamma(2/3) = pi / sin(pi/3) = 2 pi / sqrt(3)
-    ctx = PrecisionContext(40)
-    with ctx.working():
-        prod = gamma(mp.mpf(1) / 3, ctx) * gamma(mp.mpf(2) / 3, ctx)
-        target = 2 * mp.pi / mp.sqrt(3)
-        assert abs(prod - target) < mp.mpf(10) ** -35
-
-
-@pytest.mark.parametrize("z", [0, -1, -7])
-def test_gamma_pole_raises(z):
-    with pytest.raises(PoleError):
-        gamma(z, PrecisionContext(30))
 
 
 def test_non_finite_values_rejected():
@@ -64,7 +49,8 @@ def test_panel_quad_exact_through_degree_2m_minus_1(cuts):
             # antiderivative of sum c_j z^j is sum c_j z^(j+1)/(j+1)
             prim = [0] + [c / (j + 1) for j, c in enumerate(coeffs)]
             exact = mp.polyval(prim[::-1], cuts[-1]) - mp.polyval(prim[::-1], cuts[0])
-            value, est = panel_quad(lambda z: mp.polyval(coeffs[::-1], z), cuts, m)
+            (value,), (est,) = panel_quad_vector(
+                lambda z: (mp.polyval(coeffs[::-1], z),), cuts, m)
             assert abs(value - exact) <= mp.mpf(10) ** -35 * max(1, abs(exact))
             assert est >= 0
             assert est <= mp.mpf(10) ** -35 * max(1, abs(exact))
@@ -73,7 +59,7 @@ def test_panel_quad_exact_through_degree_2m_minus_1(cuts):
 def test_panel_quad_estimate_flags_unresolved_panels():
     # e^{10 x} on one panel with 3 points: the halved sum moves visibly
     with mp.workdps(30):
-        value, est = panel_quad(lambda x: mp.exp(10 * x), [0, 1], 3)
+        (value,), (est,) = panel_quad_vector(lambda x: (mp.exp(10 * x),), [0, 1], 3)
         err = abs(value - (mp.exp(10) - 1) / 10)
         assert 0 < err < est
 

@@ -1,7 +1,9 @@
 """The cubic-case contour: trajectory, chord branch, phases, fields."""
 
+import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from oscgauss import asymptotics, scurve, verify
-from oscgauss.errors import NonconvergenceError, OnCutError
+from oscgauss.errors import NonconvergenceError, NonFiniteError, OnCutError
 from oscgauss.precision import PrecisionContext
 
 SQRT2 = math.sqrt(2.0)
@@ -123,7 +125,7 @@ def test_traced_contour_meets_its_constants(phase):
     # on-cut guard's box holds them all
     pts = phase.gamma.points
     assert all(scurve._near_gamma_box(complex(z), 0.0) for z in pts)
-    zq, _ = scurve.measure_quadrature(phase.gamma)
+    zq, _ = scurve.measure_quadrature()
     assert np.array_equal(pts[1:-1], zq)
     assert len(pts) == 1592
     assert pts[0] == scurve.Z1 and pts[-1] == scurve.Z2
@@ -209,7 +211,7 @@ def test_nearest_on_gamma_matches_brute_force(x, y):
     # band / outer classification agrees with the brute force, away from
     # the edge of the tube by more than that 0.1%
     if abs(brute - asymptotics.TUBE_WIDTH) > 1e-3 * asymptotics.TUBE_WIDTH:
-        region = asymptotics.region_classify(z, scurve.build_phase_context())
+        region = asymptotics.region_classify(z)
         assert (region == "band") == (brute <= asymptotics.TUBE_WIDTH)
 
 
@@ -339,6 +341,41 @@ def test_g_has_log_asymptotics():
     assert abs(g - expected) <= 1e-6
 
 
+def _off_normal(m, t):
+    z = complex(scurve.curve_points_at_mass(m)[0])
+    q = scurve.q_sqrt_chord(z)
+    return z + t * q.conjugate() / abs(q)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_CURVE_BRANCH_POINTS = st.one_of(
+    # 1e-12 to 1e-1 from either branch point
+    st.builds(lambda c, e, t: c + 10.0 ** e * cmath.exp(1j * t),
+              st.sampled_from([scurve.Z1, scurve.Z2]), st.floats(-12, -1),
+              st.floats(-math.pi, math.pi)),
+    # within 4e-3 of gamma along its normal, the on-cut guard's 2e-3 inside
+    st.builds(_off_normal, st.floats(0.0, 1.0), st.floats(-4e-3, 4e-3)),
+    st.complex_numbers(max_magnitude=1e300),
+    st.builds(complex, _NON_FINITE, st.floats(-3, 3)),
+    st.builds(complex, st.floats(-3, 3), _NON_FINITE))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=_CURVE_BRANCH_POINTS)
+def test_curve_branch_evaluators_are_finite_or_refuse(ctx30, z):
+    # a finite value, OnCutError or NonFiniteError, and no float warning
+    evaluators = {"phi2": scurve.phi2, "phi2 at 30 digits": lambda z: scurve.phi2(z, ctx30),
+                  "q_sqrt": scurve.q_sqrt, "g_eval": scurve.g_eval}
+    for name, evaluate in evaluators.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = evaluate(z)
+            except (OnCutError, NonFiniteError):
+                continue
+        assert mp.isfinite(value.real) and mp.isfinite(value.imag), (name, z, value)
+
+
 def test_phi2_path_integral_single_probe():
     ctx = PrecisionContext(30)
     direct = scurve.phi2(3 + 4j, ctx)
@@ -403,13 +440,13 @@ def test_phi2_path_integral_shares_legs_bit_for_bit(ctx30):
 
 def test_phi2_path_integral_integrates_each_piece_once(ctx30, monkeypatch):
     calls = []
-    panel_quad = scurve.panel_quad
+    panel_quad_vector = scurve.panel_quad_vector
 
     def counting(g, cuts, m):
         calls.append(m)
-        return panel_quad(g, cuts, m)
+        return panel_quad_vector(g, cuts, m)
 
-    monkeypatch.setattr(scurve, "panel_quad", counting)
+    monkeypatch.setattr(scurve, "panel_quad_vector", counting)
     # the last leg of the lens probe crosses the open chord: two pieces
     lens = [(0.8j, (2.2 + 1.3j, 1.3j)), (0.3 + 0.8j, (2.2 + 1.3j, 1.3j, 0.8j))]
     probes = SHARED_PREFIX_PROBES + lens

@@ -4,10 +4,11 @@ quadrature, every optional parameter of a public function is set by some
 library or benchmark call, every public function is referred to by some
 library or benchmark code, every library name the benchmark tracer
 rebinds or the benchmark workloads call exists, no evaluator of the
-curve branch takes the contour, no distance to gamma reads its polyline,
-every panelled oracle sizes its panels by one rule, every flag the
-README names is a flag of the command line, and no module imports scipy,
-nor does importing the package load it."""
+curve branch takes the contour, no function takes a contour it does not
+read, only the measure check and the writers read the total mass, no
+distance to gamma reads its polyline, every panelled oracle sizes its
+panels by one rule, every flag the README names is a flag of the command
+line, and no module imports scipy, nor does importing the package load it."""
 
 import ast
 import importlib
@@ -48,7 +49,7 @@ def test_all_names_resolve(name):
 
 
 def test_no_adaptive_mpmath_quadrature():
-    # The oracles integrate by precision.panel_quad, which reports its own
+    # The oracles integrate by precision.panel_quad_vector, which reports its own
     # error estimate; mp.quad (tanh-sinh / Gauss-Legendre) reports none.
     calls = [f"{path.name}:{node.lineno}"
              for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
@@ -266,10 +267,48 @@ def test_curve_branch_evaluators_take_no_contour():
     assert contour == []
 
 
+# Only these take a contour they do not read: the perfbench cubic workload
+# passes them the contour positionally.
+UNREAD_CONTOUR_ALLOWED = {"asymptotics.pn_relative_error", "scurve.sample_field_grid"}
+
+
+def _top_level_functions():
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path.stem, node
+
+
+def test_no_function_takes_a_contour_it_does_not_read():
+    unread = set()
+    for stem, node in _top_level_functions():
+        args = node.args
+        for a in args.posonlyargs + args.args + args.kwonlyargs:
+            annotation = ast.unparse(a.annotation) if a.annotation is not None else ""
+            if a.arg not in CONTOUR_PARAMS | {"meas"} \
+                    and not any(t in annotation for t in CONTOUR_TYPES):
+                continue
+            if not any(isinstance(sub, ast.Name) and sub.id == a.arg
+                       for stmt in node.body for sub in ast.walk(stmt)):
+                unread.add(f"{stem}.{node.name}")
+    assert unread == UNREAD_CONTOUR_ALLOWED
+
+
+def test_total_mass_is_read_only_by_the_measure_check_and_the_writers():
+    # the measure has unit mass, so nothing computes with its traced total;
+    # the measure suite checks it and the curve and measure tables print it
+    readers = {f"{stem}.{node.name}" for stem, node in _top_level_functions()
+               for sub in ast.walk(node)
+               if isinstance(sub, ast.Attribute) and sub.attr == "total_mass"}
+    assert readers and {r for r in readers if not r.startswith("serialize.")} == \
+        {"verify.criterion_measure"}
+
+
 # Distances to gamma and masses on it come from phi2 (the Newton projection
 # of scurve._nearest_on_gamma), so the polyline stays an output.
 POLYLINE_FREE = {"region_classify", "zero_distribution_report", "sample_field_grid",
-                 "_require_off_cut", "_nearest_on_gamma"}
+                 "_require_off_cut", "_nearest_on_gamma", "measure_quadrature",
+                 "near_quadrature", "pn_asymptotic"}
 POLYLINE_ARRAYS = {"points", "cdf", "s", "density"}
 
 
@@ -302,14 +341,12 @@ def test_oracles_size_panels_by_one_rule():
     # panels to the branch points and keep their fixed count.
     literal_ctx, counts = [], {}
     for path in SOURCES:
-        if path.stem == "precision":   # panel_quad hands its m on to panel_quad_vector
-            continue
         for fn, call, callee in _calls_by_function(path):
             args = call.args + [kw.value for kw in call.keywords]
             if callee == "PrecisionContext" and path.stem in ("oscillatory", "verify") \
                     and any(isinstance(a, ast.Constant) for a in args):
                 literal_ctx.append(f"{path.stem}.{fn}: {ast.unparse(call)}")
-            if callee in ("panel_quad", "panel_quad_vector"):
+            if callee == "panel_quad_vector":
                 counts.setdefault(f"{path.stem}.{fn}", set()).add(ast.unparse(args[2]))
     assert literal_ctx == []
     assert counts == {
