@@ -43,6 +43,7 @@ from .scurve import (
     Z1,
     Z2,
     _in_lens,
+    _near_gamma_box,
     _nearest_on_gamma,
     _require_off_cut,
     g_eval,
@@ -237,7 +238,8 @@ def region_classify(z: complex) -> str:
         return "disk2"
     if abs(z - Z1) <= AIRY_RADIUS:
         return "disk1"
-    return "band" if _nearest_on_gamma(z)[0] <= TUBE_WIDTH else "outer"
+    near = _near_gamma_box(z, TUBE_WIDTH)   # else too far out to project onto gamma
+    return "band" if near and _nearest_on_gamma(z)[0] <= TUBE_WIDTH else "outer"
 
 
 def _v_half_minus_l(z: complex, n: int) -> complex:
@@ -253,7 +255,8 @@ def pn_outer(n: int, z: complex) -> complex:
     z = complex(z)
     gv = g_eval(z)
     n11, _ = _n_entries(beta(z))
-    return ensure_finite(np.exp(n * gv) * n11, "pn_outer")
+    with np.errstate(over="ignore", invalid="ignore"):   # ensure_finite raises instead
+        return ensure_finite(np.exp(n * gv) * n11, "pn_outer")
 
 
 def _band(n: int, z: complex) -> complex:
@@ -268,8 +271,9 @@ def _band(n: int, z: complex) -> complex:
     """
     n11, n12 = _n_entries(1j * complex(_q4((z - Z2) / (z - Z1))))
     h = -complex(phi2_chord(z))
-    val = np.exp(_v_half_minus_l(z, n)) * (np.exp(-n * h) * n11 + np.exp(n * h) * n12)
-    return ensure_finite(val, "band formula")
+    with np.errstate(over="ignore", invalid="ignore"):   # ensure_finite raises instead
+        val = np.exp(_v_half_minus_l(z, n)) * (np.exp(-n * h) * n11 + np.exp(n * h) * n12)
+        return ensure_finite(val, "band formula")
 
 
 def pn_airy(n: int, z: complex) -> complex:
@@ -296,11 +300,12 @@ def pn_airy(n: int, z: complex) -> complex:
         f14, b = complex(_q4(FC * (Z2 - Z1))), 1.0
     else:
         f14, b = complex(_q4(f)), beta(z)
-    ai, aip = _airy(n ** (2.0 / 3.0) * f)
-    val = (np.sqrt(np.pi) * np.exp(_v_half_minus_l(z, n))
-           * (n ** (1.0 / 6.0) * f14 / b * ai
-              - n ** (-1.0 / 6.0) * b / f14 * aip))
-    return ensure_finite(val, "pn_airy")
+    with np.errstate(over="ignore", invalid="ignore"):   # ensure_finite raises instead
+        ai, aip = _airy(n ** (2.0 / 3.0) * f)
+        val = (np.sqrt(np.pi) * np.exp(_v_half_minus_l(z, n))
+               * (n ** (1.0 / 6.0) * f14 / b * ai
+                  - n ** (-1.0 / 6.0) * b / f14 * aip))
+        return ensure_finite(val, "pn_airy")
 
 
 def pn_asymptotic(n: int, z: complex) -> tuple[str, complex]:

@@ -732,31 +732,35 @@ def sample_field_grid(which: str, grid_spec, phase: PhaseContext | None):
     (of its mirror image for D) by _nearest_on_gamma; those entries are NaN
     and flagged in the returned mask, so the others lie beyond phi2's on-cut
     guard.  `phase` is not read: perfbench passes the contour, the CLI None.
+    NonFiniteError for an unmasked value past the float range.
     """
-    x0, x1, nx, y0, y1, ny = grid_spec
-    xs = np.linspace(x0, x1, int(nx))
-    ys = np.linspace(y0, y1, int(ny))
-    X, Y = np.meshgrid(xs, ys)
-    Z = X + 1j * Y
-    mask = np.zeros(Z.shape, dtype=bool)
-    if which in ("ReQ", "ImQ"):
-        Q = q_eval(Z)
-        V = Q.real if which == "ReQ" else Q.imag
-        return X, Y, V, mask
-    if which not in ("ReD", "ImD", "RePhi2"):
+    if which not in ("ReD", "ImD", "ReQ", "ImQ", "RePhi2"):
         raise ValueError(f"unknown field {which!r}")
-    V = np.full(Z.shape, np.nan)
-    guard = 1.5 * _CUT_GUARD
-    for idx in np.ndindex(Z.shape):
-        z = complex(Z[idx])
-        zz = -z.conjugate() if which in ("ReD", "ImD") else z
-        if _near_gamma_box(zz, guard) and _nearest_on_gamma(zz)[0] <= guard:
-            mask[idx] = True
-            continue
-        p = _phi2_off_cut(zz)
-        if which == "RePhi2":
-            V[idx] = p.real
+    x0, x1, nx, y0, y1, ny = grid_spec
+    with np.errstate(over="ignore", invalid="ignore"):   # NonFiniteError below instead
+        xs = np.linspace(x0, x1, int(nx))
+        ys = np.linspace(y0, y1, int(ny))
+        X, Y = np.meshgrid(xs, ys)
+        Z = X + 1j * Y
+        mask = np.zeros(Z.shape, dtype=bool)
+        if which in ("ReQ", "ImQ"):
+            Q = q_eval(Z)
+            V = Q.real if which == "ReQ" else Q.imag
         else:
-            d = p.conjugate() / (math.pi * 1j)
-            V[idx] = d.real if which == "ReD" else d.imag
+            V = np.full(Z.shape, np.nan)
+            guard = 1.5 * _CUT_GUARD
+            for idx in np.ndindex(Z.shape):
+                z = complex(Z[idx])
+                zz = -z.conjugate() if which in ("ReD", "ImD") else z
+                if _near_gamma_box(zz, guard) and _nearest_on_gamma(zz)[0] <= guard:
+                    mask[idx] = True
+                    continue
+                p = _phi2_off_cut(zz)
+                if which == "RePhi2":
+                    V[idx] = p.real
+                else:
+                    d = p.conjugate() / (math.pi * 1j)
+                    V[idx] = d.real if which == "ReD" else d.imag
+    if not np.isfinite(V[~mask]).all():
+        raise NonFiniteError(f"field {which} leaves the float range on the grid {grid_spec}")
     return X, Y, V, mask

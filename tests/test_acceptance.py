@@ -1,7 +1,7 @@
 """Top-level verification gate: every shipping criterion must hold.
 
 Each test reads the corresponding suite's report and fails with the full
-list of violated checks (label, value, bound) so a regression is
+list of violated checks (each label with its entry) so a regression is
 self-describing.  The reports come from the session's `suite_run` fixture,
 so the golden verify cases judge the same run.  The contour comes from
 scurve.build_phase_context(), which is memoised, so whichever suite asks
@@ -18,8 +18,7 @@ def _require(result, name):
     assert rep["name"] == name and result["passed"] is rep["passed"]
     if rep["passed"]:
         return
-    bad = [f"{label}: value={entry['value']!r} bound={entry.get('bound')!r}"
-           for label, entry in rep["checks"].items() if not entry["ok"]]
+    bad = [f"{label}: {entry!r}" for label, entry in rep["checks"].items() if not entry["ok"]]
     pytest.fail(f"suite '{rep['name']}' failed:\n" + "\n".join(bad))
 
 
@@ -49,6 +48,17 @@ def test_dual_route_consistency(suite_run):
 
 def test_end_to_end_interval_quadrature(suite_run):
     _require(suite_run("endtoend"), "endtoend")
+
+
+def test_timings_sit_under_elapsed_seconds(suite_run):
+    # the library report keeps every second, each under elapsed_seconds
+    rep = suite_run("order")["suites"]["order"]
+    timed = {label: entry for label, entry in rep["checks"].items() if "runtime" in label}
+    assert len(timed) == 4
+    assert rep["checks"]["runtime"]["elapsed_seconds"] == rep["elapsed_seconds"]
+    for label, entry in timed.items():
+        assert set(entry) == {"elapsed_seconds", "ok", "bound"}, label
+        assert entry["ok"] is (entry["elapsed_seconds"] < entry["bound"]), label
 
 
 def test_run_suite_order_independent():

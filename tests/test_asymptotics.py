@@ -1,6 +1,7 @@
 """Outer/band/Airy-edge formulas, parametrices, and zero diagnostics."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -62,9 +63,10 @@ def test_branch_points_end_the_cut():
 
 
 def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
-    # projections onto gamma: outer and band = classification only (the
-    # on-cut guard returns before projecting so far from gamma, and the band
-    # formula does not repeat the tube check), disks = none
+    # projections onto gamma: band = classification only (the band formula
+    # does not repeat the tube check); outer, this far outside gamma's box,
+    # and disks = none (neither the classification nor the on-cut guard
+    # projects there)
     calls = []
     nearest = scurve._nearest_on_gamma
 
@@ -77,7 +79,7 @@ def test_pn_asymptotic_projections_per_region(phase, monkeypatch):
     on_arc = complex(scurve.curve_points_at_mass(0.5 * phase.gamma.total_mass)[0])
     q = scurve.q_sqrt_chord(on_arc)
     band = on_arc + 0.05 * q.conjugate() / abs(q)
-    for z, region, expected in ((3 + 4j, "outer", 1), (band, "band", 1),
+    for z, region, expected in ((3 + 4j, "outer", 0), (band, "band", 1),
                                 (scurve.Z2 + 0.2, "disk2", 0)):
         calls.clear()
         assert asym.pn_asymptotic(20, z)[0] == region
@@ -353,3 +355,37 @@ def test_edge_formula_is_finite_or_refuses(n, z):
                 value = None
             assert len(calls) - before <= 1, (n, z, calls)
             assert value is None or np.isfinite(value), (n, z, value)
+
+
+def _across_tube(m, t):
+    z = complex(scurve.curve_points_at_mass(m)[0])
+    q = scurve.q_sqrt_chord(z)
+    return z + t * q.conjugate() / abs(q)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_ASYMPTOTIC_POINTS = st.one_of(
+    # the tube: up to TUBE_WIDTH along gamma's normal, away from the disks
+    st.builds(_across_tube, st.floats(0.03, 0.97),
+              st.floats(-asym.TUBE_WIDTH, asym.TUBE_WIDTH)),
+    st.builds(lambda c, rho, t: c + _polar(rho, t),
+              st.sampled_from([scurve.Z1, scurve.Z2]),
+              st.floats(0.0, asym.AIRY_RADIUS), st.floats(-math.pi, math.pi)),
+    st.complex_numbers(max_magnitude=1e300),
+    st.builds(complex, _NON_FINITE, st.floats(-3, 3)),
+    st.builds(complex, st.floats(-3, 3), _NON_FINITE))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10 ** 6), z=_ASYMPTOTIC_POINTS)
+def test_asymptotic_formulas_are_finite_or_refuse(n, z):
+    # every region, any n up to 1e6: (region, finite value), OnCutError or
+    # NonFiniteError, and no float warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            region, value = asym.pn_asymptotic(n, z)
+        except (OnCutError, NonFiniteError):
+            return
+    assert region in ("outer", "band", "disk1", "disk2")
+    assert np.isfinite(value), (n, z, region, value)

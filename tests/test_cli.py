@@ -153,6 +153,21 @@ def test_verify_curve_suite_passes_and_is_deterministic(tmp_path, capsys):
                     "--config", str(cfg)) == (0, a.stdout, "")
 
 
+def test_strip_timing_drops_exactly_the_elapsed_seconds_keys():
+    checks = {"runtime": {"elapsed_seconds": 0.5, "ok": True, "bound": 10.0},
+              "case_runtime_n2_r3": {"elapsed_seconds": 0.2, "ok": True, "bound": 120.0},
+              # a check that is no timing keeps its value, whatever its label
+              "runtime_ratio": {"value": 0.3, "ok": True, "bound": 1.0},
+              "listed": {"value": [1.0, {"elapsed_seconds": 2.0, "n": 3}], "ok": True}}
+    report = {"passed": True, "elapsed_seconds": 1.5,
+              "suites": {"s": {"elapsed_seconds": 0.5, "checks": checks}}}
+    assert cli._strip_timing(report) == {"passed": True, "suites": {"s": {"checks": {
+        "runtime": {"ok": True, "bound": 10.0},
+        "case_runtime_n2_r3": {"ok": True, "bound": 120.0},
+        "runtime_ratio": {"value": 0.3, "ok": True, "bound": 1.0},
+        "listed": {"value": [1.0, {"n": 3}], "ok": True}}}}}
+
+
 def test_config_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kmax": 4}))
@@ -189,6 +204,13 @@ def test_exit_code_construction_failure(tmp_path, capsys):
     assert proc.returncode == 3
     proc = run_failing("moments", "--precision", "10")
     assert proc.returncode == 3
+    # values past the float range refuse in one line, with no numpy warning
+    (tmp_path / "far.json").write_text("[[50, 50]]")
+    for argv in (("asymp", "--n", "200", "--probes", str(tmp_path / "far.json")),
+                 ("fields", "--which", "RePhi2", "--grid=-1e200,1e200,3,-1e200,1e200,3"),
+                 ("fields", "--which", "ReQ", "--grid=-1e200,1e200,3,-1e200,1e200,3")):
+        proc = run_failing(*argv)
+        assert proc.returncode == 3 and "NonFiniteError" in proc.stderr, argv
     # malformed input is one stderr line and exit 3, never a traceback
     (tmp_path / "ragged.json").write_text(json.dumps([[1, 2], [3]]))
     # 1e400 parses as an infinite float, which no integer flag can take

@@ -81,6 +81,16 @@ def test_degenerate_functional_raises(ctx30):
         opq.build_recurrence(ms, 4)
 
 
+def test_point_mass_degenerates_at_the_second_polynomial(ctx30):
+    # M_k = 1 is the point mass at 1: pi_1 = z - 1 has zero norm, so
+    # sigma_{1,1} cancels and the functional degenerates at index 2
+    with ctx30.working():
+        ms = opq.MomentSequence(values=[mp.mpc(1)] * 8, ctx=ctx30)
+    with pytest.raises(DegenerateFunctionalError) as err:
+        opq.build_recurrence(ms, 4)
+    assert err.value.index == 2
+
+
 def test_cubic_string_recurrence_reports_a_vanishing_divisor(monkeypatch):
     with pytest.raises(ValueError):
         opq.cubic_string_recurrence(0, opq.precision_schedule(1))

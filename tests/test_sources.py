@@ -7,8 +7,10 @@ rebinds or the benchmark workloads call exists, no evaluator of the
 curve branch takes the contour, no function takes a contour it does not
 read, only the measure check and the writers read the total mass, no
 distance to gamma reads its polyline, every panelled oracle sizes its
-panels by one rule, every flag the README names is a flag of the command
-line, and no module imports scipy, nor does importing the package load it."""
+panels by one rule, only the verify gates a printed bound cannot orient
+state their own verdict, every flag the README names is a flag of the
+command line, and no module imports scipy, nor does importing the package
+load it."""
 
 import ast
 import importlib
@@ -354,6 +356,27 @@ def test_oracles_size_panels_by_one_rule():
         "oscillatory.interval_oracle": {"_panel_points(ctx)"},
         "scurve._phi2_leg": {"_PATH_GL_POINTS"},
     }
+
+
+# The verify gates a printed bound cannot orient: > 0, > 0, >= 1, == 0, and
+# a list that must decrease.  Every other gate is judged by its bound.
+EXPLICIT_VERDICTS = {"interior_density_min", "inequality_min", "s_property_order_min",
+                     "*_probes_classified", "max_distance_strictly_decreasing"}
+
+
+def _label(node):
+    """A check label as written, with '*' for each f-string field."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "*" for v in node.values)
+    return node.value
+
+
+def test_only_unorientable_gates_state_their_verdict():
+    verify_py = next(p for p in SOURCES if p.stem == "verify")
+    calls = [call for _, call, callee in _calls_by_function(verify_py) if callee == "_check"]
+    explicit = {_label(call.args[1]) for call in calls
+                if any(kw.arg == "ok" for kw in call.keywords)}
+    assert len(calls) > len(EXPLICIT_VERDICTS) and explicit == EXPLICIT_VERDICTS
 
 
 def test_readme_flags_exist():
