@@ -8,8 +8,9 @@ pi_n zeros, rescaled by omega^{-1/r}):
 
     I[f] = F_a + M_omega[f] - F_b.
 
-Along an endpoint path z(t)^r = x^r + i t / omega, so dz/dt = i/(r omega
-z^{r-1}) needs no branch choice once z is known.  The module also carries
+Along an endpoint path z(t)^r = x^r + i t / omega, so z'(t) = i z / (r (q + i t)),
+q = omega x^r, needs no branch choice once z is known; it folds with e^{iq} into
+the weights, and the integral is one complex Gaussian rule.  The module also carries
 the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
 stationary rule and two independent oracles, both panelled Gauss-Legendre
 (precision.panel_quad_vector) with a whole-vs-halved error estimate and with as
@@ -73,8 +74,8 @@ class Amplitude:
 
 
 def _horner(coeffs, z):
-    acc = mp.mpmathify(0)
-    for c in reversed(coeffs):
+    acc = mp.mpmathify(coeffs[-1] if coeffs else 0)
+    for c in reversed(coeffs[:-1]):
         acc = acc * z + mp.mpmathify(c)
     return acc
 
@@ -241,13 +242,17 @@ def stationary_rule(n: int, r: int, omega) -> opq.QuadratureRule:
 def _descent_path(x, r: int, omega):
     """t -> z(t) on the endpoint descent path z(t)^r = x^r + i t/omega, z(0) = x.
 
-    |x|^r and 1/r are taken once, at the ambient precision.
+    z is the principal r-th root of |x|^r + i t/omega, negated for x < 0 and
+    conjugated too for odd r, so mirror endpoints give mirror nodes bit for bit;
+    |x|^r is taken once, at the ambient precision.
     """
-    base, root = mp.mpf(abs(x)) ** r, mp.mpf(1) / r
+    base = mp.mpf(abs(x)) ** r
+
+    def root(t):   # mp.root returns guard bits past the ambient precision: round them off
+        return +mp.root(mp.mpc(base, t / omega), r)
     if x > 0:
-        return lambda t: mp.power(base + 1j * t / omega, root)
-    step = 1j if r % 2 == 0 else -1j
-    return lambda t: -mp.power(base + step * t / omega, root)
+        return root
+    return (lambda t: -root(t)) if r % 2 == 0 else (lambda t: -mp.conj(root(t)))
 
 
 def _segment_distance(z, a: float, b: float) -> float:
@@ -272,42 +277,46 @@ def _check_path_in_region(points, spec: OscillatoryIntegralSpec, label: str):
                 f"at t = {float(t):.3g}) before the weight truncates")
 
 
-def _endpoint_contribution(spec: OscillatoryIntegralSpec, x: float,
-                           rule: opq.QuadratureRule, ctx: PrecisionContext):
-    """F_x = e^{i omega x^r} int_0^inf f(z(t)) z'(t) e^{-t} dt by Laguerre."""
-    r, omega, f = spec.r, spec.omega, spec.amplitude
+def _endpoint_rule(spec: OscillatoryIntegralSpec, x: float,
+                   rule: opq.QuadratureRule, ctx: PrecisionContext):
+    """(Z, W) of the descent path from x, so that F_x = sum_k W_k f(Z_k).
+
+    Z_k = z(t_k) at the Laguerre nodes t_k <= t_max (the weights past it are below precision);
+    W_k = e^{iq} (i/r) lambda_k Z_k / (q + i t_k), q = omega x^r, as z'(t) = i z / (r (q + i t)).
+    """
     t_max = ctx.decimal_digits * math.log(10)
-    path, label = _descent_path(x, r, omega), f"endpoint {x:g}"
-    audited = f.radius != math.inf
+    path, label = _descent_path(x, spec.r, spec.omega), f"endpoint {x:g}"
+    audited = spec.amplitude.radius != math.inf
     if audited:
         # analyticity audit along the continuous path, then the actual nodes
         audit = [mp.mpf(t) for t in np.geomspace(1e-3, t_max, 96)]
         _check_path_in_region(((t, path(t)) for t in audit), spec, label)
-    acc = mp.mpc(0)
+    q = mp.mpf(spec.omega) * mp.mpf(x) ** spec.r
+    phase = 1j * mp.expj(q) / spec.r
+    nodes, weights = [], []
     for t, w in zip(rule.nodes, rule.weights):
         if t > t_max:
-            continue  # weight below precision: truncated
+            continue
         z = path(t)
         if audited:
             _check_path_in_region([(t, z)], spec, label)
-        dz = 1j / (r * omega * z ** (r - 1))
-        acc += w * f(z) * dz
-    return mp.exp(1j * mp.mpf(omega) * mp.mpf(x) ** r) * acc
+        nodes.append(z)
+        weights.append(phase * w * z / mp.mpc(q, t))
+    return nodes, weights
 
 
 def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
                     n_stationary: int, ctx: PrecisionContext | None = None) -> dict:
-    """I[f] = F_a + M - F_b with the per-path contributions broken out."""
+    """I[f] = F_a + M - F_b, each piece a sum of weight times f(node), broken out."""
     ctx = PrecisionContext() if ctx is None else ctx
     lag = laguerre_rule(n_endpoint)
     stat = stationary_rule(n_stationary, spec.r, spec.omega)
     with ctx.working():
-        fa = _endpoint_contribution(spec, spec.a, lag, ctx)
-        fb = _endpoint_contribution(spec, spec.b, lag, ctx)
+        rule_a, rule_b = (_endpoint_rule(spec, x, lag, ctx) for x in (spec.a, spec.b))
         _check_path_in_region([(mp.mpf(0), z) for z in stat.nodes],
                               spec, "stationary")
-        m = mp.fsum((w * spec.amplitude(z) for z, w in
-                     zip(stat.nodes, stat.weights)), absolute=False)
+        fa, fb, m = (mp.fsum((w * spec.amplitude(z) for z, w in zip(*part)), absolute=False)
+                     for part in (rule_a, rule_b, (stat.nodes, stat.weights)))
         total = fa + m - fb
         ensure_finite(total, "evaluate_report")
         return {

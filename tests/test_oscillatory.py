@@ -58,6 +58,16 @@ def test_polynomial_coefficients_keep_their_digits():
         assert p(1) == mp.mpf("0.1") + mp.mpf(0.1) + 3
 
 
+def test_horner_matches_the_power_sum():
+    assert osc._horner((), mp.mpc(2, 1)) == 0
+    assert osc._horner((5,), mp.mpc(2, 1)) == 5
+    z = mp.mpc("0.3", "-1.7")
+    coeffs = (mp.mpf("0.25"), -3, mp.mpf("1.5"), 2)
+    with mp.workdps(50):
+        assert abs(osc._horner(coeffs, z) - mp.fsum(c * z ** j for j, c in enumerate(coeffs))) \
+            <= mp.mpf(10) ** -45
+
+
 def test_amplitude_integral_k():
     # a float or string holding an integer is that integer
     for k in (2, 2.0, "2"):
@@ -238,6 +248,43 @@ def test_interval_oracle_matches_incomplete_gamma(k, r, a, b, omega):
         exact = _monomial_interval_integral(k, a, b, omega, r)
         assert abs(value - exact) <= mp.mpf(10) ** -40 * abs(exact)
         assert est <= mp.mpf(10) ** -40 * abs(exact)
+
+
+def _descent_relative_error(k, r, a, b, omega, n=12):
+    """evaluate_report's error for x^k at n endpoint and stationary nodes.
+
+    Relative to |int_a^0| + |int_0^b|, as the two halves cancel for an odd
+    integrand on a symmetric interval.
+    """
+    spec = osc.OscillatoryIntegralSpec(a=a, b=b, omega=omega, r=r,
+                                       amplitude=osc.amplitude("monomial", k=k))
+    value = osc.evaluate_report(spec, n, n)["value"]
+    with mp.workdps(60):
+        left, right = (_monomial_interval_integral(k, lo, hi, omega, r)
+                       for lo, hi in ((a, 0), (0, b)))
+        return abs(value - (left + right)) / (abs(left) + abs(right))
+
+
+@pytest.mark.parametrize("k,r,a,b,omega", [
+    (0, 3, -1.0, 1.0, 383.81621932448263),
+    (1, 3, -0.8, 1.1, 777.7),
+    (0, 5, -1.2, 0.9, 1000.1),
+])
+def test_endpoint_jacobian_keeps_every_digit_when_r_omega_is_inexact(k, r, a, b, omega):
+    # r * omega is not exact in binary64 here; a Jacobian formed from that
+    # float product loses digits past 1e-16
+    assert _descent_relative_error(k, r, a, b, omega) <= 1e-28
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(r=st.integers(2, 5), k=st.integers(0, 3),
+       log_omega=st.floats(math.log(200.0), math.log(5000.0)),
+       a=st.floats(-1.5, -0.8), b=st.floats(0.8, 1.5))
+def test_descent_rule_matches_the_closed_form(r, k, log_omega, a, b):
+    # at n = 12 the stationary rule is exact for x^k and the Laguerre error
+    # sits below 1e-30, so the descent sum agrees with the incomplete-gamma
+    # closed form to the working digits
+    assert _descent_relative_error(k, r, a, b, math.exp(log_omega)) <= 1e-28
 
 
 @pytest.mark.parametrize("k,r,a,b,omega", INTERVAL_CASES)
