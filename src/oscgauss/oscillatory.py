@@ -15,9 +15,8 @@ the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
 stationary rule and two independent oracles, both panelled Gauss-Legendre
 (precision.panel_quad_vector) with a whole-vs-halved error estimate and with as
 many points per panel as _panel_points gives the digits they run at: one
-on the truncated rays of the stationary contour (the two-ray quadrature
-the moment oracle of verify also runs), which serves a whole list of
-frequencies in one pass, one on the real interval with a panel per
+on the truncated rays of the stationary contour, which serves a whole list
+of frequencies in one pass, one on the real interval with a panel per
 oscillation cycle, which serves a list of amplitudes in one pass.
 """
 

@@ -618,7 +618,10 @@ def phi2_path_integral(probes, ctx: PrecisionContext) -> list:
     Probes that share a path prefix share its legs: each distinct prefix
     is integrated once per call (_phi2_leg), so the curve branch is read
     once per distinct first segment, and a probe's value is the fsum of
-    its legs' parts in path order.
+    its legs' parts in path order.  Sharing goes by prefix, not by
+    geometry: a leg that runs along part of another is integrated again,
+    so probes routed as one tree (verify.PHI2_PROBES, where each stretch of
+    the plane is one leg) integrate each stretch once.
 
     Raises ValueError if a vertex lies on the closed chord [z1, z2] or a
     segment passes through a branch point.

@@ -18,11 +18,12 @@ one shell command.
 
 Where a check needs an independent oracle, the oracle shares no code path
 with the implementation under test: moments are re-derived by panelled
-Gauss-Legendre quadrature along the truncated contour rays (the two-ray
-quadrature of the oscillatory module's stationary oracle), the phase
-function phi2 by integrating the analytic continuation of Q^{1/2} along
-explicit cut-avoiding polygonal paths from z2 (sharing one branch-sign
-evaluation with phi2), and the oscillatory integrals by the oscillatory
+Gauss-Legendre quadrature of the one real integral that both truncated
+contour rays reduce to (on the cuts and points per panel of the
+oscillatory module's ray oracle), the phase function phi2 by integrating
+the analytic continuation of Q^{1/2} (sharing one branch-sign evaluation
+with phi2) along explicit cut-avoiding polygonal paths from z2, routed as
+one tree, and the oscillatory integrals by the oscillatory
 module's ray and real-interval oracles.  All four oracles report their own
 error estimates, and the order, consistency and endtoend suites gate each
 at 1e-3 of the tolerance it is compared against.  The recurrences are
@@ -40,7 +41,7 @@ from mpmath import mp
 
 from . import asymptotics as asym
 from . import opq, oscillatory, scurve
-from .precision import PrecisionContext
+from .precision import PrecisionContext, panel_quad_vector, ray_cuts
 
 __all__ = [
     "SUITE_NAMES",
@@ -76,33 +77,39 @@ STRING_EQUATION_CASES = tuple((3, n) for n in ZERO_DEGREES) + ((2, 18), (4, 14),
 # starts at z2 and must stay off the cut (the arc gamma, which spans
 # |Re z| <= sqrt(2) with Im between ~0.57 and 1); the paths below swing
 # around the right endpoint and approach each target region from outside,
-# entering the lens above gamma where required.
+# entering the lens above gamma where required.  The paths form one tree
+# from two first legs: each stretch of the plane is one leg, shared by
+# every probe past it (trunks up Re z = 2, down Re z = 3, along Im z = -1,
+# Im z = -2 and Im z = 1.3), so phi2_path_integral integrates it once.
 PHI2_PROBES = (
     # far above the curve
-    (3.0 + 4.0j, (2.0 + 1.2j, 2.0 + 4.0j)),
+    (3.0 + 4.0j, (2.0 + 1.2j, 2.0 + 2.5j, 2.0 + 3.0j, 2.0 + 4.0j)),
     (1.5 + 2.5j, (2.0 + 1.2j, 2.0 + 2.5j)),
-    (-1.0 + 2.0j, (2.0 + 1.2j, 2.0 + 4.0j, -1.0 + 4.0j)),
-    (4.0 + 2.0j, (2.0 + 1.2j,)),
-    (0.5 + 3.0j, (2.0 + 1.2j, 2.0 + 3.0j)),
+    (-1.0 + 2.0j, (2.0 + 1.2j, 2.0 + 2.5j, 2.0 + 3.0j, 2.0 + 4.0j, -1.0 + 4.0j)),
+    (4.0 + 2.0j, (2.0 + 1.2j, 2.5 + 0.5j, 3.0 + 0.5j, 4.0 + 1.0j)),
+    (0.5 + 3.0j, (2.0 + 1.2j, 2.0 + 2.5j, 2.0 + 3.0j)),
     # right of the support
-    (4.0 + 1.0j, (2.0 + 1.2j,)),
-    (3.0 + 0.5j, (2.0 + 1.2j,)),
+    (4.0 + 1.0j, (2.0 + 1.2j, 2.5 + 0.5j, 3.0 + 0.5j)),
+    (3.0 + 0.5j, (2.0 + 1.2j, 2.5 + 0.5j)),
     (2.5 - 0.2j, (2.0 + 1.2j, 2.5 + 0.5j)),
     # below the curve
-    (-0.5 - 1.5j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 1.5j)),
-    (0.0 - 2.0j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 2.0j)),
-    (1.0 - 1.0j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 1.0j)),
-    (-2.0 - 1.0j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 1.0j)),
+    (-0.5 - 1.5j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j, 3.0 - 1.0j, 3.0 - 1.5j)),
+    (0.0 - 2.0j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j, 3.0 - 1.0j, 3.0 - 1.5j, 3.0 - 2.0j)),
+    (1.0 - 1.0j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j, 3.0 - 1.0j)),
+    (-2.0 - 1.0j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j, 3.0 - 1.0j, 1.0 - 1.0j)),
     (2.0 - 0.5j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j)),
     # left of the support
-    (-2.5 + 0.2j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 2.0j, -2.5 - 2.0j)),
-    (-3.0 + 0.5j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 2.0j, -3.0 - 2.0j)),
-    (-2.2 - 0.5j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 2.0j, -2.2 - 2.0j)),
+    (-2.5 + 0.2j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j, 3.0 - 1.0j, 3.0 - 1.5j, 3.0 - 2.0j,
+                   0.0 - 2.0j, -2.2 - 2.0j, -2.5 - 2.0j)),
+    (-3.0 + 0.5j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j, 3.0 - 1.0j, 3.0 - 1.5j, 3.0 - 2.0j,
+                   0.0 - 2.0j, -2.2 - 2.0j, -2.5 - 2.0j, -3.0 - 2.0j)),
+    (-2.2 - 0.5j, (2.2 + 1.3j, 3.0 + 1.3j, 3.0 - 0.5j, 3.0 - 1.0j, 3.0 - 1.5j, 3.0 - 2.0j,
+                   0.0 - 2.0j, -2.2 - 2.0j)),
     # inside the lens, approached from above
-    (0.0 + 0.8j, (2.2 + 1.3j, 0.0 + 1.3j)),
+    (0.0 + 0.8j, (2.2 + 1.3j, 0.5 + 1.3j, 0.2 + 1.3j, 0.0 + 1.3j)),
     (0.5 + 0.75j, (2.2 + 1.3j, 0.5 + 1.3j)),
-    (-0.5 + 0.8j, (2.2 + 1.3j, -0.5 + 1.3j)),
-    (0.2 + 0.9j, (2.2 + 1.3j, 0.2 + 1.3j)),
+    (-0.5 + 0.8j, (2.2 + 1.3j, 0.5 + 1.3j, 0.2 + 1.3j, 0.0 + 1.3j, -0.5 + 1.3j)),
+    (0.2 + 0.9j, (2.2 + 1.3j, 0.5 + 1.3j, 0.2 + 1.3j)),
 )
 
 
@@ -315,21 +322,31 @@ def _moment_ray_quadrature(kmax: int, spec: opq.WeightSpec, ctx: PrecisionContex
     """(values, estimates) of M_0..M_kmax by direct quadrature along the two rays.
 
     Independent of the Gamma-function closed form: on either ray z = t*d
-    the oscillatory factor collapses to exp(-t^r), integrated by the
-    stationary oracle's oscillatory._ray_quadrature.  Each node evaluates
-    exp(-t^r) once and builds every (d t)^k from it by a running product.
+    the integrand is d^k t^k exp(-t^r), so one real pass computes every
+    I_k = int_0^oo t^k exp(-t^r) dt by Gauss-Legendre with
+    oscillatory._panel_points(ctx) points on each panel of
+    precision.ray_cuts; each node evaluates exp(-t^r) once and builds
+    every t^k from it by a running product.  The contour runs in along the
+    low ray d_lo and out along the high d_hi, so M_k = (d_hi^{k+1} -
+    d_lo^{k+1}) I_k, and the estimate 2 est_k sums both rays' whole-vs-halved
+    panel differences.
     """
     r = spec.r
 
-    def powers(d, t):
-        out, dt = [mp.exp(-t ** r)], d * t
+    def powers(t):
+        out = [mp.exp(-t ** r)]
         for _ in range(kmax):
-            out.append(out[-1] * dt)
+            out.append(out[-1] * t)
         return out
 
     with ctx.working():
-        values, estimates = oscillatory._ray_quadrature(powers, spec, ctx)
-        return [ctx.finalize(v) for v in values], [ctx.finalize(e) for e in estimates]
+        ints, ests = panel_quad_vector(powers, ray_cuts(r), oscillatory._panel_points(ctx))
+        dhi, dlo = spec.ray_directions()
+        phi, plo, values = dhi, dlo, []
+        for integral in ints:
+            values.append(ctx.finalize((phi - plo) * integral))
+            phi, plo = phi * dhi, plo * dlo
+        return values, [ctx.finalize(2 * e) for e in ests]
 
 
 def _vandermonde_deviation(rule: opq.QuadratureRule, moments: opq.MomentSequence) -> float:

@@ -422,10 +422,10 @@ def test_phi2_path_integral_rejects_degenerate_paths(ctx30, target, waypoints):
 
 
 # verify's probes that share prefixes: two far above the curve through
-# z2 -> 2+1.2j -> 2+4j, and four through z2 -> 2.2+1.3j -> 3+1.3j -> 3-2j
+# z2 -> 2+1.2j -> 2+2.5j -> 2+3j -> 2+4j, and four through z2 -> 2.2+1.3j ->
+# 3+1.3j, down Re z = 3 to 3-2j
 SHARED_PREFIX_PROBES = [p for p in verify.PHI2_PROBES
-                        if p[1][:2] == (2 + 1.2j, 2 + 4j)
-                        or p[1][:3] == (2.2 + 1.3j, 3 + 1.3j, 3 - 2j)]
+                        if 2 + 4j in p[1] or 3 - 2j in p[1]]
 
 
 def test_phi2_path_integral_shares_legs_bit_for_bit(ctx30):
@@ -453,8 +453,8 @@ def test_phi2_path_integral_integrates_each_piece_once(ctx30, monkeypatch):
     scurve.phi2_path_integral(probes, ctx30)
     paths = [(scurve.Z2, *w, t) for t, w in probes]
     prefixes = {path[:j + 1] for path in paths for j in range(1, len(path))}
-    # 18 distinct prefixes of the 33 legs, one of them in two pieces
-    assert len(prefixes) == 18 and sum(len(path) - 1 for path in paths) == 33
+    # 23 distinct prefixes of the 55 legs, one of them in two pieces
+    assert len(prefixes) == 23 and sum(len(path) - 1 for path in paths) == 55
     assert len(calls) == len(prefixes) + 1
 
 
@@ -470,6 +470,44 @@ def test_phi2_path_integral_reads_the_curve_branch_once(ctx30, monkeypatch):
     scurve.phi2_path_integral(SHARED_PREFIX_PROBES, ctx30)
     # one curve-branch read per distinct first leg decides its starting sheet
     assert len({w[0] for _, w in SHARED_PREFIX_PROBES}) == len(calls) == 2
+
+
+# verify's 20 phi2 probe targets, in probe order
+PHI2_TARGETS = (3 + 4j, 1.5 + 2.5j, -1 + 2j, 4 + 2j, 0.5 + 3j, 4 + 1j, 3 + 0.5j, 2.5 - 0.2j,
+                -0.5 - 1.5j, -2j, 1 - 1j, -2 - 1j, 2 - 0.5j, -2.5 + 0.2j, -3 + 0.5j,
+                -2.2 - 0.5j, 0.8j, 0.5 + 0.75j, -0.5 + 0.8j, 0.2 + 0.9j)
+
+
+def _overlap_along_a_line(a, b, c, d) -> bool:
+    """Whether segments a -> b and c -> d share a stretch of positive length."""
+    u = b - a
+    if max(abs((u.conjugate() * (p - a)).imag) for p in (c, d)) > 1e-12 * abs(u) ** 2:
+        return False                       # not on one line
+    tc, td = (((p - a) * u.conjugate()).real / abs(u) ** 2 for p in (c, d))
+    return min(1.0, max(tc, td)) - max(0.0, min(tc, td)) > 1e-12
+
+
+def test_phi2_probes_route_one_tree(ctx30, monkeypatch):
+    # each stretch of the plane is one leg, shared by every probe past it,
+    # so one call integrates it once
+    assert tuple(t for t, _ in verify.PHI2_PROBES) == PHI2_TARGETS
+    paths = [(scurve.Z2, *w, t) for t, w in verify.PHI2_PROBES]
+    legs = [prefix[-2:] for prefix in {path[:j + 1] for path in paths
+                                       for j in range(1, len(path))}]
+    overlaps = [(p, q) for i, p in enumerate(legs) for q in legs[i + 1:]
+                if _overlap_along_a_line(*p, *q)]
+    assert overlaps == []
+
+    panels = []
+    panel_quad_vector = scurve.panel_quad_vector
+
+    def counting(g, cuts, m):
+        panels.append(len(cuts) - 1)
+        return panel_quad_vector(g, cuts, m)
+
+    monkeypatch.setattr(scurve, "panel_quad_vector", counting)
+    scurve.phi2_path_integral(verify.PHI2_PROBES, ctx30)
+    assert sum(panels) <= 80
 
 
 def test_sample_field_grid_req(phase):

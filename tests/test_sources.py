@@ -355,6 +355,7 @@ def test_oracles_size_panels_by_one_rule():
         "oscillatory._ray_quadrature": {"_panel_points(ctx)"},
         "oscillatory.interval_oracle": {"_panel_points(ctx)"},
         "scurve._phi2_leg": {"_PATH_GL_POINTS"},
+        "verify._moment_ray_quadrature": {"oscillatory._panel_points(ctx)"},
     }
 
 
