@@ -21,10 +21,11 @@ J. Comput. Appl. Math. 57, 1995).  At r = 3 they determine the recurrence
 from M_0 and M_1 alone (cubic_string_recurrence).
 
 Rules come from the recurrence alone (Golub & Welsch, Math. Comp. 23, 1969;
-Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1).  The weight fixes
-the involution the nodes are closed under: z -> -conj z (odd r), z -> -z
-(even r), z -> conj z (Gauss-Laguerre); the caller names it and nothing
-classifies it.  The float64 eigenvalues of the Jacobi matrix, paired once
+Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1), by one builder for
+the weights r and "laguerre" (e^{-t} on [0, inf): M_k = k!, alpha_k = 2k+1,
+beta_k = k^2).  The weight fixes the involution the nodes are closed under
+(_symmetry): z -> -conj z (odd r), z -> -z (even r), z -> conj z
+(Gauss-Laguerre).  The float64 eigenvalues of the Jacobi matrix, paired once
 through the involution, seed Aberth sweeps that move one root per pair with
 pi_n and pi_n' from the recurrence and the Aberth sum in complex128, run to
 10^-digits; the partner is the exact mirror image and a self-paired root
@@ -34,12 +35,12 @@ beta_0 ... beta_{n-2}, evaluated once per pair and mapped onto the partner;
 a self-paired node takes the mean of its weight and the weight's image, so
 for odd r a node on the axis carries an exactly real weight.  A rule is
 delivered only if |pi_n(z_j)| <= 10^(-digits/2) times the same recurrence
-run on absolute values and the rule is exact to 10^(-digits/3) through
-degree 2n-1.  Nodes come in ascending (Re, Im) order.  Rules, and the
-moments and recurrence each comes from, are memoised per process
-(functools.lru_cache, 64 entries each) keyed on (n, r, decimal_digits);
-the three types are frozen and hold tuples, so callers share the cached
-objects safely.
+run on absolute values, the rule is exact to 10^(-digits/3) through degree
+2n-1 and its weights sum to M_0 within 10^(-digits//2) relative.  Nodes come
+in ascending (Re, Im) order.  Rules, and the moments and recurrence each
+comes from, are memoised per process (functools.lru_cache, 64 entries each)
+keyed on (n, weight, decimal_digits); the three types are frozen and hold
+tuples, so callers share the cached objects safely.
 
 One kernel, _run_recurrence, evaluates the recurrence for pi_eval, the
 Aberth sweeps, the Christoffel weights and the root residual, on Python
@@ -552,11 +553,14 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
     wmap(w(z)) holds exactly, and a self-paired node gets (w + wmap(w)) / 2:
     for odd r an exactly real weight.  The rule is then checked on k =
     0..2n-1 (Gaussian exactness); if those residuals exceed
-    10^(-decimal_digits/3) IllConditionedError reports the digits lost.
+    10^(-decimal_digits/3) IllConditionedError reports the digits lost; a
+    weight sum farther than 10^(-decimal_digits//2) |M_0| from M_0 raises
+    NonconvergenceError.
     """
     ctx = coeffs.ctx
     with ctx.working():
-        h = mp.mpmathify(moments[0]) * mp.fprod(coeffs.beta)
+        m0 = mp.mpmathify(moments[0])
+        h = m0 * mp.fprod(coeffs.beta)
         invol, wmap, _ = _INVOLUTIONS[symmetry]
         where = {z: j for j, z in enumerate(nodes)}
         stray = [z for z in nodes if invol(z) not in where]
@@ -577,7 +581,10 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
                 max(lost, 0.0),
                 f"exactness residual {mp.nstr(resid, 3)} exceeds 10^(-digits/3); raise precision",
             )
-        return [ctx.finalize(w) for w in ws]
+        ws = [ctx.finalize(w) for w in ws]
+        if not abs(mp.fsum(ws) - m0) <= mp.mpf(10) ** (-ctx.decimal_digits // 2) * abs(m0):
+            raise NonconvergenceError("weights do not sum to M_0 within 10^(-digits//2)")
+        return ws
 
 
 def rule_exactness_residual(nodes, weights, moments: MomentSequence) -> mp.mpf:
@@ -648,8 +655,8 @@ def build_rule(n: int, spec: WeightSpec, ctx: PrecisionContext | None = None) ->
     """Full pipeline moments -> recurrence -> zeros -> weights, memoised per process.
 
     Runs once at the given precision (default: the schedule).  A failed
-    root-residual or exactness check raises NonconvergenceError or
-    IllConditionedError, and a degenerate functional raises
+    root-residual, exactness or weight-sum check raises NonconvergenceError
+    or IllConditionedError, and a degenerate functional raises
     DegenerateFunctionalError with its failing index.  The same
     (n, r, decimal_digits) returns the same cached rule object, and
     rule.ctx is the precision it was built at.
@@ -660,17 +667,35 @@ def build_rule(n: int, spec: WeightSpec, ctx: PrecisionContext | None = None) ->
     return _build_rule(n, spec.r, base.decimal_digits)
 
 
-@functools.lru_cache(maxsize=64)
-def _recurrence(n: int, r: int, decimal_digits: int):
-    """(moments M_0..M_{2n-1}, recurrence of degree n) at decimal_digits, memoised."""
-    mom = moment_sequence(WeightSpec(r=r), 2 * n - 1, PrecisionContext(decimal_digits))
-    return mom, build_recurrence(mom, n)
+def _symmetry(weight) -> str:
+    """The involution class (_INVOLUTIONS) of the zeros of weight r or "laguerre"."""
+    if weight == "laguerre":
+        return "real"
+    return "neg_conj" if weight % 2 else "neg"
 
 
 @functools.lru_cache(maxsize=64)
-def _build_rule(n: int, r: int, decimal_digits: int) -> QuadratureRule:
-    mom, rec = _recurrence(n, r, decimal_digits)
-    symmetry = "neg_conj" if r % 2 else "neg"
+def _recurrence(n: int, weight, decimal_digits: int):
+    """(moments M_0..M_{2n-1}, recurrence of degree n) of a weight at decimal_digits, memoised."""
+    ctx = PrecisionContext(decimal_digits)
+    if weight != "laguerre":
+        mom = moment_sequence(WeightSpec(r=weight), 2 * n - 1, ctx)
+        return mom, build_recurrence(mom, n)
+    with ctx.working():
+        mom = MomentSequence(tuple(ctx.finalize(mp.factorial(k)) for k in range(2 * n)), ctx)
+    return mom, RecurrenceCoefficients(tuple(mp.mpf(2 * k + 1) for k in range(n)),
+                                       tuple(mp.mpf(k * k) for k in range(1, n)), ctx)
+
+
+@functools.lru_cache(maxsize=64)
+def _build_rule(n: int, weight, decimal_digits: int) -> QuadratureRule:
+    mom, rec = _recurrence(n, weight, decimal_digits)
+    symmetry = _symmetry(weight)
     zs = zeros(rec, symmetry)
-    return QuadratureRule(nodes=tuple(zs),
-                          weights=tuple(christoffel_weights(rec, zs, mom, symmetry)), ctx=mom.ctx)
+    ws = christoffel_weights(rec, zs, mom, symmetry)
+    if weight == "laguerre":
+        # the real involution leaves every node and weight exactly on the axis
+        zs, ws = [mp.re(z) for z in zs], [mp.re(w) for w in ws]
+        if not all(v > 0 for v in zs + ws):
+            raise NonconvergenceError("Gauss-Laguerre rule with a non-positive node or weight")
+    return QuadratureRule(nodes=tuple(zs), weights=tuple(ws), ctx=mom.ctx)

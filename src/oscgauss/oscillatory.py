@@ -30,11 +30,7 @@ import mpmath as mp
 import numpy as np
 
 from . import opq
-from .errors import (
-    AnalyticityBudgetError,
-    NoiseFloorError,
-    NonconvergenceError,
-)
+from .errors import AnalyticityBudgetError, NoiseFloorError
 from .precision import (PrecisionContext, _is_finite_number, ensure_finite,
                         panel_quad_vector, ray_cuts)
 
@@ -43,7 +39,6 @@ __all__ = [
     "amplitude",
     "AMPLITUDE_NAMES",
     "OscillatoryIntegralSpec",
-    "laguerre_moment_sequence",
     "laguerre_rule",
     "stationary_rule",
     "evaluate_report",
@@ -161,56 +156,20 @@ class OscillatoryIntegralSpec:
 
 
 # ---------------------------------------------------------------------------
-# Endpoint rule (Gauss-Laguerre) from its closed-form recurrence
+# Endpoint rule (Gauss-Laguerre), built by opq's one rule builder
 # ---------------------------------------------------------------------------
-
-def laguerre_moment_sequence(k_max: int, ctx: PrecisionContext) -> opq.MomentSequence:
-    """Moments of e^{-t} on [0, inf): M_k = k!."""
-    with ctx.working():
-        vals = tuple(ctx.finalize(mp.factorial(k)) for k in range(k_max + 1))
-    return opq.MomentSequence(values=vals, ctx=ctx)
-
 
 def laguerre_rule(n: int, ctx: PrecisionContext | None = None) -> opq.QuadratureRule:
     """n-point Gauss-Laguerre rule for int_0^infty p(t) e^{-t} dt.
 
-    Built from the closed-form recurrence alpha_k = 2k+1, beta_k = k^2 by
-    the same zeros -> Christoffel-weights path as the oscillatory rules and
-    checked against the moments k! through degree 2n-1.  Nodes and weights
-    are checked positive and sum(w) = 1 before delivery.  Rules are
-    memoised per process like opq.build_rule.
+    opq's rule for the weight "laguerre" (alpha_k = 2k+1, beta_k = k^2,
+    M_k = k!), built, checked and memoised like the oscillatory rules; its
+    nodes and weights are real mpf numbers, checked positive.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     ctx = opq.precision_schedule(n) if ctx is None else ctx
-    return _laguerre_rule(n, ctx.decimal_digits)
-
-
-def _laguerre_recurrence(n: int, ctx: PrecisionContext) -> opq.RecurrenceCoefficients:
-    """alpha_k = 2k+1, beta_k = k^2 of the monic Laguerre polynomials, degree n."""
-    return opq.RecurrenceCoefficients(alpha=tuple(mp.mpf(2 * k + 1) for k in range(n)),
-                                      beta=tuple(mp.mpf(k * k) for k in range(1, n)), ctx=ctx)
-
-
-@functools.lru_cache(maxsize=64)
-def _laguerre_rule(n: int, decimal_digits: int) -> opq.QuadratureRule:
-    ctx = PrecisionContext(decimal_digits)
-    rec = _laguerre_recurrence(n, ctx)
-    roots = opq.zeros(rec, "real")
-    weights = opq.christoffel_weights(rec, roots, laguerre_moment_sequence(2 * n - 1, ctx), "real")
-    with ctx.working():
-        tol = mp.mpf(10) ** (-ctx.decimal_digits // 2)
-        nodes, ws = [], []
-        for z, w in zip(roots, weights):
-            if abs(mp.im(z)) > tol or mp.re(z) <= 0 or mp.re(mp.mpmathify(w)) <= 0:
-                raise NonconvergenceError(
-                    "Laguerre construction produced a non-real node or "
-                    "non-positive node/weight")
-            nodes.append(ctx.finalize(mp.re(z)))
-            ws.append(ctx.finalize(mp.re(mp.mpmathify(w))))
-        if abs(mp.fsum(ws) - 1) > tol:
-            raise NonconvergenceError("Laguerre weights do not sum to 1")
-    return opq.QuadratureRule(nodes=tuple(nodes), weights=tuple(ws), ctx=ctx)
+    return opq._build_rule(n, "laguerre", ctx.decimal_digits)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,12 @@ def test_rule_cache_shares_one_rule_per_key():
     finer = opq.build_rule(5, SPEC3, PrecisionContext(70))
     assert finer is not rule and finer.nodes != rule.nodes
     assert oscillatory.laguerre_rule(6) is oscillatory.laguerre_rule(6)
+    # Gauss-Laguerre is the same builder's rule for the weight "laguerre",
+    # delivered as positive real mpf nodes and weights
+    assert oscillatory.laguerre_rule(6) is opq._build_rule(6, "laguerre", 60)
+    for n in (1, 6, 22):
+        lag = oscillatory.laguerre_rule(n)
+        assert all(type(v) is mp.mpf and v > 0 for v in lag.nodes + lag.weights), n
 
 
 def test_zeros_evaluates_pi_once_per_orbit_and_sweep(monkeypatch):
@@ -357,24 +363,18 @@ KERNEL_TEST_SOURCES = (2, 3, 4, 5, "laguerre", "rescaled")
 @functools.cache
 def _kernel_test_recurrence(source, n):
     if source == "laguerre":
-        return oscillatory._laguerre_recurrence(n, opq.precision_schedule(n))
+        return opq._recurrence(n, source, opq.precision_schedule(n).decimal_digits)[1]
     if source == "rescaled":
         return asymptotics._rescaled_recurrence(n)
     full = opq._recurrence(160, source, KERNEL_TEST_DIGITS)[1]
     return replace(full, alpha=full.alpha[:n], beta=full.beta[:n - 1])
 
 
-def _symmetry(source):
-    """The involution the zeros of a kernel-test source are closed under."""
-    symmetry = {"laguerre": "real", "rescaled": "neg_conj"}.get(source)
-    if symmetry is None:
-        symmetry = "neg_conj" if source % 2 else "neg"
-    return symmetry
-
-
 @functools.cache
 def _kernel_test_nodes(source, n):
-    return opq.zeros(_kernel_test_recurrence(source, n), _symmetry(source))
+    # the rescaled recurrence is that of r = 3, and its zeros keep the symmetry
+    symmetry = opq._symmetry(3 if source == "rescaled" else source)
+    return opq.zeros(_kernel_test_recurrence(source, n), symmetry)
 
 
 def _mpmath_recurrence(rec, z):
@@ -457,11 +457,8 @@ def _mpmath_sum_zeros(rec, symmetry):
 def test_zeros_float_aberth_sum_matches_an_mpmath_sum(source, n):
     # the Aberth sum only steers the update p / (p' - p s), so its complex128
     # copy delivers the roots of the mpmath sum bit for bit
-    if source == "laguerre":
-        rec = _kernel_test_recurrence(source, n)
-    else:
-        rec = opq._recurrence(n, source, opq.precision_schedule(n).decimal_digits)[1]
-    symmetry = _symmetry(source)
+    rec = opq._recurrence(n, source, opq.precision_schedule(n).decimal_digits)[1]
+    symmetry = opq._symmetry(source)
     assert opq.zeros(rec, symmetry) == _mpmath_sum_zeros(rec, symmetry)
 
 
@@ -547,10 +544,9 @@ def test_integer_exactness_residual_matches_an_mpmath_loop(source, n):
     # (2, 7) has an exact 0 node
     if source == "laguerre":
         rule = oscillatory.laguerre_rule(n)
-        moments = oscillatory.laguerre_moment_sequence(2 * n - 1, rule.ctx)
     else:
         rule = opq.build_rule(n, opq.WeightSpec(r=source))
-        moments = opq._recurrence(n, source, rule.ctx.decimal_digits)[0]
+    moments = opq._recurrence(n, source, rule.ctx.decimal_digits)[0]
     bar = mp.mpf(10) ** (-mp.mpf(rule.ctx.decimal_digits) / 3)
     for table, passes in ((moments, True), (_with_last_nonzero_moment_moved(moments), False)):
         got = opq.rule_exactness_residual(rule.nodes, rule.weights, table)
@@ -572,13 +568,8 @@ def test_moment_sequence_gamma_chain_matches_per_k_moments(digits):
 
 def _weight_case(source, n):
     """(recurrence, its zeros, moments through 2n - 1, symmetry) at the schedule."""
-    if source == "laguerre":
-        ctx = opq.precision_schedule(n)
-        rec = oscillatory._laguerre_recurrence(n, ctx)
-        moments = oscillatory.laguerre_moment_sequence(2 * n - 1, ctx)
-        return rec, opq.zeros(rec, "real"), moments, "real"
     mom, rec = opq._recurrence(n, source, opq.precision_schedule(n).decimal_digits)
-    symmetry = _symmetry(source)
+    symmetry = opq._symmetry(source)
     return rec, opq.zeros(rec, symmetry), mom, symmetry
 
 
@@ -615,6 +606,25 @@ def test_christoffel_weights_report_an_ill_conditioned_rule(source, n, digits, l
     with pytest.raises(IllConditionedError, match=f"exactness residual {residual} ") as failure:
         opq.christoffel_weights(rec, nodes, _with_last_nonzero_moment_moved(mom), symmetry)
     assert failure.value.digits_lost == pytest.approx(lost, abs=1e-3)
+
+
+def test_christoffel_weights_check_that_the_weights_sum_to_m0(monkeypatch):
+    # the first orbit's weights of the 60-digit r = 3, n = 5 rule moved by
+    # 1e-25 relative pass the exactness bar 10^(-digits/3) but not
+    # |sum w - M_0| <= 10^(-digits//2) |M_0|
+    rec, nodes, mom, symmetry = _weight_case(3, 5)
+    assert rec.ctx.decimal_digits == 60
+    evaluate, calls = opq._pi_with_derivative, []
+
+    def spoiled(coeffs, z):
+        p, dp, p_prev = evaluate(coeffs, z)
+        calls.append(z)
+        return p, (dp * (1 + mp.mpf("1e-25")) if len(calls) == 1 else dp), p_prev
+
+    monkeypatch.setattr(opq, "_pi_with_derivative", spoiled)
+    with pytest.raises(NonconvergenceError, match="weights do not sum to M_0"):
+        opq.christoffel_weights(rec, nodes, mom, symmetry)
+    assert calls[0] == nodes[0]
 
 
 def test_christoffel_weights_reject_nodes_not_closed_under_the_involution(monkeypatch):

@@ -126,14 +126,17 @@ def test_laguerre_rule_closed_forms():
     assert abs(pair[1][1] - (2 - math.sqrt(2)) / 4) <= 1e-12
 
 
-def test_laguerre_recurrence_closed_forms(ctx30):
-    ms = osc.laguerre_moment_sequence(10, ctx30)
-    from oscgauss import opq
+def test_laguerre_recurrence_closed_forms():
+    # the Chebyshev algorithm on the moments k! recovers the closed-form
+    # recurrence the Gauss-Laguerre rule is built from
+    ms, closed = opq._recurrence(5, "laguerre", 30)
     rec = opq.build_recurrence(ms, 5)
     for k in range(5):
+        assert closed.alpha[k] == 2 * k + 1
         assert abs(complex(rec.alpha[k]) - (2 * k + 1)) <= 1e-24
     # beta[j] couples pi_{j+1}: the classical beta_{j+1} = (j+1)^2
     for j in range(4):
+        assert closed.beta[j] == (j + 1) ** 2
         assert abs(complex(rec.beta[j]) - (j + 1) ** 2) <= 1e-24
 
 

@@ -5,12 +5,12 @@ library or benchmark call, every public function is referred to by some
 library or benchmark code, every library name the benchmark tracer
 rebinds or the benchmark workloads call exists, no evaluator of the
 curve branch takes the contour, no function takes a contour it does not
-read, only the measure check and the writers read the total mass, no
-distance to gamma reads its polyline, every panelled oracle sizes its
-panels by one rule, only the verify gates a printed bound cannot orient
-state their own verdict, every flag the README names is a flag of the
-command line, and no module imports scipy, nor does importing the package
-load it."""
+read, only opq's rule builder finds zeros and Christoffel weights, only
+the measure check and the writers read the total mass, no distance to
+gamma reads its polyline, every panelled oracle sizes its panels by one
+rule, only the verify gates a printed bound cannot orient state their own
+verdict, every flag the README names is a flag of the command line, and
+no module imports scipy, nor does importing the package load it."""
 
 import ast
 import importlib
@@ -334,6 +334,29 @@ def _calls_by_function(path):
                 if isinstance(call, ast.Call):
                     yield fn.name, call, getattr(call.func, "id",
                                                  getattr(call.func, "attr", None))
+
+
+def test_one_function_builds_every_rule():
+    # Gauss-Laguerre is opq's rule for the weight "laguerre", so only the
+    # builder finds zeros and Christoffel weights: a bare call inside opq or
+    # an opq.-qualified one elsewhere counts, np.zeros does not
+    callers = set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text()).body:
+            for call in ast.walk(stmt):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Name) and path.stem == "opq":
+                    name = func.id
+                elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                        and func.value.id == "opq":
+                    name = func.attr
+                else:
+                    continue
+                if name in ("zeros", "christoffel_weights"):
+                    callers.add(f"{path.stem}.{getattr(stmt, 'name', '<module>')}")
+    assert callers == {"opq._build_rule"}
 
 
 def test_oracles_size_panels_by_one_rule():
