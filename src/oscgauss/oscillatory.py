@@ -265,7 +265,7 @@ def _endpoint_rule(spec: OscillatoryIntegralSpec, x: float,
 
 def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
                     n_stationary: int, ctx: PrecisionContext | None = None) -> dict:
-    """I[f] = F_a + M - F_b, each piece a sum of weight times f(node), broken out."""
+    """I[f] = F_a + M - F_b, broken out; each piece is mp.fdot(weights, f(nodes))."""
     ctx = PrecisionContext() if ctx is None else ctx
     lag = laguerre_rule(n_endpoint)
     stat = stationary_rule(n_stationary, spec.r, spec.omega)
@@ -273,8 +273,8 @@ def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
         rule_a, rule_b = (_endpoint_rule(spec, x, lag, ctx) for x in (spec.a, spec.b))
         _check_path_in_region([(mp.mpf(0), z) for z in stat.nodes],
                               spec, "stationary")
-        fa, fb, m = (mp.fsum((w * spec.amplitude(z) for z, w in zip(*part)), absolute=False)
-                     for part in (rule_a, rule_b, (stat.nodes, stat.weights)))
+        fa, fb, m = (mp.fdot(ws, [spec.amplitude(z) for z in zs])
+                     for zs, ws in (rule_a, rule_b, (stat.nodes, stat.weights)))
         total = fa + m - fb
         ensure_finite(total, "evaluate_report")
         return {
@@ -423,8 +423,7 @@ def convergence_report(f, n: int, r: int, omega_list) -> dict:
         noise_digits = min(octx.decimal_digits, rule.ctx.decimal_digits) - 8
         estimates.append(float(est))
         with octx.working():
-            approx = mp.fsum((wt * f(z) for z, wt in zip(rule.nodes, rule.weights)),
-                             absolute=False)
+            approx = mp.fdot(rule.weights, [f(z) for z in rule.nodes])
             errors.append(float(abs(approx - exact)))
         floors.append(float(abs(exact)) * 10.0 ** (-noise_digits))
     keep = [i for i, (e, fl) in enumerate(zip(errors, floors)) if e > fl]

@@ -4,7 +4,8 @@ The rest of the package consumes two things from here: a precision
 context (intermediate arithmetic carries GUARD_DIGITS beyond the working
 digits, and results are rounded back to the working count) with its
 non-finite check, and the panelled Gauss-Legendre primitive the
-verification oracles integrate with.
+verification oracles integrate with (its rules found by Newton on the
+Legendre recurrence, independently of opq; its sums exact dot products).
 
 Arbitrary-precision arithmetic is delegated to mpmath; the functions here
 add the error contract (non-finite check, rounding discipline) that the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .errors import NonFiniteError
+from .errors import NonconvergenceError, NonFiniteError
 
 __all__ = [
     "GUARD_DIGITS",
@@ -81,10 +82,34 @@ def ensure_finite(value, context: str = "operation"):
 
 @functools.lru_cache(maxsize=16)
 def _legendre_rule(m: int, dps: int) -> tuple:
-    """m-point Gauss-Legendre nodes and weights on [-1, 1] at dps digits."""
-    with mp.workdps(dps):
-        xs, ws = mp.gauss_quadrature(m, "legendre")
-        return tuple(zip(xs, ws))
+    """(nodes, weights) of m-point Gauss-Legendre on [-1, 1] at dps digits.
+
+    Newton on k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2} at dps + 10 digits, from
+    the seeds cos(pi (k - 1/4) / (m + 1/2)) (Hale & Townsend 2013), finds the
+    floor(m/2) positive nodes (and 0 for odd m), with P_m' = m (x P_m - P_{m-1})
+    / (x^2 - 1) and w = 2 / ((1 - x^2) P_m'^2); the half is rounded to dps digits
+    and mirrored, so the nodes ascend and the rule is symmetric bit for bit.
+    Nothing in opq is called: the oracles share no code with what they check.
+    """
+    def newton(x):   # (node, weight) of the root Newton reaches from x
+        for _ in range(20):
+            p0, p1 = mp.mpf(1), x
+            for k in range(2, m + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = m * (x * p1 - p0) / (x * x - 1)
+            dx = p1 / dp
+            x -= dx
+            if abs(dx) < tol:
+                return x, 2 / ((1 - x * x) * dp ** 2)
+        raise NonconvergenceError(f"a {m}-point Gauss-Legendre node did not converge")
+
+    seeds = [math.cos(math.pi * (k - 0.25) / (m + 0.5)) for k in range(1, m // 2 + 1)]
+    with mp.workdps(dps + 10):
+        tol = mp.mpf(10) ** -(dps + 8)
+        half = [newton(mp.mpf(x)) for x in seeds + [0] * (m % 2)]
+    with mp.workdps(dps):   # a bare -x outside would round to 15 digits
+        half = [(+x, +w) for x, w in half]
+        return tuple(zip(*([(-x, w) for x, w in half[:m // 2]] + half[::-1])))
 
 
 def panel_quad_vector(g, cuts, m: int):
@@ -96,16 +121,16 @@ def panel_quad_vector(g, cuts, m: int):
     once as its two halves; the halved sum is returned with |halved - whole|
     as the estimate.  Runs at the ambient mpmath precision.  Convergence is
     geometric only where g is analytic on a neighbourhood of each panel.
-    g is called once per node for all components, so integrands sharing an
-    expensive factor (a family of moments) pay for it once.
+    g is called once per node for all components (a family of moments pays
+    for a shared factor once), and each component of a panel is one exact
+    dot product of the weights with its values, rounded once.
     """
-    rule = _legendre_rule(m, mp.mp.dps)
+    xs, ws = _legendre_rule(m, mp.mp.dps)
 
     def gl(u, v):
         c, h = (u + v) / 2, (v - u) / 2
-        rows = [(w, g(c + h * x)) for x, w in rule]
-        return [h * mp.fsum(w * row[i] for w, row in rows)
-                for i in range(len(rows[0][1]))]
+        rows = [g(c + h * x) for x in xs]
+        return [h * mp.fdot(ws, col) for col in zip(*rows)]
 
     whole, halved = [], []
     for u, v in zip(cuts[:-1], cuts[1:]):

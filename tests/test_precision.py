@@ -1,12 +1,14 @@
 """Precision contexts, special values, and the panelled quadrature primitive."""
 
+import functools
+
 import numpy as np
 import pytest
 from mpmath import mp
 
 from oscgauss.errors import NonFiniteError
-from oscgauss.precision import (PrecisionContext, ensure_finite, panel_quad_vector,
-                                ray_cuts)
+from oscgauss.precision import (PrecisionContext, _legendre_rule, ensure_finite,
+                                panel_quad_vector, ray_cuts)
 
 
 def test_working_context_scopes_dps():
@@ -54,6 +56,51 @@ def test_panel_quad_exact_through_degree_2m_minus_1(cuts):
             assert abs(value - exact) <= mp.mpf(10) ** -35 * max(1, abs(exact))
             assert est >= 0
             assert est <= mp.mpf(10) ** -35 * max(1, abs(exact))
+
+
+@functools.lru_cache(maxsize=None)
+def _golub_welsch(m):
+    """mp.gauss_quadrature's nodes then weights at 80 digits, 20 past the
+    most the rule test asks of _legendre_rule."""
+    with mp.workdps(80):
+        return [v for col in mp.gauss_quadrature(m, "legendre") for v in col]
+
+
+@pytest.mark.parametrize("dps", [30, 40, 60])
+def test_legendre_rule_is_gauss_legendre(dps):
+    for m in range(1, 41):
+        xs, ws = _legendre_rule(m, dps)
+        with mp.workdps(dps):
+            assert list(xs) == sorted(set(xs))
+            assert all(xs[j] == -xs[m - 1 - j] and ws[j] == ws[m - 1 - j] for j in range(m))
+        with mp.workdps(dps + 20):
+            terms = list(ws)   # w_j x_j^k, k = 0 .. 2m-1
+            for k in range(2 * m):
+                exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                assert abs(mp.fsum(terms) - exact) < mp.mpf(10) ** (2 - dps)
+                terms = [t * x for t, x in zip(terms, xs)]
+            assert max(abs(a - b) for a, b in zip(xs + ws, _golub_welsch(m))) \
+                < mp.mpf(10) ** (1 - dps)
+
+
+def test_panel_quad_sums_agree_with_an_fsum_loop():
+    # 21 components t^k e^{-t^3} on the r = 3 ray, against the sum as a plain
+    # loop of rounded products over the same rule and panel halves
+    m, dps = 20, 40
+    with mp.workdps(dps):
+        g = lambda t: [t ** k * mp.exp(-t ** 3) for k in range(21)]   # noqa: E731
+        cuts = ray_cuts(3)
+        values, _ = panel_quad_vector(g, cuts, m)
+        xs, ws = _legendre_rule(m, dps)
+        ref = [0] * 21
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            for a, b in ((u, (u + v) / 2), ((u + v) / 2, v)):
+                c, h = (a + b) / 2, (b - a) / 2
+                rows = [g(c + h * x) for x in xs]
+                ref = [r + h * mp.fsum(w * row[i] for w, row in zip(ws, rows))
+                       for i, r in enumerate(ref)]
+        for val, r in zip(values, ref):
+            assert abs(val - r) <= mp.mpf(10) ** (3 - dps) * abs(r)
 
 
 def test_panel_quad_estimate_flags_unresolved_panels():

@@ -8,9 +8,11 @@ curve branch takes the contour, no function takes a contour it does not
 read, only opq's rule builder finds zeros and Christoffel weights, only
 the measure check and the writers read the total mass, no distance to
 gamma reads its polyline, every panelled oracle sizes its panels by one
-rule, only the verify gates a printed bound cannot orient state their own
-verdict, every flag the README names is a flag of the command line, and
-no module imports scipy, nor does importing the package load it."""
+rule, the oracles' Gauss-Legendre rules come from no code of opq nor from
+mpmath's gauss_quadrature, only the verify gates a printed bound cannot
+orient state their own verdict, every flag the README names is a flag of
+the command line, and no module imports scipy, nor does importing the
+package load it."""
 
 import ast
 import importlib
@@ -380,6 +382,23 @@ def test_oracles_size_panels_by_one_rule():
         "scurve._phi2_leg": {"_PATH_GL_POINTS"},
         "verify._moment_ray_quadrature": {"oscillatory._panel_points(ctx)"},
     }
+
+
+def test_oracle_rules_share_no_code_with_opq():
+    # precision._legendre_rule finds its own nodes, so the oracles check opq's
+    # rules without opq, and no module takes mpmath's eigenvalue route
+    def names(node):
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".") + [a.name for a in node.names]
+        if isinstance(node, ast.Import):
+            return [part for a in node.names for part in a.name.split(".")]
+        return [getattr(node, "attr", None), getattr(node, "id", None)]
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if "gauss_quadrature" in names(node)
+             or (path.stem == "precision" and "opq" in names(node)
+                 and isinstance(node, (ast.Import, ast.ImportFrom)))]
+    assert found == []
 
 
 # The verify gates a printed bound cannot orient: > 0, > 0, >= 1, == 0, and
