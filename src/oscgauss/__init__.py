@@ -22,14 +22,14 @@ Layers (importable submodules):
 
 from . import (asymptotics, geometry, opq, oscillatory, precision,
                scurve, serialize, verify)
-from .errors import (AnalyticityBudgetError, DegenerateFunctionalError,
-                     IllConditionedError, NoiseFloorError, NonconvergenceError,
-                     NonFiniteError, OnCutError, OutsideDiskError, ToolkitError)
+from .errors import (DegenerateFunctionalError, IllConditionedError,
+                     NoiseFloorError, NonconvergenceError, NonFiniteError,
+                     OnCutError, OutsideDiskError, ToolkitError)
 from .opq import (MomentSequence, QuadratureRule, RecurrenceCoefficients,
                   WeightSpec, build_recurrence, build_rule, moment,
                   moment_sequence, zeros)
-from .oscillatory import (Amplitude, OscillatoryIntegralSpec, amplitude,
-                          evaluate_report, laguerre_rule, stationary_rule)
+from .oscillatory import (OscillatoryIntegralSpec, amplitude, evaluate_report,
+                          laguerre_rule, stationary_rule)
 from .precision import PrecisionContext
 from .scurve import (CurvePolyline, PhaseContext, build_phase_context,
                      trace_gamma, verify_equilibrium)
@@ -45,7 +45,7 @@ __all__ = [
     # core types
     "PrecisionContext", "WeightSpec", "MomentSequence",
     "RecurrenceCoefficients", "QuadratureRule", "CurvePolyline",
-    "PhaseContext", "Amplitude", "OscillatoryIntegralSpec",
+    "PhaseContext", "OscillatoryIntegralSpec",
     # headline operations
     "moment", "moment_sequence", "build_recurrence", "zeros", "build_rule",
     "trace_gamma", "build_phase_context", "verify_equilibrium", "amplitude",
@@ -53,5 +53,5 @@ __all__ = [
     # errors
     "ToolkitError", "OnCutError", "DegenerateFunctionalError",
     "NonconvergenceError", "IllConditionedError", "OutsideDiskError",
-    "AnalyticityBudgetError", "NoiseFloorError", "NonFiniteError",
+    "NoiseFloorError", "NonFiniteError",
 ]

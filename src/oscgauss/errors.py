@@ -2,8 +2,10 @@
 
 Every failure mode that aborts a computation is a ToolkitError subclass, so
 callers (and the CLI) can distinguish construction failures from tolerance
-failures.  NaN/overflow detection raises NonFiniteError with a diagnostic of
-the operation and its inputs rather than propagating silently.
+failures, and every subclass here is raised somewhere in the package.
+NaN/overflow detection raises NonFiniteError with a diagnostic of the
+operation and its inputs rather than propagating silently.  Invalid input
+(a bad parameter, a non-callable amplitude) raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class IllConditionedError(ToolkitError):
 
 class OutsideDiskError(ToolkitError):
     """Conformal map / Airy formula evaluated outside the turning-point disk."""
-
-
-class AnalyticityBudgetError(ToolkitError):
-    """A descent path leaves the declared analyticity region of the amplitude."""
 
 
 class NoiseFloorError(ToolkitError):

@@ -101,8 +101,8 @@ class WeightSpec:
     r: int
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("r must be an integer >= 2")
+        if not (2 <= self.r < math.inf and int(self.r) == self.r):
+            raise ValueError(f"r must be an integer >= 2, got {self.r!r}")
 
     def ray_directions(self):
         """(e^{i theta_hi}, e^{i theta_lo}) at the ambient working precision.

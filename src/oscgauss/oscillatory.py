@@ -8,6 +8,8 @@ pi_n zeros, rescaled by omega^{-1/r}):
 
     I[f] = F_a + M_omega[f] - F_b.
 
+The amplitude f is any callable: it is evaluated at the complex nodes of the
+paths, so it must be analytic where they go, as every family of amplitude() is.
 Along an endpoint path z(t)^r = x^r + i t / omega, so z'(t) = i z / (r (q + i t)),
 q = omega x^r, needs no branch choice once z is known; it folds with e^{iq} into
 the weights, and the integral is one complex Gaussian rule.  The module also carries
@@ -30,12 +32,11 @@ import mpmath as mp
 import numpy as np
 
 from . import opq
-from .errors import AnalyticityBudgetError, NoiseFloorError
+from .errors import NoiseFloorError
 from .precision import (PrecisionContext, _is_finite_number, ensure_finite,
                         panel_quad_vector, ray_cuts)
 
 __all__ = [
-    "Amplitude",
     "amplitude",
     "AMPLITUDE_NAMES",
     "OscillatoryIntegralSpec",
@@ -52,21 +53,6 @@ __all__ = [
 # Amplitudes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Amplitude:
-    """Complex -> complex amplitude with a declared analyticity radius.
-
-    ``radius`` bounds the neighborhood of [a, b] (distance to the segment)
-    in which the callback may be evaluated; math.inf marks entire functions.
-    """
-
-    fn: object
-    radius: float = math.inf
-
-    def __call__(self, z):
-        return self.fn(z)
-
-
 def _horner(coeffs, z):
     acc = mp.mpmathify(coeffs[-1] if coeffs else 0)
     for c in reversed(coeffs[:-1]):
@@ -74,7 +60,7 @@ def _horner(coeffs, z):
     return acc
 
 
-# Amplitude families usable from the CLI and the parameters each accepts.
+# The amplitude families usable from the CLI and the parameters each accepts.
 _AMPLITUDE_PARAMS = {"constant": ("value",), "monomial": ("k",),
                      "polynomial": ("coeffs",), "exp": ("scale",), "cos": ("scale",)}
 AMPLITUDE_NAMES = tuple(_AMPLITUDE_PARAMS)
@@ -87,8 +73,8 @@ def _finite(key: str, v):
     return v
 
 
-def amplitude(name: str, **params) -> Amplitude:
-    """Named amplitude families usable from the CLI (all entire).
+def amplitude(name: str, **params):
+    """Named amplitude families usable from the CLI, each an entire callable z -> f(z).
 
     constant(value=1) | monomial(k=1) | polynomial(coeffs=...) |
     exp(scale=1) | cos(scale=1).  An unknown family or parameter name, or a
@@ -103,14 +89,14 @@ def amplitude(name: str, **params) -> Amplitude:
                          f"it takes {', '.join(_AMPLITUDE_PARAMS[name])}")
     if name == "constant":
         v = _finite("value", params.get("value", 1))
-        return Amplitude(lambda z, v=v: mp.mpmathify(v))
+        return lambda z, v=v: mp.mpmathify(v)
     if name == "monomial":
         k = _finite("k", params.get("k", 1))
         x = mp.mpmathify(k)
         if not (isinstance(x, mp.mpf) and mp.isint(x) and x >= 0):
             raise ValueError(f"amplitude parameter 'k' must be a non-negative integer, got {k!r}")
         k = k if isinstance(k, int) else int(x)   # an int keeps all its digits
-        return Amplitude(lambda z, k=k: mp.mpmathify(z) ** k)
+        return lambda z, k=k: mp.mpmathify(z) ** k
     if name == "polynomial":
         coeffs = params.get("coeffs", (1,))
         if not isinstance(coeffs, (list, tuple, np.ndarray)):
@@ -120,30 +106,31 @@ def amplitude(name: str, **params) -> Amplitude:
         # decimal string converts at the precision of each call
         coeffs = tuple(mp.mpmathify(c) if isinstance(c, (float, complex)) else c
                        for c in coeffs)
-        return Amplitude(lambda z, c=coeffs: _horner(c, mp.mpmathify(z)))
+        return lambda z, c=coeffs: _horner(c, mp.mpmathify(z))
     s = _finite("scale", params.get("scale", 1))
     if name == "exp":
-        return Amplitude(lambda z, s=s: mp.exp(mp.mpmathify(s) * mp.mpmathify(z)))
-    return Amplitude(lambda z, s=s: mp.cos(mp.mpmathify(s) * mp.mpmathify(z)))
+        return lambda z, s=s: mp.exp(mp.mpmathify(s) * mp.mpmathify(z))
+    return lambda z, s=s: mp.cos(mp.mpmathify(s) * mp.mpmathify(z))
 
 
 @dataclass(frozen=True)
 class OscillatoryIntegralSpec:
     """I[f] = int_a^b f(x) e^{i omega x^r} dx with the stationary point at 0.
 
-    The amplitude must be an Amplitude, so that its analyticity radius is
-    declared and the descent paths are audited against it.
+    The amplitude f is any callable, evaluated at the complex nodes of the
+    descent paths, so it must be analytic where they go; every family of
+    amplitude() is entire.
     """
 
     a: float
     b: float
     omega: float
     r: int
-    amplitude: Amplitude
+    amplitude: object
 
     def __post_init__(self):
-        if not isinstance(self.amplitude, Amplitude):
-            raise ValueError("amplitude must be an Amplitude (see oscillatory.amplitude)")
+        if not callable(self.amplitude):
+            raise ValueError(f"amplitude must be callable, got {self.amplitude!r}")
         for name in ("a", "b", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -151,8 +138,7 @@ class OscillatoryIntegralSpec:
             raise ValueError("need a < 0 < b so the stationary point is interior")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        if int(self.r) != self.r or self.r < 2:
-            raise ValueError("r must be an integer >= 2")
+        opq.WeightSpec(self.r)   # ValueError unless r is an integer >= 2
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +169,10 @@ def stationary_rule(n: int, r: int, omega) -> opq.QuadratureRule:
     omega = 1 contour, so nodes and weights are both the pi_n data scaled
     by omega^{-1/r}; exactness deg <= 2n-1 transfers verbatim.  The scaling
     runs at the precision of the scheduled pi_n rule, whose ctx it keeps.
+    An omega that is not positive and finite raises ValueError.
     """
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     base = opq.build_rule(n, opq.WeightSpec(r=r))
     ctx = base.ctx
     with ctx.working():
@@ -213,28 +202,6 @@ def _descent_path(x, r: int, omega):
     return (lambda t: -root(t)) if r % 2 == 0 else (lambda t: -mp.conj(root(t)))
 
 
-def _segment_distance(z, a: float, b: float) -> float:
-    x, y = float(mp.re(z)), float(mp.im(z))
-    if x < a:
-        return math.hypot(x - a, y)
-    if x > b:
-        return math.hypot(x - b, y)
-    return abs(y)
-
-
-def _check_path_in_region(points, spec: OscillatoryIntegralSpec, label: str):
-    radius = spec.amplitude.radius
-    if radius == math.inf:
-        return
-    for t, z in points:
-        d = _segment_distance(z, spec.a, spec.b)
-        if d > radius:
-            raise AnalyticityBudgetError(
-                f"{label} descent path leaves the declared analyticity "
-                f"neighborhood (distance {d:.3g} > radius {radius:.3g} "
-                f"at t = {float(t):.3g}) before the weight truncates")
-
-
 def _endpoint_rule(spec: OscillatoryIntegralSpec, x: float,
                    rule: opq.QuadratureRule, ctx: PrecisionContext):
     """(Z, W) of the descent path from x, so that F_x = sum_k W_k f(Z_k).
@@ -243,23 +210,14 @@ def _endpoint_rule(spec: OscillatoryIntegralSpec, x: float,
     W_k = e^{iq} (i/r) lambda_k Z_k / (q + i t_k), q = omega x^r, as z'(t) = i z / (r (q + i t)).
     """
     t_max = ctx.decimal_digits * math.log(10)
-    path, label = _descent_path(x, spec.r, spec.omega), f"endpoint {x:g}"
-    audited = spec.amplitude.radius != math.inf
-    if audited:
-        # analyticity audit along the continuous path, then the actual nodes
-        audit = [mp.mpf(t) for t in np.geomspace(1e-3, t_max, 96)]
-        _check_path_in_region(((t, path(t)) for t in audit), spec, label)
+    path = _descent_path(x, spec.r, spec.omega)
     q = mp.mpf(spec.omega) * mp.mpf(x) ** spec.r
     phase = 1j * mp.expj(q) / spec.r
     nodes, weights = [], []
     for t, w in zip(rule.nodes, rule.weights):
-        if t > t_max:
-            continue
-        z = path(t)
-        if audited:
-            _check_path_in_region([(t, z)], spec, label)
-        nodes.append(z)
-        weights.append(phase * w * z / mp.mpc(q, t))
+        if t <= t_max:
+            nodes.append(path(t))
+            weights.append(phase * w * nodes[-1] / mp.mpc(q, t))
     return nodes, weights
 
 
@@ -271,8 +229,6 @@ def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
     stat = stationary_rule(n_stationary, spec.r, spec.omega)
     with ctx.working():
         rule_a, rule_b = (_endpoint_rule(spec, x, lag, ctx) for x in (spec.a, spec.b))
-        _check_path_in_region([(mp.mpf(0), z) for z in stat.nodes],
-                              spec, "stationary")
         fa, fb, m = (mp.fdot(ws, [spec.amplitude(z) for z in zs])
                      for zs, ws in (rule_a, rule_b, (stat.nodes, stat.weights)))
         total = fa + m - fb
@@ -336,6 +292,7 @@ def stationary_oracle(f, r: int, omegas, ctx: PrecisionContext) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _stationary_oracle(f, r: int, omegas: tuple, ctx: PrecisionContext) -> tuple:
+    spec = opq.WeightSpec(r=r)
     with ctx.working():
         scales = [mp.power(mp.mpf(w), -mp.mpf(1) / r) for w in omegas]
 
@@ -343,7 +300,7 @@ def _stationary_oracle(f, r: int, omegas: tuple, ctx: PrecisionContext) -> tuple
             e = mp.exp(-rho ** r)
             return [f(s * rho * d) * e for s in scales]
 
-        values, ests = _ray_quadrature(g, opq.WeightSpec(r=r), ctx)
+        values, ests = _ray_quadrature(g, spec, ctx)
         return tuple((ctx.finalize(s * value), ctx.finalize(s * est))
                      for s, value, est in zip(scales, values, ests))
 
@@ -410,10 +367,13 @@ def convergence_report(f, n: int, r: int, omega_list) -> dict:
     whichever is less) are excluded (and reported); if fewer than
     three informative points remain the measurement aborts with
     NoiseFloorError.  The oracle's own error estimate at every omega is
-    reported alongside.  Expected slope: -(2n+1)/r.
+    reported alongside.  Expected slope: -(2n+1)/r.  An omega that is not
+    positive and finite raises ValueError before the oracle runs.
     """
     octx = PrecisionContext()
     omegas = [float(w) for w in omega_list]
+    if not all(0 < w < math.inf for w in omegas):
+        raise ValueError(f"every omega must be positive and finite, got {omegas!r}")
     if len(omegas) < 3 or max(omegas) / min(omegas) < 10 ** 1.5:
         raise ValueError("omega_list must span at least 1.5 decades with >= 3 points")
     errors, floors, estimates = [], [], []

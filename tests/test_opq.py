@@ -28,6 +28,18 @@ def test_weight_spec_validation():
             assert abs(d_lo - mp.expjpi(lo)) <= 1e-25
 
 
+@pytest.mark.parametrize("r", [2.5, 1.0, 0, math.nan, math.inf])
+def test_weight_spec_rejects_a_non_integer_or_small_r(ctx30, r):
+    with pytest.raises(ValueError, match="r must be an integer >= 2"):
+        opq.WeightSpec(r)
+    with pytest.raises(ValueError, match="r must be an integer >= 2"):
+        oscillatory.stationary_oracle(oscillatory.amplitude("exp"), r, [10.0], ctx30)
+
+
+def test_weight_spec_accepts_an_integral_float():
+    assert opq.build_rule(4, opq.WeightSpec(3.0)) is opq.build_rule(4, SPEC3)
+
+
 def test_moment_closed_forms_r3(ctx30):
     ms = opq.moment_sequence(SPEC3, 12, ctx30)
     m0 = complex(ms[0])

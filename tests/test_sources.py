@@ -2,7 +2,8 @@
 every name it exports in __all__ exists, no module calls mpmath's adaptive
 quadrature, every optional parameter of a public function is set by some
 library or benchmark call, every public function is referred to by some
-library or benchmark code, every library name the benchmark tracer
+library or benchmark code, every ToolkitError subclass is raised by
+some library code, every library name the benchmark tracer
 rebinds or the benchmark workloads call exists, no evaluator of the
 curve branch takes the contour, no function takes a contour it does not
 read, only opq's rule builder finds zeros and Christoffel weights, only
@@ -28,7 +29,7 @@ import warnings
 import pytest
 
 import oscgauss
-from oscgauss import cli
+from oscgauss import cli, errors
 
 SOURCES = sorted(pathlib.Path(oscgauss.__file__).parent.glob("*.py"))
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -146,6 +147,20 @@ def test_every_public_function_has_a_caller():
                 continue
             unreached.append(f"{stem}.{node.name}")
     assert unreached == []
+
+
+def test_every_error_class_has_a_raise_site():
+    # A failure mode no library code raises is reached only from tests, as a
+    # public function would be: it is deleted with the code that raised it.
+    classes = {name for name, c in vars(errors).items() if isinstance(c, type)
+               and issubclass(c, errors.ToolkitError) and c is not errors.ToolkitError}
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert classes and sorted(classes - raised) == []
 
 
 def _tracing():
