@@ -122,9 +122,13 @@ def _cmd_measure(args):
 def _load_probes(path: str) -> list:
     with open(path) as fh:
         doc = json.load(fh)
+    # pairs of JSON numbers: the type of true and false is bool, not int
+    if not (isinstance(doc, list) and all(isinstance(p, list) and len(p) == 2
+                                          and {type(x) for x in p} <= {int, float} for p in doc)):
+        raise ValueError("probes must be a JSON list of [re, im] pairs of numbers")
     try:
         return [complex(float(re), float(im)) for re, im in doc]
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:   # an integer past the float range
         raise ValueError(f"probes must be a JSON list of [re, im] pairs: {exc}") from exc
 
 

@@ -454,12 +454,6 @@ def cubic_string_recurrence(n: int, ctx: PrecisionContext) -> RecurrenceCoeffici
 ABERTH_SWEEPS = 250
 
 
-def _pi_with_derivative(coeffs: RecurrenceCoefficients, z):
-    """(pi_n(z), pi_n'(z), pi_{n-1}(z)) by the three-term recurrence, n >= 1."""
-    p, p_prev, dp, _ = _run_recurrence(coeffs, z, derivative=True)
-    return p, dp, p_prev
-
-
 def _root_residual(coeffs: RecurrenceCoefficients, z):
     """|pi_n(z)| relative to the same recurrence run on |z| + |alpha_k|, |beta_{k-1}|."""
     p, _, _, s = _run_recurrence(coeffs, z, absolute=True)
@@ -514,7 +508,7 @@ def zeros(coeffs: RecurrenceCoefficients, symmetry: str) -> list:
         for _ in range(ABERTH_SWEEPS):
             move = mp.mpf(0)
             for i, j in orbits:
-                p, dp, _ = _pi_with_derivative(coeffs, zs[i])
+                p, _, dp, _ = _run_recurrence(coeffs, zs[i], derivative=True)
                 zi = cz[i]
                 s = sum(1 / ((zi - cz[k]) or floor) for k in range(n) if k != i)
                 denom = dp - p * s
@@ -569,7 +563,7 @@ def christoffel_weights(coeffs: RecurrenceCoefficients, nodes, moments: MomentSe
         ws = [None] * len(nodes)
         for j, z in enumerate(nodes):
             if ws[j] is None:
-                _, dp, p_prev = _pi_with_derivative(coeffs, mp.mpmathify(z))
+                _, p_prev, dp, _ = _run_recurrence(coeffs, mp.mpmathify(z), derivative=True)
                 w, k = h / (p_prev * dp), where[invol(z)]
                 ws[k] = wmap(w)
                 ws[j] = (w + ws[k]) / 2 if k == j else w

@@ -17,9 +17,9 @@ the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
 stationary rule and two independent oracles, both panelled Gauss-Legendre
 (precision.panel_quad_vector) with a whole-vs-halved error estimate and with as
 many points per panel as _panel_points gives the digits they run at: one
-on the truncated rays of the stationary contour, which serves a whole list
-of frequencies in one pass, one on the real interval with a panel per
-oscillation cycle, which serves a list of amplitudes in one pass.
+on the truncated rays (_ray_quadrature, which the moment oracle uses too),
+serving both rays and a whole list of frequencies in one pass, one on the
+real interval, a panel per oscillation cycle, serving a list of amplitudes.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import opq
 from .errors import NoiseFloorError
 from .precision import (PrecisionContext, _is_finite_number, ensure_finite,
-                        panel_quad_vector, ray_cuts)
+                        panel_quad_vector)
 
 __all__ = [
     "amplitude",
@@ -260,31 +260,39 @@ def _panel_points(ctx: PrecisionContext) -> int:
     return 2 * ctx.decimal_digits // 3
 
 
-def _ray_quadrature(g, spec: opq.WeightSpec, ctx: PrecisionContext):
-    """(dhi hi - dlo lo, est_hi + est_lo) per component of g(d, rho), unfinalized.
+def ray_cuts(r: int) -> list:
+    """Panel cuts for int_0^oo h(rho) e^{-rho^r} drho, truncated.
 
-    hi and lo integrate g along the rays rho * d of spec by Gauss-Legendre
-    with _panel_points(ctx) points on each panel of precision.ray_cuts, at
-    the ambient precision (the caller enters ctx.working()); the contour
-    runs in along the low ray and out along the high.
+    The cuts 0, 1, 4^{1/r}, 4^{2/r}, ... put rho^r at 0, 1, 4, 16, ...: every
+    panel past the first quadruples the decay exponent, so e^{-rho^r} is
+    equally well resolved for every r (for r = 2 the cuts are 0, 1, 2, 4,
+    8, ...).  The last cut is the first with rho^r >= dps ln 10 + 10 at the
+    ambient precision, where e^{-rho^r} < e^{-10} 10^{-dps}: the dropped tail
+    is below working precision unless |h| grows there by more than e^{10}.
     """
-    dhi, dlo = spec.ray_directions()
-    cuts = ray_cuts(spec.r)
-    (hi, est_hi), (lo, est_lo) = [
-        panel_quad_vector(lambda rho: g(d, rho), cuts, _panel_points(ctx))
-        for d in (dhi, dlo)]
-    return ([dhi * a - dlo * b for a, b in zip(hi, lo)],
-            [a + b for a, b in zip(est_hi, est_lo)])
+    j_max = math.ceil(math.log(mp.mp.dps * math.log(10) + 10, 4))
+    return [0] + [mp.power(4, mp.mpf(j) / r) for j in range(j_max + 1)]
+
+
+def _ray_quadrature(g, r: int, ctx: PrecisionContext):
+    """(values, estimates) of int_0^oo g(rho, e^{-rho^r}) drho per component of g, unfinalized.
+
+    The one ray integral of the oracles: one panel_quad_vector pass with
+    _panel_points(ctx) points on each panel of ray_cuts(r), at the ambient
+    precision (the caller enters ctx.working()); each node computes
+    e^{-rho^r} once and hands it to g with rho.
+    """
+    return panel_quad_vector(lambda rho: g(rho, mp.exp(-rho ** r)), ray_cuts(r),
+                             _panel_points(ctx))
 
 
 def stationary_oracle(f, r: int, omegas, ctx: PrecisionContext) -> tuple:
     """((value, error_estimate), ...) for int_Gamma f(z) e^{i omega z^r} dz, one per omega.
 
-    Independent of the Gaussian rule: integrates f(omega^{-1/r} rho d)
-    e^{-rho^r} along both rays directly (_ray_quadrature) and multiplies
-    by s = omega^{-1/r} last.  One pass serves the whole list: each ray
-    node computes e^{-rho^r} once and gives one component per omega.  The
-    estimate sums the two rays' whole-vs-halved panel differences.
+    Independent of the Gaussian rule: one _ray_quadrature pass integrates
+    f(omega^{-1/r} rho d) e^{-rho^r} along both rays d = d_hi, d_lo for every
+    omega, d_hi hi - d_lo lo (in along the low ray, out along the high), times
+    s = omega^{-1/r}; the estimate sums both rays' whole-vs-halved differences.
     Memoised per process on (f, r, omegas, ctx), so f must be hashable.
     """
     return _stationary_oracle(f, r, tuple(omegas), ctx)
@@ -292,17 +300,15 @@ def stationary_oracle(f, r: int, omegas, ctx: PrecisionContext) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _stationary_oracle(f, r: int, omegas: tuple, ctx: PrecisionContext) -> tuple:
-    spec = opq.WeightSpec(r=r)
     with ctx.working():
+        dhi, dlo = opq.WeightSpec(r=r).ray_directions()   # ValueError unless r is an integer >= 2
         scales = [mp.power(mp.mpf(w), -mp.mpf(1) / r) for w in omegas]
-
-        def g(d, rho):
-            e = mp.exp(-rho ** r)
-            return [f(s * rho * d) * e for s in scales]
-
-        values, ests = _ray_quadrature(g, spec, ctx)
-        return tuple((ctx.finalize(s * value), ctx.finalize(s * est))
-                     for s, value, est in zip(scales, values, ests))
+        values, ests = _ray_quadrature(
+            lambda rho, e: [f(s * rho * d) * e for d in (dhi, dlo) for s in scales], r, ctx)
+        m = len(scales)
+        return tuple((ctx.finalize(s * (dhi * hi - dlo * lo)), ctx.finalize(s * (est_hi + est_lo)))
+                     for s, hi, lo, est_hi, est_lo
+                     in zip(scales, values, values[m:], ests, ests[m:]))
 
 
 def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:

@@ -6,6 +6,8 @@ digits, and results are rounded back to the working count) with its
 non-finite check, and the panelled Gauss-Legendre primitive the
 verification oracles integrate with (its rules found by Newton on the
 Legendre recurrence, independently of opq; its sums exact dot products).
+Where the panels go is the oracles' business: the ray cuts live with the
+ray integral in the oscillatory module.
 
 Arbitrary-precision arithmetic is delegated to mpmath; the functions here
 add the error contract (non-finite check, rounding discipline) that the
@@ -28,7 +30,6 @@ __all__ = [
     "PrecisionContext",
     "ensure_finite",
     "panel_quad_vector",
-    "ray_cuts",
 ]
 
 
@@ -141,16 +142,3 @@ def panel_quad_vector(g, cuts, m: int):
     values = [mp.fsum(col) for col in zip(*halved)]
     return values, [abs(val - mp.fsum(col)) for val, col in zip(values, zip(*whole))]
 
-
-def ray_cuts(r: int) -> list:
-    """Panel cuts for int_0^oo h(rho) e^{-rho^r} drho, truncated.
-
-    The cuts 0, 1, 4^{1/r}, 4^{2/r}, ... put rho^r at 0, 1, 4, 16, ...: every
-    panel past the first quadruples the decay exponent, so e^{-rho^r} is
-    equally well resolved for every r (for r = 2 the cuts are 0, 1, 2, 4,
-    8, ...).  The last cut is the first with rho^r >= dps ln 10 + 10 at the
-    ambient precision, where e^{-rho^r} < e^{-10} 10^{-dps}: the dropped tail
-    is below working precision unless |h| grows there by more than e^{10}.
-    """
-    j_max = math.ceil(math.log(mp.mp.dps * math.log(10) + 10, 4))
-    return [0] + [mp.power(4, mp.mpf(j) / r) for j in range(j_max + 1)]

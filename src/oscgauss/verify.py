@@ -19,8 +19,8 @@ one shell command.
 Where a check needs an independent oracle, the oracle shares no code path
 with the implementation under test: moments are re-derived by panelled
 Gauss-Legendre quadrature of the one real integral that both truncated
-contour rays reduce to (on the cuts and points per panel of the
-oscillatory module's ray oracle), the phase function phi2 by integrating
+contour rays reduce to (in one pass of the oscillatory module's ray
+integral, the stationary oracle's own), the phase function phi2 by integrating
 the analytic continuation of Q^{1/2} (sharing one branch-sign evaluation
 with phi2) along explicit cut-avoiding polygonal paths from z2, routed as
 one tree, and the oscillatory integrals by the oscillatory
@@ -33,7 +33,9 @@ recurrences those equations build from M_0 and M_1.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 
 import numpy as np
@@ -41,7 +43,7 @@ from mpmath import mp
 
 from . import asymptotics as asym
 from . import opq, oscillatory, scurve
-from .precision import PrecisionContext, panel_quad_vector, ray_cuts
+from .precision import PrecisionContext
 
 __all__ = [
     "SUITE_NAMES",
@@ -322,25 +324,16 @@ def _moment_ray_quadrature(kmax: int, spec: opq.WeightSpec, ctx: PrecisionContex
     """(values, estimates) of M_0..M_kmax by direct quadrature along the two rays.
 
     Independent of the Gamma-function closed form: on either ray z = t*d
-    the integrand is d^k t^k exp(-t^r), so one real pass computes every
-    I_k = int_0^oo t^k exp(-t^r) dt by Gauss-Legendre with
-    oscillatory._panel_points(ctx) points on each panel of
-    precision.ray_cuts; each node evaluates exp(-t^r) once and builds
-    every t^k from it by a running product.  The contour runs in along the
-    low ray d_lo and out along the high d_hi, so M_k = (d_hi^{k+1} -
-    d_lo^{k+1}) I_k, and the estimate 2 est_k sums both rays' whole-vs-halved
-    panel differences.
+    the integrand is d^k t^k exp(-t^r), so one pass of the stationary
+    oracle's ray integral (oscillatory._ray_quadrature) computes every
+    I_k = int_0^oo t^k exp(-t^r) dt, each t^k exp(-t^r) a running product
+    from the node's exp(-t^r).  The contour runs in along the low ray d_lo
+    and out along the high d_hi, so M_k = (d_hi^{k+1} - d_lo^{k+1}) I_k, and
+    the estimate 2 est_k sums both rays' whole-vs-halved panel differences.
     """
-    r = spec.r
-
-    def powers(t):
-        out = [mp.exp(-t ** r)]
-        for _ in range(kmax):
-            out.append(out[-1] * t)
-        return out
-
     with ctx.working():
-        ints, ests = panel_quad_vector(powers, ray_cuts(r), oscillatory._panel_points(ctx))
+        ints, ests = oscillatory._ray_quadrature(
+            lambda t, e: list(itertools.accumulate([t] * kmax, operator.mul, initial=e)), spec.r, ctx)
         dhi, dlo = spec.ray_directions()
         phi, plo, values = dhi, dlo, []
         for integral in ints:

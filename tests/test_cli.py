@@ -213,6 +213,14 @@ def test_exit_code_construction_failure(tmp_path, capsys):
         assert proc.returncode == 3 and "NonFiniteError" in proc.stderr, argv
     # malformed input is one stderr line and exit 3, never a traceback
     (tmp_path / "ragged.json").write_text(json.dumps([[1, 2], [3]]))
+    # probes are a list of pairs of JSON numbers: not an object's keys, not
+    # two-character strings, not booleans, not numeric strings and no integer
+    # past the float range
+    probe_files = {"object": {"12": 0, "34": 1}, "string": ["12"],
+                   "booleans": [[True, False]], "strings": [["1", "2"]],
+                   "huge_integer": [[10 ** 400, 0]]}
+    for name, doc in probe_files.items():
+        (tmp_path / f"probes_{name}.json").write_text(json.dumps(doc))
     # 1e400 parses as an infinite float, which no integer flag can take
     (tmp_path / "huge.json").write_text('{"kmax": 1e400}')
     # a switch takes only a JSON boolean, a valued flag no boolean, and an
@@ -225,6 +233,8 @@ def test_exit_code_construction_failure(tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     for argv in (("curve", "--precision", "10"),
                  ("asymp", "--probes", str(tmp_path / "ragged.json")),
+                 *(("asymp", "--probes", str(tmp_path / f"probes_{name}.json"))
+                   for name in probe_files),
                  ("fields", "--grid=-1,1,0,-1,1,3"),
                  ("quad", "--amplitude-params", "[1]"),
                  ("quad", "--amplitude", "exp", "--amplitude-params", '{"skale": 5}'),

@@ -350,13 +350,14 @@ def test_zeros_evaluates_pi_once_per_orbit_and_sweep(monkeypatch):
     ctx = opq.precision_schedule(n)
     rec = opq.build_recurrence(opq.moment_sequence(SPEC3, 2 * n - 1, ctx), n)
     calls = []
-    evaluate = opq._pi_with_derivative
+    evaluate = opq._run_recurrence
 
-    def counting(*args):
-        calls.append(1)
-        return evaluate(*args)
+    def counting(*args, **kwargs):
+        if kwargs.get("derivative"):
+            calls.append(1)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(opq, "_pi_with_derivative", counting)
+    monkeypatch.setattr(opq, "_run_recurrence", counting)
     zs = opq.zeros(rec, "neg_conj")
     assert len(zs) == n and len(calls) <= 100
     with ctx.working():
@@ -409,7 +410,7 @@ def _mpmath_recurrence(rec, z):
 @example(n=160, log_radius=3.0, angle=0.25, at_alpha=1.0, at_node=0.0)
 @example(n=KERNEL_TEST_NODES, log_radius=-3.0, angle=-2.0, at_alpha=0.0, at_node=1.0)
 def test_recurrence_kernel_matches_an_mpmath_loop(n, log_radius, angle, at_alpha, at_node):
-    # the integer kernel behind pi_eval, _pi_with_derivative and _root_residual
+    # the integer kernel behind pi_eval, zeros, christoffel_weights and _root_residual
     # against the recurrence on mpmath numbers at twice the digits: p, p' and
     # p_{n-1} agree to 10^-digits relative to the recurrence on absolute values.
     # Probes: |z| in [1e-3, 1e3], z = alpha_k, a zero of pi_n and one moved by
@@ -424,7 +425,8 @@ def test_recurrence_kernel_matches_an_mpmath_loop(n, log_radius, angle, at_alpha
                 node = _kernel_test_nodes(source, n)[min(int(at_node * n), n - 1)]
                 probes += [node, node * (1 + mp.mpf(10) ** (-mp.mpf(digits) / 3))]
             for z in probes:
-                got = opq._pi_with_derivative(rec, z)
+                p, p_prev, dp, _ = opq._run_recurrence(rec, z, derivative=True)
+                got = (p, dp, p_prev)
                 value, residual = opq.pi_eval(rec, z), opq._root_residual(rec, z)
                 with mp.workdps(2 * digits):
                     want, scale = _mpmath_recurrence(rec, z)
@@ -452,7 +454,7 @@ def _mpmath_sum_zeros(rec, symmetry):
         for _ in range(opq.ABERTH_SWEEPS):
             move = mp.mpf(0)
             for i, j in orbits:
-                p, dp, _ = opq._pi_with_derivative(rec, zs[i])
+                p, _, dp, _ = opq._run_recurrence(rec, zs[i], derivative=True)
                 s = mp.fsum(1 / ((zs[i] - zs[k]) or tiny) for k in range(n) if k != i)
                 denom = dp - p * s
                 delta = p / denom if denom else mp.mpc(0)
@@ -591,13 +593,14 @@ def test_christoffel_weights_run_the_kernel_once_per_orbit(monkeypatch, source, 
     # origin (r = 2), 5 real nodes each their own orbit (Gauss-Laguerre)
     rec, nodes, mom, symmetry = _weight_case(source, n)
     calls = []
-    evaluate = opq._pi_with_derivative
+    evaluate = opq._run_recurrence
 
-    def counting(*args):
-        calls.append(1)
-        return evaluate(*args)
+    def counting(*args, **kwargs):
+        if kwargs.get("derivative"):
+            calls.append(1)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(opq, "_pi_with_derivative", counting)
+    monkeypatch.setattr(opq, "_run_recurrence", counting)
     weights = opq.christoffel_weights(rec, nodes, mom, symmetry)
     assert len(calls) == orbits
     invol, wmap, _ = opq._INVOLUTIONS[symmetry]
@@ -626,14 +629,16 @@ def test_christoffel_weights_check_that_the_weights_sum_to_m0(monkeypatch):
     # |sum w - M_0| <= 10^(-digits//2) |M_0|
     rec, nodes, mom, symmetry = _weight_case(3, 5)
     assert rec.ctx.decimal_digits == 60
-    evaluate, calls = opq._pi_with_derivative, []
+    evaluate, calls = opq._run_recurrence, []
 
-    def spoiled(coeffs, z):
-        p, dp, p_prev = evaluate(coeffs, z)
-        calls.append(z)
-        return p, (dp * (1 + mp.mpf("1e-25")) if len(calls) == 1 else dp), p_prev
+    def spoiled(coeffs, z, derivative=False, absolute=False):
+        p, p_prev, dp, s = evaluate(coeffs, z, derivative, absolute)
+        if derivative:
+            calls.append(z)
+            dp = dp * (1 + mp.mpf("1e-25")) if len(calls) == 1 else dp
+        return p, p_prev, dp, s
 
-    monkeypatch.setattr(opq, "_pi_with_derivative", spoiled)
+    monkeypatch.setattr(opq, "_run_recurrence", spoiled)
     with pytest.raises(NonconvergenceError, match="weights do not sum to M_0"):
         opq.christoffel_weights(rec, nodes, mom, symmetry)
     assert calls[0] == nodes[0]
@@ -646,7 +651,7 @@ def test_christoffel_weights_reject_nodes_not_closed_under_the_involution(monkey
     assert rec.ctx.decimal_digits == 60
     with rec.ctx.working():
         moved = nodes[:1] + [nodes[1] * (1 + mp.mpf("1e-50"))] + nodes[2:]
-    monkeypatch.setattr(opq, "_pi_with_derivative", None)
+    monkeypatch.setattr(opq, "_run_recurrence", None)
     with pytest.raises(ValueError, match="no mirror image .* 'neg_conj' symmetry"):
         opq.christoffel_weights(rec, moved, mom, symmetry)
 

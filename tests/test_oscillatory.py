@@ -10,7 +10,7 @@ from mpmath import mp
 from oscgauss import opq
 from oscgauss import oscillatory as osc
 from oscgauss.errors import NoiseFloorError
-from oscgauss.precision import PrecisionContext
+from oscgauss.precision import PrecisionContext, panel_quad_vector
 
 
 def test_amplitude_registry():
@@ -375,26 +375,45 @@ ORDER_OMEGAS = [float(w) for w in np.geomspace(10.0, 1000.0, 9)]
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_stationary_oracle_list_matches_one_pass_per_omega(r):
-    # one ray pass for the whole omega list gives, bit for bit, what one
-    # pass per omega of the same integrand gives
-    f, ctx, spec = osc.amplitude("exp"), PrecisionContext(), opq.WeightSpec(r=r)
+    # one pass over both rays for the whole omega list gives, bit for bit,
+    # what one panel_quad_vector pass per ray and omega gives, the contour
+    # in along the low ray and out along the high: d_hi hi - d_lo lo
+    f, ctx = osc.amplitude("exp"), PrecisionContext()
     got = osc.stationary_oracle(f, r, ORDER_OMEGAS, ctx)
     assert len(got) == len(ORDER_OMEGAS)
     for omega, pair in zip(ORDER_OMEGAS, got):
         with ctx.working():
             s = mp.power(mp.mpf(omega), -mp.mpf(1) / r)
-            (value,), (est,) = osc._ray_quadrature(
-                lambda d, rho: (f(s * rho * d) * mp.exp(-rho ** r),), spec, ctx)
-            assert pair == (ctx.finalize(s * value), ctx.finalize(s * est))
+            dhi, dlo = opq.WeightSpec(r=r).ray_directions()
+            ((hi,), (est_hi,)), ((lo,), (est_lo,)) = [
+                panel_quad_vector(lambda rho: (f(s * rho * d) * mp.exp(-rho ** r),),
+                                  osc.ray_cuts(r), osc._panel_points(ctx))
+                for d in (dhi, dlo)]
+            assert pair == (ctx.finalize(s * (dhi * hi - dlo * lo)),
+                            ctx.finalize(s * (est_hi + est_lo)))
+
+
+def test_stationary_oracle_makes_one_quadrature_pass(monkeypatch):
+    # both rays and every omega share one panel_quad_vector pass
+    passes, quad = [], osc.panel_quad_vector
+
+    def counting(*args):
+        passes.append(1)
+        return quad(*args)
+
+    monkeypatch.setattr(osc, "panel_quad_vector", counting)
+    osc._stationary_oracle.cache_clear()
+    osc.stationary_oracle(osc.amplitude("exp"), 3, ORDER_OMEGAS, PrecisionContext())
+    assert passes == [1]
 
 
 def test_convergence_report_makes_one_ray_pass_per_r(monkeypatch):
     # the order suite's cases (2, 3) and (3, 3) share one oracle pass
     passes, ray_quadrature = [], osc._ray_quadrature
 
-    def counting(g, spec, ctx):
-        passes.append(spec.r)
-        return ray_quadrature(g, spec, ctx)
+    def counting(g, r, ctx):
+        passes.append(r)
+        return ray_quadrature(g, r, ctx)
 
     monkeypatch.setattr(osc, "_ray_quadrature", counting)
     osc._stationary_oracle.cache_clear()

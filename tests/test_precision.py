@@ -7,8 +7,9 @@ import pytest
 from mpmath import mp
 
 from oscgauss.errors import NonFiniteError
+from oscgauss.oscillatory import ray_cuts
 from oscgauss.precision import (PrecisionContext, _legendre_rule, ensure_finite,
-                                panel_quad_vector, ray_cuts)
+                                panel_quad_vector)
 
 
 def test_working_context_scopes_dps():

@@ -9,11 +9,12 @@ curve branch takes the contour, no function takes a contour it does not
 read, only opq's rule builder finds zeros and Christoffel weights, only
 the measure check and the writers read the total mass, no distance to
 gamma reads its polyline, every panelled oracle sizes its panels by one
-rule, the oracles' Gauss-Legendre rules come from no code of opq nor from
-mpmath's gauss_quadrature, only the verify gates a printed bound cannot
-orient state their own verdict, every flag the README names is a flag of
-the command line, and no module imports scipy, nor does importing the
-package load it."""
+rule, only the oscillatory module knows how a ray is cut, the oracles'
+Gauss-Legendre rules come from no code of opq nor from mpmath's
+gauss_quadrature, only the verify gates a printed bound cannot orient
+state their own verdict, every flag the README names is a flag of the
+command line, and no module imports scipy, nor does importing the package
+load it."""
 
 import ast
 import importlib
@@ -395,8 +396,24 @@ def test_oracles_size_panels_by_one_rule():
         "oscillatory._ray_quadrature": {"_panel_points(ctx)"},
         "oscillatory.interval_oracle": {"_panel_points(ctx)"},
         "scurve._phi2_leg": {"_PATH_GL_POINTS"},
-        "verify._moment_ray_quadrature": {"oscillatory._panel_points(ctx)"},
     }
+
+
+def test_only_oscillatory_knows_how_a_ray_is_cut():
+    # Both ray oracles integrate by oscillatory._ray_quadrature, so the cuts
+    # and the points per panel are decided once: verify takes nothing but the
+    # context from precision and names none of the ray pass's parts
+    forbidden = {"panel_quad_vector", "ray_cuts", "_panel_points"}
+    tree = ast.parse(next(p for p in SOURCES if p.stem == "verify").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "precision"
+                for alias in node.names]
+    assert imported == ["PrecisionContext"]
+    assert forbidden.isdisjoint(_references(tree))
+    defined = [f"{path.stem}.{node.name}" for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "ray_cuts"]
+    assert defined == ["oscillatory.ray_cuts"]
 
 
 def test_oracle_rules_share_no_code_with_opq():
