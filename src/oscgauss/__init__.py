@@ -7,8 +7,10 @@ case r = 3, computes the limiting zero curve, its equilibrium measure,
 and explicit strong asymptotics of the rescaled polynomials, each piece
 cross-validated against an independent oracle.
 
-Layers (importable submodules):
+Every name is reached as oscgauss.<layer>.<name>: the package binds the
+layers below (cli once imported) and __version__, and nothing else.
 
+    errors       the ToolkitError hierarchy
     precision    arbitrary-precision contexts, panelled quadrature
     geometry     polyline arc length
     opq          moments -> recurrence -> zeros -> weights pipeline
@@ -20,38 +22,10 @@ Layers (importable submodules):
     cli          `oscgauss` command-line front end
 """
 
-from . import (asymptotics, geometry, opq, oscillatory, precision,
+from . import (asymptotics, errors, geometry, opq, oscillatory, precision,
                scurve, serialize, verify)
-from .errors import (DegenerateFunctionalError, IllConditionedError,
-                     NoiseFloorError, NonconvergenceError, NonFiniteError,
-                     OnCutError, OutsideDiskError, ToolkitError)
-from .opq import (MomentSequence, QuadratureRule, RecurrenceCoefficients,
-                  WeightSpec, build_recurrence, build_rule, moment,
-                  moment_sequence, zeros)
-from .oscillatory import (OscillatoryIntegralSpec, amplitude, evaluate_report,
-                          laguerre_rule, stationary_rule)
-from .precision import PrecisionContext
-from .scurve import (CurvePolyline, PhaseContext, build_phase_context,
-                     trace_gamma, verify_equilibrium)
-from .verify import run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # layers
-    "precision", "geometry", "opq", "scurve", "asymptotics", "oscillatory",
-    "serialize", "verify",
-    # core types
-    "PrecisionContext", "WeightSpec", "MomentSequence",
-    "RecurrenceCoefficients", "QuadratureRule", "CurvePolyline",
-    "PhaseContext", "OscillatoryIntegralSpec",
-    # headline operations
-    "moment", "moment_sequence", "build_recurrence", "zeros", "build_rule",
-    "trace_gamma", "build_phase_context", "verify_equilibrium", "amplitude",
-    "laguerre_rule", "stationary_rule", "evaluate_report", "run_suite",
-    # errors
-    "ToolkitError", "OnCutError", "DegenerateFunctionalError",
-    "NonconvergenceError", "IllConditionedError", "OutsideDiskError",
-    "NoiseFloorError", "NonFiniteError",
-]
+__all__ = ["__version__", "errors", "precision", "geometry", "opq", "scurve",
+           "asymptotics", "oscillatory", "serialize", "verify"]

@@ -103,6 +103,7 @@ class WeightSpec:
     def __post_init__(self):
         if not (2 <= self.r < math.inf and int(self.r) == self.r):
             raise ValueError(f"r must be an integer >= 2, got {self.r!r}")
+        object.__setattr__(self, "r", int(self.r))   # 3.0 keys and builds as 3
 
     def ray_directions(self):
         """(e^{i theta_hi}, e^{i theta_lo}) at the ambient working precision.
@@ -388,6 +389,7 @@ def string_equation_residual(coeffs: RecurrenceCoefficients, r: int) -> mp.mpf:
     against the same sums on |J|.  No moment is read; a non-finite
     coefficient, which max() would drop, raises NonFiniteError.
     """
+    r = WeightSpec(r).r
     n = coeffs.n
     with coeffs.ctx.working():
         def row(k, a, b):
@@ -615,6 +617,7 @@ def rule_exactness_residual(nodes, weights, moments: MomentSequence) -> mp.mpf:
 
 def lambda_n(n: int, r: int, ctx: PrecisionContext):
     """Scaling factor (n/r)^(1/r) relating P_n(z) = lambda^{-n} pi_n(lambda z)."""
+    r = WeightSpec(r).r
     with ctx.working():
         return ctx.finalize((mp.mpf(n) / r) ** (mp.mpf(1) / r))
 

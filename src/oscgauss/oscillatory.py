@@ -138,7 +138,7 @@ class OscillatoryIntegralSpec:
             raise ValueError("need a < 0 < b so the stationary point is interior")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        opq.WeightSpec(self.r)   # ValueError unless r is an integer >= 2
+        object.__setattr__(self, "r", opq.WeightSpec(self.r).r)   # ValueError unless int >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ unbounded extensions (phi2_chord real, positive), and builds the
 equilibrium measure |Q^{1/2}|/pi |dz| on gamma, one quadrature rule over it
 (composite Gauss-Legendre in the mass variable, which near_quadrature
 refines around a point of gamma), the potential U and the g-function, and
-the equilibrium / S-property verification report.  Q is fixed: its zeros
-Z0 (double), Z1, Z2 and constant C_CONST are module constants.
+the equilibrium / S-property verification report.  Q is fixed: -i is its
+double zero, and its zeros Z1, Z2 and constant C_CONST are module constants.
 
 Two square-root branches are in play and kept strictly separate:
 
@@ -57,7 +57,7 @@ from .errors import NonconvergenceError, NonFiniteError, OnCutError
 from .precision import PrecisionContext, ensure_finite, panel_quad_vector
 
 __all__ = [
-    "Z0", "Z1", "Z2", "C_CONST", "L_CONST", "ELL", "ELL_TILDE",
+    "Z1", "Z2", "C_CONST", "L_CONST", "ELL", "ELL_TILDE",
     "CurvePolyline", "PhaseContext",
     "q_eval", "q_prime", "critical_angles",
     "w_chord", "q_sqrt_chord", "phi2_chord",
@@ -70,7 +70,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-Z0 = -1j
 Z1 = -SQRT2 + 1j
 Z2 = SQRT2 + 1j
 C_CONST = -0.75

@@ -37,7 +37,25 @@ def test_weight_spec_rejects_a_non_integer_or_small_r(ctx30, r):
 
 
 def test_weight_spec_accepts_an_integral_float():
-    assert opq.build_rule(4, opq.WeightSpec(3.0)) is opq.build_rule(4, SPEC3)
+    # r = 3.0 is stored, keyed and built as the int 3
+    assert opq.build_rule(5, opq.WeightSpec(3.0)) is opq.build_rule(5, SPEC3)
+    spec = oscillatory.OscillatoryIntegralSpec(a=-1.0, b=1.0, omega=10.0, r=3.0,
+                                               amplitude=oscillatory.amplitude("constant"))
+    for r in (opq.WeightSpec(3.0).r, spec.r):
+        assert type(r) is int and r == 3
+    rec = _scheduled_recurrence(3, 6)
+    assert opq.string_equation_residual(rec, 3.0) == opq.string_equation_residual(rec, 3)
+
+
+@pytest.mark.parametrize("r", [0, 1, -3, 1.5, True, math.nan])
+def test_r_taking_functions_reject_a_bad_r(ctx30, r):
+    # each checks r as WeightSpec does, before any division by r or loop over it
+    rule = opq.build_rule(5, SPEC3)
+    for call in (lambda: opq.lambda_n(5, r, ctx30),
+                 lambda: opq.rescale_to_Pn(rule, 5, r),
+                 lambda: opq.string_equation_residual(_scheduled_recurrence(3, 5), r)):
+        with pytest.raises(ValueError, match="r must be an integer >= 2"):
+            call()
 
 
 def test_moment_closed_forms_r3(ctx30):

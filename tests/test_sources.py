@@ -13,13 +13,14 @@ rule, only the oscillatory module knows how a ray is cut, the oracles'
 Gauss-Legendre rules come from no code of opq nor from mpmath's
 gauss_quadrature, only the verify gates a printed bound cannot orient
 state their own verdict, every flag the README names is a flag of the
-command line, and no module imports scipy, nor does importing the package
-load it."""
+command line, no module imports scipy, nor does importing the package
+load it, and the package binds its layers and __version__, nothing else."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import re
@@ -474,11 +475,43 @@ def test_no_module_imports_scipy():
                for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
                if any(m.split(".")[0] == "scipy" for m in modules(node))]
     assert imports == []
+    assert _fresh_interpreter("import oscgauss, sys; print(sorted("
+                              "m for m in sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def _fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports this checkout's package."""
     src = str(pathlib.Path(oscgauss.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import oscgauss, sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout.strip()
+
+
+def test_package_init_binds_only_layers():
+    # Every name is reached as oscgauss.<layer>.<name>; a re-export on the
+    # package is a second spelling that no caller needs.
+    init = pathlib.Path(oscgauss.__file__)
+    layers = {p.stem for p in SOURCES} - {"__init__"}
+    body = ast.parse(init.read_text()).body
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    for stmt in body[1:]:
+        if isinstance(stmt, ast.ImportFrom):
+            assert stmt.level == 1 and stmt.module is None, ast.unparse(stmt)
+            assert {a.name for a in stmt.names} <= layers and \
+                all(a.asname is None for a in stmt.names), ast.unparse(stmt)
+        else:
+            assert isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] \
+                in (["__version__"], ["__all__"]), ast.unparse(stmt)
+
+
+def test_package_namespace_is_its_layers():
+    # in a new interpreter: a test that imports oscgauss.cli binds it here
+    names, public = json.loads(_fresh_interpreter(
+        "import json, oscgauss, types; print(json.dumps([oscgauss.__all__, "
+        "{n: isinstance(v, types.ModuleType) for n, v in vars(oscgauss).items() "
+        "if not n.startswith('_')}]))"))
+    layers = ["asymptotics", "errors", "geometry", "opq", "oscillatory",
+              "precision", "scurve", "serialize", "verify"]
+    assert public == dict.fromkeys(layers, True)
+    assert sorted(names) == sorted(["__version__"] + layers)
