@@ -60,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import mpmath as mp
 import numpy as np
@@ -101,7 +102,7 @@ class WeightSpec:
     r: int
 
     def __post_init__(self):
-        if not (2 <= self.r < math.inf and int(self.r) == self.r):
+        if not (isinstance(self.r, Real) and 2 <= self.r < math.inf and int(self.r) == self.r):
             raise ValueError(f"r must be an integer >= 2, got {self.r!r}")
         object.__setattr__(self, "r", int(self.r))   # 3.0 keys and builds as 3
 

@@ -14,9 +14,9 @@ Along an endpoint path z(t)^r = x^r + i t / omega, so z'(t) = i z / (r (q + i t)
 q = omega x^r, needs no branch choice once z is known; it folds with e^{iq} into
 the weights, and the integral is one complex Gaussian rule.  The module also carries
 the measurement harness for the O(omega^{-(2n+1)/r}) error order of the
-stationary rule and two independent oracles, both panelled Gauss-Legendre
-(precision.panel_quad_vector) with a whole-vs-halved error estimate and with as
-many points per panel as _panel_points gives the digits they run at: one
+stationary rule and two independent oracles, both panelled Gauss-Kronrod
+(precision.panel_quad_vector, its estimate |K_{2m+1} - G_m|) with the m that
+_panel_points gives the digits they run at: one
 on the truncated rays (_ray_quadrature, which the moment oracle uses too),
 serving both rays and a whole list of frequencies in one pass, one on the
 real interval, a panel per oscillation cycle, serving a list of amplitudes.
@@ -248,7 +248,7 @@ def evaluate_report(spec: OscillatoryIntegralSpec, n_endpoint: int,
 # ---------------------------------------------------------------------------
 
 def _panel_points(ctx: PrecisionContext) -> int:
-    """Gauss-Legendre points per panel for an oracle running at ctx.
+    """Gauss points m per panel (2m+1 Kronrod nodes) for an oracle running at ctx.
 
     One rule for the ray and interval oracles: 2/3 of the digits carried
     (20 at the 30-digit floor, 40 at 60).  The panels are sized to the integrand
@@ -292,7 +292,7 @@ def stationary_oracle(f, r: int, omegas, ctx: PrecisionContext) -> tuple:
     Independent of the Gaussian rule: one _ray_quadrature pass integrates
     f(omega^{-1/r} rho d) e^{-rho^r} along both rays d = d_hi, d_lo for every
     omega, d_hi hi - d_lo lo (in along the low ray, out along the high), times
-    s = omega^{-1/r}; the estimate sums both rays' whole-vs-halved differences.
+    s = omega^{-1/r}; the estimate sums both rays' Kronrod-vs-Gauss differences.
     Memoised per process on (f, r, omegas, ctx), so f must be hashable.
     """
     return _stationary_oracle(f, r, tuple(omegas), ctx)
@@ -339,11 +339,10 @@ def interval_oracle(specs, ctx: PrecisionContext) -> tuple:
     The specs must share a, b, omega and r (ValueError otherwise); one pass
     serves them all: each node computes e^{i omega x^r} once and gives one
     component per amplitude.  Panels no wider than one oscillation cycle,
-    each integrated by Gauss-Legendre with _panel_points(ctx) points, whole
-    and halved (precision.panel_quad_vector); the difference is the
-    reported error estimate.  The integrand is entire on every panel, so
-    the rule converges geometrically.  Valid at desk scale (omega <= 1e4
-    or so) and fully independent of the descent machinery.
+    each integrated by the Gauss-Kronrod pair with m = _panel_points(ctx)
+    (precision.panel_quad_vector), whose estimate is reported.  The integrand
+    is entire on every panel, so the rule converges geometrically.  Valid at
+    desk scale (omega <= 1e4 or so) and independent of the descent machinery.
     """
     specs = list(specs)
     shape = {(s.a, s.b, s.omega, s.r) for s in specs}

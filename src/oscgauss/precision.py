@@ -1,17 +1,13 @@
 """Extended-precision arithmetic contract and panelled quadrature.
 
 The rest of the package consumes two things from here: a precision
-context (intermediate arithmetic carries GUARD_DIGITS beyond the working
-digits, and results are rounded back to the working count) with its
-non-finite check, and the panelled Gauss-Legendre primitive the
+context over mpmath (intermediate arithmetic carries GUARD_DIGITS beyond
+the working digits, and results are rounded back to the working count)
+with its non-finite check, and the panelled Gauss-Kronrod primitive the
 verification oracles integrate with (its rules found by Newton on the
-Legendre recurrence, independently of opq; its sums exact dot products).
-Where the panels go is the oracles' business: the ray cuts live with the
-ray integral in the oscillatory module.
-
-Arbitrary-precision arithmetic is delegated to mpmath; the functions here
-add the error contract (non-finite check, rounding discipline) that the
-callers rely on.
+Legendre and Kronrod-Jacobi recurrences, independently of opq; its sums
+exact dot products).  Where the panels go is the oracles' business: the
+ray cuts live with the ray integral in the oscillatory module.
 """
 
 from __future__ import annotations
@@ -78,10 +74,9 @@ def ensure_finite(value, context: str = "operation"):
 
 
 # ---------------------------------------------------------------------------
-# Panelled Gauss-Legendre quadrature
+# Panelled Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
 def _legendre_rule(m: int, dps: int) -> tuple:
     """(nodes, weights) of m-point Gauss-Legendre on [-1, 1] at dps digits.
 
@@ -113,32 +108,76 @@ def _legendre_rule(m: int, dps: int) -> tuple:
         return tuple(zip(*([(-x, w) for x, w in half[:m // 2]] + half[::-1])))
 
 
+@functools.lru_cache(maxsize=16)
+def _kronrod_rule(m: int, dps: int) -> tuple:
+    """(nodes, Kronrod weights, Gauss weights) of the (G_m, K_{2m+1}) pair on [-1, 1].
+
+    Laurie's algorithm (Math. Comp. 66 (1997) 1133) extends the Legendre beta_k to the
+    Kronrod-Jacobi matrix (every alpha 0); Newton, in floats then at dps + 10 digits,
+    finds the root of its pi_{2m+1} / pi_m in each gap between Gauss nodes.  Rounded
+    and mirrored as _legendre_rule is, which is the Gauss half (nodes 1, 3, ...).
+    """
+    xg, wg = _legendre_rule(m, dps)
+    with mp.workdps(dps + 10):
+        b = [mp.mpf(2)] + [mp.mpf(k * k) / (4 * k * k - 1) for k in range(1, (3 * m + 3) // 2)]
+        b, s, t, u = b + [0] * (m // 2), [0] * (m // 2 + 2), [0, b[m + 1]] + [0] * (m // 2), 0
+        for i in range(m - 1):   # Laurie's two loops, the alpha terms dropped
+            for k in range((i + 1) // 2, -1, -1):
+                s[k + 1] = u = u + b[k + m + 1] * s[k] - b[i - k] * s[k + 1]
+            s, t, u = t, s, 0
+        s[1:] = s[:-1]
+        for i in range(m - 1, 2 * m - 2):
+            for j in range(1, (i - 1) // 2 + m - i + 1):
+                s[j] = u = u + b[m - j] * s[j + 1] - b[i + j + 1] * s[j]
+            if i % 2:
+                b[(i + 1) // 2 + m + 1] = s[j] / s[j + 1]
+            s, t, u = t, s, 0
+        # floats run in y = 2x, where the recurrence (4 beta_k -> 1) neither under- nor overflows
+        bf, bprod, tol = [4 * float(v) for v in b], mp.fprod(b), mp.mpf(10) ** -(dps + 8)
+
+        def at(x, b):   # (pi_2m pi_{2m+1}' - pi_2m' pi_{2m+1}, Newton step on pi_{2m+1} / pi_m)
+            p0, p, d0, d = 0, 1, 0, 0
+            for k in range(2 * m + 1):
+                p0, p, d0, d = p, x * p - b[k] * p0, d, p + x * d - b[k] * d0
+                if k == m - 1:
+                    q, dq = p, d
+            return d * p0 - d0 * p, (p * q / (d * q - p * dq) if p else 0)   # 0 at a root
+
+        def newton(x, lo, hi, b, tol):   # the root of pi_{2m+1} / pi_m in (lo, hi)
+            for _ in range(60):
+                dx = at(x, b)[1]
+                x = x - dx if lo < x - dx < hi else (x + (lo if x - dx <= lo else hi)) / 2
+                if abs(dx) < tol:
+                    return x
+            raise NonconvergenceError(f"a {2 * m + 1}-point Gauss-Kronrod node did not converge")
+
+        ends = [float(x) for x in xg[m // 2:]] + [1.0]
+        half = [newton(mp.mpf(newton(lo + hi, 2 * lo, 2 * hi, bf, 1e-15) / 2), lo, hi, b, tol)
+                for lo, hi in zip(ends, ends[1:])] + [mp.mpf(0)] * (1 - m % 2)
+        # beta_0 / sum_k phat_k(x)^2, the sum by Christoffel-Darboux
+        half = [(x, bprod / at(x, b)[0]) for x in sorted(half + list(xg[m // 2:]))]
+    with mp.workdps(dps):   # -x and +x round alike, so the rule is symmetric bit for bit
+        return (*zip(*([(-x, +w) for x, w in half[:0:-1]] + [(+x, +w) for x, w in half])), wg)
+
+
 def panel_quad_vector(g, cuts, m: int):
     """(values, error_estimates) lists of the integrals of the components of
     g, a function returning a sequence, along the polyline `cuts`.
 
-    Every panel [u, v] (real or complex end points) gets m-point
-    Gauss-Legendre, exact for polynomials of degree <= 2m-1, once whole and
-    once as its two halves; the halved sum is returned with |halved - whole|
-    as the estimate.  Runs at the ambient mpmath precision.  Convergence is
-    geometric only where g is analytic on a neighbourhood of each panel.
-    g is called once per node for all components (a family of moments pays
-    for a shared factor once), and each component of a panel is one exact
-    dot product of the weights with its values, rounded once.
+    Every panel [u, v] (real or complex end points) gets the Gauss-Kronrod pair:
+    the K_{2m+1} total (exact through degree 3m+1) is the value, its distance
+    from the G_m total (exact through 2m-1) the estimate.  Runs at the ambient
+    mpmath precision; converges geometrically only where g is analytic around
+    each panel.  g is called once per node for all components, and each
+    component of a panel is one exact dot product of the weights with its values.
     """
-    xs, ws = _legendre_rule(m, mp.mp.dps)
-
-    def gl(u, v):
-        c, h = (u + v) / 2, (v - u) / 2
-        rows = [g(c + h * x) for x in xs]
-        return [h * mp.fdot(ws, col) for col in zip(*rows)]
-
-    whole, halved = [], []
+    xs, wk, wg = _kronrod_rule(m, mp.mp.dps)
+    kron, gauss = [], []
     for u, v in zip(cuts[:-1], cuts[1:]):
         u, v = mp.mpmathify(u), mp.mpmathify(v)
-        mid = (u + v) / 2
-        whole.append(gl(u, v))
-        halved += [gl(u, mid), gl(mid, v)]
-    values = [mp.fsum(col) for col in zip(*halved)]
-    return values, [abs(val - mp.fsum(col)) for val, col in zip(values, zip(*whole))]
-
+        c, h = (u + v) / 2, (v - u) / 2
+        cols = list(zip(*[g(c + h * x) for x in xs]))
+        kron.append([h * mp.fdot(wk, col) for col in cols])
+        gauss.append([h * mp.fdot(wg, col[1::2]) for col in cols])
+    values = [mp.fsum(col) for col in zip(*kron)]
+    return values, [abs(val - mp.fsum(col)) for val, col in zip(values, zip(*gauss))]

@@ -91,8 +91,8 @@ _GL_POINTS = 6          # Gauss points per cell
 _NEAR_WINDOW = 0.02     # mass half-width that near_quadrature refines
 _NEAR_FINEST = 1e-6     # finest mass scale near_quadrature resolves
 _NEAR_GL_POINTS = 4     # Gauss points per near_quadrature cell
-# panelled Gauss-Legendre of phi2_path_integral (coarser grading loses digits)
-_PATH_GL_POINTS = 16    # Gauss points per panel
+# panelled Gauss-Kronrod of phi2_path_integral (coarser grading loses digits)
+_PATH_GL_POINTS = 16    # Gauss points per panel, of 33 Kronrod nodes
 _PATH_MIN_PANEL = 0.02  # floor of the panel length (half the branch-point distance)
 _PATH_MAX_U_PANEL = 0.25  # panel cap in u on the first segment, z = z2 + u^2 (b - z2)
 
@@ -610,9 +610,9 @@ def phi2_path_integral(probes, ctx: PrecisionContext) -> list:
 
     The first segment, leaving z2, is integrated in u with z = z2 + u^2 (b -
     z2), which removes the square-root singularity at z2.  Every piece gets
-    16-point Gauss-Legendre (precision.panel_quad_vector) on panels at most half
-    their start's distance to the nearest branch point (floor 0.02), and
-    at most 0.25 long in u; the estimate sums the panel estimates.
+    the (G_16, K_33) Gauss-Kronrod pair (precision.panel_quad_vector) on panels
+    at most half their start's distance to the nearest branch point (floor
+    0.02), and at most 0.25 long in u; the estimate sums the pieces' estimates.
 
     Probes that share a path prefix share its legs: each distinct prefix
     is integrated once per call (_phi2_leg), so the curve branch is read

@@ -18,7 +18,7 @@ one shell command.
 
 Where a check needs an independent oracle, the oracle shares no code path
 with the implementation under test: moments are re-derived by panelled
-Gauss-Legendre quadrature of the one real integral that both truncated
+Gauss-Kronrod quadrature of the one real integral that both truncated
 contour rays reduce to (in one pass of the oscillatory module's ray
 integral, the stationary oracle's own), the phase function phi2 by integrating
 the analytic continuation of Q^{1/2} (sharing one branch-sign evaluation
@@ -329,7 +329,7 @@ def _moment_ray_quadrature(kmax: int, spec: opq.WeightSpec, ctx: PrecisionContex
     I_k = int_0^oo t^k exp(-t^r) dt, each t^k exp(-t^r) a running product
     from the node's exp(-t^r).  The contour runs in along the low ray d_lo
     and out along the high d_hi, so M_k = (d_hi^{k+1} - d_lo^{k+1}) I_k, and
-    the estimate 2 est_k sums both rays' whole-vs-halved panel differences.
+    the estimate 2 est_k sums both rays' Kronrod-vs-Gauss differences.
     """
     with ctx.working():
         ints, ests = oscillatory._ray_quadrature(

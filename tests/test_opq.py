@@ -28,7 +28,7 @@ def test_weight_spec_validation():
             assert abs(d_lo - mp.expjpi(lo)) <= 1e-25
 
 
-@pytest.mark.parametrize("r", [2.5, 1.0, 0, math.nan, math.inf])
+@pytest.mark.parametrize("r", [2.5, 1.0, 0, math.nan, math.inf, "3", None, 3 + 0j])
 def test_weight_spec_rejects_a_non_integer_or_small_r(ctx30, r):
     with pytest.raises(ValueError, match="r must be an integer >= 2"):
         opq.WeightSpec(r)
@@ -47,7 +47,7 @@ def test_weight_spec_accepts_an_integral_float():
     assert opq.string_equation_residual(rec, 3.0) == opq.string_equation_residual(rec, 3)
 
 
-@pytest.mark.parametrize("r", [0, 1, -3, 1.5, True, math.nan])
+@pytest.mark.parametrize("r", [0, 1, -3, 1.5, True, math.nan, "3", None, 3 + 0j])
 def test_r_taking_functions_reject_a_bad_r(ctx30, r):
     # each checks r as WeightSpec does, before any division by r or loop over it
     rule = opq.build_rule(5, SPEC3)

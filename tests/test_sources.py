@@ -10,8 +10,8 @@ read, only opq's rule builder finds zeros and Christoffel weights, only
 the measure check and the writers read the total mass, no distance to
 gamma reads its polyline, every panelled oracle sizes its panels by one
 rule, only the oscillatory module knows how a ray is cut, the oracles'
-Gauss-Legendre rules come from no code of opq nor from mpmath's
-gauss_quadrature, only the verify gates a printed bound cannot orient
+Gauss-Kronrod rules come from no code of opq nor from mpmath's
+gauss_quadrature or eigenvalue solvers, only the verify gates a printed bound cannot orient
 state their own verdict, every flag the README names is a flag of the
 command line, no module imports scipy, nor does importing the package
 load it, and the package binds its layers and __version__, nothing else."""
@@ -418,8 +418,9 @@ def test_only_oscillatory_knows_how_a_ray_is_cut():
 
 
 def test_oracle_rules_share_no_code_with_opq():
-    # precision._legendre_rule finds its own nodes, so the oracles check opq's
-    # rules without opq, and no module takes mpmath's eigenvalue route
+    # precision._legendre_rule and _kronrod_rule find their own nodes, so the
+    # oracles check opq's rules without opq, and no module takes mpmath's
+    # eigenvalue route (gauss_quadrature, or eig, eigsy, eighe directly)
     def names(node):
         if isinstance(node, ast.ImportFrom):
             return (node.module or "").split(".") + [a.name for a in node.names]
@@ -428,7 +429,7 @@ def test_oracle_rules_share_no_code_with_opq():
         return [getattr(node, "attr", None), getattr(node, "id", None)]
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
-             if "gauss_quadrature" in names(node)
+             if {"gauss_quadrature", "eig", "eigsy", "eighe"} & set(names(node))
              or (path.stem == "precision" and "opq" in names(node)
                  and isinstance(node, (ast.Import, ast.ImportFrom)))]
     assert found == []
@@ -456,12 +457,21 @@ def test_only_unorientable_gates_state_their_verdict():
 
 
 def test_readme_flags_exist():
-    # A flag deleted from the command line must not linger in the docs.
+    # A flag deleted from the command line must not linger in the docs: a
+    # README line running perfbench/run.py names only the benchmark's flags
+    # (the add_argument calls of run.py), every other line only oscgauss's.
     _, flags = cli.build_parser()
     known = {opt for actions in flags.values() for action in actions.values()
              for opt in action.option_strings}
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README.read_text()))
+    run_py = README.parent / "perfbench" / "run.py"
+    bench = {node.args[0].value for node in ast.walk(ast.parse(run_py.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"}
+    named, named_bench = set(), set()
+    for line in README.read_text().splitlines():
+        found = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", line))
+        (named_bench if "perfbench/run.py" in line else named).update(found)
     assert named - known - {"--no-build-isolation"} == set()   # pip's, in the install line
+    assert named_bench - bench == set()
 
 
 def test_no_module_imports_scipy():
