@@ -9,6 +9,9 @@ cross-validated against an independent oracle.
 
 Every name is reached as oscgauss.<layer>.<name>: the package binds the
 layers below (cli once imported) and __version__, and nothing else.
+errors, precision, opq, oscillatory and serialize load with the package,
+and none of them imports numpy; the cubic-case layers and verify, which
+need numpy, load on first access (a PEP 562 module __getattr__).
 
     errors       the ToolkitError hierarchy
     precision    arbitrary-precision contexts, panelled quadrature
@@ -22,10 +25,17 @@ layers below (cli once imported) and __version__, and nothing else.
     cli          `oscgauss` command-line front end
 """
 
-from . import (asymptotics, errors, geometry, opq, oscillatory, precision,
-               scurve, serialize, verify)
+from . import errors, opq, oscillatory, precision, serialize
 
 __version__ = "0.1.0"
 
 __all__ = ["__version__", "errors", "precision", "geometry", "opq", "scurve",
            "asymptotics", "oscillatory", "serialize", "verify"]
+
+
+def __getattr__(name):
+    """Load a cubic-case layer or verify on its first access."""
+    if name in ("geometry", "scurve", "asymptotics", "verify"):
+        from importlib import import_module
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

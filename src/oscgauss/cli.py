@@ -13,6 +13,9 @@ reported red), 3 construction failure (degenerate functional, diverged
 trace, a rule failing its residual checks, invalid parameters, malformed
 flags or input files), 4 I/O failure.
 
+moments, opq and quad run without numpy: the layers that need it (scurve,
+asymptotics, verify) are imported by the handlers that use them.
+
 Every default lives in build_parser.  An optional --config FILE is a flat
 JSON object keyed by flag name ('-' or '_'); each entry becomes the default
 of the subcommand's flag of that name, converted like the flag's own value,
@@ -25,13 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import asymptotics as asym
-from . import opq, oscillatory, scurve, serialize, verify
+from . import opq, oscillatory, serialize
 from .errors import ToolkitError
 from .precision import PrecisionContext
 
@@ -98,6 +99,7 @@ def _cmd_opq(args):
 
 
 def _cmd_curve(args):
+    from . import scurve
     phase = scurve.build_phase_context()
     doc = serialize.curve_json_dict({"gamma": phase.gamma,
                                      "gamma1": phase.gamma1,
@@ -106,6 +108,9 @@ def _cmd_curve(args):
 
 
 def _cmd_measure(args):
+    import numpy as np
+
+    from . import scurve
     meas = scurve.build_phase_context().gamma
     if args.samples is not None:
         if args.samples < 2:
@@ -133,6 +138,8 @@ def _load_probes(path: str) -> list:
 
 
 def _cmd_asymp(args):
+    from . import asymptotics as asym
+    from . import verify
     if args.probes:
         probes = _load_probes(args.probes)
     else:
@@ -178,8 +185,9 @@ def _cmd_fields(args):
             float(raw[3]), float(raw[4]), int(raw[5]))
     if grid[2] < 1 or grid[5] < 1:
         raise ValueError("grid point counts nx and ny must be >= 1")
-    if not np.all(np.isfinite([grid[0], grid[1], grid[3], grid[4]])):
+    if not all(math.isfinite(v) for v in (grid[0], grid[1], grid[3], grid[4])):
         raise ValueError("grid bounds x0, x1, y0 and y1 must be finite")
+    from . import scurve
     X, Y, V, mask = scurve.sample_field_grid(args.which, grid, None)
     doc = {
         "which": args.which,
@@ -201,6 +209,7 @@ def _strip_timing(node):
 
 
 def _cmd_verify(args):
+    from . import verify
     result = verify.run_suite(None if args.suite == "all" else [args.suite])
     text = serialize.report_json(_strip_timing(result))
     return text, 0 if result["passed"] else 2
@@ -213,6 +222,15 @@ def _cmd_verify(args):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # invalid input, exit 3 (argparse itself exits 2)
         raise ValueError(message)
+
+
+class _SuiteChoices:
+    """The --suite choices, "all" and verify.SUITE_NAMES, read from verify only
+    when argparse checks or prints them: verify loads numpy."""
+
+    def __iter__(self):   # `in` iterates too
+        from . import verify
+        return iter(("all", *verify.SUITE_NAMES))
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -286,7 +304,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     arg("--grid", default="-3,3,61,-3,3,61", help="x0,x1,nx,y0,y1,ny")
 
     arg = command("verify", _cmd_verify, "run verification suites; nonzero exit on failure")
-    arg("--suite", default="all", choices=["all", *verify.SUITE_NAMES])
+    arg("--suite", default="all")
+    # set after add_argument, which formats (so iterates) any choices it is given
+    flags["verify"]["suite"].choices = _SuiteChoices()
 
     return parser, flags
 

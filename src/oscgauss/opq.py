@@ -25,7 +25,8 @@ Gautschi, Orthogonal Polynomials, OUP 2004, 1.4 and 3.1), by one builder for
 the weights r and "laguerre" (e^{-t} on [0, inf): M_k = k!, alpha_k = 2k+1,
 beta_k = k^2).  The weight fixes the involution the nodes are closed under
 (_symmetry): z -> -conj z (odd r), z -> -z (even r), z -> conj z
-(Gauss-Laguerre).  The float64 eigenvalues of the Jacobi matrix, paired once
+(Gauss-Laguerre).  The eigenvalues of the Jacobi matrix, found by an implicit
+QL iteration in Python complex floats (no numpy: _jacobi_seeds), paired once
 through the involution, seed Aberth sweeps that move one root per pair with
 pi_n and pi_n' from the recurrence and the Aberth sum in complex128, run to
 10^-digits; the partner is the exact mirror image and a self-paired root
@@ -57,13 +58,13 @@ asked for; nothing is retried.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
 from numbers import Real
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import dps_to_prec, from_man_exp, fzero, to_fixed
 
 from .errors import (
@@ -451,10 +452,13 @@ def cubic_string_recurrence(n: int, ctx: PrecisionContext) -> RecurrenceCoeffici
 
 # Sweep budget of zeros(); each sweep costs one recurrence evaluation at
 # working precision per mirror pair and an O(n^2) Aberth sum in complex128.
-# From the Jacobi seeds the scheduled-precision rules for r = 2, 3, 5 and
-# n <= 40 converge in 3-4 sweeps, so only a stalled iteration ever reaches
-# the budget.
+# From the QL seeds (within 1.1e-13 of the nodes, relative to max(1, |z|))
+# the scheduled-precision rules for r = 2..5 and Gauss-Laguerre at n <= 40
+# converge in 3-4 sweeps, so only a stalled iteration ever reaches the budget.
 ABERTH_SWEEPS = 250
+
+# QL steps allowed per eigenvalue of the Jacobi seeds (EISPACK tql1's budget).
+QL_ITERATIONS = 30
 
 
 def _root_residual(coeffs: RecurrenceCoefficients, z):
@@ -464,21 +468,58 @@ def _root_residual(coeffs: RecurrenceCoefficients, z):
         return abs(p) / (s or 1)
 
 
-def _jacobi_seeds(coeffs: RecurrenceCoefficients):
-    """float64 eigenvalues of the (complex symmetric) Jacobi matrix of pi_n."""
-    off = np.sqrt(np.array([complex(b) for b in coeffs.beta], dtype=complex))
-    jac = np.diag(np.array([complex(a) for a in coeffs.alpha])) + np.diag(off, 1) + np.diag(off, -1)
-    return np.linalg.eigvals(jac)
+def _jacobi_seeds(coeffs: RecurrenceCoefficients) -> list:
+    """complex128 eigenvalues of the (complex symmetric) Jacobi matrix of pi_n.
+
+    Implicit QL with the shift from the leading 2x2 block, EISPACK tql1
+    (Bowdler, Martin, Reinsch & Wilkinson, Numer. Math. 11, 1968) carried
+    over to complex arithmetic (Cullum & Willoughby's CMTQL1): diagonal
+    alpha_k, off-diagonal sqrt(beta_k) on either branch, as only beta_k
+    enters.  An eigenvalue not split off within QL_ITERATIONS steps, or a
+    rotation of zero norm sqrt(f^2 + g^2) (f != 0, possible only because the
+    matrix is complex symmetric, not Hermitian), raises NonconvergenceError.
+    """
+    d = [complex(a) for a in coeffs.alpha]
+    e = [cmath.sqrt(complex(b)) for b in coeffs.beta] + [0j]
+    n, scale = len(d), 0.0
+    for l in range(n):
+        scale = max(scale, abs(d[l]) + abs(e[l]))   # tql1's running tst1
+        for it in range(QL_ITERATIONS + 1):
+            m = next(m for m in range(l, n) if scale + abs(e[m]) == scale)
+            if m == l:
+                break
+            if it == QL_ITERATIONS:
+                raise NonconvergenceError(
+                    f"QL seeds: eigenvalue {l} not split off in {QL_ITERATIONS} iterations (n={n})")
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            r = cmath.sqrt(g * g + 1)
+            g = d[m] - d[l] + e[l] / (g + r if abs(g + r) >= abs(g - r) else g - r)
+            s = c = 1.0
+            p = 0j
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = cmath.sqrt(f * f + g * g)
+                if r == 0:
+                    raise NonconvergenceError(f"QL seeds: rotation of zero norm (n={n})")
+                e[i + 1], s, c = r, f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            d[l] -= p
+            e[l], e[m] = g, 0j
+    return d
 
 
 def zeros(coeffs: RecurrenceCoefficients, symmetry: str) -> list:
     """All n zeros of pi_n, in ascending (Re, Im) order.
 
     `symmetry` is the involution the zero set is closed under, fixed by the
-    weight ("neg_conj", "neg" or "real", see _INVOLUTIONS).  The float64
-    eigenvalues of the Jacobi matrix are paired once, each with the free seed
-    nearest its mirror image; a seed paired with itself lies on the fixed
-    set.  Simultaneous Aberth sweeps (pi_n and pi_n' from the recurrence at
+    weight ("neg_conj", "neg" or "real", see _INVOLUTIONS).  The complex128
+    eigenvalues of the Jacobi matrix (_jacobi_seeds) are paired once, each
+    with the free seed nearest its mirror image; a seed paired with itself
+    lies on the fixed set.  Simultaneous Aberth sweeps (pi_n and pi_n' from the recurrence at
     working precision, the Aberth sum s over all n roots on a complex128
     copy of them) move one root per pair by p / (p' - p s), set its partner
     to the exact mirror image and project a self-paired root onto the fixed

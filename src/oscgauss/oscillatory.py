@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import mpmath as mp
-import numpy as np
 
 from . import opq
 from .errors import NoiseFloorError
@@ -99,7 +98,9 @@ def amplitude(name: str, **params):
         return lambda z, k=k: mp.mpmathify(z) ** k
     if name == "polynomial":
         coeffs = params.get("coeffs", (1,))
-        if not isinstance(coeffs, (list, tuple, np.ndarray)):
+        if hasattr(coeffs, "tolist"):   # a numpy array, as a list of Python numbers
+            coeffs = coeffs.tolist()
+        if not isinstance(coeffs, (list, tuple)):
             raise ValueError(f"amplitude parameter 'coeffs' must be a sequence, got {coeffs!r}")
         coeffs = [_finite("coeffs", c) for c in coeffs]
         # a float converts exactly at any precision, so once; an int or a
@@ -397,6 +398,7 @@ def convergence_report(f, n: int, r: int, omega_list) -> dict:
             "stationary-rule errors sit at the oracle precision floor for "
             f"{len(omegas) - len(keep)} of {len(omegas)} frequencies; "
             "no slope can be fitted")
+    import numpy as np   # the fit alone needs numpy; the rest of the module does not
     lx = np.log10(np.array([omegas[i] for i in keep]))
     ly = np.log10(np.array([errors[i] for i in keep]))
     slope = np.polyfit(lx, ly, 1)[0]

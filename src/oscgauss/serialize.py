@@ -3,8 +3,9 @@
 Pure formatting: every numeric value leaves the process as a decimal string
 at an explicit digit count (never a binary float), so extended-precision
 results keep their digits and two runs with the same configuration produce
-byte-identical files.  Integers and booleans stay native JSON.  Nothing is
-read back.
+byte-identical files.  Integers and booleans stay native JSON.  numpy
+values are formatted as the Python numbers and lists their tolist() gives,
+without importing numpy.  Nothing is read back.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 
 import mpmath as mp
-import numpy as np
 
 __all__ = [
     "fmt",
@@ -27,17 +27,20 @@ __all__ = [
 DEFAULT_DIGITS = 17
 
 
+def _native(x):
+    """x, or the Python number or nested list of a numpy scalar or array."""
+    return x.tolist() if hasattr(x, "tolist") else x
+
+
 def fmt(x) -> str:
     """Decimal string of a real number at DEFAULT_DIGITS, enough to round-trip a double."""
     with mp.workdps(DEFAULT_DIGITS + 5):
-        v = mp.mpf(float(x)) if isinstance(x, (float, np.floating)) else mp.mpf(x)
-        return mp.nstr(v, DEFAULT_DIGITS, strip_zeros=True)
+        return mp.nstr(mp.mpf(_native(x)), DEFAULT_DIGITS, strip_zeros=True)
 
 
 def fmt_complex(z, digits: int = DEFAULT_DIGITS) -> tuple[str, str]:
     with mp.workdps(max(digits + 5, 20)):
-        z = mp.mpmathify(complex(z)) if isinstance(z, (complex, np.complexfloating)) \
-            else mp.mpmathify(z)
+        z = mp.mpmathify(_native(z))
         return (mp.nstr(mp.re(z), digits, strip_zeros=True),
                 mp.nstr(mp.im(z), digits, strip_zeros=True))
 
@@ -46,18 +49,17 @@ def _jsonable(obj):
     """Recursively map numbers to decimal strings (complex to {re, im})."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    obj = _native(obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (complex, np.complexfloating, mp.mpc)):
+    if isinstance(obj, (complex, mp.mpc)):
         re, im = fmt_complex(obj)
         return {"re": re, "im": im}
-    if isinstance(obj, (float, np.floating, mp.mpf)):
+    if isinstance(obj, (float, mp.mpf)):
         return fmt(obj)
     return obj
 

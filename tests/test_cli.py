@@ -50,6 +50,26 @@ def stdout_of(capsys, *argv):
     return out
 
 
+@pytest.mark.parametrize("argv", [("opq", "--n", "7", "--r", "2"), ("quad",),
+                                  ("moments", "--r", "3", "--kmax", "10")], ids=lambda a: a[0])
+def test_rule_commands_start_without_numpy(argv):
+    # opq, quad and moments import neither numpy nor the layers that need it
+    proc = subprocess.run([sys.executable, "-c", "import sys\nfrom oscgauss import cli\n"
+                           "code = cli.main(sys.argv[1:])\nprint('numpy' in sys.modules)\n"
+                           "sys.exit(code)", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_bad_suite_is_an_argparse_choice_error(capsys):
+    # the --suite choices come from verify only when they are checked
+    from oscgauss import verify
+    code, _, err = run_main(capsys, "verify", "--suite", "nope")
+    choices = ", ".join(repr(n) for n in ("all", *verify.SUITE_NAMES))
+    assert code == 3
+    assert err == f"oscgauss: ValueError: argument --suite: invalid choice: 'nope' (choose from {choices})\n"
+
+
 def test_moments_rows_and_structural_zero(capsys):
     lines = stdout_of(capsys, "moments", "--kmax", "6").splitlines()
     assert lines[0] == "k,re,im"

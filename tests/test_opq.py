@@ -335,14 +335,47 @@ def test_even_r_odd_n_origin_node_is_exact():
 
 
 def test_build_rule_n60_exactness():
-    # the float64 Jacobi seeds are only ~1e-4 accurate here; the sweep
-    # still has to deliver a rule exact to 10^(-digits/3) through 2n-1
+    # the QL seeds sit 9.6e-12 off the nodes here, relative to max(1, |z|)
+    # (numpy's eigvals sat 1.6e-10 off); the sweep still has to deliver a
+    # rule exact to 10^(-digits/3) through 2n-1
     n = 60
     rule = opq.build_rule(n, SPEC3)
     ctx = opq.precision_schedule(n)
     ms = opq.moment_sequence(SPEC3, 2 * n - 1, ctx)
     resid = opq.rule_exactness_residual(rule.nodes, rule.weights, ms)
     assert resid <= mp.mpf(10) ** (-mp.mpf(ctx.decimal_digits) / 3)
+
+
+@pytest.mark.parametrize("source", [2, 3, 4, 5, "laguerre"])
+def test_jacobi_seeds_land_on_the_nodes(source):
+    # QL in complex128 puts a seed within 1e-12 of every node, relative to
+    # max(1, |z|), for n <= 40 (measured: 1.1e-13 at r = 3, n = 40, at most
+    # 7.1e-14 for the other weights), so Aberth starts near its quadratic regime
+    for n in (1, 2, 7, 20, 40):
+        digits = opq.precision_schedule(n).decimal_digits
+        rec = opq._recurrence(n, source, digits)[1]
+        seeds = opq._jacobi_seeds(rec)
+        assert len(seeds) == n and all(isinstance(s, complex) for s in seeds)
+        for z in map(complex, opq._build_rule(n, source, digits).nodes):
+            assert min(abs(s - z) for s in seeds) <= 1e-12 * max(1.0, abs(z)), (n, z)
+
+
+def test_jacobi_seeds_refuse_a_zero_norm_rotation(ctx30):
+    # diag(1, -1) with off-diagonal i (beta_0 = -1) is complex symmetric and
+    # nilpotent: the first rotation has f = i, g = -1, f^2 + g^2 = 0
+    rec = opq.RecurrenceCoefficients(alpha=(mp.mpf(1), mp.mpf(-1)), beta=(mp.mpf(-1),), ctx=ctx30)
+    with pytest.raises(NonconvergenceError, match="rotation of zero norm"):
+        opq._jacobi_seeds(rec)
+    with pytest.raises(NonconvergenceError, match="rotation of zero norm"):
+        opq.zeros(rec, "real")
+
+
+def test_jacobi_seeds_refuse_an_exhausted_budget(monkeypatch):
+    # no fallback: an eigenvalue QL has not split off raises
+    rec = opq._recurrence(10, 3, 60)[1]
+    monkeypatch.setattr(opq, "QL_ITERATIONS", 1)
+    with pytest.raises(NonconvergenceError, match="not split off in 1 iterations"):
+        opq._jacobi_seeds(rec)
 
 
 def test_rule_cache_shares_one_rule_per_key():

@@ -20,6 +20,8 @@ def test_amplitude_registry():
     assert abs(complex(osc.amplitude("monomial", k=3)(2.0)) - 8.0) <= 1e-14
     p = osc.amplitude("polynomial", coeffs=[1, 0, 2])
     assert abs(complex(p(2.0)) - 9.0) <= 1e-14
+    for coeffs in (np.array([1, 0, 2]), np.array([1.0, 0.0, 2.0])):   # a numpy array too
+        assert abs(complex(osc.amplitude("polynomial", coeffs=coeffs)(2.0)) - 9.0) <= 1e-14
     e = osc.amplitude("exp", scale=2.0)
     assert abs(complex(e(1.0)) - math.e ** 2) <= 1e-13
     c = osc.amplitude("cos", scale=3.0)
@@ -43,6 +45,7 @@ def test_amplitude_rejects_unknown_parameters(name, params):
     ("constant", {"value": math.nan}),
     ("exp", {"scale": None}), ("cos", {"scale": math.inf}),
     ("monomial", {"k": 1.5}), ("monomial", {"k": True}), ("monomial", {"k": -1}),
+    ("polynomial", {"coeffs": np.float64(2.0)}), ("polynomial", {"coeffs": np.array(2.0)}),
 ])
 def test_amplitude_rejects_bad_values(name, params):
     (key,) = params

@@ -52,3 +52,20 @@ def test_measure_csv_header_and_mass(phase):
     assert lines[0] == "s,re,im,density,cdf"
     last = lines[-1].split(",")
     assert abs(float(last[4]) - 1.0) <= 1e-10
+
+
+def test_numpy_values_print_as_their_python_numbers():
+    # serialize never imports numpy: its scalars and arrays become Python
+    # numbers and lists (tolist) and print exactly as they always have
+    doc = {"f32": np.float32(0.1), "f64": np.float64(0.1), "i64": np.int64(-7),
+           "b": np.bool_(True), "c128": np.complex128(0.1 - 0.2j), "c64": np.complex64(0.1 + 3j),
+           "grid": np.array([[1.5, 0.1], [-2.0, 1e-300]]), "mask": np.array([[True, False]])}
+    assert json.loads(serialize.report_json(doc)) == {
+        "f32": "0.10000000149011612", "f64": "0.10000000000000001", "i64": -7, "b": True,
+        "c128": {"re": "0.10000000000000001", "im": "-0.20000000000000001"},
+        "c64": {"re": "0.10000000149011612", "im": "3.0"},
+        "grid": [["1.5", "0.10000000000000001"], ["-2.0", "1.0e-300"]],
+        "mask": [[True, False]]}
+    assert serialize.fmt(np.float32(0.1)) == "0.10000000149011612"
+    assert serialize.fmt_complex(np.complex64(0.1 + 3j)) == ("0.10000000149011612", "3.0")
+    assert serialize.fmt_complex(np.float64(2.5)) == ("2.5", "0.0")

@@ -500,28 +500,51 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_package_init_binds_only_layers():
     # Every name is reached as oscgauss.<layer>.<name>; a re-export on the
-    # package is a second spelling that no caller needs.
+    # package is a second spelling that no caller needs.  The one function is
+    # the module __getattr__ (PEP 562) that loads the numpy layers on first use.
     init = pathlib.Path(oscgauss.__file__)
     layers = {p.stem for p in SOURCES} - {"__init__"}
     body = ast.parse(init.read_text()).body
     assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    functions = [stmt for stmt in body[1:] if isinstance(stmt, ast.FunctionDef)]
+    assert [f.name for f in functions] == ["__getattr__"]
+    assert [ast.unparse(node) for node in ast.walk(functions[0])
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == \
+        ["from importlib import import_module"]
     for stmt in body[1:]:
         if isinstance(stmt, ast.ImportFrom):
             assert stmt.level == 1 and stmt.module is None, ast.unparse(stmt)
             assert {a.name for a in stmt.names} <= layers and \
                 all(a.asname is None for a in stmt.names), ast.unparse(stmt)
-        else:
+        elif stmt not in functions:
             assert isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] \
                 in (["__version__"], ["__all__"]), ast.unparse(stmt)
 
 
 def test_package_namespace_is_its_layers():
-    # in a new interpreter: a test that imports oscgauss.cli binds it here
-    names, public = json.loads(_fresh_interpreter(
+    # in a new interpreter: a test that imports oscgauss.cli binds it here.
+    # Each name of __all__ resolves through getattr, as perfbench's tracer
+    # reaches the layers, and binds nothing but layers
+    names, resolved, bound = json.loads(_fresh_interpreter(
         "import json, oscgauss, types; print(json.dumps([oscgauss.__all__, "
-        "{n: isinstance(v, types.ModuleType) for n, v in vars(oscgauss).items() "
-        "if not n.startswith('_')}]))"))
+        "{n: isinstance(getattr(oscgauss, n), types.ModuleType) for n in oscgauss.__all__ "
+        "if not n.startswith('_')}, [n for n in vars(oscgauss) if not n.startswith('_')]]))"))
     layers = ["asymptotics", "errors", "geometry", "opq", "oscillatory",
               "precision", "scurve", "serialize", "verify"]
-    assert public == dict.fromkeys(layers, True)
+    assert resolved == dict.fromkeys(layers, True)
+    assert sorted(bound) == layers
     assert sorted(names) == sorted(["__version__"] + layers)
+
+
+def test_import_oscgauss_loads_no_numpy():
+    # opq, oscillatory and serialize build, apply and print rules without
+    # numpy; the cubic-case layers and verify load it on first access, and
+    # no other name is served
+    unloaded, lazy, loaded, unknown = json.loads(_fresh_interpreter(
+        "import json, sys, oscgauss; unloaded = 'numpy' not in sys.modules; "
+        "lazy = sorted(set(oscgauss.__all__) - set(vars(oscgauss))); "
+        "[getattr(oscgauss, n) for n in oscgauss.__all__]; "
+        "print(json.dumps([unloaded, lazy, 'numpy' in sys.modules, "
+        "[n for n in ('cli', 'build_rule', 'np') if hasattr(oscgauss, n)]]))"))
+    assert unloaded and loaded and unknown == []
+    assert lazy == ["asymptotics", "geometry", "scurve", "verify"]
