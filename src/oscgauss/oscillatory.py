@@ -316,9 +316,9 @@ def _phase_breakpoints(spec: OscillatoryIntegralSpec) -> list:
     """Panel boundaries with at most ~one oscillation cycle per panel.
 
     ValueError, before any cut is built, past 100,000 cycles on the longer
-    side, omega max(-a, b)^r / (2 pi).
+    side, omega max(-a, b)^r / (2 pi), compared in logarithms, which cannot overflow.
     """
-    if spec.omega * max(-spec.a, spec.b) ** spec.r / (2 * math.pi) > 100000:
+    if math.log(spec.omega) + spec.r * math.log(max(-spec.a, spec.b)) > math.log(2e5 * math.pi):
         raise ValueError("oracle panel count exploded; omega beyond desk scale")
     cuts = {mp.mpf(spec.a), mp.mpf(0), mp.mpf(spec.b)}
     k = 1

@@ -4,8 +4,8 @@ The rest of the package consumes two things from here: a precision
 context over mpmath (intermediate arithmetic carries GUARD_DIGITS beyond
 the working digits, and results are rounded back to the working count)
 with its non-finite check, and the panelled Gauss-Kronrod primitive the
-verification oracles integrate with (its rules found by Newton on the
-Legendre and Kronrod-Jacobi recurrences, independently of opq; its sums
+verification oracles integrate with (both rules by Newton on one
+Kronrod-Jacobi recurrence, without opq or an eigenvalue solver; its sums
 exact dot products).  Where the panels go is the oracles' business: the
 ray cuts live with the ray integral in the oscillatory module.
 """
@@ -16,6 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import mpmath as mp
 
@@ -44,8 +45,10 @@ class PrecisionContext:
     decimal_digits: int = 30
 
     def __post_init__(self):
-        if self.decimal_digits < 30:
-            raise ValueError("precision must be at least 30 decimal digits")
+        d = self.decimal_digits
+        if not (isinstance(d, Real) and 30 <= d < math.inf and int(d) == d):
+            raise ValueError(f"precision must be at least 30 decimal digits, got {d!r}")
+        object.__setattr__(self, "decimal_digits", int(d))   # 40.0 keys and works as 40
 
     def working(self):
         """Context manager setting mpmath to decimal_digits + GUARD_DIGITS."""
@@ -77,47 +80,17 @@ def ensure_finite(value, context: str = "operation"):
 # Panelled Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
-def _legendre_rule(m: int, dps: int) -> tuple:
-    """(nodes, weights) of m-point Gauss-Legendre on [-1, 1] at dps digits.
-
-    Newton on k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2} at dps + 10 digits, from
-    the seeds cos(pi (k - 1/4) / (m + 1/2)) (Hale & Townsend 2013), finds the
-    floor(m/2) positive nodes (and 0 for odd m), with P_m' = m (x P_m - P_{m-1})
-    / (x^2 - 1) and w = 2 / ((1 - x^2) P_m'^2); the half is rounded to dps digits
-    and mirrored, so the nodes ascend and the rule is symmetric bit for bit.
-    Nothing in opq is called: the oracles share no code with what they check.
-    """
-    def newton(x):   # (node, weight) of the root Newton reaches from x
-        for _ in range(20):
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, m + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = m * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < tol:
-                return x, 2 / ((1 - x * x) * dp ** 2)
-        raise NonconvergenceError(f"a {m}-point Gauss-Legendre node did not converge")
-
-    seeds = [math.cos(math.pi * (k - 0.25) / (m + 0.5)) for k in range(1, m // 2 + 1)]
-    with mp.workdps(dps + 10):
-        tol = mp.mpf(10) ** -(dps + 8)
-        half = [newton(mp.mpf(x)) for x in seeds + [0] * (m % 2)]
-    with mp.workdps(dps):   # a bare -x outside would round to 15 digits
-        half = [(+x, +w) for x, w in half]
-        return tuple(zip(*([(-x, w) for x, w in half[:m // 2]] + half[::-1])))
-
-
 @functools.lru_cache(maxsize=16)
 def _kronrod_rule(m: int, dps: int) -> tuple:
     """(nodes, Kronrod weights, Gauss weights) of the (G_m, K_{2m+1}) pair on [-1, 1].
 
     Laurie's algorithm (Math. Comp. 66 (1997) 1133) extends the Legendre beta_k to the
-    Kronrod-Jacobi matrix (every alpha 0); Newton, in floats then at dps + 10 digits,
-    finds the root of its pi_{2m+1} / pi_m in each gap between Gauss nodes.  Rounded
-    and mirrored as _legendre_rule is, which is the Gauss half (nodes 1, 3, ...).
+    Kronrod-Jacobi matrix (every alpha 0).  Newton on its recurrence, in floats then at
+    dps + 10 digits, finds the roots of its pi_m (monic Legendre) in Bruns' brackets
+    cos(k pi/(m + 1/2)) < x_k < cos((k - 1/2) pi/(m + 1/2)), then of pi_{2m+1} / pi_m per gap.
+    The positive half is rounded and mirrored (Gauss nodes at odd positions, Kronrod weights
+    at the rounded ones); nothing in opq runs, so the oracles share no code with what they check.
     """
-    xg, wg = _legendre_rule(m, dps)
     with mp.workdps(dps + 10):
         b = [mp.mpf(2)] + [mp.mpf(k * k) / (4 * k * k - 1) for k in range(1, (3 * m + 3) // 2)]
         b, s, t, u = b + [0] * (m // 2), [0] * (m // 2 + 2), [0, b[m + 1]] + [0] * (m // 2), 0
@@ -133,31 +106,43 @@ def _kronrod_rule(m: int, dps: int) -> tuple:
                 b[(i + 1) // 2 + m + 1] = s[j] / s[j + 1]
             s, t, u = t, s, 0
         # floats run in y = 2x, where the recurrence (4 beta_k -> 1) neither under- nor overflows
-        bf, bprod, tol = [4 * float(v) for v in b], mp.fprod(b), mp.mpf(10) ** -(dps + 8)
+        bf, tol = [4 * float(v) for v in b], mp.mpf(10) ** -(dps + 8)
 
-        def at(x, b):   # (pi_2m pi_{2m+1}' - pi_2m' pi_{2m+1}, Newton step on pi_{2m+1} / pi_m)
-            p0, p, d0, d = 0, 1, 0, 0
-            for k in range(2 * m + 1):
+        def at(x, b, n):   # (pi_{n-1} pi_n' - pi_{n-1}' pi_n, Newton step on pi_n / pi_m)
+            p0, p, d0, d, q, dq = 0, 1, 0, 0, 1, 0   # pi_m enters only for n > m
+            for k in range(n):
                 p0, p, d0, d = p, x * p - b[k] * p0, d, p + x * d - b[k] * d0
-                if k == m - 1:
+                if k == m - 1 < n - 1:
                     q, dq = p, d
             return d * p0 - d0 * p, (p * q / (d * q - p * dq) if p else 0)   # 0 at a root
 
-        def newton(x, lo, hi, b, tol):   # the root of pi_{2m+1} / pi_m in (lo, hi)
+        def newton(x, lo, hi, n, b, tol):   # the root in (lo, hi) that at(x, b, n) steps to
             for _ in range(60):
-                dx = at(x, b)[1]
+                dx = at(x, b, n)[1]
                 x = x - dx if lo < x - dx < hi else (x + (lo if x - dx <= lo else hi)) / 2
                 if abs(dx) < tol:
                     return x
-            raise NonconvergenceError(f"a {2 * m + 1}-point Gauss-Kronrod node did not converge")
+            raise NonconvergenceError(f"a root of the Kronrod-Jacobi pi_{n} did not converge")
 
-        ends = [float(x) for x in xg[m // 2:]] + [1.0]
-        half = [newton(mp.mpf(newton(lo + hi, 2 * lo, 2 * hi, bf, 1e-15) / 2), lo, hi, b, tol)
-                for lo, hi in zip(ends, ends[1:])] + [mp.mpf(0)] * (1 - m % 2)
-        # beta_0 / sum_k phat_k(x)^2, the sum by Christoffel-Darboux
-        half = [(x, bprod / at(x, b)[0]) for x in sorted(half + list(xg[m // 2:]))]
-    with mp.workdps(dps):   # -x and +x round alike, so the rule is symmetric bit for bit
-        return (*zip(*([(-x, +w) for x, w in half[:0:-1]] + [(+x, +w) for x, w in half])), wg)
+        def roots(brackets, n):   # floats first, then dps + 10 digits
+            return [newton(mp.mpf(newton(lo + hi, 2 * lo, 2 * hi, n, bf, 1e-15) / 2),
+                           lo, hi, n, b, tol) for lo, hi in brackets]
+
+        c = math.pi / (m + 0.5)   # Bruns' brackets, ascending
+        xg = [mp.mpf(0)] * (m % 2) + roots(
+            [(math.cos(k * c), math.cos((k - 0.5) * c)) for k in range(m // 2, 0, -1)], m)
+        # w(x) = 1 / sum_{k<n} pi_k(x)^2 / (beta_0 ... beta_k), by Christoffel-Darboux
+        bm, bprod = mp.fprod(b[:m]), mp.fprod(b)
+        gauss = [(x, bm / at(x, b, m)[0]) for x in xg]
+        with mp.workdps(dps):
+            xg = [+x for x in xg]
+        ends = [float(x) for x in xg] + [1.0]
+        xk = roots(zip(ends, ends[1:]), 2 * m + 1) + [mp.mpf(0)] * (1 - m % 2)
+        kronrod = [(x, bprod / at(x, b, 2 * m + 1)[0]) for x in sorted(xk + xg)]
+    with mp.workdps(dps):   # -x and +x round alike, so each rule is symmetric bit for bit
+        (xs, wk), (_, wg) = [zip(*([(-x, +w) for x, w in half[::-1] if x] +
+                                   [(+x, +w) for x, w in half])) for half in (kronrod, gauss)]
+    return xs, wk, wg
 
 
 def panel_quad_vector(g, cuts, m: int):

@@ -1,9 +1,25 @@
 import copy
+import os
+import pathlib
 
 import pytest
 
+import oscgauss
 from oscgauss import scurve, verify
 from oscgauss.precision import PrecisionContext
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_on_pythonpath():
+    """Every subprocess a test starts imports this checkout's package.
+
+    pyproject's pythonpath reaches only the pytest process, so the checkout's
+    src directory goes first on PYTHONPATH, which child interpreters inherit.
+    """
+    src = str(pathlib.Path(oscgauss.__file__).resolve().parent.parent)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -355,8 +355,12 @@ class _CountingMpmath:
 def test_interval_oracle_refuses_too_many_cycles_before_building_cuts(monkeypatch):
     counting = _CountingMpmath(osc.mp)
     monkeypatch.setattr(osc, "mp", counting)
-    with pytest.raises(ValueError, match="panel count exploded"):
-        osc.interval_oracle([_interval_spec("constant", omega=1e9)], PrecisionContext())
+    # omega b^r overflows a float at b = 1e300, r = 3
+    wide = osc.OscillatoryIntegralSpec(a=-1.0, b=1e300, omega=1.0, r=3,
+                                       amplitude=osc.amplitude("constant"))
+    for spec in (_interval_spec("constant", omega=1e9), wide):
+        with pytest.raises(ValueError, match="panel count exploded"):
+            osc.interval_oracle([spec], PrecisionContext())
     assert counting.pi_reads == 0
     osc._phase_breakpoints(_interval_spec("constant", omega=200.0))
     assert counting.pi_reads > 0

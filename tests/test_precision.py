@@ -7,9 +7,8 @@ import pytest
 from mpmath import mp
 
 from oscgauss.errors import NonFiniteError
-from oscgauss.oscillatory import ray_cuts
-from oscgauss.precision import (PrecisionContext, _kronrod_rule, _legendre_rule,
-                                ensure_finite, panel_quad_vector)
+from oscgauss.oscillatory import _panel_points, ray_cuts
+from oscgauss.precision import PrecisionContext, _kronrod_rule, ensure_finite, panel_quad_vector
 
 
 def test_working_context_scopes_dps():
@@ -18,6 +17,15 @@ def test_working_context_scopes_dps():
     with ctx.working():
         assert mp.dps >= 50
     assert mp.dps == before
+
+
+def test_precision_context_takes_only_integral_digits_from_30():
+    # ValueError, not a TypeError from the comparison or a NaN failing later
+    for digits in ("40", None, float("nan"), 35.5, True, 29):
+        with pytest.raises(ValueError, match="at least 30 decimal digits"):
+            PrecisionContext(digits)
+    ctx = PrecisionContext(40.0)   # kept as int, as WeightSpec keeps r
+    assert ctx == PrecisionContext(40) and type(ctx.decimal_digits) is int
 
 
 def test_finalize_rounds_to_context_digits():
@@ -64,31 +72,6 @@ def test_panel_quad_exact_through_degree_2m_minus_1(cuts):
                 assert est > mp.mpf(10) ** -20 * abs(exact)
 
 
-@functools.lru_cache(maxsize=None)
-def _golub_welsch(m):
-    """mp.gauss_quadrature's nodes then weights at 80 digits, 20 past the
-    most the rule test asks of _legendre_rule."""
-    with mp.workdps(80):
-        return [v for col in mp.gauss_quadrature(m, "legendre") for v in col]
-
-
-@pytest.mark.parametrize("dps", [30, 40, 60])
-def test_legendre_rule_is_gauss_legendre(dps):
-    for m in range(1, 41):
-        xs, ws = _legendre_rule(m, dps)
-        with mp.workdps(dps):
-            assert list(xs) == sorted(set(xs))
-            assert all(xs[j] == -xs[m - 1 - j] and ws[j] == ws[m - 1 - j] for j in range(m))
-        with mp.workdps(dps + 20):
-            terms = list(ws)   # w_j x_j^k, k = 0 .. 2m-1
-            for k in range(2 * m):
-                exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
-                assert abs(mp.fsum(terms) - exact) < mp.mpf(10) ** (2 - dps)
-                terms = [t * x for t, x in zip(terms, xs)]
-            assert max(abs(a - b) for a, b in zip(xs + ws, _golub_welsch(m))) \
-                < mp.mpf(10) ** (1 - dps)
-
-
 def test_panel_quad_sums_agree_with_an_fsum_loop():
     # 21 components t^k e^{-t^3} on the r = 3 ray, against the Kronrod and
     # Gauss sums as a plain loop of rounded products over the same panels
@@ -126,23 +109,85 @@ def test_kronrod_rule_matches_the_g7_k15_table():
         assert abs(x - x_ref) < 1e-14 and abs(w - w_ref) < 1e-14
 
 
+def _assert_exact(xs, ws, degree, dps, digits):
+    """sum_j w_j x_j^k is int_{-1}^{1} x^k dx within 10^-digits for k = 0 .. degree."""
+    with mp.workdps(dps + 20):
+        terms = list(ws)   # w_j x_j^k
+        for k in range(degree + 1):
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
+            assert abs(mp.fsum(terms) - exact) < mp.mpf(10) ** -digits
+            terms = [t * x for t, x in zip(terms, xs)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair(m, dps):
+    """_kronrod_rule(m, dps), kept for the whole session: the Gauss and the Kronrod
+    tests below check the two halves of the same 120 pairs."""
+    return _kronrod_rule(m, dps)
+
+
+def _assert_gauss(xg, wg, m, dps):
+    """Gauss-Legendre shape of an m-point rule: nodes ascending and distinct, the
+    rule symmetric bit for bit and exact through degree 2m-1."""
+    assert len(xg) == len(wg) == m
+    assert list(xg) == sorted(set(xg))
+    with mp.workdps(dps):
+        assert all(xg[j] == -xg[m - 1 - j] and wg[j] == wg[m - 1 - j] for j in range(m))
+    _assert_exact(xg, wg, 2 * m - 1, dps, dps - 2)
+
+
+def _assert_kronrod(xs, wk, m, dps):
+    """Kronrod shape of a (2m+1)-point rule: nodes strictly ascending, the rule
+    symmetric bit for bit and exact through degree 3m+1."""
+    assert len(xs) == len(wk) == 2 * m + 1
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    with mp.workdps(dps):
+        assert all(xs[j] == -xs[2 * m - j] and wk[j] == wk[2 * m - j]
+                   for j in range(2 * m + 1))
+    _assert_exact(xs, wk, 3 * m + 1, dps, dps - 1)
+
+
+def _assert_gauss_kronrod(m, dps):
+    """Both rules of _kronrod_rule(m, dps), the Gauss nodes interlaced with the Kronrod ones."""
+    xs, wk, wg = rule = _pair(m, dps)
+    _assert_kronrod(xs, wk, m, dps)
+    _assert_gauss(xs[1::2], wg, m, dps)
+    return rule
+
+
+@functools.lru_cache(maxsize=None)
+def _golub_welsch(m):
+    """mp.gauss_quadrature's nodes then weights at 80 digits, 20 past the
+    most the rule test asks of the Gauss half."""
+    with mp.workdps(80):
+        return [v for col in mp.gauss_quadrature(m, "legendre") for v in col]
+
+
+@pytest.mark.parametrize("dps", [30, 40, 60])
+def test_legendre_rule_is_gauss_legendre(dps):
+    # the Gauss half of the pair (nodes 1, 3, ...), found without an eigenvalue solver
+    for m in range(1, 41):
+        xs, _, wg = _pair(m, dps)
+        _assert_gauss(xs[1::2], wg, m, dps)
+        with mp.workdps(dps + 20):
+            assert max(abs(a - b) for a, b in zip(xs[1::2] + wg, _golub_welsch(m))) \
+                < mp.mpf(10) ** (1 - dps)
+
+
 @pytest.mark.parametrize("dps", [30, 40, 60])
 def test_kronrod_rule_is_gauss_kronrod(dps):
-    for m in range(1, 26):
-        xs, wk, wg = _kronrod_rule(m, dps)
-        assert len(xs) == len(wk) == 2 * m + 1
-        # the Gauss half is _legendre_rule itself, interlaced with the Kronrod nodes
-        assert (xs[1::2], wg) == _legendre_rule(m, dps)
-        assert all(a < b for a, b in zip(xs, xs[1:]))
-        with mp.workdps(dps):
-            assert all(xs[j] == -xs[2 * m - j] and wk[j] == wk[2 * m - j]
-                       for j in range(2 * m + 1))
-        with mp.workdps(dps + 20):
-            terms = list(wk)   # w_j x_j^k, k = 0 .. 3m+1
-            for k in range(3 * m + 2):
-                exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
-                assert abs(mp.fsum(terms) - exact) < mp.mpf(10) ** (1 - dps)
-                terms = [t * x for t, x in zip(terms, xs)]
+    for m in range(1, 41):
+        xs, wk, wg = _pair(m, dps)
+        assert len(wg) == m
+        _assert_kronrod(xs, wk, m, dps)
+
+
+@pytest.mark.parametrize("digits", [30, 45, 60])
+def test_oracle_kronrod_pairs_are_gauss_kronrod(digits):
+    # the pair an oracle at these digits builds, m = 2 digits // 3 at the working dps
+    ctx = PrecisionContext(digits)
+    with ctx.working():
+        _assert_gauss_kronrod(_panel_points(ctx), mp.dps)
 
 
 def test_panel_quad_estimate_flags_unresolved_panels():

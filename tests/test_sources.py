@@ -21,7 +21,6 @@ import importlib
 import importlib.util
 import inspect
 import json
-import os
 import pathlib
 import re
 import subprocess
@@ -418,7 +417,7 @@ def test_only_oscillatory_knows_how_a_ray_is_cut():
 
 
 def test_oracle_rules_share_no_code_with_opq():
-    # precision._legendre_rule and _kronrod_rule find their own nodes, so the
+    # precision._kronrod_rule finds the Gauss and Kronrod nodes itself, so the
     # oracles check opq's rules without opq, and no module takes mpmath's
     # eigenvalue route (gauss_quadrature, or eig, eigsy, eighe directly)
     def names(node):
@@ -490,12 +489,10 @@ def test_no_module_imports_scipy():
 
 
 def _fresh_interpreter(code: str) -> str:
-    """stdout of `code` run by a new interpreter that imports this checkout's package."""
-    src = str(pathlib.Path(oscgauss.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    """stdout of `code` run by a new interpreter, which imports this checkout's
+    package (conftest puts it on PYTHONPATH)."""
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True).stdout.strip()
+                          text=True, check=True).stdout.strip()
 
 
 def test_package_init_binds_only_layers():
